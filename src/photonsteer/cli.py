@@ -126,6 +126,9 @@ def cmd_steer(args) -> int:
     if len(settings) < 2:
         print("need at least two settings, e.g. --settings Z,X", file=sys.stderr)
         return EXIT_USAGE
+    if len(set(settings)) != len(settings):
+        print(f"repeated setting in --settings {args.settings!r}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         rho, frame = _load_steer_input(args)
         assemblage = steering.compute_assemblage(rho, settings)
@@ -185,6 +188,10 @@ def cmd_sweep(args) -> int:
         print(f"bad sweep: range [{lo}, {hi}] must sit inside [0, 1] with step > 0",
               file=sys.stderr)
         return EXIT_USAGE
+    chsh_points = 360.0 / args.chsh_step if args.chsh_step > 0 else 0.0
+    if chsh_points < 1 or abs(chsh_points - round(chsh_points)) > 1e-9:
+        print(f"bad --chsh-step {args.chsh_step}: it must divide 360", file=sys.stderr)
+        return EXIT_USAGE
 
     values = []
     v = lo
@@ -193,14 +200,18 @@ def cmd_sweep(args) -> int:
         v += args.step
 
     rows = []
-    for v in values:
-        rho = scenarios.noisy_state(v)
-        cjwr = steering.cjwr_value(rho, ("Z", "X"))
-        chsh = steering.chsh_optimize(rho, args.chsh_step)
-        verdict = steering.lhs_feasibility(
-            steering.compute_assemblage(rho, ("Z", "X")), args.grid
-        )
-        rows.append((v, cjwr, chsh.value, verdict.status))
+    try:
+        for v in values:
+            rho = scenarios.noisy_state(v)
+            cjwr = steering.cjwr_value(rho, ("Z", "X"))
+            chsh = steering.chsh_optimize(rho, args.chsh_step)
+            verdict = steering.lhs_feasibility(
+                steering.compute_assemblage(rho, ("Z", "X")), args.grid
+            )
+            rows.append((v, cjwr, chsh.value, verdict.status))
+    except PhysicsError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_PHYSICS
     if args.format == "json":
         doc = [
             {"v": v, "cjwr": cjwr, "chsh_opt": chsh_opt, "lhs_verdict": status}

@@ -76,6 +76,10 @@ class BadParameters(PhysicsError):
     """Preset parameters violate their constraint (normalization, range)."""
 
 
+class SolverBreakdown(PhysicsError, ArithmeticError):
+    """The LHS simplex met a singular basis, a failed ratio test or its pivot cap."""
+
+
 class CircuitSyntaxError(PhotonSteerError):
     """Malformed circuit text. Carries ``line`` (1-based), ``column`` and ``expected``."""
 

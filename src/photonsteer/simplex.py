@@ -3,9 +3,16 @@
 Decides whether ``A x = b, x >= 0`` has a solution by minimizing the sum of
 artificial variables. Revised form: every iteration refactorizes the
 basis and recomputes reduced costs from scratch, so no error accumulates
-across pivots (these steering programs are heavily degenerate and may take
-thousands of them). Bland's rule (lowest improving column in, lowest basis
-index on ratio ties out) guarantees termination.
+across pivots.
+
+The entering column is the most negative reduced cost (Dantzig's rule),
+which needs tens to hundreds of pivots on the steering programs where the
+lowest improving index needs thousands. Dantzig's rule alone can cycle on
+degenerate programs, and these are heavily degenerate, so once
+``STALL_LIMIT`` pivots in a row bring no decrease of the phase-1 objective
+the solver switches to Bland's rule (lowest improving column in) for the
+rest of the solve, which guarantees termination. The leaving row is the
+lowest basis index among ratio ties under both rules.
 """
 
 from __future__ import annotations
@@ -14,8 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SolverBreakdown
+
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-8
+# Pivots without a decrease of the phase-1 objective before Bland's rule takes
+# over. Dantzig's rule stalls for at most about 20 pivots on the steering
+# programs of the presets, so the fallback is for pathological input.
+STALL_LIMIT = 50
 
 
 @dataclass(frozen=True)
@@ -25,6 +38,7 @@ class FeasibilityResult:
     objective: float  # phase-1 optimum (sum of artificials)
     residual: float  # max |A x - b| recomputed from scratch
     iterations: int
+    bland_iterations: int = 0  # pivots taken after the fallback to Bland's rule
 
 
 def solve_feasibility(
@@ -51,43 +65,59 @@ def solve_feasibility(
     basis = np.arange(n, n + m)
 
     iterations = 0
+    bland_from = None  # pivot count at which Bland's rule took over
+    best_objective = np.inf
+    last_decrease = 0
     while True:
         B = ext[:, basis]
         try:
             x_basic = np.linalg.solve(B, work_b)
             duals = np.linalg.solve(B.T, cost[basis])
         except np.linalg.LinAlgError as exc:
-            raise ArithmeticError(f"singular basis after {iterations} iterations") from exc
+            raise SolverBreakdown(f"singular basis after {iterations} iterations") from exc
+
+        if bland_from is None:
+            objective = float(cost[basis] @ x_basic)
+            if objective < best_objective - pivot_tol:
+                best_objective, last_decrease = objective, iterations
+            elif iterations - last_decrease >= STALL_LIMIT:
+                bland_from = iterations
 
         reduced = cost - duals @ ext
-        improving = np.nonzero(reduced < -pivot_tol)[0]
-        if improving.size == 0:
-            break
-        entering = int(improving[0])  # Bland: lowest index
+        if bland_from is None:
+            entering = int(np.argmin(reduced))  # Dantzig: most negative
+            if reduced[entering] >= -pivot_tol:
+                break
+        else:
+            improving = np.nonzero(reduced < -pivot_tol)[0]
+            if improving.size == 0:
+                break
+            entering = int(improving[0])  # Bland: lowest index
 
         direction = np.linalg.solve(B, ext[:, entering])
         movable = direction > pivot_tol
         if not movable.any():
             # Phase-1 objective is bounded below by zero, so an unbounded ray
             # means numerical breakdown, not a real certificate.
-            raise ArithmeticError("phase-1 ratio test failed on all rows")
+            raise SolverBreakdown("phase-1 ratio test failed on all rows")
         ratios = np.full(m, np.inf)
         ratios[movable] = np.maximum(x_basic[movable], 0.0) / direction[movable]
         theta = ratios.min()
         ties = np.nonzero(ratios <= theta + pivot_tol)[0]
-        leaving = int(ties[np.argmin(basis[ties])])  # Bland: lowest basis index
+        leaving = int(ties[np.argmin(basis[ties])])  # lowest basis index
 
         basis[leaving] = entering
         iterations += 1
         if iterations > max_iterations:
-            raise ArithmeticError(f"phase-1 did not converge in {max_iterations} iterations")
+            raise SolverBreakdown(f"phase-1 did not converge in {max_iterations} iterations")
 
+    bland_iterations = 0 if bland_from is None else iterations - bland_from
     objective = float(cost[basis] @ np.maximum(x_basic, 0.0))
     if objective > feas_tol:
-        return FeasibilityResult(False, None, objective, objective, iterations)
+        return FeasibilityResult(False, None, objective, objective, iterations, bland_iterations)
 
     x = np.zeros(n)
     structural = basis < n
     x[basis[structural]] = np.maximum(x_basic[structural], 0.0)
     residual = float(np.max(np.abs(A @ x - b))) if m else 0.0
-    return FeasibilityResult(True, x, objective, residual, iterations)
+    return FeasibilityResult(True, x, objective, residual, iterations, bland_iterations)

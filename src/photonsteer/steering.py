@@ -116,13 +116,16 @@ class SteeringVerdict:
     """LHS linear-program outcome at one grid resolution.
 
     ``certificate`` (feasible case) lists (strategy, bloch_vector, weight)
-    triples; a strategy assigns an outcome to each setting in order.
+    triples; a strategy assigns an outcome to each setting in order. It is
+    one LHS model among the many the program may admit. ``pivots`` counts
+    the simplex pivots of the solve.
     """
 
     status: str  # UnsteerableCertified | NoLHSFoundAtResolution
     grid_n: int
     residual: float
     certificate: tuple[tuple[tuple[int, ...], tuple[float, float, float], float], ...] | None
+    pivots: int  # simplex pivots the program took
 
 
 @dataclass(frozen=True)
@@ -421,16 +424,16 @@ def lhs_feasibility(assemblage: Assemblage, grid_n: int) -> SteeringVerdict:
             raise BasisMismatch(f"assemblage missing member {key}")
 
     grid = fibonacci_bloch_grid(grid_n * grid_n)
-    grid_states = [_bloch_state(n) for n in grid]
     strategies = list(product(outcomes, repeat=m))
 
-    columns = []
-    for strategy in strategies:
-        responds = [1.0 if strategy[ix] == a else 0.0 for ix in range(m) for a in outcomes]
-        for g in grid_states:
-            comp = _real_components(g)
-            columns.append(np.concatenate([r * comp for r in responds]))
-    A = np.array(columns).T  # 4*m*2 rows, one column per (strategy, grid state)
+    # _real_components(_bloch_state(n)) in closed form, one row per grid state.
+    nx, ny, nz = grid.T
+    comps = 0.5 * np.column_stack([1.0 + nz, 1.0 - nz, nx, -ny])
+    # responds[s, x, a] = 1 when strategy s answers a to setting x.
+    responds = (np.array(strategies)[:, :, None] == np.array(outcomes)).astype(float)
+    # Rows (setting, outcome, component) as in b; columns (strategy, grid
+    # state), grid index fastest, which the certificate's divmod relies on.
+    A = np.einsum("sxa,gc->xacsg", responds, comps).reshape(8 * m, -1)
 
     b = np.concatenate(
         [
@@ -444,15 +447,17 @@ def lhs_feasibility(assemblage: Assemblage, grid_n: int) -> SteeringVerdict:
     if result.feasible and result.residual < 1e-7:
         certificate = []
         for idx in np.nonzero(result.x > 1e-12)[0]:
-            s_idx, g_idx = divmod(int(idx), len(grid_states))
+            s_idx, g_idx = divmod(int(idx), len(grid))
             certificate.append(
                 (strategies[s_idx], tuple(float(v) for v in grid[g_idx]), float(result.x[idx]))
             )
         return SteeringVerdict(
-            "UnsteerableCertified", grid_n, result.residual, tuple(certificate)
+            "UnsteerableCertified", grid_n, result.residual, tuple(certificate), result.iterations
         )
     residual = result.residual if result.feasible else result.objective
-    return SteeringVerdict("NoLHSFoundAtResolution", grid_n, float(residual), None)
+    return SteeringVerdict(
+        "NoLHSFoundAtResolution", grid_n, float(residual), None, result.iterations
+    )
 
 
 def replay_certificate(verdict: SteeringVerdict, assemblage: Assemblage) -> float:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from photonsteer import steering
 from photonsteer.cli import main
 from photonsteer.scenarios import FIG1_CIRCUIT
 
@@ -108,6 +109,27 @@ class TestSteer:
     def test_bad_preset_exits_3(self, capsys):
         assert main(["steer", "--preset", "noisy:2.0", "--settings", "Z,X"]) == 3
 
+    def test_repeated_setting_exits_4(self, capsys):
+        assert main(["steer", "--preset", "eq1", "--settings", "Z,Z"]) == 4
+        assert "repeated" in capsys.readouterr().err
+
+    def test_fine_grid_certifies_without_pivot_count_in_output(self, tmp_path):
+        out = tmp_path / "steer.json"
+        assert main(["steer", "--preset", "noisy:0.65", "--grid", "60",
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["lhs_verdict"] == "UnsteerableCertified"
+        assert "pivots" not in doc
+
+    def test_solver_breakdown_exits_3(self, monkeypatch, capsys):
+        real = steering.solve_feasibility
+        monkeypatch.setattr(steering, "solve_feasibility",
+                            lambda A, b: real(A, b, max_iterations=1))
+        assert main(["steer", "--preset", "noisy:0.65", "--settings", "Z,X"]) == 3
+        err = capsys.readouterr().err
+        assert "did not converge" in err
+        assert "Traceback" not in err
+
 
 class TestSweep:
     def test_eleven_rows_with_linear_cjwr_and_transition(self, tmp_path):
@@ -135,6 +157,13 @@ class TestSweep:
 
     def test_range_outside_unit_interval_exits_4(self):
         assert main(["sweep", "--sweep", "v", "--range", "0..2", "--step", "0.5"]) == 4
+
+    def test_chsh_step_not_dividing_circle_exits_4(self, capsys):
+        assert main(["sweep", "--chsh-step", "7"]) == 4
+        assert "360" in capsys.readouterr().err
+
+    def test_grid_too_coarse_exits_3(self):
+        assert main(["sweep", "--range", "0..0.5", "--step", "0.5", "--grid", "5"]) == 3
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

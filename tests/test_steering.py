@@ -1,8 +1,11 @@
 """Steering and Bell machinery: frames, assemblages, CJWR, CHSH, LHS search."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
+from photonsteer import steering
 from photonsteer.core import BasisDecl, BasisKet, DensityOperator, StateVector
 from photonsteer.errors import (
     GridTooCoarse,
@@ -11,6 +14,7 @@ from photonsteer.errors import (
     TooManySettings,
 )
 from photonsteer.scenarios import eq1_state, hardy_state, noisy_state, twc_state
+from photonsteer.simplex import solve_feasibility
 from photonsteer.steering import (
     QUBIT_PAIR_LABELS,
     Assemblage,
@@ -266,6 +270,57 @@ class TestLhsFeasibility:
         asm = compute_assemblage(noisy_state(0.4), ("Z", "X", "Y"))
         verdict = lhs_feasibility(asm, 12)
         assert verdict.status == "UnsteerableCertified"
+
+    @pytest.mark.parametrize("settings", [("Z", "X"), ("Z", "X", "Y")])
+    def test_constraint_matrix_matches_column_loop(self, settings, monkeypatch):
+        seen = {}
+
+        def capture(A, b):
+            seen["A"] = A
+            return solve_feasibility(A, b)
+
+        monkeypatch.setattr(steering, "solve_feasibility", capture)
+        lhs_feasibility(compute_assemblage(noisy_state(0.5), settings), 10)
+
+        # Reference: one column per (strategy, grid state), grid index fastest.
+        columns = []
+        for strategy in product((+1, -1), repeat=len(settings)):
+            responds = [float(a == b) for a in strategy for b in (+1, -1)]
+            for n in fibonacci_bloch_grid(100):
+                comp = steering._real_components(steering._bloch_state(n))
+                columns.append(np.concatenate([r * comp for r in responds]))
+        np.testing.assert_array_equal(seen["A"], np.array(columns).T)
+
+    @pytest.mark.parametrize(
+        "v, settings, grid, bound",
+        [(0.65, ("Z", "X"), 40, 200), (0.6, ("Z", "X", "Y"), 20, 400)],
+    )
+    def test_pivot_count_stays_small_and_repeats(self, v, settings, grid, bound):
+        asm = compute_assemblage(noisy_state(v), settings)
+        first = lhs_feasibility(asm, grid)
+        assert first.pivots <= bound
+        assert lhs_feasibility(asm, grid).pivots == first.pivots
+
+    @pytest.mark.parametrize(
+        "v, settings, grid", [(0.65, ("Z", "X"), 60), (0.55, ("Z", "X", "Y"), 40)]
+    )
+    def test_fine_grids_certify(self, v, settings, grid):
+        asm = compute_assemblage(noisy_state(v), settings)
+        verdict = lhs_feasibility(asm, grid)
+        assert verdict.status == "UnsteerableCertified"
+        assert replay_certificate(verdict, asm) < 1e-7
+
+    def test_visibility_sweep_switches_once_below_the_threshold(self):
+        visibilities = np.round(np.linspace(0.3, 1.0, 36), 10)
+        certified = [
+            lhs_feasibility(compute_assemblage(noisy_state(v), ("Z", "X")), 20).status
+            == "UnsteerableCertified"
+            for v in visibilities
+        ]
+        assert sum(a != b for a, b in zip(certified, certified[1:])) == 1
+        assert not any(c for v, c in zip(visibilities, certified) if v > SQ2)
+        # The verdicts the lowest-index entering rule gave: certified up to v = 0.70.
+        assert certified == [v <= 0.70 for v in visibilities]
 
 
 class TestFibonacciGrid:
