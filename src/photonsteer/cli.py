@@ -9,16 +9,15 @@ Subcommands::
 
 Exit codes: 0 success, 2 circuit parse error (diagnostic with line/column on
 stderr), 3 physics error, 4 usage error. Output is deterministic: identical
-arguments (and seed) produce byte-identical files.
+arguments produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-
-import numpy as np
 
 from . import scenarios, steering
 from .circuit import parse_circuit, run_circuit
@@ -29,6 +28,8 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_PHYSICS = 3
 EXIT_USAGE = 4
+
+MAX_SWEEP_POINTS = 10_000  # each point solves one LHS program and one CHSH search
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,10 +52,6 @@ def _write(path: str | None, payload: str) -> None:
         return
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(payload)
-
-
-def _complex_pairs(matrix) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix)]
 
 
 def state_to_json_dict(state: StateVector) -> dict:
@@ -109,8 +106,13 @@ def _load_steer_input(args):
     if args.preset is not None:
         prepared = scenarios.preset(args.preset)
         return scenarios.steering_frame(prepared, bob_site=args.bob_site)
-    with open(args.input, "r", encoding="utf-8") as handle:
-        state = state_from_json_dict(json.load(handle))
+    try:
+        with open(args.input, "r", encoding="utf-8") as handle:
+            state = state_from_json_dict(json.load(handle))
+    except (OSError, ValueError, LookupError, TypeError) as exc:
+        raise UsageError(
+            f"cannot read a 'run' state from {args.input!r}: {type(exc).__name__}: {exc}"
+        ) from exc
     if args.registers == "occ-occ":
         sites = state.decl.sites
         bob = args.bob_site or sites[-1]
@@ -146,7 +148,7 @@ def cmd_steer(args) -> int:
         return EXIT_PHYSICS
 
     members = {
-        f"{x}{'+' if a > 0 else '-'}": _complex_pairs(assemblage.members[(x, a)])
+        f"{x}{'+' if a > 0 else '-'}": scenarios._complex_pairs(assemblage.members[(x, a)])
         for x in assemblage.settings
         for a in (+1, -1)
     }
@@ -184,8 +186,12 @@ def cmd_sweep(args) -> int:
     except ValueError:
         print(f"bad --range {args.range!r}, expected like 0..1", file=sys.stderr)
         return EXIT_USAGE
-    if args.step <= 0 or not 0.0 <= lo <= hi <= 1.0:
-        print(f"bad sweep: range [{lo}, {hi}] must sit inside [0, 1] with step > 0",
+    if not (math.isfinite(args.step) and args.step > 0) or not 0.0 <= lo <= hi <= 1.0:
+        print(f"bad sweep: range [{lo}, {hi}] must sit inside [0, 1] with a finite step > 0",
+              file=sys.stderr)
+        return EXIT_USAGE
+    if (hi - lo + 1e-12) / args.step >= MAX_SWEEP_POINTS:
+        print(f"bad sweep: step {args.step} gives more than {MAX_SWEEP_POINTS} points",
               file=sys.stderr)
         return EXIT_USAGE
     chsh_points = 360.0 / args.chsh_step if args.chsh_step > 0 else 0.0
@@ -254,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_steer.add_argument("--registers", choices=("pol-path", "occ-occ"), default="pol-path",
                          help="two-qubit frame for --input states")
     p_steer.add_argument("--bob-site", default=None, help="override Bob's site")
-    p_steer.add_argument("--seed", type=int, default=0, help="reserved; analyses are exact")
     p_steer.add_argument("--out", default=None)
 
     p_sweep = sub.add_parser("sweep", help="visibility sweep of the noisy preset")
@@ -265,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--chsh-step", type=float, default=5.0,
                          help="grid step for the CHSH angle search")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sweep.add_argument("--seed", type=int, default=0, help="reserved; sweep is exact")
     p_sweep.add_argument("--out", default=None)
 
     p_report = sub.add_parser("report", help="scenario report for a preset")

@@ -7,6 +7,14 @@ configurations are unrepresentable by construction. Basis order is the vacuum
 first, then one-photon kets sorted lexicographically by (site, pol, oam), so
 matrix layouts are deterministic for golden tests.
 
+Tensor contract. Because of that order, the amplitudes after the vacuum,
+``amps[1:]``, are a C-ordered array of shape ``(n_sites, 2, n_oam)``:
+axis 0 runs over the sites in *sorted* order (``BasisDecl.site_axis`` maps a
+site name to its position, which can differ from the declared order), axis 1
+over (H, V) and axis 2 over the sorted OAM values. ``BasisDecl.tensor``
+returns that view, and element actions, projections and register reductions
+are axis operations on it rather than per-ket index lookups.
+
 Conventions fixed here and relied on everywhere else:
 
 * Global phase is never stripped implicitly; ``fidelity`` is the
@@ -97,13 +105,13 @@ class BasisDecl:
         object.__setattr__(self, "oam", tuple(sorted(int(m) for m in self.oam)))
 
     @cached_property
+    def site_axis(self) -> dict[str, int]:
+        """Position of each site along axis 0 of ``tensor`` (sorted site order)."""
+        return {site: i for i, site in enumerate(sorted(self.sites))}
+
+    @cached_property
     def kets(self) -> tuple[BasisKet, ...]:
-        photons = [
-            BasisKet.photon(site, pol, m)
-            for site in sorted(self.sites)
-            for pol in POLS
-            for m in self.oam
-        ]
+        photons = (BasisKet.photon(s, p, m) for s in self.site_axis for p in POLS for m in self.oam)
         return (BasisKet.vacuum(), *photons)
 
     @cached_property
@@ -111,8 +119,17 @@ class BasisDecl:
         return {ket: i for i, ket in enumerate(self.kets)}
 
     @property
+    def shape(self) -> tuple[int, int, int]:
+        """Shape (n_sites, 2, n_oam) of the one-photon amplitude tensor."""
+        return (len(self.sites), len(POLS), len(self.oam))
+
+    @property
     def dim(self) -> int:
         return 1 + 2 * len(self.sites) * len(self.oam)
+
+    def tensor(self, amps: np.ndarray) -> np.ndarray:
+        """The (site, pol, oam) view of ``amps[1:]``; writable when ``amps`` is."""
+        return amps[1:].reshape(self.shape)
 
     def require_site(self, site: str) -> None:
         if site not in self.sites:
@@ -301,26 +318,11 @@ def apply_local_unitary(
         raise NonUnitary("matrix is not unitary within 1e-10")
 
     amps = np.array(state.amps)
-    sites = [site] if site is not None else list(decl.sites)
-    if register == "pol":
-        for s in sites:
-            for m in decl.oam:
-                idx = [decl.index[BasisKet.photon(s, p, m)] for p in POLS]
-                amps[idx] = u @ amps[idx]
-    else:
-        for s in sites:
-            for p in POLS:
-                idx = [decl.index[BasisKet.photon(s, p, m)] for m in decl.oam]
-                amps[idx] = u @ amps[idx]
+    block = decl.tensor(amps)
+    if site is not None:
+        block = block[decl.site_axis[site]]
+    block[...] = u @ block if register == "pol" else block @ u.T
     return StateVector(decl, amps)
-
-
-def _require_photon_sector(rho: DensityOperator, register: str) -> None:
-    vac_mass = float(np.real(rho.matrix[0, 0]))
-    if vac_mass > ATOL:
-        raise UnknownSubsystem(
-            f"the {register} register is undefined for states with vacuum weight {vac_mass:.3e}"
-        )
 
 
 def partial_trace(rho: DensityOperator, keep: str, site: str | None = None) -> DensityOperator:
@@ -334,51 +336,42 @@ def partial_trace(rho: DensityOperator, keep: str, site: str | None = None) -> D
     * ``"pol"``: the 2x2 polarization register (one-photon states only).
     * ``"oam"``: the OAM register (one-photon states only).
 
-    Trace is preserved exactly; the result is Hermitian PSD.
+    ``rho`` must be written over a declaration's ``kets``, as ``to_density``
+    makes it. Trace is preserved exactly; the result is Hermitian PSD.
     """
-    kets = rho.labels
-    if not kets or not isinstance(kets[0], BasisKet):
-        raise UnknownSubsystem("partial_trace needs an operator over photon-basis kets")
-
+    decl = _declaration_of(rho.labels)
     if keep == "occupation":
         if site is None:
             raise UnknownSubsystem("occupation selector needs a site")
-        sites = {k.site for k in kets if not k.is_vacuum}
-        if site not in sites:
+        if site not in decl.sites:
             raise UnknownSite(f"site {site!r} not present in operator basis")
-        out = np.zeros((2, 2), dtype=complex)
-        for i, ket in enumerate(kets):
-            n = 0 if ket.is_vacuum or ket.site != site else 1
-            out[n, n] += rho.matrix[i, i]
-        return DensityOperator(("0", "1"), out)
+        diag = np.diagonal(rho.matrix)
+        at_site = np.zeros(decl.dim, dtype=bool)
+        decl.tensor(at_site)[decl.site_axis[site]] = True
+        return DensityOperator(("0", "1"), np.diag([diag[~at_site].sum(), diag[at_site].sum()]))
 
+    if keep not in ("pol", "oam"):
+        raise UnknownSubsystem(f"unknown selector {keep!r}")
+    vac_mass = float(np.real(rho.matrix[0, 0]))
+    if vac_mass > ATOL:
+        register = "polarization" if keep == "pol" else "OAM"
+        raise UnknownSubsystem(
+            f"the {register} register is undefined for states with vacuum weight {vac_mass:.3e}"
+        )
+    block = rho.matrix[1:, 1:].reshape(decl.shape * 2)
     if keep == "pol":
-        _require_photon_sector(rho, "polarization")
-        out = np.zeros((2, 2), dtype=complex)
-        pol_idx = {"H": 0, "V": 1}
-        for i, k1 in enumerate(kets):
-            if k1.is_vacuum:
-                continue
-            for j, k2 in enumerate(kets):
-                if k2.is_vacuum:
-                    continue
-                if k1.site == k2.site and k1.oam == k2.oam:
-                    out[pol_idx[k1.pol], pol_idx[k2.pol]] += rho.matrix[i, j]
-        return DensityOperator(POLS, out)
+        return DensityOperator(POLS, np.einsum("spmsqm->pq", block))
+    return DensityOperator(decl.oam, np.einsum("spmspn->mn", block))
 
-    if keep == "oam":
-        _require_photon_sector(rho, "OAM")
-        values = sorted({k.oam for k in kets if not k.is_vacuum})
-        oam_idx = {m: i for i, m in enumerate(values)}
-        out = np.zeros((len(values), len(values)), dtype=complex)
-        for i, k1 in enumerate(kets):
-            if k1.is_vacuum:
-                continue
-            for j, k2 in enumerate(kets):
-                if k2.is_vacuum:
-                    continue
-                if k1.site == k2.site and k1.pol == k2.pol:
-                    out[oam_idx[k1.oam], oam_idx[k2.oam]] += rho.matrix[i, j]
-        return DensityOperator(tuple(values), out)
 
-    raise UnknownSubsystem(f"unknown selector {keep!r}")
+def _declaration_of(labels: tuple) -> BasisDecl:
+    """The declaration whose ``kets`` are ``labels``, or ``UnknownSubsystem``."""
+    if not all(isinstance(k, BasisKet) for k in labels):
+        raise UnknownSubsystem("partial_trace needs an operator over photon-basis kets")
+    photons = [k for k in labels if not k.is_vacuum]
+    decl = BasisDecl(
+        tuple(sorted({k.site for k in photons})), tuple({k.oam for k in photons}) or DEFAULT_OAM
+    )
+    if decl.kets != labels:
+        raise UnknownSubsystem("partial_trace needs an operator over a declaration's kets")
+    return decl

@@ -84,46 +84,20 @@ def pbs_route(state: StateVector, input: str, out_h: str, out_v: str) -> StateVe
     if out_h == out_v:
         raise SiteCollision("PBS outputs must be two distinct sites")
 
-    routing = {"H": out_h, "V": out_v}
-    for pol, out in routing.items():
+    amps = np.array(state.amps)
+    t = decl.tensor(amps)
+    src = t[decl.site_axis[input]]
+    for p, (pol, out) in enumerate(zip(POLS, (out_h, out_v))):
         if out == input:
             continue
-        for m in decl.oam:
-            occupied = abs(state.amplitude(BasisKet.photon(out, pol, m))) > _AMP_TOL
-            if occupied and abs(state.amplitude(BasisKet.photon(input, pol, m))) > _AMP_TOL:
-                raise SiteCollision(
-                    f"output {out!r} already carries {pol} amplitude; merging paths "
-                    "without a two-port unitary would need a second photon"
-                )
-
-    amps = np.array(state.amps)
-    for pol, out in routing.items():
-        if out == input:
-            continue
-        for m in decl.oam:
-            src = decl.index[BasisKet.photon(input, pol, m)]
-            dst = decl.index[BasisKet.photon(out, pol, m)]
-            amps[dst] += amps[src]
-            amps[src] = 0.0
-    return StateVector(decl, amps)
-
-
-def pbs_merge(state: StateVector, in_h: str, in_v: str, out: str) -> StateVector:
-    """Inverse of ``pbs_route``: H at ``in_h`` and V at ``in_v`` both exit at ``out``."""
-    decl = state.decl
-    for s in (in_h, in_v, out):
-        decl.require_site(s)
-    amps = np.array(state.amps)
-    for pol, src_site in (("H", in_h), ("V", in_v)):
-        if src_site == out:
-            continue
-        for m in decl.oam:
-            src = decl.index[BasisKet.photon(src_site, pol, m)]
-            dst = decl.index[BasisKet.photon(out, pol, m)]
-            if abs(amps[dst]) > _AMP_TOL and abs(amps[src]) > _AMP_TOL:
-                raise SiteCollision(f"output {out!r} already carries {pol} amplitude")
-            amps[dst] += amps[src]
-            amps[src] = 0.0
+        dst = t[decl.site_axis[out], p]
+        if np.any((np.abs(dst) > _AMP_TOL) & (np.abs(src[p]) > _AMP_TOL)):
+            raise SiteCollision(
+                f"output {out!r} already carries {pol} amplitude; merging paths "
+                "without a two-port unitary would need a second photon"
+            )
+        dst += src[p]
+        src[p] = 0.0
     return StateVector(decl, amps)
 
 
@@ -136,13 +110,9 @@ def beamsplitter_5050(state: StateVector, site1: str, site2: str) -> StateVector
         raise UnknownSite("beam splitter needs two distinct sites")
     bs = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) / np.sqrt(2.0)
     amps = np.array(state.amps)
-    for pol in POLS:
-        for m in decl.oam:
-            idx = [
-                decl.index[BasisKet.photon(site1, pol, m)],
-                decl.index[BasisKet.photon(site2, pol, m)],
-            ]
-            amps[idx] = bs @ amps[idx]
+    t = decl.tensor(amps)
+    pair = [decl.site_axis[site1], decl.site_axis[site2]]
+    t[pair] = np.einsum("ab,bpm->apm", bs, t[pair])
     return StateVector(decl, amps)
 
 
@@ -150,36 +120,27 @@ def qplate(state: StateVector, site: str, q: int) -> StateVector:
     """Couple circular polarization to OAM at one site: |L,m> <-> |R,m+2q>."""
     decl = state.decl
     decl.require_site(site)
-    q = int(q)
-    oam_index = {m: i for i, m in enumerate(decl.oam)}
-    n_oam = len(decl.oam)
+    shift = 2 * int(q)
+    oam = np.array(decl.oam)
 
     amps = np.array(state.amps)
-    # Site amplitudes as an (oam, pol) block, rotated to the circular basis.
-    block = np.zeros((n_oam, 2), dtype=complex)
-    for i, m in enumerate(decl.oam):
-        hv = np.array([amps[decl.index[BasisKet.photon(site, p, m)]] for p in POLS])
-        block[i] = _TO_CIRC @ hv  # columns: (L, R)
-
-    shifted = np.zeros_like(block)
-    for i, m in enumerate(decl.oam):
-        amp_l, amp_r = block[i]
-        if abs(amp_l) > _AMP_TOL:
-            target = m + 2 * q
-            if target not in oam_index:
-                raise OamOverflow(f"|L,{m}> would shift to oam={target}, outside {decl.oam}")
-            shifted[oam_index[target], 1] += amp_l  # L -> R
-        if abs(amp_r) > _AMP_TOL:
-            target = m - 2 * q
-            if target not in oam_index:
-                raise OamOverflow(f"|R,{m}> would shift to oam={target}, outside {decl.oam}")
-            shifted[oam_index[target], 0] += amp_r  # R -> L
-
-    from_circ = _TO_CIRC.conj().T
-    for i, m in enumerate(decl.oam):
-        hv = from_circ @ shifted[i]
-        for p_idx, p in enumerate(POLS):
-            amps[decl.index[BasisKet.photon(site, p, m)]] = hv[p_idx]
+    block = decl.tensor(amps)[decl.site_axis[site]]  # (pol, oam) view
+    circ = _TO_CIRC @ block  # rows: (L, R)
+    shifted = np.zeros_like(circ)
+    # L at m moves to R at m + 2q; R at m moves to L at m - 2q. Amplitudes at
+    # or below _AMP_TOL are dropped rather than checked against the OAM set.
+    for src, dst, step in ((0, 1, shift), (1, 0, -shift)):
+        target = oam + step
+        pos = np.searchsorted(oam, target).clip(max=len(oam) - 1)
+        live = np.abs(circ[src]) > _AMP_TOL
+        overflow = live & (oam[pos] != target)
+        if overflow.any():
+            m = int(oam[overflow][0])
+            raise OamOverflow(
+                f"|{'LR'[src]},{m}> would shift to oam={m + step}, outside {decl.oam}"
+            )
+        shifted[dst, pos[live]] = circ[src, live]
+    block[...] = _TO_CIRC.conj().T @ shifted
     return StateVector(decl, amps)
 
 
@@ -187,9 +148,6 @@ def phase_shift(state: StateVector, site: str, phi_deg: float) -> StateVector:
     """Multiply all amplitudes at ``site`` by exp(i phi)."""
     decl = state.decl
     decl.require_site(site)
-    factor = np.exp(1j * np.deg2rad(phi_deg))
     amps = np.array(state.amps)
-    for p in POLS:
-        for m in decl.oam:
-            amps[decl.index[BasisKet.photon(site, p, m)]] *= factor
+    decl.tensor(amps)[decl.site_axis[site]] *= np.exp(1j * np.deg2rad(phi_deg))
     return StateVector(decl, amps)

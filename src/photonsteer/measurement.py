@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import POLS, BasisKet, DensityOperator, StateVector, normalize, partial_trace, to_density
+from .core import POLS, DensityOperator, StateVector, normalize, partial_trace, to_density
 from .errors import BasisMismatch, ZeroProbabilityOutcome
 
 PROB_FLOOR = 1e-14
@@ -122,35 +122,24 @@ def occupation_setting(site: str) -> MeasurementSetting:
 def _project(state: StateVector, setting: MeasurementSetting, vec: np.ndarray) -> np.ndarray:
     """Apply the register projector |vec><vec| across the one-photon sector."""
     decl = state.decl
-    if setting.register == "pol":
-        blocks = [
-            [decl.index[BasisKet.photon(s, p, m)] for p in POLS]
-            for s in decl.sites
-            for m in decl.oam
-        ]
-    else:
-        blocks = [
-            [decl.index[BasisKet.photon(s, p, m)] for m in decl.oam]
-            for s in decl.sites
-            for p in POLS
-        ]
-    if blocks and len(vec) != len(blocks[0]):
+    n = len(POLS) if setting.register == "pol" else len(decl.oam)
+    if len(vec) != n:
         raise BasisMismatch(
-            f"{setting.register} projector has dimension {len(vec)}, "
-            f"register has {len(blocks[0])}"
+            f"{setting.register} projector has dimension {len(vec)}, register has {n}"
         )
+    t = decl.tensor(state.amps)
     out = np.zeros(decl.dim, dtype=complex)
-    for idx in blocks:
-        out[idx] = vec * np.vdot(vec, state.amps[idx])
+    if setting.register == "pol":
+        coef = np.einsum("p,spm->sm", vec.conj(), t)
+        decl.tensor(out)[...] = vec[:, None] * coef[:, None, :]
+    else:
+        coef = np.einsum("m,spm->sp", vec.conj(), t)
+        decl.tensor(out)[...] = coef[..., None] * vec
     return out
 
 
 def _site_mass(amps: np.ndarray, decl, site: str) -> float:
-    total = 0.0
-    for i, ket in enumerate(decl.kets):
-        if not ket.is_vacuum and ket.site == site:
-            total += abs(amps[i]) ** 2
-    return total
+    return float(np.sum(np.abs(decl.tensor(amps)[decl.site_axis[site]]) ** 2))
 
 
 def born_probabilities(state: StateVector, setting: MeasurementSetting) -> list[OutcomeRecord]:
@@ -161,43 +150,33 @@ def born_probabilities(state: StateVector, setting: MeasurementSetting) -> list[
         raise ValueError(f"measurement requires a normalized state (norm {state.norm():.6g})")
 
     if setting.register == "occupation":
-        click = np.array(state.amps)
-        for i, ket in enumerate(decl.kets):
-            if ket.is_vacuum or ket.site != setting.site:
-                click[i] = 0.0
-        rest = state.amps - click
-        records = []
-        for label, amps in (("click", click), (NO_CLICK, rest)):
-            p = float(np.sum(np.abs(amps) ** 2))
-            cond = normalize(StateVector(decl, amps)) if p >= PROB_FLOOR else None
-            records.append(OutcomeRecord(label, p if p >= PROB_FLOOR else 0.0, cond))
-        return records
+        click = np.zeros(decl.dim, dtype=complex)
+        at_site = decl.site_axis[setting.site]
+        decl.tensor(click)[at_site] = decl.tensor(state.amps)[at_site]
+        return [_record(decl, "click", click), _record(decl, NO_CLICK, state.amps - click)]
 
-    projected: dict[str, np.ndarray] = {
-        label: _project(state, setting, vec) for label, vec in setting.outcomes
-    }
-    # Vacuum never reaches the analyzer.
-    vacuum = np.zeros(decl.dim, dtype=complex)
-    vacuum[0] = state.amps[0]
-
-    dark = vacuum
+    dark = np.zeros(decl.dim, dtype=complex)
+    dark[0] = state.amps[0]  # the vacuum never reaches the analyzer
     records: list[OutcomeRecord] = []
-    for label, _ in setting.outcomes:
-        amps = projected[label]
+    for label, vec in setting.outcomes:
+        amps = _project(state, setting, vec)
         p = float(np.sum(np.abs(amps) ** 2))
         if p >= PROB_FLOOR and _site_mass(amps, decl, setting.site) < PROB_FLOOR * p:
             # Invisible to the detector at this site: merge into no-click
             # coherently (the apparatus cannot distinguish these branches).
             dark = dark + amps
             records.append(OutcomeRecord(label, 0.0, None))
-            continue
-        cond = normalize(StateVector(decl, amps)) if p >= PROB_FLOOR else None
-        records.append(OutcomeRecord(label, p if p >= PROB_FLOOR else 0.0, cond))
+        else:
+            records.append(_record(decl, label, amps))
+    return records + [_record(decl, NO_CLICK, dark)]
 
-    p_dark = float(np.sum(np.abs(dark) ** 2))
-    cond = normalize(StateVector(decl, dark)) if p_dark >= PROB_FLOOR else None
-    records.append(OutcomeRecord(NO_CLICK, p_dark if p_dark >= PROB_FLOOR else 0.0, cond))
-    return records
+
+def _record(decl, label: str, amps: np.ndarray) -> OutcomeRecord:
+    """Outcome with probability ||amps||^2; floored to 0 with no state below PROB_FLOOR."""
+    p = float(np.sum(np.abs(amps) ** 2))
+    if p < PROB_FLOOR:
+        return OutcomeRecord(label, 0.0, None)
+    return OutcomeRecord(label, p, normalize(StateVector(decl, amps)))
 
 
 def collapse(state: StateVector, setting: MeasurementSetting, outcome_label: str) -> StateVector:

@@ -152,6 +152,7 @@ def _internal_is_path_marker(state: StateVector) -> bool:
 
 
 def _complex_pairs(matrix: np.ndarray) -> list:
+    """A complex matrix as nested [re, im] pairs for JSON output (shared with ``cli``)."""
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix)]
 
 
@@ -173,7 +174,10 @@ def scenario_report(preset_spec: str, site: str | None = None, basis: str | None
         if basis in ("ZHV", "Xdiag", "Ycirc"):
             setting = measurement.polarization_setting(site, basis)
         elif basis == "OAMpm":
-            setting = measurement.oam_setting(site, "pm", prepared.decl.oam)
+            try:
+                setting = measurement.oam_setting(site, "pm", prepared.decl.oam)
+            except ValueError as exc:
+                raise BadParameters(f"basis OAMpm on preset {preset_spec!r}: {exc}") from exc
         elif basis == "occupation":
             setting = measurement.occupation_setting(site)
         else:

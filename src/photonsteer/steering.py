@@ -24,7 +24,7 @@ from itertools import product
 
 import numpy as np
 
-from .core import ATOL, BasisKet, DensityOperator, StateVector
+from .core import ATOL, DensityOperator, StateVector
 from .errors import (
     BasisMismatch,
     GridTooCoarse,
@@ -162,7 +162,8 @@ def pol_path_qubits(state: StateVector, bob_site: str) -> DensityOperator:
     if abs(state.amps[0]) ** 2 > ATOL:
         raise NonQubitBobMarginal("state has vacuum weight; polarization-path frame undefined")
 
-    support = {ket.site for ket, _ in state.items(tol=1e-12) if not ket.is_vacuum}
+    t = decl.tensor(state.amps)
+    support = {s for s, i in decl.site_axis.items() if np.any(np.abs(t[i]) > 1e-12)}
     others = [s for s in decl.sites if s != bob_site]
     if len(decl.sites) == 2:
         alice_site = others[0]
@@ -176,18 +177,10 @@ def pol_path_qubits(state: StateVector, bob_site: str) -> DensityOperator:
     if not support <= {bob_site, alice_site}:
         raise NonQubitBobMarginal(f"support {support} spills outside the two chosen sites")
 
-    site_of = {0: alice_site, 1: bob_site}
-    rho = np.zeros((4, 4), dtype=complex)
-    for p1, pol1 in enumerate("HV"):
-        for n1 in (0, 1):
-            for p2, pol2 in enumerate("HV"):
-                for n2 in (0, 1):
-                    acc = 0.0 + 0.0j
-                    for m in decl.oam:
-                        a1 = state.amplitude(BasisKet.photon(site_of[n1], pol1, m))
-                        a2 = state.amplitude(BasisKet.photon(site_of[n2], pol2, m))
-                        acc += a1 * np.conj(a2)
-                    rho[p1 * 2 + n1, p2 * 2 + n2] = acc
+    # Rows (pol, n) in frame order, with n = 1 at Bob's site; columns run over OAM.
+    pair = t[[decl.site_axis[alice_site], decl.site_axis[bob_site]]]
+    rows = pair.transpose(1, 0, 2).reshape(4, -1)
+    rho = np.sum(rows[:, None, :] * rows.conj()[None, :, :], axis=2)
     return DensityOperator(QUBIT_PAIR_LABELS, rho)
 
 
@@ -205,12 +198,10 @@ def occupation_qubits(state: StateVector, alice_site: str, bob_site: str) -> Den
     if alice_site == bob_site:
         raise NonQubitBobMarginal("Alice and Bob need distinct sites")
 
-    internal = [(p, m) for p in "HV" for m in decl.oam]
-    matrix = np.zeros((len(decl.sites), len(internal)), dtype=complex)
-    for i, s in enumerate(decl.sites):
-        for j, (p, m) in enumerate(internal):
-            matrix[i, j] = state.amplitude(BasisKet.photon(s, p, m))
-        if s not in (alice_site, bob_site) and np.linalg.norm(matrix[i]) > 1e-10:
+    # One row per site (sorted order), columns over the internal (pol, oam) factor.
+    matrix = decl.tensor(state.amps).reshape(len(decl.sites), -1)
+    for s in decl.sites:
+        if s not in (alice_site, bob_site) and np.linalg.norm(matrix[decl.site_axis[s]]) > 1e-10:
             raise NonQubitBobMarginal(f"photon amplitude at third site {s!r}")
 
     amp2q = np.zeros(4, dtype=complex)  # |n_A n_B>: 00, 01, 10, 11
@@ -225,9 +216,8 @@ def occupation_qubits(state: StateVector, alice_site: str, bob_site: str) -> Den
         occ = u[:, 0] * sing[0]
         phase = vh[0, np.argmax(np.abs(vh[0]))]
         occ = occ * (phase / abs(phase))  # fold the internal factor's phase into the path
-        site_index = {s: i for i, s in enumerate(decl.sites)}
-        amp2q[2] = occ[site_index[alice_site]]  # |10>
-        amp2q[1] = occ[site_index[bob_site]]  # |01>
+        amp2q[2] = occ[decl.site_axis[alice_site]]  # |10>
+        amp2q[1] = occ[decl.site_axis[bob_site]]  # |01>
     return DensityOperator(QUBIT_PAIR_LABELS, np.outer(amp2q, amp2q.conj()))
 
 

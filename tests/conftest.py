@@ -1,9 +1,17 @@
-"""Shared helpers: seeded random states and independent reduction oracles."""
+"""Shared helpers: seeded random states and independent per-ket oracles.
+
+The oracles address amplitudes one ``BasisKet`` at a time, so they check the
+package's (site, pol, oam) tensor code without relying on its layout.
+"""
 
 import numpy as np
 import pytest
 
-from photonsteer.core import BasisDecl, StateVector
+from photonsteer.core import POLS, BasisDecl, BasisKet, StateVector
+from photonsteer.errors import OamOverflow
+from photonsteer.measurement import NO_CLICK, PROB_FLOOR
+
+SQ2 = np.sqrt(2.0)
 
 
 @pytest.fixture
@@ -49,3 +57,144 @@ def register_oracle(state: StateVector, register: str) -> np.ndarray:
             if same_rest:
                 out[axis.index(value(k1)), axis.index(value(k2))] += a1 * np.conj(a2)
     return out
+
+
+def linear_oracle(state: StateVector, image) -> np.ndarray:
+    """Apply a linear map given on basis kets: ``image(ket) -> {ket: coefficient}``."""
+    decl = state.decl
+    out = np.zeros(decl.dim, dtype=complex)
+    for ket, amp in state.items():
+        for target, coefficient in image(ket).items():
+            out[decl.index[target]] += coefficient * amp
+    return out
+
+
+def local_unitary_oracle(state, u, register, site=None) -> np.ndarray:
+    """``u`` on the pol or OAM value of every photon ket at ``site`` (all sites if None)."""
+    oam = state.decl.oam
+
+    def image(k):
+        if k.is_vacuum or (site is not None and k.site != site):
+            return {k: 1.0}
+        if register == "pol":
+            j = POLS.index(k.pol)
+            return {BasisKet.photon(k.site, p, k.oam): u[i, j] for i, p in enumerate(POLS)}
+        j = oam.index(k.oam)
+        return {BasisKet.photon(k.site, k.pol, m): u[i, j] for i, m in enumerate(oam)}
+
+    return linear_oracle(state, image)
+
+
+def pbs_oracle(state, input, out_h, out_v) -> np.ndarray:
+    """H at ``input`` moves to ``out_h`` and V to ``out_v``, ket by ket."""
+    def image(k):
+        if k.is_vacuum or k.site != input:
+            return {k: 1.0}
+        out = out_h if k.pol == "H" else out_v
+        return {BasisKet.photon(out, k.pol, k.oam): 1.0}
+
+    return linear_oracle(state, image)
+
+
+def beamsplitter_oracle(state, site1, site2) -> np.ndarray:
+    """|s1> -> (|s1> + i|s2>)/sqrt(2) and |s2> -> (i|s1> + |s2>)/sqrt(2), ket by ket."""
+    def image(k):
+        if k.is_vacuum or k.site not in (site1, site2):
+            return {k: 1.0}
+        partner = site2 if k.site == site1 else site1
+        return {k: 1.0 / SQ2, BasisKet.photon(partner, k.pol, k.oam): 1j / SQ2}
+
+    return linear_oracle(state, image)
+
+
+def phase_oracle(state, site, phi_deg) -> np.ndarray:
+    factor = np.exp(1j * np.deg2rad(phi_deg))
+    return linear_oracle(state, lambda k: {k: factor if k.site == site else 1.0})
+
+
+def qplate_oracle(state, site, q) -> np.ndarray:
+    """|L,m> -> |R,m+2q> and |R,m> -> |L,m-2q> at ``site``, one OAM value at a time.
+
+    Circular amplitudes above 1e-12 whose target value is undeclared raise
+    ``OamOverflow``; smaller ones are dropped.
+    """
+    decl = state.decl
+    out = np.array(state.amps)
+    for m in decl.oam:
+        for p in POLS:
+            out[decl.index[BasisKet.photon(site, p, m)]] = 0.0
+    for m in decl.oam:
+        h = state.amplitude(BasisKet.photon(site, "H", m))
+        v = state.amplitude(BasisKet.photon(site, "V", m))
+        # <L|psi>, the target value and the (H, V) components of the target
+        # circular ket: L -> R = (H + iV)/sqrt(2), R -> L = (H - iV)/sqrt(2).
+        for amp, target, (ch, cv) in (
+            ((h + 1j * v) / SQ2, m + 2 * q, (1.0, 1j)),
+            ((h - 1j * v) / SQ2, m - 2 * q, (1.0, -1j)),
+        ):
+            if abs(amp) <= 1e-12:
+                continue
+            if target not in decl.oam:
+                raise OamOverflow(f"oam {m} shifts to undeclared {target}")
+            out[decl.index[BasisKet.photon(site, "H", target)]] += amp * ch / SQ2
+            out[decl.index[BasisKet.photon(site, "V", target)]] += amp * cv / SQ2
+    return out
+
+
+def born_oracle(state: StateVector, setting) -> list:
+    """(label, probability, conditional amplitudes or None) by per-ket sums.
+
+    Register outcomes whose projected state carries no weight at the detector
+    site are folded coherently into the no-click branch with the vacuum.
+    """
+    decl = state.decl
+    amp = dict(zip(decl.kets, state.amps))
+
+    def at(f):
+        return np.array([f(k) for k in decl.kets], dtype=complex)
+
+    def record(label, amps, visible=True):
+        p = float(np.sum(np.abs(amps) ** 2))
+        if p < PROB_FLOOR or not visible:
+            return (label, 0.0, None)
+        return (label, p, amps / np.sqrt(p))
+
+    if setting.register == "occupation":
+        click = at(lambda k: amp[k] if k.site == setting.site else 0.0)
+        other = at(lambda k: amp[k] if k.site != setting.site else 0.0)
+        return [record("click", click), record(NO_CLICK, other)]
+
+    if setting.register == "pol":
+        axis, value = POLS, (lambda k: k.pol)
+        moved = lambda k, x: BasisKet.photon(k.site, x, k.oam)
+    else:
+        axis, value = decl.oam, (lambda k: k.oam)
+        moved = lambda k, x: BasisKet.photon(k.site, k.pol, x)
+    dark = at(lambda k: amp[k] if k.is_vacuum else 0.0)
+    records = []
+    for label, vec in setting.outcomes:
+        proj = at(lambda k: 0.0 if k.is_vacuum else vec[axis.index(value(k))] * sum(
+            np.conj(vec[j]) * amp[moved(k, x)] for j, x in enumerate(axis)
+        ))
+        p = float(np.sum(np.abs(proj) ** 2))
+        site_mass = sum(abs(a) ** 2 for k, a in zip(decl.kets, proj) if k.site == setting.site)
+        visible = p < PROB_FLOOR or site_mass >= PROB_FLOOR * p
+        if not visible:
+            dark = dark + proj
+        records.append(record(label, proj, visible))
+    return records + [record(NO_CLICK, dark)]
+
+
+def pol_path_oracle(state: StateVector, alice_site: str, bob_site: str) -> np.ndarray:
+    """(pol x Bob occupation) matrix summed over OAM one amplitude pair at a time."""
+    site_of = {0: alice_site, 1: bob_site}
+    rho = np.zeros((4, 4), dtype=complex)
+    for p1, pol1 in enumerate(POLS):
+        for n1 in (0, 1):
+            for p2, pol2 in enumerate(POLS):
+                for n2 in (0, 1):
+                    for m in state.decl.oam:
+                        a1 = state.amplitude(BasisKet.photon(site_of[n1], pol1, m))
+                        a2 = state.amplitude(BasisKet.photon(site_of[n2], pol2, m))
+                        rho[2 * p1 + n1, 2 * p2 + n2] += a1 * np.conj(a2)
+    return rho

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from photonsteer import steering
+from photonsteer import cli, scenarios, steering
 from photonsteer.cli import main
 from photonsteer.scenarios import FIG1_CIRCUIT
 
@@ -131,6 +131,25 @@ class TestSteer:
         assert "Traceback" not in err
 
 
+    def test_missing_input_file_exits_4(self, tmp_path, capsys):
+        assert main(["steer", "--input", str(tmp_path / "nope.json")]) == 4
+        err = capsys.readouterr().err
+        assert "nope.json" in err and "Traceback" not in err
+
+    def test_input_not_json_exits_4(self, fig1_file, capsys):
+        assert main(["steer", "--input", str(fig1_file)]) == 4
+        assert "JSONDecodeError" in capsys.readouterr().err
+
+    def test_input_missing_key_exits_4(self, fig1_file, tmp_path, capsys):
+        state_path = tmp_path / "state.json"
+        assert main(["run", str(fig1_file), "--out", str(state_path)]) == 0
+        doc = json.loads(state_path.read_text())
+        del doc["oam"]
+        state_path.write_text(json.dumps(doc))
+        assert main(["steer", "--input", str(state_path)]) == 4
+        assert "'oam'" in capsys.readouterr().err
+
+
 class TestSweep:
     def test_eleven_rows_with_linear_cjwr_and_transition(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -154,6 +173,19 @@ class TestSweep:
 
     def test_zero_step_exits_4(self):
         assert main(["sweep", "--sweep", "v", "--range", "0..1", "--step", "0"]) == 4
+
+    def test_nan_step_exits_4(self, capsys):
+        assert main(["sweep", "--step", "nan", "--grid", "6"]) == 4
+        assert "finite step" in capsys.readouterr().err
+
+    def test_too_many_points_exits_4_before_sweeping(self, monkeypatch, capsys):
+        def no_sweep(v):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(scenarios, "noisy_state", no_sweep)
+        # Range 0..1 at this step holds one point more than the cap.
+        assert main(["sweep", "--step", repr(1.0 / cli.MAX_SWEEP_POINTS)]) == 4
+        assert str(cli.MAX_SWEEP_POINTS) in capsys.readouterr().err
 
     def test_range_outside_unit_interval_exits_4(self):
         assert main(["sweep", "--sweep", "v", "--range", "0..2", "--step", "0.5"]) == 4
@@ -195,6 +227,10 @@ class TestReport:
 
     def test_unknown_preset_exits_3(self):
         assert main(["report", "--preset", "wormhole"]) == 3
+
+    def test_oam_basis_without_oam_register_exits_3(self, capsys):
+        assert main(["report", "--preset", "eq1", "--basis", "OAMpm"]) == 3
+        assert "OAMpm" in capsys.readouterr().err
 
 
 class TestUsage:

@@ -9,7 +9,6 @@ from photonsteer.elements import (
     beamsplitter_5050,
     heralded_source,
     hwp_matrix,
-    pbs_merge,
     pbs_route,
     phase_shift,
     qplate,
@@ -103,19 +102,6 @@ class TestPbs:
         )
         with pytest.raises(SiteCollision):
             pbs_route(s, "in", "PUE", "NY")
-
-    def test_merge_inverts_route_exactly(self, rng):
-        for _ in range(10):
-            s = random_state(DECL, rng)
-            # Clear the output sites so routing cannot collide.
-            amps = np.array(s.amps)
-            for site in ("NY", "PUE"):
-                for pol in ("H", "V"):
-                    amps[DECL.index[ket(site, pol)]] = 0.0
-            s = StateVector(DECL, amps)
-            routed = pbs_route(s, "in", "PUE", "NY")
-            merged = pbs_merge(routed, "PUE", "NY", "in")
-            np.testing.assert_allclose(merged.amps, s.amps, atol=1e-12)
 
 
 class TestBeamsplitter:
