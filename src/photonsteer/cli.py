@@ -7,9 +7,15 @@ Subcommands::
     sweep  --sweep v           visibility sweep as CSV (v,cjwr,chsh_opt,lhs_verdict)
     report --preset            scenario report (Born table + assemblage) as JSON
 
+``steer`` and ``report`` take their two-qubit frame from ``steering.two_qubit_frame``
+(occ-occ for a state with vacuum weight or a path-only one, else pol-path).
+
 Exit codes: 0 success, 2 circuit parse error (diagnostic with line/column on
-stderr), 3 physics error, 4 usage error. Output is deterministic: identical
-arguments produce byte-identical files.
+stderr), 3 physics error (also --bob-site, --site or --basis on noisy:v),
+4 usage error (also --grid above MAX_GRID, --chsh-step below MIN_CHSH_STEP,
+and a --input file that is not a finite unit state with one amplitude per
+basis entry). Output is deterministic: identical arguments produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -19,9 +25,11 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import scenarios, steering
 from .circuit import parse_circuit, run_circuit
-from .core import BasisDecl, BasisKet, StateVector
+from .core import NORM_ATOL, BasisDecl, BasisKet, StateVector
 from .errors import CircuitSyntaxError, PhysicsError
 
 EXIT_OK = 0
@@ -30,6 +38,8 @@ EXIT_PHYSICS = 3
 EXIT_USAGE = 4
 
 MAX_SWEEP_POINTS = 10_000  # each point solves one LHS program and one CHSH search
+MAX_GRID = 100  # --grid N: N² Bloch states; Z,X,Y at 100 is a 24 × 80 000 LP, ~0.25 s, ~47 MiB
+MIN_CHSH_STEP = 1.0  # degrees; the CHSH search holds k³ floats, k = 360 / step
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,12 +77,21 @@ def state_to_json_dict(state: StateVector) -> dict:
 
 
 def state_from_json_dict(doc: dict) -> StateVector:
+    """Inverse of ``state_to_json_dict``; ValueError unless the file holds a unit state."""
+    if len(doc["basis"]) != len(doc["amplitudes"]):
+        raise ValueError(f"{len(doc['basis'])} basis entries but "
+                         f"{len(doc['amplitudes'])} amplitudes")
     decl = BasisDecl(tuple(doc["sites"]), tuple(doc["oam"]))
     amplitudes = {}
     for entry, (re, im) in zip(doc["basis"], doc["amplitudes"]):
         ket = BasisKet.vacuum() if entry == "vac" else BasisKet.photon(entry[0], entry[1], entry[2])
         amplitudes[ket] = complex(re, im)
-    return StateVector.from_amplitudes(decl, amplitudes)
+    state = StateVector.from_amplitudes(decl, amplitudes)
+    if not np.isfinite(state.amps).all():
+        raise ValueError("an amplitude is not finite")
+    if not state.is_normalized():
+        raise ValueError(f"norm {state.norm()!r} is not 1 within {NORM_ATOL}")
+    return state
 
 
 def cmd_run(args) -> int:
@@ -101,26 +120,18 @@ def cmd_run(args) -> int:
 
 
 def _load_steer_input(args):
+    """The prepared state to analyse: a preset, or a state file written by 'run'."""
     if (args.preset is None) == (args.input is None):
         raise UsageError("give exactly one of --preset or --input")
     if args.preset is not None:
-        prepared = scenarios.preset(args.preset)
-        return scenarios.steering_frame(prepared, bob_site=args.bob_site)
+        return scenarios.preset(args.preset)
     try:
         with open(args.input, "r", encoding="utf-8") as handle:
-            state = state_from_json_dict(json.load(handle))
+            return state_from_json_dict(json.load(handle))
     except (OSError, ValueError, LookupError, TypeError) as exc:
         raise UsageError(
             f"cannot read a 'run' state from {args.input!r}: {type(exc).__name__}: {exc}"
         ) from exc
-    if args.registers == "occ-occ":
-        sites = state.decl.sites
-        bob = args.bob_site or sites[-1]
-        alice = next(s for s in sites if s != bob)
-        return steering.occupation_qubits(state, alice, bob), f"occ-occ({alice},{bob})"
-    bob = args.bob_site or (scenarios.BOB_SITE if scenarios.BOB_SITE in state.decl.sites
-                            else state.decl.sites[-1])
-    return steering.pol_path_qubits(state, bob), f"pol-path(bob={bob})"
 
 
 def cmd_steer(args) -> int:
@@ -131,38 +142,30 @@ def cmd_steer(args) -> int:
     if len(set(settings)) != len(settings):
         print(f"repeated setting in --settings {args.settings!r}", file=sys.stderr)
         return EXIT_USAGE
+    if args.grid > MAX_GRID:
+        print(f"bad --grid {args.grid}: at most {MAX_GRID}", file=sys.stderr)
+        return EXIT_USAGE
     try:
-        rho, frame = _load_steer_input(args)
+        rho, frame = scenarios.steering_frame(_load_steer_input(args), args.bob_site)
         assemblage = steering.compute_assemblage(rho, settings)
         verdict = steering.lhs_feasibility(assemblage, args.grid)
-        cjwr = steering.cjwr_value(rho, settings[:3] if len(settings) > 3 else settings)
-        chsh = steering.chsh_value(rho, 0.0, 90.0, 45.0, 135.0)
+        cjwr = steering.cjwr_value(rho, settings)
+        chsh = steering.chsh_value(rho, *steering.STANDARD_CHSH_ANGLES)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    except CircuitSyntaxError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_PARSE
     except PhysicsError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_PHYSICS
 
-    members = {
-        f"{x}{'+' if a > 0 else '-'}": scenarios._complex_pairs(assemblage.members[(x, a)])
-        for x in assemblage.settings
-        for a in (+1, -1)
-    }
     doc = {
         "frame": frame,
         "settings": list(assemblage.settings),
-        "assemblage": members,
+        "assemblage": {scenarios.member_key(*key): scenarios.complex_pairs(member)
+                       for key, member in assemblage.members.items()},
         "no_signaling_residual": assemblage.no_signaling_residual(),
         "cjwr": cjwr,
-        "chsh": {
-            "value": chsh.value,
-            "angles_deg": list(chsh.angles),
-            "correlators": list(chsh.correlators),
-        },
+        "chsh": scenarios.chsh_json(chsh),
         "lhs_verdict": verdict.status,
         "grid_n": verdict.grid_n,
         "lhs_residual": verdict.residual,
@@ -194,9 +197,13 @@ def cmd_sweep(args) -> int:
         print(f"bad sweep: step {args.step} gives more than {MAX_SWEEP_POINTS} points",
               file=sys.stderr)
         return EXIT_USAGE
-    chsh_points = 360.0 / args.chsh_step if args.chsh_step > 0 else 0.0
+    chsh_points = 360.0 / args.chsh_step if args.chsh_step >= MIN_CHSH_STEP else 0.0
     if chsh_points < 1 or abs(chsh_points - round(chsh_points)) > 1e-9:
-        print(f"bad --chsh-step {args.chsh_step}: it must divide 360", file=sys.stderr)
+        print(f"bad --chsh-step {args.chsh_step}: it must divide 360 and be at least "
+              f"{MIN_CHSH_STEP:g} degree", file=sys.stderr)
+        return EXIT_USAGE
+    if args.grid > MAX_GRID:
+        print(f"bad --grid {args.grid}: at most {MAX_GRID}", file=sys.stderr)
         return EXIT_USAGE
 
     values = []
@@ -256,9 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="eq1 | twc | hardy[:q,r] | qplate_tripartite | noisy:v")
     p_steer.add_argument("--input", default=None, help="state JSON emitted by 'run'")
     p_steer.add_argument("--settings", default="Z,X", help="comma list from Z,X,Y")
-    p_steer.add_argument("--grid", type=int, default=20, help="LHS Bloch grid parameter")
-    p_steer.add_argument("--registers", choices=("pol-path", "occ-occ"), default="pol-path",
-                         help="two-qubit frame for --input states")
+    p_steer.add_argument("--grid", type=int, default=20,
+                         help=f"LHS Bloch grid parameter, 6 to {MAX_GRID}")
     p_steer.add_argument("--bob-site", default=None, help="override Bob's site")
     p_steer.add_argument("--out", default=None)
 
@@ -266,9 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--sweep", default="v", help="sweep variable (only 'v')")
     p_sweep.add_argument("--range", default="0..1", help="like 0..1")
     p_sweep.add_argument("--step", type=float, default=0.1)
-    p_sweep.add_argument("--grid", type=int, default=20)
+    p_sweep.add_argument("--grid", type=int, default=20,
+                         help=f"LHS Bloch grid parameter, 6 to {MAX_GRID}")
     p_sweep.add_argument("--chsh-step", type=float, default=5.0,
-                         help="grid step for the CHSH angle search")
+                         help=f"CHSH angle step in degrees, at least {MIN_CHSH_STEP:g}, "
+                              "dividing 360")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.add_argument("--out", default=None)
 

@@ -51,20 +51,18 @@ class MeasurementSetting:
 
     ``register`` is "pol", "oam" or "occupation". ``outcomes`` holds
     (label, register-level basis vector) pairs; occupation settings encode
-    presence directly and carry no vectors. ``include_no_click`` is always
-    true: the projectors plus the no-click complement resolve the identity.
+    presence directly and carry no vectors. The projectors plus the no-click
+    complement resolve the identity, so ``labels`` ends with no-click.
     """
 
     site: str
     register: str
     basis_name: str
     outcomes: tuple[tuple[str, np.ndarray], ...]
-    include_no_click: bool = True
 
     @property
     def labels(self) -> tuple[str, ...]:
-        ordered = tuple(label for label, _ in self.outcomes)
-        return ordered + (NO_CLICK,) if self.include_no_click else ordered
+        return tuple(label for label, _ in self.outcomes) + (NO_CLICK,)
 
 
 @dataclass(frozen=True)

@@ -129,41 +129,48 @@ def preset(spec: str) -> StateVector | DensityOperator:
     raise BadParameters(f"unknown preset {name!r} (have {PRESET_NAMES})")
 
 
-def steering_frame(spec_or_state, bob_site: str | None = None):
-    """Two-qubit frame for a preset: the matrix and a short frame description."""
-    if isinstance(spec_or_state, DensityOperator):
-        return spec_or_state, "two-qubit"
-    state = spec_or_state
-    sites = state.decl.sites
+def _default_bob(sites: tuple[str, ...]) -> str:
+    """Bob's site when none is named: BOB_SITE if declared (or nothing is), else the last."""
+    return BOB_SITE if BOB_SITE in sites or not sites else sites[-1]
+
+
+def steering_frame(prepared: StateVector | DensityOperator, bob_site: str | None = None):
+    """Two-qubit frame and label: ``noisy:v`` as it is (no Bob site), a state
+    vector by ``steering.two_qubit_frame`` with Bob at ``_default_bob`` unless named."""
+    if isinstance(prepared, DensityOperator):
+        if bob_site is not None:
+            raise BadParameters(f"a two-qubit preset has no sites, so no Bob site {bob_site!r}")
+        return prepared, "two-qubit"
     if bob_site is None:
-        bob_site = BOB_SITE if BOB_SITE in sites else sites[-1]
-    if abs(state.amps[0]) ** 2 > 1e-12 or _internal_is_path_marker(state):
-        alice_site = next(s for s in sites if s != bob_site)
-        rho = steering.occupation_qubits(state, alice_site, bob_site)
-        return rho, f"occ-occ({alice_site},{bob_site})"
-    rho = steering.pol_path_qubits(state, bob_site)
-    return rho, f"pol-path(bob={bob_site})"
+        bob_site = _default_bob(prepared.decl.sites)
+    return steering.two_qubit_frame(prepared, bob_site)
 
 
-def _internal_is_path_marker(state: StateVector) -> bool:
-    """True when every photon amplitude shares one polarization (path-only state)."""
-    pols = {ket.pol for ket, _ in state.items(tol=1e-12) if not ket.is_vacuum}
-    return len(pols) == 1
-
-
-def _complex_pairs(matrix: np.ndarray) -> list:
-    """A complex matrix as nested [re, im] pairs for JSON output (shared with ``cli``)."""
+def complex_pairs(matrix: np.ndarray) -> list:
+    """A complex matrix as nested [re, im] pairs for JSON output."""
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix)]
+
+
+def member_key(setting: str, outcome: int) -> str:
+    """JSON key of the assemblage member for a setting and a ±1 outcome, like ``Z+``."""
+    return f"{setting}{'+' if outcome > 0 else '-'}"
+
+
+def chsh_json(chsh: steering.ChshResult) -> dict:
+    """JSON form of a CHSH result: value, angles in degrees, the four correlators."""
+    return {"value": chsh.value, "angles_deg": list(chsh.angles),
+            "correlators": list(chsh.correlators)}
 
 
 def scenario_report(preset_spec: str, site: str | None = None, basis: str | None = None) -> dict:
     """Render one measurement narrative as comparable data.
 
     The ``detector`` section is the Born table of the analyzer at ``site``
-    (photon-space presets only): click labels, conditional states, and the
-    photon-number readout of Bob's site for each branch. The ``assemblage``
-    section gives the conditional Bob-qubit states for Alice settings Z and X
-    together with the CJWR and CHSH values of the preset's two-qubit frame.
+    (photon-space presets only; ``noisy:v`` takes no ``site`` or ``basis``):
+    click labels, conditional states, and the photon-number readout of Bob's
+    site for each branch. The ``assemblage`` section gives the conditional
+    Bob-qubit states for Alice settings Z and X together with the CJWR and
+    CHSH values of the preset's two-qubit frame.
     """
     prepared = preset(preset_spec)
     report: dict = {"preset": preset_spec}
@@ -183,7 +190,7 @@ def scenario_report(preset_spec: str, site: str | None = None, basis: str | None
         else:
             raise BadParameters(f"unknown basis {basis!r}")
 
-        bob_site = BOB_SITE if BOB_SITE in prepared.decl.sites else prepared.decl.sites[-1]
+        bob_site = _default_bob(prepared.decl.sites)
         outcomes = []
         for record in measurement.born_probabilities(prepared, setting):
             entry: dict = {"label": record.label, "probability": record.probability}
@@ -192,7 +199,7 @@ def scenario_report(preset_spec: str, site: str | None = None, basis: str | None
                     [ket.label(), [float(a.real), float(a.imag)]]
                     for ket, a in record.conditional_state.items(tol=1e-12)
                 ]
-                entry["bob_occupation_reduced"] = _complex_pairs(
+                entry["bob_occupation_reduced"] = complex_pairs(
                     measurement.reduced_state(record.conditional_state, "occupation", bob_site).matrix
                 )
             outcomes.append(entry)
@@ -200,34 +207,29 @@ def scenario_report(preset_spec: str, site: str | None = None, basis: str | None
             "site": site,
             "basis": basis,
             "outcomes": outcomes,
-            "bob_occupation_premeasurement": _complex_pairs(
+            "bob_occupation_premeasurement": complex_pairs(
                 measurement.reduced_state(prepared, "occupation", bob_site).matrix
             ),
         }
+    elif site is not None or basis is not None:
+        raise BadParameters(f"preset {preset_spec!r} is two-qubit: it takes no site or basis")
 
     rho, frame = steering_frame(prepared)
     assemblage = steering.compute_assemblage(rho, ("Z", "X"))
     members = {}
-    for x in assemblage.settings:
-        for a in (+1, -1):
-            member = assemblage.members[(x, a)]
-            p = float(np.real(np.trace(member)))
-            entry = {"probability": p, "member": _complex_pairs(member)}
-            if p > 1e-12:
-                entry["bob_conditional"] = _complex_pairs(member / p)
-            members[f"{x}{'+' if a > 0 else '-'}"] = entry
-    chsh = steering.chsh_value(rho, 0.0, 90.0, 45.0, 135.0)
+    for key, member in assemblage.members.items():
+        p = float(np.real(np.trace(member)))
+        entry = {"probability": p, "member": complex_pairs(member)}
+        if p > 1e-12:
+            entry["bob_conditional"] = complex_pairs(member / p)
+        members[member_key(*key)] = entry
     report["assemblage"] = {
         "frame": frame,
         "settings": list(assemblage.settings),
         "members": members,
         "no_signaling_residual": assemblage.no_signaling_residual(),
         "cjwr_zx": steering.cjwr_value(rho, ("Z", "X")),
-        "chsh_standard_angles": {
-            "value": chsh.value,
-            "angles_deg": list(chsh.angles),
-            "correlators": list(chsh.correlators),
-        },
+        "chsh_standard_angles": chsh_json(steering.chsh_value(rho, *steering.STANDARD_CHSH_ANGLES)),
     }
     return report
 

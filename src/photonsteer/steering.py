@@ -7,7 +7,7 @@ his site as a coherent dual-rail mode (0 = empty, 1 = photon present); for
 path-only states both qubits are site occupations. In that frame the
 benchmark entangled state has +1 correlators along every axis with the
 dichotomic observable table below, whose occupation-Z assigns +1 to "photon
-present".
+present". ``two_qubit_frame`` chooses between the two frames.
 
 The LHS search is an inner approximation: local-hidden-state models are
 restricted to mixtures of pure states on a deterministic Fibonacci grid of
@@ -36,6 +36,9 @@ from .errors import (
 from .simplex import solve_feasibility
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
+
+# CHSH angles (a0, a1, b0, b1) in degrees, optimal for the benchmark state.
+STANDARD_CHSH_ANGLES = (0.0, 90.0, 45.0, 135.0)
 
 _PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -134,7 +137,7 @@ class ChshResult:
 
     ``correlators`` holds E(a0,b0), E(a0,b1), E(a1,b0), E(a1,b1); the value
     is E(a0,b0) - E(a0,b1) + E(a1,b0) + E(a1,b1), the sign combination under
-    which the angle set (0, 90, 45, 135) is optimal for the benchmark state.
+    which ``STANDARD_CHSH_ANGLES`` is optimal for the benchmark state.
     """
 
     value: float
@@ -149,48 +152,65 @@ class ChshResult:
                 raise ValueError(f"correlator {e} outside [-1, 1]")
 
 
+def _alice_site(state: StateVector, bob_site: str) -> str:
+    """Alice's site: the one occupied site other than Bob's, else the first other one."""
+    decl = state.decl
+    t = decl.tensor(state.amps)
+    others = [s for s in decl.sites if s != bob_site]
+    if not others:
+        raise NonQubitBobMarginal(f"a steering frame needs two sites, the state has {decl.sites}")
+    if bob_site not in decl.sites:
+        raise UnknownSite(f"site {bob_site!r} not declared")
+    occupied = [s for s in others if np.linalg.norm(t[decl.site_axis[s]]) > 1e-10]
+    if len(occupied) > 1:
+        raise NonQubitBobMarginal(f"photon amplitude at {occupied} besides Bob's site {bob_site!r}")
+    return (occupied or others)[0]
+
+
 def pol_path_qubits(state: StateVector, bob_site: str) -> DensityOperator:
     """Two-qubit density matrix (polarization ⊗ Bob-site occupation).
 
-    Requires a pure one-photon state over exactly two spatial modes; OAM is
-    traced out. Basis order: (H,0), (H,1), (V,0), (V,1) with occupation 1
-    meaning the photon is at ``bob_site``.
+    Requires a pure one-photon state over Bob's site and Alice's
+    (``_alice_site``); OAM is traced out. Basis order: (H,0), (H,1), (V,0),
+    (V,1) with occupation 1 meaning the photon is at ``bob_site``.
     """
     decl = state.decl
-    if bob_site not in decl.sites:
-        raise UnknownSite(f"site {bob_site!r} not declared")
+    alice_site = _alice_site(state, bob_site)
     if abs(state.amps[0]) ** 2 > ATOL:
         raise NonQubitBobMarginal("state has vacuum weight; polarization-path frame undefined")
 
-    t = decl.tensor(state.amps)
-    support = {s for s, i in decl.site_axis.items() if np.any(np.abs(t[i]) > 1e-12)}
-    others = [s for s in decl.sites if s != bob_site]
-    if len(decl.sites) == 2:
-        alice_site = others[0]
-    else:
-        candidates = support - {bob_site}
-        if len(candidates) != 1:
-            raise NonQubitBobMarginal(
-                f"need exactly one occupied site besides {bob_site!r}, support is {support}"
-            )
-        alice_site = candidates.pop()
-    if not support <= {bob_site, alice_site}:
-        raise NonQubitBobMarginal(f"support {support} spills outside the two chosen sites")
-
     # Rows (pol, n) in frame order, with n = 1 at Bob's site; columns run over OAM.
-    pair = t[[decl.site_axis[alice_site], decl.site_axis[bob_site]]]
+    pair = decl.tensor(state.amps)[[decl.site_axis[alice_site], decl.site_axis[bob_site]]]
     rows = pair.transpose(1, 0, 2).reshape(4, -1)
     rho = np.sum(rows[:, None, :] * rows.conj()[None, :, :], axis=2)
     return DensityOperator(QUBIT_PAIR_LABELS, rho)
 
 
+def path_amplitudes(state: StateVector) -> np.ndarray | None:
+    """Photon amplitude per site (sorted order) if the (site) × (pol, OAM) matrix has
+    rank one (second singular value ≤ ATOL), else None; the phase of the one internal
+    factor all sites share is folded into the path."""
+    decl = state.decl
+    matrix = decl.tensor(state.amps).reshape(len(decl.sites), 2 * len(decl.oam))
+    if np.linalg.norm(matrix) <= 1e-12:
+        return np.zeros(len(decl.sites), dtype=complex)
+    u, sing, vh = np.linalg.svd(matrix)
+    if sing.size > 1 and sing[1] > ATOL:
+        return None
+    phase = vh[0, np.argmax(np.abs(vh[0]))]
+    return u[:, 0] * sing[0] * (phase / abs(phase))
+
+
 def occupation_qubits(state: StateVector, alice_site: str, bob_site: str) -> DensityOperator:
     """Two-qubit density matrix (Alice-site occupation ⊗ Bob-site occupation).
 
-    The dual-rail reading for path-only states: the internal (pol, OAM)
-    factor must be constant across all one-photon amplitudes so occupation
-    coherences, including vacuum-photon ones, are carried faithfully.
+    The dual-rail reading of path-only states (``path_amplitudes``); it keeps
+    occupation coherences, vacuum-photon ones included.
     """
+    return _occupation_qubits(state, path_amplitudes(state), alice_site, bob_site)
+
+
+def _occupation_qubits(state: StateVector, occ, alice_site: str, bob_site: str) -> DensityOperator:
     decl = state.decl
     for s in (alice_site, bob_site):
         if s not in decl.sites:
@@ -198,27 +218,26 @@ def occupation_qubits(state: StateVector, alice_site: str, bob_site: str) -> Den
     if alice_site == bob_site:
         raise NonQubitBobMarginal("Alice and Bob need distinct sites")
 
-    # One row per site (sorted order), columns over the internal (pol, oam) factor.
-    matrix = decl.tensor(state.amps).reshape(len(decl.sites), -1)
+    if occ is None:
+        raise NonQubitBobMarginal("internal polarization/OAM factor is entangled with the path")
     for s in decl.sites:
-        if s not in (alice_site, bob_site) and np.linalg.norm(matrix[decl.site_axis[s]]) > 1e-10:
+        if s not in (alice_site, bob_site) and abs(occ[decl.site_axis[s]]) > 1e-10:
             raise NonQubitBobMarginal(f"photon amplitude at third site {s!r}")
 
-    amp2q = np.zeros(4, dtype=complex)  # |n_A n_B>: 00, 01, 10, 11
-    amp2q[0] = state.amps[0]
-    photon_norm = np.linalg.norm(matrix)
-    if photon_norm > 1e-12:
-        u, sing, vh = np.linalg.svd(matrix)
-        if sing.size > 1 and sing[1] > ATOL:
-            raise NonQubitBobMarginal(
-                "internal polarization/OAM factor is entangled with the path"
-            )
-        occ = u[:, 0] * sing[0]
-        phase = vh[0, np.argmax(np.abs(vh[0]))]
-        occ = occ * (phase / abs(phase))  # fold the internal factor's phase into the path
-        amp2q[2] = occ[decl.site_axis[alice_site]]  # |10>
-        amp2q[1] = occ[decl.site_axis[bob_site]]  # |01>
+    # |n_A n_B> in the order 00, 01, 10, 11.
+    amp2q = np.array([state.amps[0], occ[decl.site_axis[bob_site]],
+                      occ[decl.site_axis[alice_site]], 0.0], dtype=complex)
     return DensityOperator(QUBIT_PAIR_LABELS, np.outer(amp2q, amp2q.conj()))
+
+
+def two_qubit_frame(state: StateVector, bob_site: str) -> tuple[DensityOperator, str]:
+    """The frame rule: the two-qubit frame and its label, ``occ-occ(alice,bob)`` for a state
+    with vacuum weight or a path-only one (``path_amplitudes``), else ``pol-path(bob=…)``."""
+    occ = path_amplitudes(state)
+    if abs(state.amps[0]) ** 2 <= 1e-12 and occ is None:
+        return pol_path_qubits(state, bob_site), f"pol-path(bob={bob_site})"
+    alice_site = _alice_site(state, bob_site)
+    return _occupation_qubits(state, occ, alice_site, bob_site), f"occ-occ({alice_site},{bob_site})"
 
 
 def _as_two_qubit_matrix(state: StateVector | DensityOperator, bob_site: str | None) -> np.ndarray:
@@ -228,7 +247,7 @@ def _as_two_qubit_matrix(state: StateVector | DensityOperator, bob_site: str | N
         return np.asarray(state.matrix)
     if bob_site is None:
         raise NonQubitBobMarginal("a StateVector input needs bob_site to fix the frame")
-    return np.asarray(pol_path_qubits(state, bob_site).matrix)
+    return np.asarray(two_qubit_frame(state, bob_site)[0].matrix)
 
 
 def _check_dichotomic(obs: np.ndarray) -> np.ndarray:

@@ -149,6 +149,99 @@ class TestSteer:
         assert main(["steer", "--input", str(state_path)]) == 4
         assert "'oam'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spoil, needle", [
+        (lambda amps: amps[:3], "3 amplitudes"),
+        (lambda amps: [[float("nan"), 0.0]] + amps[1:], "not finite"),
+        (lambda amps: [[2 * re, 2 * im] for re, im in amps], "norm 2.0"),
+    ], ids=["truncated", "nan", "unnormalised"])
+    def test_input_that_is_not_a_unit_state_exits_4(self, fig1_file, tmp_path, capsys,
+                                                    spoil, needle):
+        state_path = tmp_path / "state.json"
+        assert main(["run", str(fig1_file), "--out", str(state_path)]) == 0
+        doc = json.loads(state_path.read_text())
+        doc["amplitudes"] = spoil(doc["amplitudes"])
+        state_path.write_text(json.dumps(doc))
+        assert main(["steer", "--input", str(state_path)]) == 4
+        err = capsys.readouterr().err
+        assert needle in err and "Traceback" not in err
+        assert err.count("\n") == 1
+
+    def test_registers_flag_is_gone(self):
+        with pytest.raises(SystemExit) as err:
+            main(["steer", "--preset", "eq1", "--registers", "occ-occ"])
+        assert err.value.code == 4
+
+    def test_bob_site_on_two_qubit_preset_exits_3(self, capsys):
+        assert main(["steer", "--preset", "noisy:0.5", "--bob-site", "PUE"]) == 3
+        err = capsys.readouterr().err
+        assert "'PUE'" in err and err.count("\n") == 1
+
+    def test_grid_above_cap_exits_4_before_solving(self, monkeypatch, capsys):
+        def no_grid(count):
+            raise AssertionError("the LHS grid was built")
+
+        monkeypatch.setattr(steering, "fibonacci_bloch_grid", no_grid)
+        assert main(["steer", "--preset", "noisy:0.5", "--grid", str(cli.MAX_GRID + 1)]) == 4
+        assert str(cli.MAX_GRID) in capsys.readouterr().err
+
+
+class TestFrameRule:
+    """``steer --preset``, ``steer --input`` and ``report`` read one frame rule."""
+
+    def _run_then_steer(self, text, tmp_path, settings="Z,X"):
+        table, state, out = tmp_path / "c.table", tmp_path / "s.json", tmp_path / "o.json"
+        table.write_text(text)
+        assert main(["run", str(table), "--out", str(state)]) == 0
+        assert main(["steer", "--input", str(state), "--settings", settings,
+                     "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    @pytest.mark.parametrize("settings", ["Z,X", "Z,X,Y"])
+    def test_split_photon_input_matches_twc_preset(self, tmp_path, settings):
+        doc = self._run_then_steer("sites b1 b2\nsource b1 H\nbs b1 b2\n", tmp_path, settings)
+        preset_out = tmp_path / "preset.json"
+        assert main(["steer", "--preset", "twc", "--settings", settings,
+                     "--out", str(preset_out)]) == 0
+        want = json.loads(preset_out.read_text())
+        assert doc["frame"] == want["frame"] == "occ-occ(b1,b2)"
+        assert doc["assemblage"].keys() == want["assemblage"].keys()
+        for key, member in want["assemblage"].items():
+            np.testing.assert_allclose(doc["assemblage"][key], member, rtol=0, atol=1e-12)
+        assert doc["cjwr"] == pytest.approx(want["cjwr"], abs=1e-12)
+
+    def test_diagonal_photon_split_over_two_paths_reads_occ_occ(self, tmp_path):
+        doc = self._run_then_steer("sites a b\nsource a H\nhwp a 22.5\nbs a b\n", tmp_path)
+        assert doc["frame"] == "occ-occ(a,b)"
+        assert doc["cjwr"] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
+
+    def test_alice_is_the_occupied_site_besides_bob(self, tmp_path):
+        # "in" is declared first and ends empty; the photon is H at NY and PUE.
+        text = "sites in NY PUE\nsource in H\npbs in -> PUE NY\nbs PUE NY\n"
+        doc = self._run_then_steer(text, tmp_path)
+        assert doc["frame"] == "occ-occ(NY,PUE)"
+        assert doc["cjwr"] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
+
+    def test_photon_on_two_sites_besides_bob_exits_3(self, tmp_path, capsys):
+        table, state = tmp_path / "c.table", tmp_path / "s.json"
+        table.write_text("sites in a b\nsource in H\nbs in a\n")
+        assert main(["run", str(table), "--out", str(state)]) == 0
+        assert main(["steer", "--input", str(state)]) == 3
+        err = capsys.readouterr().err
+        assert "besides Bob's site 'b'" in err and "Traceback" not in err
+
+    def test_fig1_round_trip_reads_pol_path(self, tmp_path):
+        doc = self._run_then_steer(FIG1_CIRCUIT, tmp_path)
+        assert doc["frame"] == "pol-path(bob=PUE)"
+
+    @pytest.mark.parametrize("text", ["", "sites a\nsource a H\n"], ids=["vacuum", "one-site"])
+    def test_input_with_fewer_than_two_sites_exits_3(self, tmp_path, capsys, text):
+        table, state = tmp_path / "c.table", tmp_path / "s.json"
+        table.write_text(text)
+        assert main(["run", str(table), "--out", str(state)]) == 0
+        assert main(["steer", "--input", str(state)]) == 3
+        err = capsys.readouterr().err
+        assert "two sites" in err and "Traceback" not in err
+
 
 class TestSweep:
     def test_eleven_rows_with_linear_cjwr_and_transition(self, tmp_path):
@@ -194,6 +287,23 @@ class TestSweep:
         assert main(["sweep", "--chsh-step", "7"]) == 4
         assert "360" in capsys.readouterr().err
 
+    def test_chsh_step_below_one_degree_exits_4_before_searching(self, monkeypatch, capsys):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the CHSH search started")
+
+        monkeypatch.setattr(steering, "chsh_optimize", no_search)
+        monkeypatch.setattr(scenarios, "noisy_state", no_search)
+        assert main(["sweep", "--chsh-step", "0.5"]) == 4
+        assert f"at least {cli.MIN_CHSH_STEP:g}" in capsys.readouterr().err
+
+    def test_grid_above_cap_exits_4_before_sweeping(self, monkeypatch, capsys):
+        def no_sweep(v):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(scenarios, "noisy_state", no_sweep)
+        assert main(["sweep", "--grid", str(cli.MAX_GRID + 1)]) == 4
+        assert str(cli.MAX_GRID) in capsys.readouterr().err
+
     def test_grid_too_coarse_exits_3(self):
         assert main(["sweep", "--range", "0..0.5", "--step", "0.5", "--grid", "5"]) == 3
 
@@ -231,6 +341,12 @@ class TestReport:
     def test_oam_basis_without_oam_register_exits_3(self, capsys):
         assert main(["report", "--preset", "eq1", "--basis", "OAMpm"]) == 3
         assert "OAMpm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--site", "NY"], ["--basis", "ZHV"]])
+    def test_detector_flags_on_two_qubit_preset_exit_3(self, flags, capsys):
+        assert main(["report", "--preset", "noisy:0.5"] + flags) == 3
+        err = capsys.readouterr().err
+        assert "noisy:0.5" in err and err.count("\n") == 1
 
 
 class TestUsage:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from photonsteer.core import BasisKet, fidelity
+from photonsteer.core import BasisDecl, BasisKet, StateVector, fidelity
 from photonsteer.errors import BadParameters
 from photonsteer.scenarios import (
     eq1_state,
@@ -15,8 +15,10 @@ from photonsteer.scenarios import (
     preset,
     qplate_tripartite_state,
     scenario_report,
+    steering_frame,
     twc_state,
 )
+from photonsteer.steering import cjwr_value, path_amplitudes
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -131,3 +133,37 @@ class TestScenarioReport:
     def test_reports_are_json_serializable(self):
         for spec in ("eq1", "twc", "hardy", "qplate_tripartite", "noisy:0.5"):
             json.dumps(scenario_report(spec))
+
+
+def diagonal_split_state() -> StateVector:
+    """A D-polarized photon split over two paths: (|a,D> + i|b,D>)/sqrt(2)."""
+    decl = BasisDecl(("a", "b"))
+    return StateVector.from_amplitudes(decl, {
+        BasisKet.photon("a", "H"): 0.5, BasisKet.photon("a", "V"): 0.5,
+        BasisKet.photon("b", "H"): 0.5j, BasisKet.photon("b", "V"): 0.5j,
+    })
+
+
+class TestSteeringFrame:
+    def test_path_amplitudes_of_a_path_only_state(self):
+        np.testing.assert_allclose(path_amplitudes(twc_state()), [SQ2, 1j * SQ2], atol=1e-12)
+        occ = path_amplitudes(diagonal_split_state())
+        np.testing.assert_allclose(np.abs(occ), [SQ2, SQ2], atol=1e-12)
+        assert occ[1] / occ[0] == pytest.approx(1j, abs=1e-12)
+
+    def test_pol_path_entangled_states_are_not_path_only(self):
+        assert path_amplitudes(eq1_state()) is None
+        assert path_amplitudes(qplate_tripartite_state()) is None
+
+    def test_labels_and_bob_default(self):
+        assert steering_frame(eq1_state())[1] == "pol-path(bob=PUE)"
+        assert steering_frame(eq1_state(), "NY")[1] == "pol-path(bob=NY)"
+        assert steering_frame(hardy_state())[1] == "occ-occ(u1,u2)"
+        assert steering_frame(noisy_state(0.5))[1] == "two-qubit"
+
+    def test_library_calls_on_a_state_vector_use_the_same_frame(self):
+        for state, bob in ((twc_state(), "b2"), (twc_state(), "b1"), (eq1_state(), "PUE")):
+            rho, _ = steering_frame(state, bob)
+            assert cjwr_value(state, ("Z", "X"), bob_site=bob) == pytest.approx(
+                cjwr_value(rho, ("Z", "X")), abs=1e-12)
+        assert cjwr_value(twc_state(), ("Z", "X"), bob_site="b2") == pytest.approx(SQ2, abs=1e-12)
