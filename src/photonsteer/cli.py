@@ -13,9 +13,9 @@ Subcommands::
 Exit codes: 0 success, 2 circuit parse error (diagnostic with line/column on
 stderr), 3 physics error (also --bob-site, --site or --basis on noisy:v),
 4 usage error (also --grid above MAX_GRID, --chsh-step below MIN_CHSH_STEP,
-and a --input file that is not a finite unit state with one amplitude per
-basis entry). Output is deterministic: identical arguments produce
-byte-identical files.
+a --input file that is not a finite unit state with one amplitude per basis
+entry, and an --out path that cannot be written). Output is deterministic:
+identical arguments produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -39,7 +39,9 @@ EXIT_USAGE = 4
 
 MAX_SWEEP_POINTS = 10_000  # each point solves one LHS program and one CHSH search
 MAX_GRID = 100  # --grid N: N² Bloch states; Z,X,Y at 100 is a 24 × 80 000 LP, ~0.25 s, ~47 MiB
-MIN_CHSH_STEP = 1.0  # degrees; the CHSH search holds k³ floats, k = 360 / step
+# Degrees. The CHSH search holds a few k² floats, k = 360 / step (~20 MiB at 1°), and
+# takes k³ time only when the Z-X correlation block T is about 0 (~0.4 s at 1°).
+MIN_CHSH_STEP = 1.0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,8 +62,11 @@ def _write(path: str | None, payload: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(payload)
         return
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(payload)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(payload)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path!r}: {exc}") from exc
 
 
 def state_to_json_dict(state: StateVector) -> dict:
@@ -151,9 +156,6 @@ def cmd_steer(args) -> int:
         verdict = steering.lhs_feasibility(assemblage, args.grid)
         cjwr = steering.cjwr_value(rho, settings)
         chsh = steering.chsh_value(rho, *steering.STANDARD_CHSH_ANGLES)
-    except UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
     except PhysicsError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_PHYSICS
@@ -293,7 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"run": cmd_run, "steer": cmd_steer, "sweep": cmd_sweep, "report": cmd_report}
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except UsageError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -129,9 +129,14 @@ def preset(spec: str) -> StateVector | DensityOperator:
     raise BadParameters(f"unknown preset {name!r} (have {PRESET_NAMES})")
 
 
-def _default_bob(sites: tuple[str, ...]) -> str:
-    """Bob's site when none is named: BOB_SITE if declared (or nothing is), else the last."""
-    return BOB_SITE if BOB_SITE in sites or not sites else sites[-1]
+def _default_bob(state: StateVector) -> str:
+    """Bob's site when none is named: BOB_SITE if declared (or nothing is), else the
+    later-declared of the photon's sites if it occupies exactly two, else the last."""
+    sites = state.decl.sites
+    if BOB_SITE in sites or not sites:
+        return BOB_SITE
+    occupied = steering.occupied_sites(state)
+    return occupied[-1] if len(occupied) == 2 else sites[-1]
 
 
 def steering_frame(prepared: StateVector | DensityOperator, bob_site: str | None = None):
@@ -142,7 +147,7 @@ def steering_frame(prepared: StateVector | DensityOperator, bob_site: str | None
             raise BadParameters(f"a two-qubit preset has no sites, so no Bob site {bob_site!r}")
         return prepared, "two-qubit"
     if bob_site is None:
-        bob_site = _default_bob(prepared.decl.sites)
+        bob_site = _default_bob(prepared)
     return steering.two_qubit_frame(prepared, bob_site)
 
 
@@ -190,7 +195,7 @@ def scenario_report(preset_spec: str, site: str | None = None, basis: str | None
         else:
             raise BadParameters(f"unknown basis {basis!r}")
 
-        bob_site = _default_bob(prepared.decl.sites)
+        bob_site = _default_bob(prepared)
         outcomes = []
         for record in measurement.born_probabilities(prepared, setting):
             entry: dict = {"label": record.label, "probability": record.probability}

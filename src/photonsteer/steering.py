@@ -152,16 +152,22 @@ class ChshResult:
                 raise ValueError(f"correlator {e} outside [-1, 1]")
 
 
+def occupied_sites(state: StateVector) -> list[str]:
+    """The declared sites that carry photon amplitude, in declaration order."""
+    decl = state.decl
+    t = decl.tensor(state.amps)
+    return [s for s in decl.sites if np.linalg.norm(t[decl.site_axis[s]]) > 1e-10]
+
+
 def _alice_site(state: StateVector, bob_site: str) -> str:
     """Alice's site: the one occupied site other than Bob's, else the first other one."""
     decl = state.decl
-    t = decl.tensor(state.amps)
     others = [s for s in decl.sites if s != bob_site]
     if not others:
         raise NonQubitBobMarginal(f"a steering frame needs two sites, the state has {decl.sites}")
     if bob_site not in decl.sites:
         raise UnknownSite(f"site {bob_site!r} not declared")
-    occupied = [s for s in others if np.linalg.norm(t[decl.site_axis[s]]) > 1e-10]
+    occupied = [s for s in occupied_sites(state) if s != bob_site]
     if len(occupied) > 1:
         raise NonQubitBobMarginal(f"photon amplitude at {occupied} besides Bob's site {bob_site!r}")
     return (occupied or others)[0]
@@ -334,6 +340,41 @@ def chsh_value(
     return ChshResult(s, (a0, a1, b0, b1), (e00, e01, e10, e11))
 
 
+# Rounding in the grid table E stays below 1e-14; a Bob pair whose nearest-three
+# margin (see ``_alice_best``) is not above this scans every Alice angle instead.
+_ROUNDING_MARGIN = 1e-12
+
+
+def _alice_best(E: np.ndarray, Tu: np.ndarray, op, step_rad: float):
+    """max over i of op(E[i, b0], E[i, b1]) and its lowest argmax i, for every Bob pair.
+
+    The term is u_i · w with w = op(T u_b0, T u_b1), a cosine in θ_i peaking at
+    atan2(w), so its grid maximum is one of the three angles nearest the peak
+    whenever the drop to any other angle, at least 2|w| sin δ sin(δ/2), exceeds
+    ``_ROUNDING_MARGIN``. Pairs below it (b0 = b1, a null space of T) scan all k
+    angles, k pairs at a time so that memory stays O(k²).
+    """
+    k = E.shape[0]
+    w = op(Tu[:, :, None], Tu[:, None, :])  # 2 x k x k over (b0, b1)
+    # The peak angle in [0, 2π), so index n means angle n·δ also on a grid whose
+    # last point lies just below 360° (np.arange for some steps 360/k).
+    nearest = np.rint(np.arctan2(w[1], w[0]) % (2.0 * np.pi) / step_rad).astype(np.intp)
+    cand = np.sort((nearest[:, :, None] + np.arange(-1, 2)) % k, axis=2)
+    values = op(E[cand, np.arange(k)[:, None, None]], E[cand, np.arange(k)[None, :, None]])
+    pick = values.argmax(axis=2)[:, :, None]  # gathering beats a max over the length-3 axis
+    best = np.take_along_axis(values, pick, axis=2)[:, :, 0]
+    best_idx = np.take_along_axis(cand, pick, axis=2)[:, :, 0]
+
+    margin = 2.0 * np.hypot(w[0], w[1]) * np.sin(step_rad) * np.sin(step_rad / 2.0)
+    flat_b0, flat_b1 = np.nonzero(margin <= _ROUNDING_MARGIN)
+    for start in range(0, flat_b0.size, k):
+        b0, b1 = flat_b0[start:start + k], flat_b1[start:start + k]
+        scan = op(E[:, b0], E[:, b1])
+        best[b0, b1] = scan.max(axis=0)
+        best_idx[b0, b1] = scan.argmax(axis=0)
+    return best, best_idx
+
+
 def chsh_optimize(
     state: StateVector | DensityOperator,
     grid_step_deg: float,
@@ -341,8 +382,11 @@ def chsh_optimize(
 ) -> ChshResult:
     """Maximize the CHSH functional over a uniform four-angle grid.
 
-    Serves as the brute-force oracle for ``chsh_value``: no analytic shortcut
-    beyond evaluating every grid point.
+    The exact grid optimum in O(k²) time and memory, k = 360 / step: for each
+    Bob pair (b0, b1) the a0 and a1 terms are maximized on their own
+    (``_alice_best``), and the pair with the highest total wins, the lowest
+    index among ties at each stage. It returns the same angles and value, bit
+    for bit, as scanning every a0 and a1 for every pair (k³ work).
     """
     if grid_step_deg <= 0 or abs(360.0 / grid_step_deg - round(360.0 / grid_step_deg)) > 1e-9:
         raise ValueError(f"grid step {grid_step_deg} does not divide 360")
@@ -356,12 +400,10 @@ def chsh_optimize(
 
     # S = E(a0,b0) - E(a0,b1) + E(a1,b0) + E(a1,b1); maximize the a0 and a1
     # contributions independently per (b0, b1) pair.
-    d0 = E[:, :, None] - E[:, None, :]  # a0 term over (a0, b0, b1)
-    d1 = E[:, :, None] + E[:, None, :]  # a1 term over (a1, b0, b1)
-    best0 = d0.max(axis=0)
-    best0_idx = d0.argmax(axis=0)
-    best1 = d1.max(axis=0)
-    best1_idx = d1.argmax(axis=0)
+    Tu = T @ u
+    step_rad = float(np.deg2rad(grid_step_deg))
+    best0, best0_idx = _alice_best(E, Tu, np.subtract, step_rad)
+    best1, best1_idx = _alice_best(E, Tu, np.add, step_rad)
     total = best0 + best1
     flat = int(np.argmax(total))
     i_b0, i_b1 = np.unravel_index(flat, total.shape)

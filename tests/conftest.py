@@ -1,7 +1,8 @@
-"""Shared helpers: seeded random states and independent per-ket oracles.
+"""Shared helpers: seeded random states and independent oracles.
 
-The oracles address amplitudes one ``BasisKet`` at a time, so they check the
-package's (site, pol, oam) tensor code without relying on its layout.
+The state oracles address amplitudes one ``BasisKet`` at a time, so they check
+the package's (site, pol, oam) tensor code without relying on its layout. The
+CHSH oracles are the brute-force grid scan and the closed-form optimum.
 """
 
 import numpy as np
@@ -10,6 +11,13 @@ import pytest
 from photonsteer.core import POLS, BasisDecl, BasisKet, StateVector
 from photonsteer.errors import OamOverflow
 from photonsteer.measurement import NO_CLICK, PROB_FLOOR
+from photonsteer.steering import (
+    ALICE_OBSERVABLES,
+    BOB_OBSERVABLES,
+    _as_two_qubit_matrix,
+    _correlation_matrix,
+    chsh_value,
+)
 
 SQ2 = np.sqrt(2.0)
 
@@ -198,3 +206,39 @@ def pol_path_oracle(state: StateVector, alice_site: str, bob_site: str) -> np.nd
                         a2 = state.amplitude(BasisKet.photon(site_of[n2], pol2, m))
                         rho[2 * p1 + n1, 2 * p2 + n2] += a1 * np.conj(a2)
     return rho
+
+
+def brute_chsh_grid(state, grid_step_deg, bob_site=None):
+    """CHSH grid optimum by scanning every a0 and a1 for every Bob pair (k³ work).
+
+    Per pair (b0, b1) the a0 term E(a0,b0) - E(a0,b1) and the a1 term
+    E(a1,b0) + E(a1,b1) are maximized over all k angles (first index among
+    ties), then the pair with the highest sum wins (first flat index among
+    ties). One b0 row at a time, so memory stays k².
+    """
+    T = _correlation_matrix(_as_two_qubit_matrix(state, bob_site))
+    angles = np.arange(0.0, 360.0, grid_step_deg)
+    radians = np.deg2rad(angles)
+    u = np.stack([np.cos(radians), np.sin(radians)])
+    E = u.T @ T @ u  # E[i, j] = E(angle_i, angle_j)
+    k = len(angles)
+    best0, best1 = np.empty((k, k)), np.empty((k, k))
+    best0_idx, best1_idx = np.empty((k, k), dtype=int), np.empty((k, k), dtype=int)
+    for b0 in range(k):
+        d0 = E[:, b0, None] - E  # [a0, b1]
+        d1 = E[:, b0, None] + E  # [a1, b1]
+        best0[b0], best0_idx[b0] = d0.max(axis=0), d0.argmax(axis=0)
+        best1[b0], best1_idx[b0] = d1.max(axis=0), d1.argmax(axis=0)
+    i_b0, i_b1 = np.unravel_index(int(np.argmax(best0 + best1)), (k, k))
+    return chsh_value(state, float(angles[best0_idx[i_b0, i_b1]]),
+                      float(angles[best1_idx[i_b0, i_b1]]), float(angles[i_b0]),
+                      float(angles[i_b1]), bob_site=bob_site)
+
+
+def horodecki_chsh_bound(rho2q: np.ndarray) -> float:
+    """Closed-form CHSH optimum over the Z-X plane: 2 sqrt(s1² + s2²), s the singular
+    values of T[i, j] = <A_i ⊗ B_j> for i, j in (Z, X) (Horodecki, Horodecki and
+    Horodecki, Phys. Lett. A 200, 340 (1995))."""
+    T = np.array([[np.trace(rho2q @ np.kron(ALICE_OBSERVABLES[i], BOB_OBSERVABLES[j])).real
+                   for j in ("Z", "X")] for i in ("Z", "X")])
+    return float(2.0 * np.linalg.norm(np.linalg.svd(T, compute_uv=False)))

@@ -225,9 +225,20 @@ class TestFrameRule:
         table, state = tmp_path / "c.table", tmp_path / "s.json"
         table.write_text("sites in a b\nsource in H\nbs in a\n")
         assert main(["run", str(table), "--out", str(state)]) == 0
-        assert main(["steer", "--input", str(state)]) == 3
+        assert main(["steer", "--input", str(state), "--bob-site", "b"]) == 3
         err = capsys.readouterr().err
         assert "besides Bob's site 'b'" in err and "Traceback" not in err
+
+    def test_default_bob_is_the_later_of_two_occupied_sites(self, tmp_path):
+        # "b" is declared last but stays empty; the photon sits at "in" and "a".
+        table, state = tmp_path / "c.table", tmp_path / "s.json"
+        table.write_text("sites in a b\nsource in H\nbs in a\n")
+        assert main(["run", str(table), "--out", str(state)]) == 0
+        default, named = tmp_path / "default.json", tmp_path / "named.json"
+        assert main(["steer", "--input", str(state), "--out", str(default)]) == 0
+        assert main(["steer", "--input", str(state), "--bob-site", "a", "--out", str(named)]) == 0
+        assert default.read_bytes() == named.read_bytes()
+        assert json.loads(default.read_text())["frame"] == "occ-occ(in,a)"
 
     def test_fig1_round_trip_reads_pol_path(self, tmp_path):
         doc = self._run_then_steer(FIG1_CIRCUIT, tmp_path)
@@ -354,6 +365,14 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["teleport"])
         assert err.value.code == 4
+
+    @pytest.mark.parametrize("command", [["steer", "--preset", "eq1"], ["report", "--preset", "twc"],
+                                         ["sweep", "--range", "0.5..0.5"]])
+    def test_unwritable_out_exits_4(self, tmp_path, capsys, command):
+        assert main(command + ["--out", str(tmp_path)]) == 4
+        assert main(command + ["--out", str(tmp_path / "missing" / "out")]) == 4
+        err = capsys.readouterr().err
+        assert "cannot write" in err and "Traceback" not in err
 
     def test_json_run_output_steer_compatible_without_loss(self, fig1_file, tmp_path):
         state_path = tmp_path / "state.json"

@@ -1,9 +1,11 @@
 """Steering and Bell machinery: frames, assemblages, CJWR, CHSH, LHS search."""
 
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
+from conftest import brute_chsh_grid, horodecki_chsh_bound
 
 from photonsteer import steering
 from photonsteer.core import BasisDecl, BasisKet, DensityOperator, StateVector
@@ -206,6 +208,59 @@ class TestChshOptimize:
     def test_step_must_divide_circle(self):
         with pytest.raises(ValueError):
             chsh_optimize(noisy_state(1.0), 7.0)
+
+
+class TestChshGridOracles:
+    """``chsh_optimize`` against the brute-force grid scan and the closed form."""
+
+    @staticmethod
+    def assert_same_as_brute_force(state, step, bob_site=None):
+        fast = chsh_optimize(state, step, bob_site=bob_site)
+        slow = brute_chsh_grid(state, step, bob_site=bob_site)
+        assert fast.angles == slow.angles and fast.value == slow.value, (step, fast, slow)
+
+    # np.arange gives 360/161 a 162nd point just below 360°.
+    @pytest.mark.parametrize("step", [90.0, 45.0, 15.0, 5.0, 3.0, 2.0, 360.0 / 161])
+    def test_equals_brute_force_on_random_states(self, rng, step):
+        for mixed in (False, True) * 3:
+            self.assert_same_as_brute_force(random_two_qubit_density(rng, mixed), step)
+
+    @pytest.mark.parametrize("step", [90.0, 45.0, 15.0, 5.0, 3.0, 2.0])
+    def test_equals_brute_force_on_noisy_and_rank_one_states(self, step):
+        # v = 0 makes T = 0, so every grid point ties.
+        for v in (0.0, 0.3, 0.7071, 1.0):
+            self.assert_same_as_brute_force(noisy_state(v), step)
+        self.assert_same_as_brute_force(product_state_ny_v(), step, bob_site="PUE")
+
+    @pytest.mark.parametrize("step", [1.5, 1.0])
+    def test_equals_brute_force_on_fine_grids(self, rng, step):
+        for state in (noisy_state(0.0), noisy_state(0.7071), random_two_qubit_density(rng, True)):
+            self.assert_same_as_brute_force(state, step)
+
+    def test_never_above_the_closed_form_optimum(self, rng):
+        for _ in range(30):
+            rho = random_two_qubit_density(rng, mixed=bool(rng.integers(2)))
+            for step in (15.0, 5.0):
+                assert chsh_optimize(rho, step).value <= horodecki_chsh_bound(rho.matrix) + 1e-9
+
+    @pytest.mark.parametrize("step", [45.0, 15.0, 5.0, 3.0, 1.0])
+    def test_noisy_state_reaches_the_closed_form_on_grids_through_45_degrees(self, step):
+        for v in (0.0, 0.3, 0.7071, 1.0):
+            bound = horodecki_chsh_bound(noisy_state(v).matrix)
+            assert bound == pytest.approx(2.0 * np.sqrt(2.0) * v, abs=1e-9)
+            assert chsh_optimize(noisy_state(v), step).value == pytest.approx(bound, abs=1e-9)
+
+    @pytest.mark.parametrize("v", [0.7, 0.0])
+    def test_one_degree_search_stays_within_64_mib(self, v):
+        # v = 0 is the worst case: every Bob pair scans all 360 Alice angles.
+        state = noisy_state(v)
+        tracemalloc.start()
+        try:
+            chsh_optimize(state, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
 
 
 class TestLhsFeasibility:
