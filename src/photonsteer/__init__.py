@@ -11,7 +11,6 @@ from .core import (
     fidelity,
     inner_product,
     normalize,
-    partial_trace,
     to_density,
 )
 from .measurement import (

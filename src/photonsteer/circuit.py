@@ -13,13 +13,14 @@ LF and CRLF both accepted::
     qplate <site> q=<int>    polarization-OAM coupler (needs an oam line)
     phase <site> <deg>       phase shifter
 
-Angles are degrees in the surface syntax. Sites must be declared before use.
+Angles are finite numbers of degrees. Sites must be declared before use.
 ``parse_circuit`` never raises anything but ``CircuitSyntaxError`` (or a
 subclass), each carrying the offending line number.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -105,11 +106,14 @@ def _site(line: _Line, idx: int, declared: list[str]) -> str:
 def _angle(line: _Line, idx: int) -> float:
     token = line.tokens[idx]
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
         raise CircuitSyntaxError(
             f"invalid angle {token!r}", line.number, line.column(idx), expected="number in degrees"
-        ) from None
+        )
+    return value
 
 
 def parse_circuit(text: str | bytes) -> Circuit:

@@ -20,10 +20,11 @@ Conventions fixed here and relied on everywhere else:
 * Global phase is never stripped implicitly; ``fidelity`` is the
   phase-insensitive comparator.
 * Polarization labels are "H" and "V", with H ordered before V.
-* Partial-trace selectors name a physical register: a site's occupation,
-  the polarization register, or the OAM register. Occupation reduction is
-  the nondemolition photon-number readout and is therefore diagonal; the
-  polarization and OAM registers exist only inside the one-photon sector.
+* Register reductions (``measurement.reduced_state``) keep one physical
+  register: a site's occupation, the polarization register, or the OAM
+  register. Occupation reduction is the nondemolition photon-number readout
+  and is therefore diagonal; the polarization and OAM registers exist only
+  inside the one-photon sector.
 """
 
 from __future__ import annotations
@@ -323,55 +324,3 @@ def apply_local_unitary(
         block = block[decl.site_axis[site]]
     block[...] = u @ block if register == "pol" else block @ u.T
     return StateVector(decl, amps)
-
-
-def partial_trace(rho: DensityOperator, keep: str, site: str | None = None) -> DensityOperator:
-    """Reduce a photon-space operator to one register.
-
-    ``keep`` selects the kept factor:
-
-    * ``"occupation"`` (requires ``site``): the photon-number readout of that
-      site, a diagonal qubit in the {empty, occupied} basis. Coherence between
-      occupancy sectors involves which-mode information and is traced away.
-    * ``"pol"``: the 2x2 polarization register (one-photon states only).
-    * ``"oam"``: the OAM register (one-photon states only).
-
-    ``rho`` must be written over a declaration's ``kets``, as ``to_density``
-    makes it. Trace is preserved exactly; the result is Hermitian PSD.
-    """
-    decl = _declaration_of(rho.labels)
-    if keep == "occupation":
-        if site is None:
-            raise UnknownSubsystem("occupation selector needs a site")
-        if site not in decl.sites:
-            raise UnknownSite(f"site {site!r} not present in operator basis")
-        diag = np.diagonal(rho.matrix)
-        at_site = np.zeros(decl.dim, dtype=bool)
-        decl.tensor(at_site)[decl.site_axis[site]] = True
-        return DensityOperator(("0", "1"), np.diag([diag[~at_site].sum(), diag[at_site].sum()]))
-
-    if keep not in ("pol", "oam"):
-        raise UnknownSubsystem(f"unknown selector {keep!r}")
-    vac_mass = float(np.real(rho.matrix[0, 0]))
-    if vac_mass > ATOL:
-        register = "polarization" if keep == "pol" else "OAM"
-        raise UnknownSubsystem(
-            f"the {register} register is undefined for states with vacuum weight {vac_mass:.3e}"
-        )
-    block = rho.matrix[1:, 1:].reshape(decl.shape * 2)
-    if keep == "pol":
-        return DensityOperator(POLS, np.einsum("spmsqm->pq", block))
-    return DensityOperator(decl.oam, np.einsum("spmspn->mn", block))
-
-
-def _declaration_of(labels: tuple) -> BasisDecl:
-    """The declaration whose ``kets`` are ``labels``, or ``UnknownSubsystem``."""
-    if not all(isinstance(k, BasisKet) for k in labels):
-        raise UnknownSubsystem("partial_trace needs an operator over photon-basis kets")
-    photons = [k for k in labels if not k.is_vacuum]
-    decl = BasisDecl(
-        tuple(sorted({k.site for k in photons})), tuple({k.oam for k in photons}) or DEFAULT_OAM
-    )
-    if decl.kets != labels:
-        raise UnknownSubsystem("partial_trace needs an operator over a declaration's kets")
-    return decl

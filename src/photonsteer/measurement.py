@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import POLS, DensityOperator, StateVector, normalize, partial_trace, to_density
-from .errors import BasisMismatch, ZeroProbabilityOutcome
+from .core import ATOL, POLS, DensityOperator, StateVector, normalize
+from .errors import BasisMismatch, UnknownSubsystem, ZeroProbabilityOutcome
 
 PROB_FLOOR = 1e-14
 
@@ -213,5 +213,41 @@ def _sample(records: list[OutcomeRecord], u: float) -> OutcomeRecord:
 
 
 def reduced_state(state: StateVector, keep: str, site: str | None = None) -> DensityOperator:
-    """Partial trace of |state><state| keeping one register."""
-    return partial_trace(to_density(state), keep, site)
+    """Reduce |state><state| to one register, read from the amplitude tensor.
+
+    ``keep`` selects the kept register:
+
+    * ``"occupation"`` (requires ``site``): the photon-number readout of that
+      site, a diagonal qubit in the {empty, occupied} basis. Coherence between
+      occupancy sectors involves which-mode information and is traced away.
+    * ``"pol"``: the 2x2 polarization register (one-photon states only).
+    * ``"oam"``: the OAM register (one-photon states only).
+
+    ``state`` must be normalized; the result has unit trace and is checked
+    Hermitian PSD by ``DensityOperator``. The d x d projector is never formed.
+    """
+    if not state.is_normalized():
+        raise ValueError(f"reduced_state requires a normalized state (norm {state.norm():.6g})")
+    decl = state.decl
+    if keep == "occupation":
+        if site is None:
+            raise UnknownSubsystem("occupation selector needs a site")
+        decl.require_site(site)
+        weights = state.amps * state.amps.conj()  # the diagonal of |state><state|
+        at_site = np.zeros(decl.dim, dtype=bool)
+        decl.tensor(at_site)[decl.site_axis[site]] = True
+        diag = [weights[~at_site].sum(), weights[at_site].sum()]
+        return DensityOperator(("0", "1"), np.diag(diag))
+
+    if keep not in ("pol", "oam"):
+        raise UnknownSubsystem(f"unknown selector {keep!r}")
+    vac_mass = float(abs(state.amps[0]) ** 2)
+    if vac_mass > ATOL:
+        register = "polarization" if keep == "pol" else "OAM"
+        raise UnknownSubsystem(
+            f"the {register} register is undefined for states with vacuum weight {vac_mass:.3e}"
+        )
+    t = decl.tensor(state.amps)
+    if keep == "pol":
+        return DensityOperator(POLS, np.einsum("spm,sqm->pq", t, t.conj()))
+    return DensityOperator(decl.oam, np.einsum("spm,spn->mn", t, t.conj()))

@@ -60,7 +60,7 @@ def twc_state() -> StateVector:
 
 def hardy_state(q: float = 1.0 / np.sqrt(2.0), r: float = 1.0 / np.sqrt(2.0)) -> StateVector:
     """q|vac> + (i r/sqrt(2))|u1> + (r/sqrt(2))|u2> with q^2 + r^2 = 1."""
-    if abs(q * q + r * r - 1.0) > 1e-10:
+    if not abs(q * q + r * r - 1.0) <= 1e-10:  # also rejects a nan or infinite q or r
         raise BadParameters(f"need q^2 + r^2 = 1, got {q * q + r * r}")
     decl = BasisDecl(("u1", "u2"))
     s = r / np.sqrt(2.0)

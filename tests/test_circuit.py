@@ -62,6 +62,14 @@ class TestParse:
         assert err.value.line == 2
         assert err.value.column == 7
 
+    @pytest.mark.parametrize("element", ["hwp", "qwp", "phase"])
+    @pytest.mark.parametrize("angle", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_angle(self, element, angle):
+        with pytest.raises(CircuitSyntaxError) as err:
+            parse_circuit(f"sites a\n{element} a {angle}")
+        assert err.value.line == 2
+        assert err.value.column == len(element) + 4
+
     def test_pbs_arrow_required(self):
         with pytest.raises(CircuitSyntaxError):
             parse_circuit("sites a b c\npbs a b c")

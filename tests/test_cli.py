@@ -51,6 +51,16 @@ class TestRun:
         assert main(["run", str(double)]) == 3
         assert "element" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("element", ["phase", "hwp", "qwp"])
+    @pytest.mark.parametrize("angle", ["nan", "inf"])
+    def test_non_finite_angle_exits_2_with_line(self, tmp_path, capsys, element, angle):
+        table = tmp_path / "nan.table"
+        table.write_text(f"sites a b\nsource a H\n{element} a {angle}\n")
+        assert main(["run", str(table)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 3" in captured.err and captured.err.count("\n") == 1
+
     def test_missing_file_exits_4(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.table")]) == 4
 
@@ -108,6 +118,10 @@ class TestSteer:
 
     def test_bad_preset_exits_3(self, capsys):
         assert main(["steer", "--preset", "noisy:2.0", "--settings", "Z,X"]) == 3
+
+    def test_non_finite_hardy_preset_exits_3(self, capsys):
+        assert main(["steer", "--preset", "hardy:nan,nan", "--settings", "Z,X"]) == 3
+        assert capsys.readouterr().err.count("\n") == 1
 
     def test_repeated_setting_exits_4(self, capsys):
         assert main(["steer", "--preset", "eq1", "--settings", "Z,Z"]) == 4
@@ -348,6 +362,11 @@ class TestReport:
 
     def test_unknown_preset_exits_3(self):
         assert main(["report", "--preset", "wormhole"]) == 3
+
+    @pytest.mark.parametrize("flags", [[], ["--site", "u1"]])
+    def test_non_finite_hardy_preset_exits_3(self, flags, capsys):
+        assert main(["report", "--preset", "hardy:nan,nan"] + flags) == 3
+        assert capsys.readouterr().err.count("\n") == 1
 
     def test_oam_basis_without_oam_register_exits_3(self, capsys):
         assert main(["report", "--preset", "eq1", "--basis", "OAMpm"]) == 3

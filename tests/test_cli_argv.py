@@ -21,7 +21,7 @@ FLAGS_OF = {
     "report": ["--preset", "--site", "--basis", "--out"],
 }
 FLAG_VALUES = {
-    "--preset": ["eq1", "twc", "hardy", "hardy:0.6,0.8", "hardy:0,0", "hardy:x",
+    "--preset": ["eq1", "twc", "hardy", "hardy:0.6,0.8", "hardy:0,0", "hardy:x", "hardy:nan,nan",
                  "qplate_tripartite", "noisy:0.5", "noisy:2", "noisy:nan", "noisy:", "fig9"],
     "--input": ["@state", "@fig1", "@bad", "@missing", "@dir"],
     "--settings": ["Z,X", "Z,X,Y", "Z", "Z,Z", "X,Q", ","],

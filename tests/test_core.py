@@ -13,7 +13,6 @@ from photonsteer.core import (
     fidelity,
     inner_product,
     normalize,
-    partial_trace,
     to_density,
 )
 from photonsteer.errors import (
@@ -24,11 +23,13 @@ from photonsteer.errors import (
     UnknownSubsystem,
     ZeroState,
 )
+from photonsteer.measurement import reduced_state
 from photonsteer.scenarios import eq1_state, hardy_state, qplate_tripartite_state, twc_state
 
 from conftest import occupation_oracle, random_state, register_oracle
 
 TWO_SITES = BasisDecl(("NY", "PUE"))
+DIM_673 = BasisDecl(tuple(f"s{i:02d}" for i in range(16)), oam=tuple(range(-10, 11)))
 SQ2 = 1.0 / np.sqrt(2.0)
 
 
@@ -152,48 +153,48 @@ class TestToDensity:
 class TestPartialTrace:
     def test_entangled_state_occupation_is_balanced(self):
         # Dual-rail expansion: |a>=|0>_A|1>_B, |b>=|1>_A|0>_B; masses 1/2 each.
-        rho = partial_trace(to_density(eq1_state()), "occupation", "PUE")
+        rho = reduced_state(eq1_state(), "occupation", "PUE")
         np.testing.assert_allclose(rho.matrix, np.diag([0.5, 0.5]), atol=1e-12)
 
     def test_collapsed_state_bob_empty(self):
         # Photon at New York: Alice holds |1>, Bob's box is empty.
         s = StateVector.from_amplitudes(TWO_SITES, {ket("NY", "V"): 1.0})
-        rho = partial_trace(to_density(s), "occupation", "PUE")
+        rho = reduced_state(s, "occupation", "PUE")
         np.testing.assert_allclose(rho.matrix, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_product_state_keeps_polarization_factor(self):
         s = StateVector.from_amplitudes(TWO_SITES, {ket("NY", "H"): 1.0})
-        rho = partial_trace(to_density(s), "pol")
+        rho = reduced_state(s, "pol")
         np.testing.assert_allclose(rho.matrix, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_unknown_selector(self):
         with pytest.raises(UnknownSubsystem):
-            partial_trace(to_density(eq1_state()), "spin")
+            reduced_state(eq1_state(), "spin")
 
     def test_unknown_site(self):
         with pytest.raises(UnknownSite):
-            partial_trace(to_density(eq1_state()), "occupation", "Boston")
+            reduced_state(eq1_state(), "occupation", "Boston")
 
     def test_polarization_undefined_with_vacuum(self):
         with pytest.raises(UnknownSubsystem):
-            partial_trace(to_density(hardy_state()), "pol")
+            reduced_state(hardy_state(), "pol")
 
     def test_trace_preserved_on_random_states(self, rng):
         decl = BasisDecl(("a", "b"), oam=(-2, 0, 2))
         for _ in range(25):
-            rho = to_density(random_state(decl, rng, photon_only=True))
+            state = random_state(decl, rng, photon_only=True)
             for keep, site in (("occupation", "a"), ("pol", None), ("oam", None)):
-                reduced = partial_trace(rho, keep, site)
-                assert reduced.trace_value == pytest.approx(rho.trace_value, abs=1e-10)
+                reduced = reduced_state(state, keep, site)
+                trace = to_density(state).trace_value
+                assert reduced.trace_value == pytest.approx(trace, abs=1e-10)
 
     @pytest.mark.parametrize(
         "state", [eq1_state(), twc_state(), hardy_state(), qplate_tripartite_state()],
         ids=["eq1", "twc", "hardy", "tripartite"],
     )
     def test_occupation_matches_oracle_on_presets(self, state):
-        rho = to_density(state)
         for site in state.decl.sites:
-            got = partial_trace(rho, "occupation", site)
+            got = reduced_state(state, "occupation", site)
             np.testing.assert_allclose(got.matrix, occupation_oracle(state, site), atol=1e-12)
 
     @pytest.mark.parametrize(
@@ -201,13 +202,52 @@ class TestPartialTrace:
         ids=["eq1", "twc", "tripartite"],
     )
     def test_registers_match_oracle_on_photon_presets(self, state):
-        rho = to_density(state)
         np.testing.assert_allclose(
-            partial_trace(rho, "pol").matrix, register_oracle(state, "pol"), atol=1e-12
+            reduced_state(state, "pol").matrix, register_oracle(state, "pol"), atol=1e-12
         )
         np.testing.assert_allclose(
-            partial_trace(rho, "oam").matrix, register_oracle(state, "oam"), atol=1e-12
+            reduced_state(state, "oam").matrix, register_oracle(state, "oam"), atol=1e-12
         )
+
+    def test_occupation_matches_oracle_at_dim_673(self, rng):
+        state = random_state(DIM_673, rng)
+        for site in DIM_673.sites:
+            got = reduced_state(state, "occupation", site).matrix
+            np.testing.assert_allclose(got, occupation_oracle(state, site), atol=1e-12)
+
+    def test_registers_match_oracle_on_a_wider_declaration(self, rng):
+        # register_oracle loops over amplitude pairs, so dim 85 keeps it quick.
+        decl = BasisDecl(("f", "b", "e", "a", "d", "c"), oam=(-6, -3, -1, 0, 2, 5, 9))
+        for _ in range(3):
+            state = random_state(decl, rng, photon_only=True)
+            for register in ("pol", "oam"):
+                np.testing.assert_allclose(
+                    reduced_state(state, register).matrix, register_oracle(state, register),
+                    atol=1e-12,
+                )
+
+    @pytest.mark.parametrize("decl", [BasisDecl(("u", "t", "s"), oam=(-2, 0, 2)), DIM_673],
+                             ids=["dim19", "dim673"])
+    def test_occupation_equals_masked_diagonal_of_the_projector(self, rng, decl):
+        # The report prints occupation reductions, so their bits must not depend
+        # on whether the d x d projector is formed.
+        for _ in range(3):
+            state = random_state(decl, rng)
+            diag = np.diagonal(to_density(state).matrix)
+            for site in decl.sites:
+                at_site = np.array([k.site == site for k in decl.kets])
+                expected = np.diag([diag[~at_site].sum(), diag[at_site].sum()])
+                assert np.array_equal(reduced_state(state, "occupation", site).matrix, expected)
+
+    @pytest.mark.parametrize("keep, site", [("occupation", "PUE"), ("pol", None), ("oam", None)])
+    def test_requires_normalized(self, keep, site):
+        s = StateVector.from_amplitudes(TWO_SITES, {ket("NY", "V"): 2.0})
+        with pytest.raises(ValueError, match="normalized"):
+            reduced_state(s, keep, site)
+
+    def test_occupation_without_site(self):
+        with pytest.raises(UnknownSubsystem):
+            reduced_state(eq1_state(), "occupation")
 
 
 class TestApplyLocalUnitary:

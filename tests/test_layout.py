@@ -12,12 +12,9 @@ from photonsteer.core import (
     POLS,
     BasisDecl,
     BasisKet,
-    DensityOperator,
     StateVector,
     apply_local_unitary,
     normalize,
-    partial_trace,
-    to_density,
 )
 from photonsteer.elements import (
     beamsplitter_5050,
@@ -28,12 +25,13 @@ from photonsteer.elements import (
     qwp_matrix,
     waveplate,
 )
-from photonsteer.errors import OamOverflow, UnknownSubsystem
+from photonsteer.errors import OamOverflow
 from photonsteer.measurement import (
     born_probabilities,
     occupation_setting,
     oam_setting,
     polarization_setting,
+    reduced_state,
 )
 from photonsteer.steering import occupation_qubits, pol_path_qubits
 
@@ -179,27 +177,15 @@ class TestReductions:
         for _ in range(5):
             s = random_state(DECL, rng)
             for site in DECL.sites:
-                got = partial_trace(to_density(s), "occupation", site).matrix
+                got = reduced_state(s, "occupation", site).matrix
                 np.testing.assert_allclose(got, occupation_oracle(s, site), atol=TOL)
             photon = random_state(DECL, rng, photon_only=True)
             for register in ("pol", "oam"):
-                reduced = partial_trace(to_density(photon), register)
+                reduced = reduced_state(photon, register)
                 np.testing.assert_allclose(
                     reduced.matrix, register_oracle(photon, register), atol=TOL
                 )
             assert reduced.labels == DECL.oam
-
-    def test_partial_trace_rejects_labels_not_a_declarations_kets(self):
-        rho = to_density(random_state(DECL, np.random.default_rng(3)))
-        kets = DECL.kets
-        shuffled = (kets[0], *reversed(kets[1:]))
-        with pytest.raises(UnknownSubsystem):
-            partial_trace(DensityOperator(shuffled, rho.matrix), "pol")
-        sub = np.array(rho.matrix)[: DECL.dim - 1, : DECL.dim - 1]
-        with pytest.raises(UnknownSubsystem):
-            partial_trace(DensityOperator(kets[:-1], sub), "occupation", "z")
-        with pytest.raises(UnknownSubsystem):
-            partial_trace(DensityOperator(kets[1:], rho.matrix[1:, 1:]), "oam")
 
 
 def _settings(site):

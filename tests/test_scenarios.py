@@ -45,6 +45,12 @@ class TestPresets:
         with pytest.raises(BadParameters):
             hardy_state(0.9, 0.9)
 
+    @pytest.mark.parametrize("q, r", [(np.nan, np.nan), (np.nan, 1.0), (0.6, np.inf),
+                                      (-np.inf, 0.0)])
+    def test_hardy_rejects_non_finite_parameters(self, q, r):
+        with pytest.raises(BadParameters):
+            hardy_state(q, r)
+
     def test_tripartite_coefficients(self):
         s = qplate_tripartite_state()
         mags = [abs(a) for _, a in s.items()]
