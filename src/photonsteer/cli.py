@@ -4,7 +4,7 @@ Subcommands::
 
     run    circuit-file        simulate a circuit, emit the state as JSON
     steer  --preset/--input    assemblage + CJWR + CHSH + LHS verdict as JSON
-    sweep  --sweep v           visibility sweep as CSV (v,cjwr,chsh_opt,lhs_verdict)
+    sweep  --range/--step      visibility sweep of noisy:v as CSV (v,cjwr,chsh_opt,lhs_verdict)
     report --preset            scenario report (Born table + assemblage) as JSON
 
 ``steer`` and ``report`` take their two-qubit frame from ``steering.two_qubit_frame``
@@ -13,9 +13,9 @@ Subcommands::
 Exit codes: 0 success, 2 circuit parse error (diagnostic with line/column on
 stderr), 3 physics error (also --bob-site, --site or --basis on noisy:v),
 4 usage error (also --grid above MAX_GRID, --chsh-step below MIN_CHSH_STEP,
-a --input file that is not a finite unit state with one amplitude per basis
-entry, and an --out path that cannot be written). Output is deterministic:
-identical arguments produce byte-identical files.
+a --input file that is not a finite unit state with integer OAM values and
+one amplitude per basis entry, and an --out path that cannot be written).
+Output is deterministic: identical arguments produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -81,15 +81,23 @@ def state_to_json_dict(state: StateVector) -> dict:
     }
 
 
+def _oam_value(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"OAM value {value!r} is not an integer")
+    return value
+
+
 def state_from_json_dict(doc: dict) -> StateVector:
-    """Inverse of ``state_to_json_dict``; ValueError unless the file holds a unit state."""
+    """Inverse of ``state_to_json_dict``; ValueError unless the file holds a unit state
+    with integer OAM values."""
     if len(doc["basis"]) != len(doc["amplitudes"]):
         raise ValueError(f"{len(doc['basis'])} basis entries but "
                          f"{len(doc['amplitudes'])} amplitudes")
-    decl = BasisDecl(tuple(doc["sites"]), tuple(doc["oam"]))
+    decl = BasisDecl(tuple(doc["sites"]), tuple(_oam_value(m) for m in doc["oam"]))
     amplitudes = {}
     for entry, (re, im) in zip(doc["basis"], doc["amplitudes"]):
-        ket = BasisKet.vacuum() if entry == "vac" else BasisKet.photon(entry[0], entry[1], entry[2])
+        ket = (BasisKet.vacuum() if entry == "vac"
+               else BasisKet.photon(entry[0], entry[1], _oam_value(entry[2])))
         amplitudes[ket] = complex(re, im)
     state = StateVector.from_amplitudes(decl, amplitudes)
     if not np.isfinite(state.amps).all():
@@ -99,13 +107,18 @@ def state_from_json_dict(doc: dict) -> StateVector:
     return state
 
 
+def _check_grid(grid: int) -> None:
+    if grid > MAX_GRID:
+        raise UsageError(f"bad --grid {grid}: at most {MAX_GRID}")
+
+
 def cmd_run(args) -> int:
     try:
-        with open(args.input, "r", encoding="utf-8") as handle:
+        # Undecodable bytes become U+FFFD, as in parse_circuit, so they get a diagnostic.
+        with open(args.input, "r", encoding="utf-8", errors="replace") as handle:
             text = handle.read()
     except OSError as exc:
-        print(f"cannot read {args.input!r}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"cannot read {args.input!r}: {exc}") from exc
     try:
         state = run_circuit(parse_circuit(text))
     except CircuitSyntaxError as exc:
@@ -142,23 +155,15 @@ def _load_steer_input(args):
 def cmd_steer(args) -> int:
     settings = tuple(s.strip() for s in args.settings.split(",") if s.strip())
     if len(settings) < 2:
-        print("need at least two settings, e.g. --settings Z,X", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("need at least two settings, e.g. --settings Z,X")
     if len(set(settings)) != len(settings):
-        print(f"repeated setting in --settings {args.settings!r}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.grid > MAX_GRID:
-        print(f"bad --grid {args.grid}: at most {MAX_GRID}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        rho, frame = scenarios.steering_frame(_load_steer_input(args), args.bob_site)
-        assemblage = steering.compute_assemblage(rho, settings)
-        verdict = steering.lhs_feasibility(assemblage, args.grid)
-        cjwr = steering.cjwr_value(rho, settings)
-        chsh = steering.chsh_value(rho, *steering.STANDARD_CHSH_ANGLES)
-    except PhysicsError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_PHYSICS
+        raise UsageError(f"repeated setting in --settings {args.settings!r}")
+    _check_grid(args.grid)
+    rho, frame = scenarios.steering_frame(_load_steer_input(args), args.bob_site)
+    assemblage = steering.compute_assemblage(rho, settings)
+    verdict = steering.lhs_feasibility(assemblage, args.grid)
+    cjwr = steering.cjwr_value(rho, settings)
+    chsh = steering.chsh_value(rho, *steering.STANDARD_CHSH_ANGLES)
 
     doc = {
         "frame": frame,
@@ -182,31 +187,21 @@ def cmd_steer(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.sweep != "v":
-        print(f"only the visibility sweep 'v' is supported, got {args.sweep!r}", file=sys.stderr)
-        return EXIT_USAGE
     try:
         lo_text, _, hi_text = args.range.partition("..")
         lo, hi = float(lo_text), float(hi_text)
     except ValueError:
-        print(f"bad --range {args.range!r}, expected like 0..1", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"bad --range {args.range!r}, expected like 0..1") from None
     if not (math.isfinite(args.step) and args.step > 0) or not 0.0 <= lo <= hi <= 1.0:
-        print(f"bad sweep: range [{lo}, {hi}] must sit inside [0, 1] with a finite step > 0",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(
+            f"bad sweep: range [{lo}, {hi}] must sit inside [0, 1] with a finite step > 0")
     if (hi - lo + 1e-12) / args.step >= MAX_SWEEP_POINTS:
-        print(f"bad sweep: step {args.step} gives more than {MAX_SWEEP_POINTS} points",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"bad sweep: step {args.step} gives more than {MAX_SWEEP_POINTS} points")
     chsh_points = 360.0 / args.chsh_step if args.chsh_step >= MIN_CHSH_STEP else 0.0
     if chsh_points < 1 or abs(chsh_points - round(chsh_points)) > 1e-9:
-        print(f"bad --chsh-step {args.chsh_step}: it must divide 360 and be at least "
-              f"{MIN_CHSH_STEP:g} degree", file=sys.stderr)
-        return EXIT_USAGE
-    if args.grid > MAX_GRID:
-        print(f"bad --grid {args.grid}: at most {MAX_GRID}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"bad --chsh-step {args.chsh_step}: it must divide 360 and be at least "
+                         f"{MIN_CHSH_STEP:g} degree")
+    _check_grid(args.grid)
 
     values = []
     v = lo
@@ -215,18 +210,12 @@ def cmd_sweep(args) -> int:
         v += args.step
 
     rows = []
-    try:
-        for v in values:
-            rho = scenarios.noisy_state(v)
-            cjwr = steering.cjwr_value(rho, ("Z", "X"))
-            chsh = steering.chsh_optimize(rho, args.chsh_step)
-            verdict = steering.lhs_feasibility(
-                steering.compute_assemblage(rho, ("Z", "X")), args.grid
-            )
-            rows.append((v, cjwr, chsh.value, verdict.status))
-    except PhysicsError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_PHYSICS
+    for v in values:
+        rho = scenarios.noisy_state(v)
+        cjwr = steering.cjwr_value(rho, ("Z", "X"))
+        chsh = steering.chsh_optimize(rho, args.chsh_step)
+        verdict = steering.lhs_feasibility(steering.compute_assemblage(rho, ("Z", "X")), args.grid)
+        rows.append((v, cjwr, chsh.value, verdict.status))
     if args.format == "json":
         doc = [
             {"v": v, "cjwr": cjwr, "chsh_opt": chsh_opt, "lhs_verdict": status}
@@ -241,11 +230,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        report = scenarios.scenario_report(args.preset, site=args.site, basis=args.basis)
-    except PhysicsError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_PHYSICS
+    report = scenarios.scenario_report(args.preset, site=args.site, basis=args.basis)
     _write(args.out, json.dumps(report, indent=2) + "\n")
     return EXIT_OK
 
@@ -271,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_steer.add_argument("--out", default=None)
 
     p_sweep = sub.add_parser("sweep", help="visibility sweep of the noisy preset")
-    p_sweep.add_argument("--sweep", default="v", help="sweep variable (only 'v')")
     p_sweep.add_argument("--range", default="0..1", help="like 0..1")
     p_sweep.add_argument("--step", type=float, default=0.1)
     p_sweep.add_argument("--grid", type=int, default=20,
@@ -300,6 +284,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
+    except PhysicsError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_PHYSICS
 
 
 if __name__ == "__main__":

@@ -29,6 +29,8 @@ FEAS_TOL = 1e-8
 # over. Dantzig's rule stalls for at most about 20 pivots on the steering
 # programs of the presets, so the fallback is for pathological input.
 STALL_LIMIT = 50
+# Pivots after which the solve gives up with SolverBreakdown.
+MAX_PIVOTS = 20000
 
 
 @dataclass(frozen=True)
@@ -41,13 +43,7 @@ class FeasibilityResult:
     bland_iterations: int = 0  # pivots taken after the fallback to Bland's rule
 
 
-def solve_feasibility(
-    A: np.ndarray,
-    b: np.ndarray,
-    feas_tol: float = FEAS_TOL,
-    pivot_tol: float = PIVOT_TOL,
-    max_iterations: int = 20000,
-) -> FeasibilityResult:
+def solve_feasibility(A: np.ndarray, b: np.ndarray) -> FeasibilityResult:
     """Search for x >= 0 with A x = b."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -78,7 +74,7 @@ def solve_feasibility(
 
         if bland_from is None:
             objective = float(cost[basis] @ x_basic)
-            if objective < best_objective - pivot_tol:
+            if objective < best_objective - PIVOT_TOL:
                 best_objective, last_decrease = objective, iterations
             elif iterations - last_decrease >= STALL_LIMIT:
                 bland_from = iterations
@@ -86,16 +82,16 @@ def solve_feasibility(
         reduced = cost - duals @ ext
         if bland_from is None:
             entering = int(np.argmin(reduced))  # Dantzig: most negative
-            if reduced[entering] >= -pivot_tol:
+            if reduced[entering] >= -PIVOT_TOL:
                 break
         else:
-            improving = np.nonzero(reduced < -pivot_tol)[0]
+            improving = np.nonzero(reduced < -PIVOT_TOL)[0]
             if improving.size == 0:
                 break
             entering = int(improving[0])  # Bland: lowest index
 
         direction = np.linalg.solve(B, ext[:, entering])
-        movable = direction > pivot_tol
+        movable = direction > PIVOT_TOL
         if not movable.any():
             # Phase-1 objective is bounded below by zero, so an unbounded ray
             # means numerical breakdown, not a real certificate.
@@ -103,17 +99,17 @@ def solve_feasibility(
         ratios = np.full(m, np.inf)
         ratios[movable] = np.maximum(x_basic[movable], 0.0) / direction[movable]
         theta = ratios.min()
-        ties = np.nonzero(ratios <= theta + pivot_tol)[0]
+        ties = np.nonzero(ratios <= theta + PIVOT_TOL)[0]
         leaving = int(ties[np.argmin(basis[ties])])  # lowest basis index
 
         basis[leaving] = entering
         iterations += 1
-        if iterations > max_iterations:
-            raise SolverBreakdown(f"phase-1 did not converge in {max_iterations} iterations")
+        if iterations > MAX_PIVOTS:
+            raise SolverBreakdown(f"phase-1 did not converge in {MAX_PIVOTS} iterations")
 
     bland_iterations = 0 if bland_from is None else iterations - bland_from
     objective = float(cost[basis] @ np.maximum(x_basic, 0.0))
-    if objective > feas_tol:
+    if objective > FEAS_TOL:
         return FeasibilityResult(False, None, objective, objective, iterations, bland_iterations)
 
     x = np.zeros(n)

@@ -7,7 +7,9 @@ his site as a coherent dual-rail mode (0 = empty, 1 = photon present); for
 path-only states both qubits are site occupations. In that frame the
 benchmark entangled state has +1 correlators along every axis with the
 dichotomic observable table below, whose occupation-Z assigns +1 to "photon
-present". ``two_qubit_frame`` chooses between the two frames.
+present". ``two_qubit_frame`` chooses between the two frames, and
+``compute_assemblage``, ``cjwr_value``, ``chsh_value`` and ``chsh_optimize``
+take the 4x4 frame it returns (a ``DensityOperator``) and nothing else.
 
 The LHS search is an inner approximation: local-hidden-state models are
 restricted to mixtures of pure states on a deterministic Fibonacci grid of
@@ -246,35 +248,10 @@ def two_qubit_frame(state: StateVector, bob_site: str) -> tuple[DensityOperator,
     return _occupation_qubits(state, occ, alice_site, bob_site), f"occ-occ({alice_site},{bob_site})"
 
 
-def _as_two_qubit_matrix(state: StateVector | DensityOperator, bob_site: str | None) -> np.ndarray:
-    if isinstance(state, DensityOperator):
-        if state.dim != 4:
-            raise NonQubitBobMarginal(f"density operator has dimension {state.dim}, need 4")
-        return np.asarray(state.matrix)
-    if bob_site is None:
-        raise NonQubitBobMarginal("a StateVector input needs bob_site to fix the frame")
-    return np.asarray(two_qubit_frame(state, bob_site)[0].matrix)
-
-
-def _check_dichotomic(obs: np.ndarray) -> np.ndarray:
-    obs = np.asarray(obs, dtype=complex)
-    if obs.shape != (2, 2):
-        raise NonDichotomicObservable(f"observable has shape {obs.shape}")
-    if not np.allclose(obs, obs.conj().T, atol=ATOL):
-        raise NonDichotomicObservable("observable is not Hermitian")
-    eigs = np.sort(np.linalg.eigvalsh(obs))
-    if not np.allclose(eigs, [-1.0, 1.0], atol=ATOL):
-        raise NonDichotomicObservable(f"eigenvalues {eigs} are not (-1, +1)")
-    return obs
-
-
-def _resolve_pair(pair) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(pair, str):
-        if pair not in ALICE_OBSERVABLES:
-            raise NonDichotomicObservable(f"unknown axis {pair!r}, use Z, X or Y")
-        return ALICE_OBSERVABLES[pair], BOB_OBSERVABLES[pair]
-    a, b = pair
-    return _check_dichotomic(a), _check_dichotomic(b)
+def _frame_matrix(rho: DensityOperator) -> np.ndarray:
+    if rho.dim != 4:
+        raise NonQubitBobMarginal(f"frame has dimension {rho.dim}, need the 4x4 two-qubit frame")
+    return np.asarray(rho.matrix)
 
 
 def correlator(rho2q: np.ndarray, alice_obs: np.ndarray, bob_obs: np.ndarray) -> float:
@@ -282,28 +259,22 @@ def correlator(rho2q: np.ndarray, alice_obs: np.ndarray, bob_obs: np.ndarray) ->
     return float(value.real)
 
 
-def cjwr_value(
-    state: StateVector | DensityOperator,
-    pairs,
-    n: int | None = None,
-    bob_site: str | None = None,
-) -> float:
-    """Linear steering functional F_n = |sum_k <A_k ⊗ B_k>| / sqrt(n).
+def cjwr_value(rho: DensityOperator, axes) -> float:
+    """Linear steering functional F_n = |sum_k <A_k ⊗ B_k>| / sqrt(n) on a two-qubit frame.
 
-    LHS-describable correlations obey F_n <= 1. Pairs are axis names ("Z",
-    "X", "Y", resolved through the module observable tables) or explicit
-    (alice, bob) matrix pairs; n must be 2 or 3.
+    LHS-describable correlations obey F_n <= 1. The n axes are names ("Z",
+    "X", "Y") of the module observable tables; n must be 2 or 3.
     """
-    pairs = list(pairs)
-    if n is None:
-        n = len(pairs)
-    if n != len(pairs):
-        raise ValueError(f"n={n} but {len(pairs)} pairs given")
-    if n not in (2, 3):
-        raise ValueError(f"CJWR is implemented for n in {{2, 3}}, got {n}")
-    rho = _as_two_qubit_matrix(state, bob_site)
-    total = sum(correlator(rho, *_resolve_pair(pair)) for pair in pairs)
-    return float(abs(total) / np.sqrt(n))
+    axes = tuple(axes)
+    if len(axes) not in (2, 3):
+        raise ValueError(f"CJWR is implemented for n in {{2, 3}}, got {len(axes)}")
+    matrix = _frame_matrix(rho)
+    total = 0.0
+    for axis in axes:
+        if axis not in ALICE_OBSERVABLES:
+            raise NonDichotomicObservable(f"unknown axis {axis!r}, use Z, X or Y")
+        total += correlator(matrix, ALICE_OBSERVABLES[axis], BOB_OBSERVABLES[axis])
+    return float(abs(total) / np.sqrt(len(axes)))
 
 
 def _correlation_matrix(rho2q: np.ndarray) -> np.ndarray:
@@ -317,17 +288,9 @@ def _correlation_matrix(rho2q: np.ndarray) -> np.ndarray:
     )
 
 
-def chsh_value(
-    state: StateVector | DensityOperator,
-    a0: float,
-    a1: float,
-    b0: float,
-    b1: float,
-    bob_site: str | None = None,
-) -> ChshResult:
-    """CHSH functional at four observable angles (degrees) in the Z-X plane."""
-    rho = _as_two_qubit_matrix(state, bob_site)
-    T = _correlation_matrix(rho)
+def chsh_value(rho: DensityOperator, a0: float, a1: float, b0: float, b1: float) -> ChshResult:
+    """CHSH functional of a two-qubit frame at four observable angles (degrees), Z-X plane."""
+    T = _correlation_matrix(_frame_matrix(rho))
 
     def E(a: float, b: float) -> float:
         ta, tb = np.deg2rad(a), np.deg2rad(b)
@@ -375,12 +338,8 @@ def _alice_best(E: np.ndarray, Tu: np.ndarray, op, step_rad: float):
     return best, best_idx
 
 
-def chsh_optimize(
-    state: StateVector | DensityOperator,
-    grid_step_deg: float,
-    bob_site: str | None = None,
-) -> ChshResult:
-    """Maximize the CHSH functional over a uniform four-angle grid.
+def chsh_optimize(rho: DensityOperator, grid_step_deg: float) -> ChshResult:
+    """Maximize the CHSH functional of a two-qubit frame over a uniform four-angle grid.
 
     The exact grid optimum in O(k²) time and memory, k = 360 / step: for each
     Bob pair (b0, b1) the a0 and a1 terms are maximized on their own
@@ -390,8 +349,7 @@ def chsh_optimize(
     """
     if grid_step_deg <= 0 or abs(360.0 / grid_step_deg - round(360.0 / grid_step_deg)) > 1e-9:
         raise ValueError(f"grid step {grid_step_deg} does not divide 360")
-    rho = _as_two_qubit_matrix(state, bob_site)
-    T = _correlation_matrix(rho)
+    T = _correlation_matrix(_frame_matrix(rho))
 
     angles = np.arange(0.0, 360.0, grid_step_deg)
     radians = np.deg2rad(angles)
@@ -409,15 +367,11 @@ def chsh_optimize(
     i_b0, i_b1 = np.unravel_index(flat, total.shape)
     a0 = float(angles[best0_idx[i_b0, i_b1]])
     a1 = float(angles[best1_idx[i_b0, i_b1]])
-    return chsh_value(state, a0, a1, float(angles[i_b0]), float(angles[i_b1]), bob_site=bob_site)
+    return chsh_value(rho, a0, a1, float(angles[i_b0]), float(angles[i_b1]))
 
 
-def compute_assemblage(
-    state: StateVector | DensityOperator,
-    alice_settings,
-    bob_site: str | None = None,
-) -> Assemblage:
-    """Conditional Bob states sigma(a|x) = Tr_A[(Pi_a^x ⊗ I) rho].
+def compute_assemblage(rho: DensityOperator, alice_settings) -> Assemblage:
+    """Conditional Bob states sigma(a|x) = Tr_A[(Pi_a^x ⊗ I) rho] of a two-qubit frame.
 
     Each member carries trace p(a|x); summing members over outcomes gives
     Bob's unconditional marginal for every setting (no signaling).
@@ -425,13 +379,13 @@ def compute_assemblage(
     settings = tuple(alice_settings)
     if not settings:
         raise ValueError("at least one Alice setting required")
-    rho = _as_two_qubit_matrix(state, bob_site)
+    matrix = _frame_matrix(rho)
     members: dict[tuple[str, int], np.ndarray] = {}
     for x in settings:
         if x not in ALICE_PROJECTORS:
             raise NonDichotomicObservable(f"unknown setting {x!r}, use Z, X or Y")
         for outcome, projector in ALICE_PROJECTORS[x]:
-            big = np.kron(projector, np.eye(2, dtype=complex)) @ rho
+            big = np.kron(projector, np.eye(2, dtype=complex)) @ matrix
             member = big.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
             members[(x, outcome)] = member
     return Assemblage(settings, members)

@@ -14,7 +14,6 @@ from photonsteer.measurement import NO_CLICK, PROB_FLOOR
 from photonsteer.steering import (
     ALICE_OBSERVABLES,
     BOB_OBSERVABLES,
-    _as_two_qubit_matrix,
     _correlation_matrix,
     chsh_value,
 )
@@ -208,15 +207,15 @@ def pol_path_oracle(state: StateVector, alice_site: str, bob_site: str) -> np.nd
     return rho
 
 
-def brute_chsh_grid(state, grid_step_deg, bob_site=None):
+def brute_chsh_grid(rho, grid_step_deg):
     """CHSH grid optimum by scanning every a0 and a1 for every Bob pair (k³ work).
 
     Per pair (b0, b1) the a0 term E(a0,b0) - E(a0,b1) and the a1 term
     E(a1,b0) + E(a1,b1) are maximized over all k angles (first index among
     ties), then the pair with the highest sum wins (first flat index among
-    ties). One b0 row at a time, so memory stays k².
+    ties). One b0 row at a time, so memory stays k². ``rho`` is a two-qubit frame.
     """
-    T = _correlation_matrix(_as_two_qubit_matrix(state, bob_site))
+    T = _correlation_matrix(np.asarray(rho.matrix))
     angles = np.arange(0.0, 360.0, grid_step_deg)
     radians = np.deg2rad(angles)
     u = np.stack([np.cos(radians), np.sin(radians)])
@@ -230,9 +229,9 @@ def brute_chsh_grid(state, grid_step_deg, bob_site=None):
         best0[b0], best0_idx[b0] = d0.max(axis=0), d0.argmax(axis=0)
         best1[b0], best1_idx[b0] = d1.max(axis=0), d1.argmax(axis=0)
     i_b0, i_b1 = np.unravel_index(int(np.argmax(best0 + best1)), (k, k))
-    return chsh_value(state, float(angles[best0_idx[i_b0, i_b1]]),
+    return chsh_value(rho, float(angles[best0_idx[i_b0, i_b1]]),
                       float(angles[best1_idx[i_b0, i_b1]]), float(angles[i_b0]),
-                      float(angles[i_b1]), bob_site=bob_site)
+                      float(angles[i_b1]))
 
 
 def horodecki_chsh_bound(rho2q: np.ndarray) -> float:

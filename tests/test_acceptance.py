@@ -35,6 +35,7 @@ from photonsteer.steering import (
     lhs_feasibility,
     occupation_qubits,
     pol_path_qubits,
+    two_qubit_frame,
 )
 from photonsteer.core import DensityOperator
 
@@ -113,13 +114,13 @@ def test_criterion_04_no_signaling_everywhere():
 
 
 def test_criterion_05_chsh():
-    exact = chsh_value(eq1_state(), 0.0, 90.0, 45.0, 135.0, bob_site="PUE")
+    exact = chsh_value(two_qubit_frame(eq1_state(), "PUE")[0], 0.0, 90.0, 45.0, 135.0)
     assert exact.value == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-9)
 
-    grid_entangled = chsh_optimize(eq1_state(), 5.0, bob_site="PUE")
+    grid_entangled = chsh_optimize(two_qubit_frame(eq1_state(), "PUE")[0], 5.0)
     assert grid_entangled.value >= 2.81
 
-    grid_product = chsh_optimize(product_preset(), 5.0, bob_site="PUE")
+    grid_product = chsh_optimize(two_qubit_frame(product_preset(), "PUE")[0], 5.0)
     assert grid_product.value <= 2.0 + 1e-9
 
     rng = np.random.default_rng(20260809)
@@ -142,7 +143,7 @@ def test_criterion_05_chsh():
 
 
 def test_criterion_06_cjwr():
-    value = cjwr_value(eq1_state(), ("Z", "X"), bob_site="PUE")
+    value = cjwr_value(two_qubit_frame(eq1_state(), "PUE")[0], ("Z", "X"))
     assert value == pytest.approx(np.sqrt(2.0), abs=1e-9)
     for v in np.arange(0.1, 1.0 + 1e-9, 0.1):
         got = cjwr_value(noisy_state(float(v)), ("Z", "X"))

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from photonsteer import cli, scenarios, steering
+from photonsteer import cli, scenarios, simplex, steering
 from photonsteer.cli import main
 from photonsteer.scenarios import FIG1_CIRCUIT
 
@@ -63,6 +63,15 @@ class TestRun:
 
     def test_missing_file_exits_4(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.table")]) == 4
+
+    def test_non_utf8_file_exits_2_with_line_and_column(self, tmp_path, capsys):
+        table = tmp_path / "latin.table"
+        table.write_bytes(b"sites a b\nsource a H\n\xff\n")
+        assert main(["run", str(table)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 3" in captured.err and "col" in captured.err
+        assert captured.err.count("\n") == 1
 
     def test_csv_format(self, fig1_file, tmp_path):
         out = tmp_path / "state.csv"
@@ -136,9 +145,7 @@ class TestSteer:
         assert "pivots" not in doc
 
     def test_solver_breakdown_exits_3(self, monkeypatch, capsys):
-        real = steering.solve_feasibility
-        monkeypatch.setattr(steering, "solve_feasibility",
-                            lambda A, b: real(A, b, max_iterations=1))
+        monkeypatch.setattr(simplex, "MAX_PIVOTS", 1)
         assert main(["steer", "--preset", "noisy:0.65", "--settings", "Z,X"]) == 3
         err = capsys.readouterr().err
         assert "did not converge" in err
@@ -163,17 +170,23 @@ class TestSteer:
         assert main(["steer", "--input", str(state_path)]) == 4
         assert "'oam'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("spoil, needle", [
-        (lambda amps: amps[:3], "3 amplitudes"),
-        (lambda amps: [[float("nan"), 0.0]] + amps[1:], "not finite"),
-        (lambda amps: [[2 * re, 2 * im] for re, im in amps], "norm 2.0"),
-    ], ids=["truncated", "nan", "unnormalised"])
+    @pytest.mark.parametrize("key, spoil, needle", [
+        ("amplitudes", lambda amps: amps[:3], "3 amplitudes"),
+        ("amplitudes", lambda amps: [[float("nan"), 0.0]] + amps[1:], "not finite"),
+        ("amplitudes", lambda amps: [[2 * re, 2 * im] for re, im in amps], "norm 2.0"),
+        ("oam", lambda oam: [float("inf")], "OAM value inf is not an integer"),
+        ("oam", lambda oam: [0.5], "OAM value 0.5 is not an integer"),
+        ("oam", lambda oam: [True], "OAM value True is not an integer"),
+        ("basis", lambda basis: basis[:1] + [[site, pol, 0.5] for site, pol, _ in basis[1:]],
+         "OAM value 0.5 is not an integer"),
+    ], ids=["truncated", "nan", "unnormalised", "infinite-oam", "half-oam", "bool-oam",
+            "half-oam-in-basis"])
     def test_input_that_is_not_a_unit_state_exits_4(self, fig1_file, tmp_path, capsys,
-                                                    spoil, needle):
+                                                    key, spoil, needle):
         state_path = tmp_path / "state.json"
         assert main(["run", str(fig1_file), "--out", str(state_path)]) == 0
         doc = json.loads(state_path.read_text())
-        doc["amplitudes"] = spoil(doc["amplitudes"])
+        doc[key] = spoil(doc[key])
         state_path.write_text(json.dumps(doc))
         assert main(["steer", "--input", str(state_path)]) == 4
         err = capsys.readouterr().err
@@ -271,7 +284,7 @@ class TestFrameRule:
 class TestSweep:
     def test_eleven_rows_with_linear_cjwr_and_transition(self, tmp_path):
         out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--sweep", "v", "--range", "0..1", "--step", "0.1",
+        assert main(["sweep", "--range", "0..1", "--step", "0.1",
                      "--out", str(out)]) == 0
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "v,cjwr,chsh_opt,lhs_verdict"
@@ -289,8 +302,13 @@ class TestSweep:
         flips = sum(1 for a, b in zip(verdicts, verdicts[1:]) if a != b)
         assert flips == 1
 
+    def test_sweep_flag_is_gone(self):
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--sweep", "v"])
+        assert err.value.code == 4
+
     def test_zero_step_exits_4(self):
-        assert main(["sweep", "--sweep", "v", "--range", "0..1", "--step", "0"]) == 4
+        assert main(["sweep", "--range", "0..1", "--step", "0"]) == 4
 
     def test_nan_step_exits_4(self, capsys):
         assert main(["sweep", "--step", "nan", "--grid", "6"]) == 4
@@ -306,7 +324,7 @@ class TestSweep:
         assert str(cli.MAX_SWEEP_POINTS) in capsys.readouterr().err
 
     def test_range_outside_unit_interval_exits_4(self):
-        assert main(["sweep", "--sweep", "v", "--range", "0..2", "--step", "0.5"]) == 4
+        assert main(["sweep", "--range", "0..2", "--step", "0.5"]) == 4
 
     def test_chsh_step_not_dividing_circle_exits_4(self, capsys):
         assert main(["sweep", "--chsh-step", "7"]) == 4

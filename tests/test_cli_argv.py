@@ -17,7 +17,7 @@ from photonsteer.scenarios import FIG1_CIRCUIT  # noqa: E402
 FLAGS_OF = {
     "run": ["--format", "--out"],
     "steer": ["--preset", "--input", "--settings", "--grid", "--bob-site", "--out"],
-    "sweep": ["--sweep", "--range", "--step", "--grid", "--chsh-step", "--format", "--out"],
+    "sweep": ["--range", "--step", "--grid", "--chsh-step", "--format", "--out"],
     "report": ["--preset", "--site", "--basis", "--out"],
 }
 FLAG_VALUES = {
@@ -29,7 +29,6 @@ FLAG_VALUES = {
     "--bob-site": ["NY", "PUE", "b1", "b2", "in", ""],
     "--out": ["@out", "@dir", "@missing/out", "-"],
     "--format": ["json", "csv", "xml"],
-    "--sweep": ["v", "w"],
     "--range": ["0.5..0.5", "0.6..0.7", "1..0", "a..b", "0..2", "..", "nan..1"],
     "--step": ["0.05", "0.5", "0", "-1", "nan", "inf", "1e-9"],
     "--chsh-step": ["2", "3", "5", "7", "90", "360", "720", "0.5", "nan", "inf"],

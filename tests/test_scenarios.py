@@ -18,7 +18,7 @@ from photonsteer.scenarios import (
     steering_frame,
     twc_state,
 )
-from photonsteer.steering import cjwr_value, path_amplitudes
+from photonsteer.steering import cjwr_value, path_amplitudes, two_qubit_frame
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -170,6 +170,7 @@ class TestSteeringFrame:
     def test_library_calls_on_a_state_vector_use_the_same_frame(self):
         for state, bob in ((twc_state(), "b2"), (twc_state(), "b1"), (eq1_state(), "PUE")):
             rho, _ = steering_frame(state, bob)
-            assert cjwr_value(state, ("Z", "X"), bob_site=bob) == pytest.approx(
+            assert cjwr_value(two_qubit_frame(state, bob)[0], ("Z", "X")) == pytest.approx(
                 cjwr_value(rho, ("Z", "X")), abs=1e-12)
-        assert cjwr_value(twc_state(), ("Z", "X"), bob_site="b2") == pytest.approx(SQ2, abs=1e-12)
+        twc_frame = two_qubit_frame(twc_state(), "b2")[0]
+        assert cjwr_value(twc_frame, ("Z", "X")) == pytest.approx(SQ2, abs=1e-12)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from photonsteer import simplex
 from photonsteer.errors import PhysicsError, SolverBreakdown
 from photonsteer.simplex import STALL_LIMIT, solve_feasibility
 
@@ -116,8 +117,9 @@ class TestValidation:
         with pytest.raises(ValueError):
             solve_feasibility(np.eye(2), np.ones(3))
 
-    def test_pivot_cap_raises_typed_breakdown(self):
+    def test_pivot_cap_raises_typed_breakdown(self, monkeypatch):
+        monkeypatch.setattr(simplex, "MAX_PIVOTS", 1)
         with pytest.raises(SolverBreakdown) as err:
-            solve_feasibility(np.eye(3), np.array([1.0, 2.0, 0.5]), max_iterations=1)
+            solve_feasibility(np.eye(3), np.array([1.0, 2.0, 0.5]))
         assert isinstance(err.value, PhysicsError)
         assert isinstance(err.value, ArithmeticError)

@@ -29,6 +29,7 @@ from photonsteer.steering import (
     occupation_qubits,
     pol_path_qubits,
     replay_certificate,
+    two_qubit_frame,
 )
 
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -88,12 +89,23 @@ class TestTwoQubitFrames:
         with pytest.raises(NonQubitBobMarginal):
             occupation_qubits(s, "NY", "PUE")
 
+    def test_analysis_functions_need_a_4x4_frame(self):
+        qubit = DensityOperator(("H", "V"), np.eye(2) / 2.0)
+        for call in (
+            lambda: compute_assemblage(qubit, ("Z", "X")),
+            lambda: cjwr_value(qubit, ("Z", "X")),
+            lambda: chsh_value(qubit, *steering.STANDARD_CHSH_ANGLES),
+            lambda: chsh_optimize(qubit, 15.0),
+        ):
+            with pytest.raises(NonQubitBobMarginal):
+                call()
+
 
 class TestAssemblage:
     def test_entangled_preset_members(self):
         # Oracle: explicit 4-dim algebra. Alice Z keeps one branch each; the
         # X outcomes leave Bob's dual-rail qubit in (|0> ± |1>)/sqrt(2).
-        asm = compute_assemblage(eq1_state(), ("Z", "X"), bob_site="PUE")
+        asm = compute_assemblage(two_qubit_frame(eq1_state(), "PUE")[0], ("Z", "X"))
         np.testing.assert_allclose(
             asm.members[("Z", -1)], [[0.5, 0.0], [0.0, 0.0]], atol=1e-12
         )
@@ -106,7 +118,7 @@ class TestAssemblage:
             )
 
     def test_product_state_members_all_point_the_same_way(self):
-        asm = compute_assemblage(product_state_ny_v(), ("Z", "X"), bob_site="PUE")
+        asm = compute_assemblage(two_qubit_frame(product_state_ny_v(), "PUE")[0], ("Z", "X"))
         empty = np.array([[1.0, 0.0], [0.0, 0.0]])
         for (x, a), member in asm.members.items():
             p = float(np.real(np.trace(member)))
@@ -131,17 +143,17 @@ class TestAssemblage:
 
 class TestCjwr:
     def test_entangled_preset_violates(self):
-        assert cjwr_value(eq1_state(), ("Z", "X"), bob_site="PUE") == pytest.approx(
+        assert cjwr_value(two_qubit_frame(eq1_state(), "PUE")[0], ("Z", "X")) == pytest.approx(
             np.sqrt(2.0), abs=1e-9
         )
 
     def test_three_axes(self):
-        assert cjwr_value(eq1_state(), ("Z", "X", "Y"), bob_site="PUE") == pytest.approx(
+        assert cjwr_value(two_qubit_frame(eq1_state(), "PUE")[0], ("Z", "X", "Y")) == pytest.approx(
             np.sqrt(3.0), abs=1e-9
         )
 
     def test_product_state_stays_local(self):
-        value = cjwr_value(product_state_ny_v(), ("Z", "X"), bob_site="PUE")
+        value = cjwr_value(two_qubit_frame(product_state_ny_v(), "PUE")[0], ("Z", "X"))
         assert value == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-9)
 
     def test_visibility_scales_linearly(self):
@@ -151,24 +163,20 @@ class TestCjwr:
 
     def test_zero_pairs_rejected(self):
         with pytest.raises(ValueError):
-            cjwr_value(eq1_state(), (), bob_site="PUE")
+            cjwr_value(two_qubit_frame(eq1_state(), "PUE")[0], ())
 
-    def test_identity_like_observable_rejected(self):
+    def test_unknown_axis_rejected(self):
         with pytest.raises(NonDichotomicObservable):
-            cjwr_value(noisy_state(1.0), [(IDENTITY, IDENTITY), (PAULI_X, PAULI_X)])
-
-    def test_pair_count_must_match_n(self):
-        with pytest.raises(ValueError):
-            cjwr_value(noisy_state(1.0), ("Z", "X"), n=3)
+            cjwr_value(noisy_state(1.0), ("Z", "W"))
 
 
 class TestChsh:
     def test_standard_angles_reach_tsirelson(self):
-        result = chsh_value(eq1_state(), 0.0, 90.0, 45.0, 135.0, bob_site="PUE")
+        result = chsh_value(two_qubit_frame(eq1_state(), "PUE")[0], 0.0, 90.0, 45.0, 135.0)
         assert result.value == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-9)
 
     def test_correlators_within_unit_interval(self):
-        result = chsh_value(eq1_state(), 0.0, 90.0, 45.0, 135.0, bob_site="PUE")
+        result = chsh_value(two_qubit_frame(eq1_state(), "PUE")[0], 0.0, 90.0, 45.0, 135.0)
         assert all(abs(e) <= 1.0 + 1e-10 for e in result.correlators)
 
     def test_half_visibility_halves_the_value(self):
@@ -178,21 +186,21 @@ class TestChsh:
     def test_product_state_bounded_by_two(self, rng):
         for _ in range(25):
             angles = rng.uniform(0.0, 360.0, size=4)
-            result = chsh_value(product_state_ny_v(), *angles, bob_site="PUE")
+            result = chsh_value(two_qubit_frame(product_state_ny_v(), "PUE")[0], *angles)
             assert abs(result.value) <= 2.0 + 1e-9
 
 
 class TestChshOptimize:
     def test_fine_grid_approaches_tsirelson(self):
-        result = chsh_optimize(eq1_state(), 5.0, bob_site="PUE")
+        result = chsh_optimize(two_qubit_frame(eq1_state(), "PUE")[0], 5.0)
         assert result.value >= 2.81
 
     def test_product_state_never_beats_local_bound(self):
-        result = chsh_optimize(product_state_ny_v(), 5.0, bob_site="PUE")
+        result = chsh_optimize(two_qubit_frame(product_state_ny_v(), "PUE")[0], 5.0)
         assert result.value <= 2.0 + 1e-9
 
     def test_coarse_axis_grid_tops_out_at_two(self):
-        result = chsh_optimize(eq1_state(), 90.0, bob_site="PUE")
+        result = chsh_optimize(two_qubit_frame(eq1_state(), "PUE")[0], 90.0)
         assert result.value == pytest.approx(2.0, abs=1e-9)
 
     def test_optimum_angles_reproduce_reported_value(self):
@@ -214,9 +222,9 @@ class TestChshGridOracles:
     """``chsh_optimize`` against the brute-force grid scan and the closed form."""
 
     @staticmethod
-    def assert_same_as_brute_force(state, step, bob_site=None):
-        fast = chsh_optimize(state, step, bob_site=bob_site)
-        slow = brute_chsh_grid(state, step, bob_site=bob_site)
+    def assert_same_as_brute_force(rho, step):
+        fast = chsh_optimize(rho, step)
+        slow = brute_chsh_grid(rho, step)
         assert fast.angles == slow.angles and fast.value == slow.value, (step, fast, slow)
 
     # np.arange gives 360/161 a 162nd point just below 360°.
@@ -230,7 +238,7 @@ class TestChshGridOracles:
         # v = 0 makes T = 0, so every grid point ties.
         for v in (0.0, 0.3, 0.7071, 1.0):
             self.assert_same_as_brute_force(noisy_state(v), step)
-        self.assert_same_as_brute_force(product_state_ny_v(), step, bob_site="PUE")
+        self.assert_same_as_brute_force(two_qubit_frame(product_state_ny_v(), "PUE")[0], step)
 
     @pytest.mark.parametrize("step", [1.5, 1.0])
     def test_equals_brute_force_on_fine_grids(self, rng, step):
