@@ -120,6 +120,7 @@ def parse_circuit(text: str | bytes) -> Circuit:
     """Parse circuit text into a validated :class:`Circuit`."""
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
+    text = text.removeprefix("\ufeff")  # a UTF-8 byte-order mark, as some editors save
 
     sites: list[str] = []
     oam: tuple[int, ...] | None = None

@@ -303,49 +303,40 @@ def chsh_value(rho: DensityOperator, a0: float, a1: float, b0: float, b1: float)
     return ChshResult(s, (a0, a1, b0, b1), (e00, e01, e10, e11))
 
 
-# Rounding in the grid table E stays below 1e-14; a Bob pair whose nearest-three
-# margin (see ``_alice_best``) is not above this scans every Alice angle instead.
+# Rounding in the grid table E and in the pair bounds stays below 1e-14; a Bob pair
+# whose bound is within this of the incumbent's exact total is scanned, not dropped.
 _ROUNDING_MARGIN = 1e-12
+# Floats per temporary of one exact scan (128 KiB): small enough that a scan stays in
+# a core's L2 cache when every pair survives, where k pairs at a time would not.
+_SCAN_FLOATS = 2**14
 
 
-def _alice_best(E: np.ndarray, Tu: np.ndarray, op, step_rad: float):
-    """max over i of op(E[i, b0], E[i, b1]) and its lowest argmax i, for every Bob pair.
-
-    The term is u_i · w with w = op(T u_b0, T u_b1), a cosine in θ_i peaking at
-    atan2(w), so its grid maximum is one of the three angles nearest the peak
-    whenever the drop to any other angle, at least 2|w| sin δ sin(δ/2), exceeds
-    ``_ROUNDING_MARGIN``. Pairs below it (b0 = b1, a null space of T) scan all k
-    angles, k pairs at a time so that memory stays O(k²).
-    """
-    k = E.shape[0]
-    w = op(Tu[:, :, None], Tu[:, None, :])  # 2 x k x k over (b0, b1)
-    # The peak angle in [0, 2π), so index n means angle n·δ also on a grid whose
-    # last point lies just below 360° (np.arange for some steps 360/k).
-    nearest = np.rint(np.arctan2(w[1], w[0]) % (2.0 * np.pi) / step_rad).astype(np.intp)
-    cand = np.sort((nearest[:, :, None] + np.arange(-1, 2)) % k, axis=2)
-    values = op(E[cand, np.arange(k)[:, None, None]], E[cand, np.arange(k)[None, :, None]])
-    pick = values.argmax(axis=2)[:, :, None]  # gathering beats a max over the length-3 axis
-    best = np.take_along_axis(values, pick, axis=2)[:, :, 0]
-    best_idx = np.take_along_axis(cand, pick, axis=2)[:, :, 0]
-
-    margin = 2.0 * np.hypot(w[0], w[1]) * np.sin(step_rad) * np.sin(step_rad / 2.0)
-    flat_b0, flat_b1 = np.nonzero(margin <= _ROUNDING_MARGIN)
-    for start in range(0, flat_b0.size, k):
-        b0, b1 = flat_b0[start:start + k], flat_b1[start:start + k]
-        scan = op(E[:, b0], E[:, b1])
-        best[b0, b1] = scan.max(axis=0)
-        best_idx[b0, b1] = scan.argmax(axis=0)
-    return best, best_idx
+def _scan_pairs(columns: np.ndarray, pairs: np.ndarray):
+    """Exact grid maxima of the a0 term E[i, b0] - E[i, b1] and the a1 term
+    E[i, b0] + E[i, b1] over every Alice angle i, lowest i among ties, for the
+    flat Bob pairs ``pairs`` (b0 · k + b1): their totals and both argmax angles.
+    ``columns`` is E transposed, so that each Bob angle's column is one row."""
+    b0, b1 = np.divmod(pairs, columns.shape[0])
+    col0, col1 = columns[b0], columns[b1]
+    term0, term1 = col0 - col1, col0 + col1
+    i0, i1 = term0.argmax(axis=1), term1.argmax(axis=1)
+    rows = np.arange(pairs.size)
+    return term0[rows, i0] + term1[rows, i1], i0, i1
 
 
 def chsh_optimize(rho: DensityOperator, grid_step_deg: float) -> ChshResult:
     """Maximize the CHSH functional of a two-qubit frame over a uniform four-angle grid.
 
-    The exact grid optimum in O(k²) time and memory, k = 360 / step: for each
-    Bob pair (b0, b1) the a0 and a1 terms are maximized on their own
-    (``_alice_best``), and the pair with the highest total wins, the lowest
-    index among ties at each stage. It returns the same angles and value, bit
-    for bit, as scanning every a0 and a1 for every pair (k³ work).
+    For each Bob pair (b0, b1) the a0 and a1 terms are maximized over all k
+    Alice angles on their own, k = 360 / step, and the pair with the highest
+    total wins, the lowest index among ties at each stage. The a0 term is at
+    most |T(u_b0 - u_b1)| and the a1 term at most |T(u_b0 + u_b1)|
+    (Horodecki, Horodecki & Horodecki, Phys. Lett. A 200, 340 (1995)), so one
+    O(k²) pass bounds every pair. The pair with the highest bound is scanned
+    exactly, and only the pairs whose bound reaches its total, less
+    ``_ROUNDING_MARGIN``, are scanned exactly after it, in flat order. This
+    gives the same angles and value, bit for bit, as scanning every pair. When
+    T is about 0 every pair survives: k³ time, still in O(k²) memory.
     """
     if grid_step_deg <= 0 or abs(360.0 / grid_step_deg - round(360.0 / grid_step_deg)) > 1e-9:
         raise ValueError(f"grid step {grid_step_deg} does not divide 360")
@@ -356,17 +347,21 @@ def chsh_optimize(rho: DensityOperator, grid_step_deg: float) -> ChshResult:
     u = np.stack([np.cos(radians), np.sin(radians)])  # 2 x k
     E = u.T @ T @ u  # E[i, j] = E(angle_i, angle_j)
 
-    # S = E(a0,b0) - E(a0,b1) + E(a1,b0) + E(a1,b1); maximize the a0 and a1
-    # contributions independently per (b0, b1) pair.
+    # S = E(a0,b0) - E(a0,b1) + E(a1,b0) + E(a1,b1), bounded per (b0, b1) pair.
+    k = angles.size
     Tu = T @ u
-    step_rad = float(np.deg2rad(grid_step_deg))
-    best0, best0_idx = _alice_best(E, Tu, np.subtract, step_rad)
-    best1, best1_idx = _alice_best(E, Tu, np.add, step_rad)
-    total = best0 + best1
-    flat = int(np.argmax(total))
-    i_b0, i_b1 = np.unravel_index(flat, total.shape)
-    a0 = float(angles[best0_idx[i_b0, i_b1]])
-    a1 = float(angles[best1_idx[i_b0, i_b1]])
+    w0 = Tu[:, :, None] - Tu[:, None, :]  # T(u_b0 - u_b1), 2 x k x k over (b0, b1)
+    w1 = Tu[:, :, None] + Tu[:, None, :]
+    bound = (np.hypot(*w0) + np.hypot(*w1)).ravel()
+    columns = np.ascontiguousarray(E.T)
+    incumbent = _scan_pairs(columns, np.array([np.argmax(bound)]))[0][0]
+    survivors = np.flatnonzero(bound >= incumbent - _ROUNDING_MARGIN)
+    chunk = max(1, _SCAN_FLOATS // k)
+    total, best0_idx, best1_idx = (np.concatenate(parts) for parts in zip(*(
+        _scan_pairs(columns, survivors[s:s + chunk]) for s in range(0, survivors.size, chunk))))
+    best = int(np.argmax(total))
+    i_b0, i_b1 = divmod(int(survivors[best]), k)
+    a0, a1 = float(angles[best0_idx[best]]), float(angles[best1_idx[best]])
     return chsh_value(rho, a0, a1, float(angles[i_b0]), float(angles[i_b1]))
 
 

@@ -96,6 +96,20 @@ class TestParse:
         circuit = parse_circuit(b"sites a\nsource a H\n")
         assert circuit.sites == ("a",)
 
+    def test_one_byte_order_mark_skipped_on_text_and_bytes(self):
+        plain = parse_circuit(FIG1_CIRCUIT)
+        assert parse_circuit("\ufeff" + FIG1_CIRCUIT) == plain
+        assert parse_circuit(b"\xef\xbb\xbf" + FIG1_CIRCUIT.encode()) == plain
+        with pytest.raises(UnknownElement, match="column 1"):
+            parse_circuit("\ufeff\ufeffsites a\n")
+
+    def test_byte_order_mark_keeps_columns(self):
+        with pytest.raises(CircuitSyntaxError) as plain:
+            parse_circuit("sites a a\n")
+        with pytest.raises(CircuitSyntaxError) as marked:
+            parse_circuit(b"\xef\xbb\xbfsites a a\n")
+        assert (marked.value.line, marked.value.column) == (plain.value.line, plain.value.column)
+
 
 class TestFormat:
     @pytest.mark.parametrize("text", CORPUS, ids=range(len(CORPUS)))

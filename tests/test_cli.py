@@ -73,6 +73,14 @@ class TestRun:
         assert "line 3" in captured.err and "col" in captured.err
         assert captured.err.count("\n") == 1
 
+    def test_byte_order_mark_file_runs_like_the_plain_file(self, fig1_file, tmp_path, capsys):
+        marked = tmp_path / "fig1-bom.table"
+        marked.write_bytes(b"\xef\xbb\xbf" + fig1_file.read_bytes())
+        assert main(["run", str(fig1_file)]) == 0
+        plain = capsys.readouterr()
+        assert main(["run", str(marked)]) == 0
+        assert capsys.readouterr() == plain
+
     def test_csv_format(self, fig1_file, tmp_path):
         out = tmp_path / "state.csv"
         assert main(["run", str(fig1_file), "--format", "csv", "--out", str(out)]) == 0
@@ -410,6 +418,20 @@ class TestUsage:
         assert main(command + ["--out", str(tmp_path / "missing" / "out")]) == 4
         err = capsys.readouterr().err
         assert "cannot write" in err and "Traceback" not in err
+
+    def test_parser_is_built_once_and_keeps_no_options_between_calls(self, tmp_path, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        sweep = ["sweep", "--range", "0.5..0.5", "--grid", "6"]
+        assert main(sweep + ["--format", "json"]) == 0
+        assert capsys.readouterr().out.startswith("[")
+        assert main(sweep) == 0
+        assert capsys.readouterr().out.startswith("v,cjwr,chsh_opt,lhs_verdict\n")
+
+        out = tmp_path / "steer.json"
+        assert main(["steer", "--preset", "eq1", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["steer", "--preset", "eq1"]) == 0
+        assert capsys.readouterr().out == out.read_text()
 
     def test_json_run_output_steer_compatible_without_loss(self, fig1_file, tmp_path):
         state_path = tmp_path / "state.json"

@@ -55,6 +55,14 @@ def random_two_qubit_density(rng, mixed: bool = False) -> DensityOperator:
     return DensityOperator(QUBIT_PAIR_LABELS, rho)
 
 
+def alice_rotated(rho: DensityOperator, phi_deg: float) -> DensityOperator:
+    """(R_y(φ) ⊗ I) ρ (R_y(φ) ⊗ I)†: Alice's rows of T turned by φ in the Z-X plane."""
+    half = np.deg2rad(phi_deg) / 2.0
+    turn = np.kron(np.array([[np.cos(half), -np.sin(half)], [np.sin(half), np.cos(half)]]),
+                   np.eye(2))
+    return DensityOperator(QUBIT_PAIR_LABELS, turn @ rho.matrix @ turn.T)
+
+
 class TestTwoQubitFrames:
     def test_entangled_preset_is_triplet_in_pol_occupation(self):
         rho = pol_path_qubits(eq1_state(), "PUE")
@@ -244,6 +252,25 @@ class TestChshGridOracles:
     def test_equals_brute_force_on_fine_grids(self, rng, step):
         for state in (noisy_state(0.0), noisy_state(0.7071), random_two_qubit_density(rng, True)):
             self.assert_same_as_brute_force(state, step)
+
+    # The optimum's Alice angles sit off the grid: exact and near ties between grid pairs.
+    @pytest.mark.parametrize("step", [15.0, 5.0, 2.0])
+    @pytest.mark.parametrize("phi", [7.3, 41.0, 123.45, 301.9])
+    def test_equals_brute_force_on_alice_rotated_noisy_frames(self, step, phi):
+        for v in (1.0, 0.63):
+            self.assert_same_as_brute_force(alice_rotated(noisy_state(v), phi), step)
+
+    @pytest.mark.parametrize("step", [5.0, 2.0])
+    def test_equals_brute_force_when_every_bound_is_below_the_rounding_margin(self, step):
+        # T of order 1e-13: every pair bound sits under the margin, so every pair survives.
+        for rho in (noisy_state(1e-13), alice_rotated(noisy_state(1e-13), 7.3)):
+            assert 0.0 < horodecki_chsh_bound(rho.matrix) < steering._ROUNDING_MARGIN
+            self.assert_same_as_brute_force(rho, step)
+
+    @pytest.mark.parametrize("step", [1.5, 1.0])
+    def test_equals_brute_force_on_product_and_noisy_frames_at_fine_steps(self, step):
+        self.assert_same_as_brute_force(two_qubit_frame(product_state_ny_v(), "PUE")[0], step)
+        self.assert_same_as_brute_force(noisy_state(0.63), step)
 
     def test_never_above_the_closed_form_optimum(self, rng):
         for _ in range(30):
