@@ -15,7 +15,14 @@ LF and CRLF both accepted::
 
 Angles are finite numbers of degrees. Sites must be declared before use.
 ``parse_circuit`` never raises anything but ``CircuitSyntaxError`` (or a
-subclass), each carrying the offending line number.
+subclass), each carrying the offending line number. It splits each line with
+``str.split()`` and works out token columns only when it reports an error.
+
+``run_circuit`` starts one amplitude buffer at the vacuum, applies the
+in-place kernel of each element to it (the same kernels the public functions
+of ``elements`` run on a copy), and wraps it in a ``StateVector`` once, at
+the end. An element error is re-raised with its type as
+``element <i> (<kind>): <message>``.
 """
 
 from __future__ import annotations
@@ -23,6 +30,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import elements
 from .core import DEFAULT_OAM, BasisDecl, StateVector
@@ -68,17 +77,19 @@ class Circuit:
 class _Line:
     def __init__(self, number: int, text: str):
         self.number = number
-        self.tokens: list[str] = []
-        self.columns: list[int] = []
-        code = text.split("#", 1)[0]
-        for match in re.finditer(r"\S+", code):
-            self.tokens.append(match.group())
-            self.columns.append(match.start() + 1)
+        self.code = text.split("#", 1)[0]
+        self.tokens = self.code.split()
 
     def column(self, token_index: int) -> int:
-        if token_index < len(self.columns):
-            return self.columns[token_index]
-        return (self.columns[-1] + len(self.tokens[-1])) if self.columns else 1
+        """1-based column of a token, or of the end of the last one; error path only.
+
+        ``str.split()`` and ``\\S+`` split on the same whitespace code points, so
+        the regex finds the tokens of ``self.tokens`` in order.
+        """
+        starts = [match.start() + 1 for match in re.finditer(r"\S+", self.code)]
+        if token_index < len(starts):
+            return starts[token_index]
+        return (starts[-1] + len(self.tokens[-1])) if starts else 1
 
 
 def _arity(line: _Line, n: int, usage: str) -> None:
@@ -244,24 +255,25 @@ def format_circuit(circuit: Circuit) -> str:
 
 
 def run_circuit(circuit: Circuit) -> StateVector:
-    """Fold the element actions over the vacuum of the declared basis."""
-    state = StateVector.vacuum(circuit.declaration)
+    """Apply the element kernels in order to one buffer that starts at the vacuum."""
+    decl = circuit.declaration
+    amps = np.array(StateVector.vacuum(decl).amps)
     for index, el in enumerate(circuit.elements):
         try:
             if el.kind == "source":
-                state = elements.apply_source(state, el.operands[0], el.pol)
+                elements._source(decl, amps, el.operands[0], el.pol)
             elif el.kind in ("hwp", "qwp"):
-                state = elements.waveplate(state, el.operands[0], el.kind, el.angle)
+                elements._waveplate(decl, amps, el.operands[0], el.kind, el.angle)
             elif el.kind == "pbs":
-                state = elements.pbs_route(state, *el.operands)
+                elements._pbs(decl, amps, *el.operands)
             elif el.kind == "bs":
-                state = elements.beamsplitter_5050(state, *el.operands)
+                elements._beamsplitter(decl, amps, *el.operands)
             elif el.kind == "qplate":
-                state = elements.qplate(state, el.operands[0], el.q)
+                elements._qplate(decl, amps, el.operands[0], el.q)
             elif el.kind == "phase":
-                state = elements.phase_shift(state, el.operands[0], el.angle)
+                elements._phase(decl, amps, el.operands[0], el.angle)
             else:
                 raise ValueError(f"unknown element kind {el.kind!r}")
         except PhysicsError as exc:
             raise type(exc)(f"element {index} ({el.kind}): {exc}") from exc
-    return state
+    return StateVector(decl, amps)

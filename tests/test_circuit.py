@@ -1,17 +1,27 @@
 """Parser, formatter and runner tests for the circuit description language."""
 
+import math
+import re
+import sys
+
 import numpy as np
 import pytest
 
-from photonsteer.circuit import ElementSpec, format_circuit, parse_circuit, run_circuit
-from photonsteer.core import BasisKet, fidelity
+from photonsteer import elements
+from photonsteer.circuit import Circuit, ElementSpec, format_circuit, parse_circuit, run_circuit
+from photonsteer.core import BasisKet, StateVector, fidelity
 from photonsteer.errors import (
     ArityError,
     CircuitSyntaxError,
     DoubleExcitation,
+    NonUnitary,
+    OamOverflow,
     OamRangeError,
+    PhysicsError,
+    SiteCollision,
     UndeclaredSite,
     UnknownElement,
+    UnknownSite,
 )
 from photonsteer.scenarios import FIG1_CIRCUIT, QPLATE_CIRCUIT, eq1_state
 
@@ -111,6 +121,65 @@ class TestParse:
         assert (marked.value.line, marked.value.column) == (plain.value.line, plain.value.column)
 
 
+# Separators the tokenizer must treat as whitespace, and the statements an
+# invalid token is planted in: (line with {} between tokens, token index
+# whose column is reported; an index past the last token means "after it").
+SEPARATORS = [" ", "\t", "\x0b", "\x0c", "\x1c", "\xa0", "\u2003", "\u3000", " \t\xa0 "]
+BAD_LINES = [
+    ("sites{}d{}1b", 2),
+    ("oam{}0{}x", 2),
+    ("source{}a{}D", 2),
+    ("hwp{}a{}fast", 2),
+    ("pbs{}a{}=>{}b{}c", 2),
+    ("qplate{}a{}q=x", 2),
+    ("bs{}a", 2),  # arity: reported just past the last token
+    ("teleport{}a", 0),
+]
+GOOD_LINES = ["source{}a{}H", "hwp{}a{}22.5", "pbs{}a{}->{}b{}c", "bs{}b{}c", "qplate{}a{}q=1"]
+
+
+def regex_column(code: str, token_index: int) -> int:
+    """Column of a token by the regex rule: 1 + start of the index-th \\S+ match."""
+    matches = list(re.finditer(r"\S+", code))
+    if token_index < len(matches):
+        return matches[token_index].start() + 1
+    return matches[-1].end() + 1
+
+
+class TestColumns:
+    def test_str_split_and_regex_agree_on_every_whitespace_code_point(self):
+        chars = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert "".join(re.findall(r"\s", chars)) == "".join(c for c in chars if c.isspace())
+
+    @pytest.mark.parametrize("sep", SEPARATORS, ids=ascii)
+    @pytest.mark.parametrize("template,token_index", BAD_LINES, ids=lambda v: str(v)[:8])
+    @pytest.mark.parametrize("comment", ["", "#x{}y"])
+    def test_error_column_matches_the_regex_rule(self, sep, template, token_index, comment):
+        line = sep + template.format(*[sep] * template.count("{}")) + sep + comment.format(sep)
+        header = "sites a b c" + sep + "\noam" + sep + "0 2 -2\n"
+        with pytest.raises(CircuitSyntaxError) as err:
+            parse_circuit(header + line)
+        assert err.value.line == 3
+        assert err.value.column == regex_column(line.split("#", 1)[0], token_index)
+
+    @pytest.mark.parametrize("sep", SEPARATORS, ids=ascii)
+    def test_error_column_on_a_first_line_after_a_byte_order_mark(self, sep):
+        line = f"sites{sep}a{sep}{sep}a"
+        with pytest.raises(CircuitSyntaxError) as err:
+            parse_circuit("\ufeff" + line)
+        assert (err.value.line, err.value.column) == (1, regex_column(line, 2))
+
+    @pytest.mark.parametrize("sep", SEPARATORS, ids=ascii)
+    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+    def test_parsed_circuit_does_not_depend_on_the_separator(self, sep, bom):
+        lines = [t.format(*[sep] * t.count("{}")) for t in GOOD_LINES]
+        text = f"sites{sep}a{sep}b c\noam 0{sep}2 -2\n" + "\n".join(
+            f"{sep}{line}{sep}#{sep}comment" for line in lines)
+        plain = "sites a b c\noam 0 2 -2\n" + "\n".join(t.format(*[" "] * t.count("{}"))
+                                                      for t in GOOD_LINES)
+        assert parse_circuit(bom + text) == parse_circuit(plain)
+
+
 class TestFormat:
     @pytest.mark.parametrize("text", CORPUS, ids=range(len(CORPUS)))
     def test_round_trip_structural_equality(self, text):
@@ -156,6 +225,102 @@ class TestRun:
         for text in CORPUS:
             out = run_circuit(parse_circuit(text))
             assert abs(out.norm() - 1.0) < 1e-9
+
+
+def fold_public(circuit: Circuit) -> StateVector:
+    """Reference runner: the public element functions one after another."""
+    state = StateVector.vacuum(circuit.declaration)
+    for index, el in enumerate(circuit.elements):
+        try:
+            if el.kind == "source":
+                state = elements.apply_source(state, el.operands[0], el.pol)
+            elif el.kind in ("hwp", "qwp"):
+                state = elements.waveplate(state, el.operands[0], el.kind, el.angle)
+            elif el.kind == "pbs":
+                state = elements.pbs_route(state, *el.operands)
+            elif el.kind == "bs":
+                state = elements.beamsplitter_5050(state, *el.operands)
+            elif el.kind == "qplate":
+                state = elements.qplate(state, el.operands[0], el.q)
+            elif el.kind == "phase":
+                state = elements.phase_shift(state, el.operands[0], el.angle)
+        except PhysicsError as exc:
+            raise type(exc)(f"element {index} ({el.kind}): {exc}") from exc
+    return state
+
+
+def random_circuit(rng) -> Circuit:
+    """Sites declared out of sorted order, OAM values with gaps, any element mix."""
+    sites = tuple(rng.permutation(["m", "b", "x1", "a", "q"])[: int(rng.integers(2, 6))])
+    oam = tuple(int(m) for m in rng.permutation([-6, -2, 0, 2, 3, 6]))
+    pick = lambda n: tuple(str(s) for s in rng.choice(sites, n, replace=False))  # noqa: E731
+    els = [ElementSpec("source", pick(1), pol=str(rng.choice(["H", "V"])))]
+    for _ in range(int(rng.integers(1, 14))):
+        kind = str(rng.choice(["hwp", "qwp", "phase", "bs", "pbs", "qplate"]))
+        if kind in ("hwp", "qwp", "phase"):
+            els.append(ElementSpec(kind, pick(1), angle=float(rng.uniform(-400.0, 400.0))))
+        elif kind == "bs":
+            els.append(ElementSpec("bs", pick(2)))
+        elif kind == "pbs":  # the input may be one of the outputs
+            els.append(ElementSpec("pbs", pick(1) + pick(2)))
+        else:
+            els.append(ElementSpec("qplate", pick(1), q=int(rng.choice([-3, -1, 1, 3]))))
+    return Circuit(sites, tuple(sorted(oam)), tuple(els))
+
+
+def outcome(run, circuit):
+    try:
+        return run(circuit).amps
+    except PhysicsError as exc:
+        return type(exc), str(exc)
+
+
+class TestKernelOracle:
+    def test_random_circuits_match_the_public_functions(self):
+        rng = np.random.default_rng(20261018)
+        ran = failed = 0
+        for _ in range(400):
+            circuit = random_circuit(rng)
+            fast, slow = outcome(run_circuit, circuit), outcome(fold_public, circuit)
+            if isinstance(slow, tuple):
+                assert fast == slow
+                failed += 1
+            else:
+                assert np.array_equal(fast, slow)
+                ran += 1
+        assert ran >= 100 and failed >= 40, (ran, failed)
+
+    @pytest.mark.parametrize("circuit,error,index", [
+        (Circuit(("b", "a"), (0,), (
+            ElementSpec("source", ("a",), pol="H"), ElementSpec("hwp", ("a",), angle=10.0),
+            ElementSpec("source", ("b",), pol="V"))), DoubleExcitation, 2),
+        (Circuit(("c", "a", "b"), (0,), (
+            ElementSpec("source", ("a",), pol="H"), ElementSpec("hwp", ("a",), angle=22.5),
+            ElementSpec("bs", ("a", "b")), ElementSpec("pbs", ("a", "b", "c")))), SiteCollision, 3),
+        (Circuit(("a",), (-2, 0, 2), (
+            ElementSpec("source", ("a",), pol="H"), ElementSpec("qplate", ("a",), q=1),
+            ElementSpec("hwp", ("a",), angle=30.0), ElementSpec("qplate", ("a",), q=1))),
+         OamOverflow, 3),
+        (Circuit(("a",), (0,), (
+            ElementSpec("source", ("a",), pol="H"), ElementSpec("hwp", ("ghost",), angle=1.0))),
+         UnknownSite, 1),
+        (Circuit(("b", "a"), (0,), (
+            ElementSpec("source", ("a",), pol="H"), ElementSpec("phase", ("a",), angle=math.nan))),
+         NonUnitary, 1),
+    ], ids=["second-source", "pbs-collision", "oam-overflow", "undeclared-site", "nan-phase"])
+    def test_failing_circuits_raise_the_same_error_on_both_paths(self, circuit, error, index):
+        with pytest.raises(error) as fast:
+            run_circuit(circuit)
+        with pytest.raises(error) as slow:
+            fold_public(circuit)
+        assert str(fast.value) == str(slow.value)
+        assert str(fast.value).startswith(f"element {index} ({circuit.elements[index].kind}): ")
+
+    def test_returned_state_is_read_only(self):
+        out = run_circuit(parse_circuit(FIG1_CIRCUIT))
+        assert not out.amps.flags.writeable
+        with pytest.raises(ValueError):
+            out.amps[0] = 1.0
 
 
 class TestFuzz:

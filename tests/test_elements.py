@@ -1,9 +1,13 @@
 """Unit tests for the optical-element actions."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
-from photonsteer.core import BasisDecl, BasisKet, StateVector, fidelity
+from photonsteer.circuit import Circuit, ElementSpec, run_circuit
+from photonsteer.core import BasisDecl, BasisKet, StateVector, apply_local_unitary, fidelity
 from photonsteer.elements import (
     apply_source,
     beamsplitter_5050,
@@ -14,7 +18,13 @@ from photonsteer.elements import (
     qplate,
     waveplate,
 )
-from photonsteer.errors import DoubleExcitation, OamOverflow, SiteCollision, UnknownSite
+from photonsteer.errors import (
+    DoubleExcitation,
+    NonUnitary,
+    OamOverflow,
+    SiteCollision,
+    UnknownSite,
+)
 
 from conftest import random_state
 
@@ -222,3 +232,72 @@ class TestElementProperties:
             a = phase_shift(waveplate(s, "NY", "hwp", theta), "PUE", phi)
             b = waveplate(phase_shift(s, "PUE", phi), "NY", "hwp", theta)
             np.testing.assert_allclose(a.amps, b.amps, atol=1e-10)
+
+
+class TestNonFiniteAngles:
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("apply", [
+        lambda s, a: waveplate(s, "in", "hwp", a),
+        lambda s, a: waveplate(s, "in", "qwp", a),
+        lambda s, a: phase_shift(s, "in", a),
+    ], ids=["hwp", "qwp", "phase"])
+    def test_rejected_before_any_trigonometry(self, apply, angle):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonUnitary, match="not finite"):
+                apply(heralded_source(DECL, "in", "H"), angle)
+
+    def test_undeclared_site_is_reported_first(self):
+        with pytest.raises(UnknownSite):
+            waveplate(heralded_source(DECL, "in", "H"), "ghost", "hwp", math.inf)
+        with pytest.raises(UnknownSite):
+            phase_shift(heralded_source(DECL, "in", "H"), "ghost", math.nan)
+
+    @pytest.mark.parametrize("kind", ["hwp", "qwp", "phase"])
+    def test_hand_built_circuit_rejects_a_nan_angle(self, kind):
+        circuit = Circuit(("in", "out"), (0,), (
+            ElementSpec("source", ("in",), pol="H"),
+            ElementSpec("bs", ("in", "out")),
+            ElementSpec(kind, ("out",), angle=math.nan),
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonUnitary, match=rf"^element 2 \({kind}\): .*not finite"):
+                run_circuit(circuit)
+
+
+# Every public element function with arguments valid on OAM_DECL.
+PUBLIC_ACTIONS = {
+    "apply_source": lambda s: apply_source(StateVector.vacuum(s.decl), "NY", "V"),
+    "waveplate": lambda s: waveplate(s, "NY", "qwp", 12.5),
+    "pbs_route": lambda s: pbs_route(s, "in", "in", "PUE"),
+    "beamsplitter_5050": lambda s: beamsplitter_5050(s, "PUE", "in"),
+    "qplate": lambda s: qplate(s, "in", 1),
+    "phase_shift": lambda s: phase_shift(s, "PUE", 33.0),
+    "apply_local_unitary": lambda s: apply_local_unitary(s, np.eye(3)[[2, 0, 1]], "oam"),
+}
+
+
+def oam0_state(rng) -> StateVector:
+    """Random state with oam=0 support only, so a q=1 plate stays in range."""
+    amps = np.array(random_state(OAM_DECL, rng).amps)
+    amps[1:].reshape(OAM_DECL.shape)[:, :, [0, 2]] = 0.0
+    amps[1:].reshape(OAM_DECL.shape)[OAM_DECL.site_axis["PUE"], 1] = 0.0  # PBS V output
+    return StateVector(OAM_DECL, amps / np.linalg.norm(amps))
+
+
+class TestNoAliasing:
+    @pytest.mark.parametrize("name", PUBLIC_ACTIONS)
+    def test_returns_new_amplitudes_and_leaves_the_input_alone(self, name, rng):
+        state = oam0_state(rng)
+        before = state.amps.copy()
+        out = PUBLIC_ACTIONS[name](state)
+        assert np.array_equal(state.amps, before)
+        assert not np.shares_memory(out.amps, state.amps)
+        assert not out.amps.flags.writeable
+        assert not np.array_equal(out.amps, before)  # the action did something
+
+    def test_heralded_source_returns_a_new_array_each_call(self):
+        first, second = heralded_source(DECL, "in", "H"), heralded_source(DECL, "in", "H")
+        assert not np.shares_memory(first.amps, second.amps)
+        assert not first.amps.flags.writeable
