@@ -148,7 +148,7 @@ def _load_steer_input(args):
     try:
         with open(args.input, "r", encoding="utf-8") as handle:
             return state_from_json_dict(json.load(handle))
-    except (OSError, ValueError, LookupError, TypeError) as exc:
+    except (OSError, ValueError, LookupError, TypeError, OverflowError, RecursionError) as exc:
         raise UsageError(
             f"cannot read a 'run' state from {args.input!r}: {type(exc).__name__}: {exc}"
         ) from exc

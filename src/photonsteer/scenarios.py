@@ -105,7 +105,9 @@ def noisy_state(v: float) -> DensityOperator:
 
 def preset(spec: str) -> StateVector | DensityOperator:
     """Resolve a preset id like ``eq1``, ``noisy:0.4`` or ``hardy:0.6,0.8``."""
-    name, _, args = spec.partition(":")
+    name, colon, args = spec.partition(":")
+    if colon and name in ("eq1", "twc", "qplate_tripartite"):
+        raise BadParameters(f"preset {name!r} takes no parameters, got {spec!r}")
     try:
         if name == "eq1":
             return eq1_state()

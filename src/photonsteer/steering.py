@@ -10,6 +10,9 @@ dichotomic observable table below, whose occupation-Z assigns +1 to "photon
 present". ``two_qubit_frame`` chooses between the two frames, and
 ``compute_assemblage``, ``cjwr_value``, ``chsh_value`` and ``chsh_optimize``
 take the 4x4 frame it returns (a ``DensityOperator``) and nothing else.
+Every assemblage member and correlator comes from the one observable table:
+Alice's projectors are (I ± A)/2, and members and <A_i ⊗ B_j> are each one
+einsum on the frame's (2, 2, 2, 2) tensor.
 
 The LHS search is an inner approximation: local-hidden-state models are
 restricted to mixtures of pure states on a deterministic Fibonacci grid of
@@ -54,25 +57,6 @@ _PAULI = {
 # raw basis ordering; X and Y are the single-photon coherences.
 ALICE_OBSERVABLES = {"Z": _PAULI["Z"], "X": _PAULI["X"], "Y": _PAULI["Y"]}
 BOB_OBSERVABLES = {"Z": -_PAULI["Z"], "X": _PAULI["X"], "Y": _PAULI["Y"]}
-
-# Projective outcomes (label -> rank-1 projector) of each Alice setting,
-# outcome +1 first. Derived from ALICE_OBSERVABLES eigenvectors.
-_KET_X_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-_KET_X_MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
-_KET_Y_PLUS = np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0)
-_KET_Y_MINUS = np.array([1.0, -1.0j], dtype=complex) / np.sqrt(2.0)
-
-ALICE_PROJECTORS = {
-    "Z": ((+1, np.diag([1.0, 0.0]).astype(complex)), (-1, np.diag([0.0, 1.0]).astype(complex))),
-    "X": (
-        (+1, np.outer(_KET_X_PLUS, _KET_X_PLUS.conj())),
-        (-1, np.outer(_KET_X_MINUS, _KET_X_MINUS.conj())),
-    ),
-    "Y": (
-        (+1, np.outer(_KET_Y_PLUS, _KET_Y_PLUS.conj())),
-        (-1, np.outer(_KET_Y_MINUS, _KET_Y_MINUS.conj())),
-    ),
-}
 
 QUBIT_PAIR_LABELS = ("A0|B0", "A0|B1", "A1|B0", "A1|B1")
 
@@ -254,9 +238,12 @@ def _frame_matrix(rho: DensityOperator) -> np.ndarray:
     return np.asarray(rho.matrix)
 
 
-def correlator(rho2q: np.ndarray, alice_obs: np.ndarray, bob_obs: np.ndarray) -> float:
-    value = complex(np.trace(rho2q @ np.kron(alice_obs, bob_obs)))
-    return float(value.real)
+def _correlation_matrix(rho2q: np.ndarray, axes=("Z", "X")) -> np.ndarray:
+    """T[i, j] = <A_i ⊗ B_j> for i, j over ``axes``: the frame tensor
+    r[a, b, c, d] = rho[(a, b), (c, d)] contracted with A_i[c, a] B_j[d, b]."""
+    alice = np.array([ALICE_OBSERVABLES[x] for x in axes])
+    bob = np.array([BOB_OBSERVABLES[x] for x in axes])
+    return np.einsum("abcd,ica,jdb->ij", rho2q.reshape(2, 2, 2, 2), alice, bob).real
 
 
 def cjwr_value(rho: DensityOperator, axes) -> float:
@@ -269,23 +256,11 @@ def cjwr_value(rho: DensityOperator, axes) -> float:
     if len(axes) not in (2, 3):
         raise ValueError(f"CJWR is implemented for n in {{2, 3}}, got {len(axes)}")
     matrix = _frame_matrix(rho)
-    total = 0.0
     for axis in axes:
         if axis not in ALICE_OBSERVABLES:
             raise NonDichotomicObservable(f"unknown axis {axis!r}, use Z, X or Y")
-        total += correlator(matrix, ALICE_OBSERVABLES[axis], BOB_OBSERVABLES[axis])
-    return float(abs(total) / np.sqrt(len(axes)))
-
-
-def _correlation_matrix(rho2q: np.ndarray) -> np.ndarray:
-    """T[i, j] = <A_i ⊗ B_j> for the (Z, X) observable plane."""
-    axes = ("Z", "X")
-    return np.array(
-        [
-            [correlator(rho2q, ALICE_OBSERVABLES[i], BOB_OBSERVABLES[j]) for j in axes]
-            for i in axes
-        ]
-    )
+    T = _correlation_matrix(matrix, axes)
+    return float(abs(np.trace(T)) / np.sqrt(len(axes)))
 
 
 def chsh_value(rho: DensityOperator, a0: float, a1: float, b0: float, b1: float) -> ChshResult:
@@ -374,15 +349,15 @@ def compute_assemblage(rho: DensityOperator, alice_settings) -> Assemblage:
     settings = tuple(alice_settings)
     if not settings:
         raise ValueError("at least one Alice setting required")
-    matrix = _frame_matrix(rho)
+    frame = _frame_matrix(rho).reshape(2, 2, 2, 2)
     members: dict[tuple[str, int], np.ndarray] = {}
     for x in settings:
-        if x not in ALICE_PROJECTORS:
+        if x not in ALICE_OBSERVABLES:
             raise NonDichotomicObservable(f"unknown setting {x!r}, use Z, X or Y")
-        for outcome, projector in ALICE_PROJECTORS[x]:
-            big = np.kron(projector, np.eye(2, dtype=complex)) @ matrix
-            member = big.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
-            members[(x, outcome)] = member
+        for outcome in (+1, -1):
+            projector = (_PAULI["I"] + outcome * ALICE_OBSERVABLES[x]) / 2
+            # sigma[b, d] = sum over a, c of Pi[a, c] rho[(c, b), (a, d)]
+            members[(x, outcome)] = np.einsum("ac,cbad->bd", projector, frame)
     return Assemblage(settings, members)
 
 

@@ -201,6 +201,25 @@ class TestSteer:
         assert needle in err and "Traceback" not in err
         assert err.count("\n") == 1
 
+    def test_input_amplitude_too_large_for_a_float_exits_4(self, fig1_file, tmp_path, capsys):
+        state_path = tmp_path / "state.json"
+        assert main(["run", str(fig1_file), "--out", str(state_path)]) == 0
+        doc = json.loads(state_path.read_text())
+        doc["amplitudes"][0] = [10 ** 400, 0]
+        state_path.write_text(json.dumps(doc))
+        assert main(["steer", "--input", str(state_path)]) == 4
+        err = capsys.readouterr().err
+        assert "cannot read a 'run' state" in err and "OverflowError" in err
+        assert err.count("\n") == 1
+
+    def test_deeply_nested_input_exits_4(self, tmp_path, capsys):
+        state_path = tmp_path / "state.json"
+        state_path.write_text("[" * 200_000)
+        assert main(["steer", "--input", str(state_path)]) == 4
+        err = capsys.readouterr().err
+        assert "cannot read a 'run' state" in err and "RecursionError" in err
+        assert err.count("\n") == 1
+
     def test_registers_flag_is_gone(self):
         with pytest.raises(SystemExit) as err:
             main(["steer", "--preset", "eq1", "--registers", "occ-occ"])
@@ -393,6 +412,12 @@ class TestReport:
     def test_non_finite_hardy_preset_exits_3(self, flags, capsys):
         assert main(["report", "--preset", "hardy:nan,nan"] + flags) == 3
         assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize("spec", ["eq1:junk", "twc:1,2", "qplate_tripartite:x"])
+    def test_parameters_on_a_fixed_preset_exit_3(self, spec, capsys):
+        assert main(["report", "--preset", spec]) == 3
+        err = capsys.readouterr().err
+        assert spec in err and err.count("\n") == 1
 
     def test_oam_basis_without_oam_register_exits_3(self, capsys):
         assert main(["report", "--preset", "eq1", "--basis", "OAMpm"]) == 3

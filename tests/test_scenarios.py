@@ -80,6 +80,10 @@ class TestPresets:
             preset("bellpair")
         with pytest.raises(BadParameters):
             preset("noisy:oops")
+        assert preset("hardy").decl.sites == preset("hardy:").decl.sites
+        for spec in ("eq1:junk", "eq1:", "twc:1,2", "qplate_tripartite:x"):
+            with pytest.raises(BadParameters, match="takes no parameters"):
+                preset(spec)
 
 
 class TestScenarioReport:

@@ -15,9 +15,18 @@ from photonsteer.errors import (
     NonQubitBobMarginal,
     TooManySettings,
 )
-from photonsteer.scenarios import eq1_state, hardy_state, noisy_state, twc_state
+from photonsteer.scenarios import (
+    eq1_state,
+    hardy_state,
+    noisy_state,
+    preset,
+    steering_frame,
+    twc_state,
+)
 from photonsteer.simplex import solve_feasibility
 from photonsteer.steering import (
+    ALICE_OBSERVABLES,
+    BOB_OBSERVABLES,
     QUBIT_PAIR_LABELS,
     Assemblage,
     chsh_optimize,
@@ -147,6 +156,67 @@ class TestAssemblage:
             for x in ("Z", "X"):
                 total = sum(np.trace(asm.members[(x, a)]).real for a in (1, -1))
                 assert total == pytest.approx(1.0, abs=1e-10)
+
+
+def kron_correlation(rho: np.ndarray, x: str, y: str) -> float:
+    """Tr[rho (A_x ⊗ B_y)] with the 4x4 product written out."""
+    return float(np.trace(rho @ np.kron(ALICE_OBSERVABLES[x], BOB_OBSERVABLES[y])).real)
+
+
+def eigen_projector(observable: np.ndarray, outcome: int) -> np.ndarray:
+    """|e><e| for the eigenvector e of a dichotomic observable with eigenvalue ``outcome``."""
+    values, vectors = np.linalg.eigh(observable)
+    e = vectors[:, int(np.argmin(np.abs(values - outcome)))]
+    return np.outer(e, e.conj())
+
+
+class TestObservableTableOracle:
+    """The einsum contractions against kron products and eigenprojectors, on the
+    presets and on 1000 seeded random pure and mixed frames."""
+
+    @pytest.fixture
+    def frames(self, rng):
+        specs = ("eq1", "twc", "qplate_tripartite", "hardy", "noisy:0.72", "noisy:1")
+        frames = [steering_frame(preset(spec))[0] for spec in specs]
+        return frames + [random_two_qubit_density(rng, mixed)
+                         for mixed in (False, True) for _ in range(500)]
+
+    def test_cjwr_equals_kron_trace_sum(self, frames):
+        for rho in frames:
+            for axes in (("Z", "X"), ("Z", "X", "Y")):
+                want = abs(sum(kron_correlation(rho.matrix, x, x) for x in axes))
+                assert abs(cjwr_value(rho, axes) - want / np.sqrt(len(axes))) <= 1e-14
+
+    def test_members_equal_eigenprojector_partial_traces(self, frames):
+        keys = list(product(("Z", "X", "Y"), (+1, -1)))
+        lifted = {(x, a): np.kron(eigen_projector(ALICE_OBSERVABLES[x], a), IDENTITY)
+                  for x, a in keys}
+        for rho in frames:
+            asm = compute_assemblage(rho, ("Z", "X", "Y"))
+            for x, a in keys:
+                big = lifted[(x, a)] @ rho.matrix
+                want = big.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
+                assert np.max(np.abs(asm.members[(x, a)] - want)) <= 1e-14
+
+    def test_chsh_correlators_equal_kron_correlation_matrix(self, frames):
+        angles = np.deg2rad(steering.STANDARD_CHSH_ANGLES)
+        u = np.stack([np.cos(angles), np.sin(angles)])  # columns u_a0, u_a1, u_b0, u_b1
+        for rho in frames:
+            T = np.array([[kron_correlation(rho.matrix, i, j) for j in "ZX"] for i in "ZX"])
+            want = [u[:, a] @ T @ u[:, b] for a, b in ((0, 2), (0, 3), (1, 2), (1, 3))]
+            got = chsh_value(rho, *steering.STANDARD_CHSH_ANGLES).correlators
+            assert np.max(np.abs(np.array(got) - want)) <= 1e-14
+
+    @pytest.mark.parametrize("settings", [("Z", "X"), ("Z", "X", "Y"), ("X", "Y"), ("Y", "Z"),
+                                          ("X", "Z")])
+    def test_no_signaling_is_exact_on_presets(self, settings):
+        # Each projector pair (I ± A)/2 sums to I exactly, and these frames' entries
+        # leave no rounding in the outcome sums.
+        specs = ["eq1", "twc", "qplate_tripartite"]
+        specs += [f"noisy:{v}" for v in np.linspace(0.0, 1.0, 201)]
+        residuals = {spec: compute_assemblage(steering_frame(preset(spec))[0], settings)
+                     .no_signaling_residual() for spec in specs}
+        assert {spec: r for spec, r in residuals.items() if r != 0.0} == {}
 
 
 class TestCjwr:
