@@ -12,9 +12,11 @@ Subcommands::
 
 Exit codes: 0 success, 2 circuit parse error (diagnostic with line/column on
 stderr), 3 physics error (also --bob-site, --site or --basis on noisy:v),
-4 usage error (also --grid above MAX_GRID, --chsh-step below MIN_CHSH_STEP,
-a --input file that is not a finite unit state with integer OAM values and
-one amplitude per basis entry, and an --out path that cannot be written).
+4 usage error (also --grid outside 6 to 100, a --chsh-step that is not finite,
+is below 1 degree or is not a divisor of 360, a circuit or --input file whose
+declared basis has more than 65 537 kets, a --input file that is not a finite
+unit state with integer OAM values and one amplitude per basis entry, and an
+--out path that cannot be written).
 Output is deterministic: identical arguments produce byte-identical files.
 """
 
@@ -31,7 +33,7 @@ import numpy as np
 from . import scenarios, steering
 from .circuit import parse_circuit, run_circuit
 from .core import NORM_ATOL, BasisDecl, BasisKet, StateVector
-from .errors import CircuitSyntaxError, PhysicsError
+from .errors import CircuitSyntaxError, OutOfRange, PhysicsError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -39,11 +41,6 @@ EXIT_PHYSICS = 3
 EXIT_USAGE = 4
 
 MAX_SWEEP_POINTS = 10_000  # each point solves one LHS program and one CHSH search
-MAX_GRID = 100  # --grid N: N² Bloch states; Z,X,Y at 100 is a 24 × 80 000 LP, ~0.25 s, ~47 MiB
-# Degrees. The CHSH search holds a few k² floats, k = 360 / step (5-11 MiB at 1°). It
-# scans every Bob pair exactly, k³ work, only when the Z-X correlation block T is
-# about 0 (~0.25 s at 1°); otherwise only the few pairs its bound pass keeps.
-MIN_CHSH_STEP = 1.0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,11 +106,6 @@ def state_from_json_dict(doc: dict) -> StateVector:
     return state
 
 
-def _check_grid(grid: int) -> None:
-    if grid > MAX_GRID:
-        raise UsageError(f"bad --grid {grid}: at most {MAX_GRID}")
-
-
 def cmd_run(args) -> int:
     try:
         # Undecodable bytes become U+FFFD, as in parse_circuit, so they get a diagnostic.
@@ -160,7 +152,7 @@ def cmd_steer(args) -> int:
         raise UsageError("need at least two settings, e.g. --settings Z,X")
     if len(set(settings)) != len(settings):
         raise UsageError(f"repeated setting in --settings {args.settings!r}")
-    _check_grid(args.grid)
+    steering.check_grid(args.grid)
     rho, frame = scenarios.steering_frame(_load_steer_input(args), args.bob_site)
     assemblage = steering.compute_assemblage(rho, settings)
     verdict = steering.lhs_feasibility(assemblage, args.grid)
@@ -199,11 +191,8 @@ def cmd_sweep(args) -> int:
             f"bad sweep: range [{lo}, {hi}] must sit inside [0, 1] with a finite step > 0")
     if (hi - lo + 1e-12) / args.step >= MAX_SWEEP_POINTS:
         raise UsageError(f"bad sweep: step {args.step} gives more than {MAX_SWEEP_POINTS} points")
-    chsh_points = 360.0 / args.chsh_step if args.chsh_step >= MIN_CHSH_STEP else 0.0
-    if chsh_points < 1 or abs(chsh_points - round(chsh_points)) > 1e-9:
-        raise UsageError(f"bad --chsh-step {args.chsh_step}: it must divide 360 and be at least "
-                         f"{MIN_CHSH_STEP:g} degree")
-    _check_grid(args.grid)
+    steering.check_chsh_step(args.chsh_step)
+    steering.check_grid(args.grid)
 
     values = []
     v = lo
@@ -244,6 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="photonsteer", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    grid_help = f"LHS Bloch grid parameter, {steering.MIN_GRID} to {steering.MAX_GRID}"
 
     p_run = sub.add_parser("run", help="simulate a circuit file")
     p_run.add_argument("input", help="circuit text file")
@@ -255,19 +245,17 @@ def build_parser() -> argparse.ArgumentParser:
                          help="eq1 | twc | hardy[:q,r] | qplate_tripartite | noisy:v")
     p_steer.add_argument("--input", default=None, help="state JSON emitted by 'run'")
     p_steer.add_argument("--settings", default="Z,X", help="comma list from Z,X,Y")
-    p_steer.add_argument("--grid", type=int, default=20,
-                         help=f"LHS Bloch grid parameter, 6 to {MAX_GRID}")
+    p_steer.add_argument("--grid", type=int, default=20, help=grid_help)
     p_steer.add_argument("--bob-site", default=None, help="override Bob's site")
     p_steer.add_argument("--out", default=None)
 
     p_sweep = sub.add_parser("sweep", help="visibility sweep of the noisy preset")
     p_sweep.add_argument("--range", default="0..1", help="like 0..1")
     p_sweep.add_argument("--step", type=float, default=0.1)
-    p_sweep.add_argument("--grid", type=int, default=20,
-                         help=f"LHS Bloch grid parameter, 6 to {MAX_GRID}")
+    p_sweep.add_argument("--grid", type=int, default=20, help=grid_help)
     p_sweep.add_argument("--chsh-step", type=float, default=5.0,
-                         help=f"CHSH angle step in degrees, at least {MIN_CHSH_STEP:g}, "
-                              "dividing 360")
+                         help="CHSH angle step in degrees, at least "
+                              f"{steering.MIN_CHSH_STEP:g}, dividing 360")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.add_argument("--out", default=None)
 
@@ -286,7 +274,7 @@ def main(argv=None) -> int:
     handlers = {"run": cmd_run, "steer": cmd_steer, "sweep": cmd_sweep, "report": cmd_report}
     try:
         return handlers[args.command](args)
-    except UsageError as exc:
+    except (UsageError, OutOfRange) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
     except PhysicsError as exc:

@@ -41,6 +41,7 @@ from .errors import (
     BasisMismatch,
     DimensionMismatch,
     NonUnitary,
+    OutOfRange,
     UnknownSite,
     UnknownSubsystem,
     ZeroState,
@@ -52,6 +53,11 @@ NORM_ATOL = 1e-9  # pipeline accumulation headroom
 POLS = ("H", "V")
 
 DEFAULT_OAM = (0,)
+
+# Kets of the largest basis a declaration may ask for: 2·2¹⁵ photon kets plus the vacuum.
+# A file of a few KB can declare any size, and every state, table and output grows with
+# it; 'run' of a one-photon circuit at this bound takes about 1 s and prints ~5 MB.
+MAX_DIM = 65_537
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -105,6 +111,9 @@ class BasisDecl:
             raise ValueError(f"duplicate site in declaration: {self.sites}")
         if len(self.oam) == 0 or len(set(self.oam)) != len(self.oam):
             raise ValueError(f"OAM set must be non-empty and duplicate-free: {self.oam}")
+        if self.dim > MAX_DIM:
+            raise OutOfRange(f"the declared basis has {self.dim} kets, more than MAX_DIM = "
+                             f"{MAX_DIM} (sites × OAM values at most {(MAX_DIM - 1) // 2})")
         object.__setattr__(self, "oam", tuple(sorted(int(m) for m in self.oam)))
 
     @cached_property

@@ -1,8 +1,9 @@
 """Exception hierarchy.
 
-Two families matter for callers: ``PhysicsError`` (invalid quantum operation,
-CLI exit code 3) and ``CircuitSyntaxError`` (malformed circuit text, CLI exit
-code 2, always carries a line number).
+Three families matter for callers: ``PhysicsError`` (invalid quantum operation,
+CLI exit code 3), ``CircuitSyntaxError`` (malformed circuit text, CLI exit
+code 2, always carries a line number) and ``OutOfRange`` (a size or step past
+the bound that caps its cost, CLI exit code 4).
 """
 
 from __future__ import annotations
@@ -64,10 +65,6 @@ class NonDichotomicObservable(PhysicsError):
     """Observable eigenvalues are not {+1, -1}."""
 
 
-class GridTooCoarse(PhysicsError):
-    """Bloch-sphere grid below the minimum resolution for the LHS search."""
-
-
 class TooManySettings(PhysicsError):
     """More measurement settings than the LHS strategy enumeration supports."""
 
@@ -78,6 +75,11 @@ class BadParameters(PhysicsError):
 
 class SolverBreakdown(PhysicsError, ArithmeticError):
     """The LHS simplex met a singular basis, a failed ratio test or its pivot cap."""
+
+
+class OutOfRange(PhotonSteerError, ValueError):
+    """A size or step outside the bound that caps the cost of what it sizes; raised
+    before the allocation it guards."""
 
 
 class CircuitSyntaxError(PhotonSteerError):

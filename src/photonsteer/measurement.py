@@ -21,11 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ATOL, POLS, DensityOperator, StateVector, normalize
-from .errors import BasisMismatch, UnknownSubsystem, ZeroProbabilityOutcome
+from .errors import BasisMismatch, OutOfRange, UnknownSubsystem, ZeroProbabilityOutcome
 
 PROB_FLOOR = 1e-14
 
 NO_CLICK = "no-click"
+
+MAX_SHOTS = 10**6  # sample_outcomes draws one label per shot in Python: ~0.5 s at the bound
 
 # Register-level analyzer bases. Circular convention matches the q-plate:
 # |L> = (|H> - i|V>)/sqrt(2), |R> = (|H> + i|V>)/sqrt(2).
@@ -198,6 +200,8 @@ def sample_outcomes(
     state: StateVector, setting: MeasurementSetting, n: int, seed: int
 ) -> list[str]:
     """Draw ``n`` outcome labels; identical seeds give identical sequences."""
+    if not 0 <= n <= MAX_SHOTS:
+        raise OutOfRange(f"bad shot count {n}: need 0 to {MAX_SHOTS}")
     records = born_probabilities(state, setting)
     rng = np.random.default_rng(seed)
     return [_sample(records, u).label for u in rng.random(n)]

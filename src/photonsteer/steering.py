@@ -20,10 +20,15 @@ the Bloch sphere. A feasible program certifies the assemblage unsteerable
 (the certificate reconstructs it to the reported residual); an infeasible
 one is evidence at that resolution only and should be paired with a CJWR
 violation for a steering certificate.
+
+Both searches are sized by one number each, and ``check_grid`` and
+``check_chsh_step`` are the only copies of their bounds: each raises
+``OutOfRange`` before its search allocates anything.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import product
 
@@ -32,9 +37,9 @@ import numpy as np
 from .core import ATOL, DensityOperator, StateVector
 from .errors import (
     BasisMismatch,
-    GridTooCoarse,
     NonDichotomicObservable,
     NonQubitBobMarginal,
+    OutOfRange,
     TooManySettings,
     UnknownSite,
 )
@@ -59,6 +64,36 @@ ALICE_OBSERVABLES = {"Z": _PAULI["Z"], "X": _PAULI["X"], "Y": _PAULI["Y"]}
 BOB_OBSERVABLES = {"Z": -_PAULI["Z"], "X": _PAULI["X"], "Y": _PAULI["Y"]}
 
 QUBIT_PAIR_LABELS = ("A0|B0", "A0|B1", "A1|B0", "A1|B1")
+
+# The LHS program has one column per strategy and grid state, 2^m · grid_n² in all;
+# Z,X,Y at MAX_GRID is a 24 × 80 000 program, ~0.25 s, ~47 MiB.
+MIN_GRID = 6
+MAX_GRID = 100
+# Degrees. The CHSH search holds a few k² floats, k = 360 / step (5-11 MiB at 1°). It
+# scans every Bob pair exactly, k³ work, only when the Z-X correlation block T is
+# about 0 (~0.25 s at 1°); otherwise only the few pairs its bound pass keeps.
+MIN_CHSH_STEP = 1.0
+
+
+def check_grid(grid_n) -> int:
+    """The LHS grid rule: ``grid_n`` as an int, if it is an integer from ``MIN_GRID``
+    to ``MAX_GRID``; else ``OutOfRange``."""
+    try:
+        n = operator.index(grid_n)
+    except TypeError:
+        n = None
+    if n is None or not MIN_GRID <= n <= MAX_GRID:
+        raise OutOfRange(f"bad grid {grid_n!r}: need an integer from {MIN_GRID} to {MAX_GRID}")
+    return n
+
+
+def check_chsh_step(step: float) -> None:
+    """The CHSH angle-step rule: a finite step of at least ``MIN_CHSH_STEP`` degrees
+    that divides 360 within 1e-9; else ``OutOfRange``."""
+    points = 360.0 / step if step >= MIN_CHSH_STEP else 0.0  # NaN fails the test; 360/inf is 0
+    if points < 1 or abs(points - round(points)) > 1e-9:
+        raise OutOfRange(f"bad CHSH step {step!r}: it must be finite, at least "
+                         f"{MIN_CHSH_STEP:g} degree, and divide 360")
 
 
 @dataclass(frozen=True)
@@ -313,8 +348,7 @@ def chsh_optimize(rho: DensityOperator, grid_step_deg: float) -> ChshResult:
     gives the same angles and value, bit for bit, as scanning every pair. When
     T is about 0 every pair survives: k³ time, still in O(k²) memory.
     """
-    if grid_step_deg <= 0 or abs(360.0 / grid_step_deg - round(360.0 / grid_step_deg)) > 1e-9:
-        raise ValueError(f"grid step {grid_step_deg} does not divide 360")
+    check_chsh_step(grid_step_deg)
     T = _correlation_matrix(_frame_matrix(rho))
 
     angles = np.arange(0.0, 360.0, grid_step_deg)
@@ -388,8 +422,7 @@ def lhs_feasibility(assemblage: Assemblage, grid_n: int) -> SteeringVerdict:
     reconstructs it within the reported residual. Infeasible: no model exists
     *at this resolution*; pair with a CJWR violation before claiming steering.
     """
-    if grid_n < 6:
-        raise GridTooCoarse(f"grid_n must be at least 6, got {grid_n}")
+    grid_n = check_grid(grid_n)
     m = len(assemblage.settings)
     if m > 4:
         raise TooManySettings(f"at most 4 settings supported, got {m}")

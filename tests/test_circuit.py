@@ -9,7 +9,7 @@ import pytest
 
 from photonsteer import elements
 from photonsteer.circuit import Circuit, ElementSpec, format_circuit, parse_circuit, run_circuit
-from photonsteer.core import BasisKet, StateVector, fidelity
+from photonsteer.core import MAX_DIM, BasisKet, StateVector, fidelity
 from photonsteer.errors import (
     ArityError,
     CircuitSyntaxError,
@@ -17,6 +17,7 @@ from photonsteer.errors import (
     NonUnitary,
     OamOverflow,
     OamRangeError,
+    OutOfRange,
     PhysicsError,
     SiteCollision,
     UndeclaredSite,
@@ -225,6 +226,16 @@ class TestRun:
         for text in CORPUS:
             out = run_circuit(parse_circuit(text))
             assert abs(out.norm() - 1.0) < 1e-9
+
+    def test_basis_above_max_dim_raises_before_the_amplitudes(self, monkeypatch):
+        def no_state(*args):
+            raise AssertionError("an amplitude vector was built")
+
+        monkeypatch.setattr(StateVector, "vacuum", no_state)
+        oversize = Circuit(("a",), tuple(range((MAX_DIM + 1) // 2)), ())
+        with pytest.raises(OutOfRange, match=str(MAX_DIM)) as err:
+            run_circuit(oversize)
+        assert "\n" not in str(err.value)
 
 
 def fold_public(circuit: Circuit) -> StateVector:

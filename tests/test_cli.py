@@ -7,6 +7,7 @@ import pytest
 
 from photonsteer import cli, scenarios, simplex, steering
 from photonsteer.cli import main
+from photonsteer.core import MAX_DIM
 from photonsteer.scenarios import FIG1_CIRCUIT
 
 SQRT_HALF_16_DIGITS = 0.7071067811865476
@@ -235,8 +236,8 @@ class TestSteer:
             raise AssertionError("the LHS grid was built")
 
         monkeypatch.setattr(steering, "fibonacci_bloch_grid", no_grid)
-        assert main(["steer", "--preset", "noisy:0.5", "--grid", str(cli.MAX_GRID + 1)]) == 4
-        assert str(cli.MAX_GRID) in capsys.readouterr().err
+        assert main(["steer", "--preset", "noisy:0.5", "--grid", str(steering.MAX_GRID + 1)]) == 4
+        assert str(steering.MAX_GRID) in capsys.readouterr().err
 
 
 class TestFrameRule:
@@ -364,18 +365,18 @@ class TestSweep:
         monkeypatch.setattr(steering, "chsh_optimize", no_search)
         monkeypatch.setattr(scenarios, "noisy_state", no_search)
         assert main(["sweep", "--chsh-step", "0.5"]) == 4
-        assert f"at least {cli.MIN_CHSH_STEP:g}" in capsys.readouterr().err
+        assert f"at least {steering.MIN_CHSH_STEP:g}" in capsys.readouterr().err
 
     def test_grid_above_cap_exits_4_before_sweeping(self, monkeypatch, capsys):
         def no_sweep(v):
             raise AssertionError("the sweep started")
 
         monkeypatch.setattr(scenarios, "noisy_state", no_sweep)
-        assert main(["sweep", "--grid", str(cli.MAX_GRID + 1)]) == 4
-        assert str(cli.MAX_GRID) in capsys.readouterr().err
+        assert main(["sweep", "--grid", str(steering.MAX_GRID + 1)]) == 4
+        assert str(steering.MAX_GRID) in capsys.readouterr().err
 
-    def test_grid_too_coarse_exits_3(self):
-        assert main(["sweep", "--range", "0..0.5", "--step", "0.5", "--grid", "5"]) == 3
+    def test_grid_too_coarse_exits_4(self):
+        assert main(["sweep", "--range", "0..0.5", "--step", "0.5", "--grid", "5"]) == 4
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -428,6 +429,49 @@ class TestReport:
         assert main(["report", "--preset", "noisy:0.5"] + flags) == 3
         err = capsys.readouterr().err
         assert "noisy:0.5" in err and err.count("\n") == 1
+
+
+class TestCostBounds:
+    """Every library bound leaves ``main`` as exit 4 with one stderr line, before the work
+    it bounds starts."""
+
+    @staticmethod
+    def exit_4_line(argv, capsys):
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        return err
+
+    def test_steer_grid_below_minimum_exits_4_before_solving(self, monkeypatch, capsys):
+        def no_grid(count):
+            raise AssertionError("the LHS grid was built")
+
+        monkeypatch.setattr(steering, "fibonacci_bloch_grid", no_grid)
+        err = self.exit_4_line(["steer", "--preset", "noisy:0.5", "--grid", "5"], capsys)
+        assert f"from {steering.MIN_GRID} to {steering.MAX_GRID}" in err
+
+    def test_sweep_grid_below_minimum_exits_4_before_sweeping(self, monkeypatch, capsys):
+        def no_sweep(v):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(scenarios, "noisy_state", no_sweep)
+        err = self.exit_4_line(["sweep", "--grid", "5"], capsys)
+        assert f"from {steering.MIN_GRID} to {steering.MAX_GRID}" in err
+
+    def test_run_of_an_oversize_basis_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "wide.table"
+        oam = " ".join(str(m) for m in range((MAX_DIM + 1) // 2))
+        path.write_text(f"sites a\noam {oam}\nsource a H\n")
+        err = self.exit_4_line(["run", str(path)], capsys)
+        assert f"MAX_DIM = {MAX_DIM}" in err
+        assert capsys.readouterr().out == ""
+
+    def test_steer_input_of_an_oversize_basis_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"sites": ["a", "b"], "oam": list(range((MAX_DIM + 3) // 4)),
+                                    "basis": ["vac"], "amplitudes": [[1.0, 0.0]]}))
+        err = self.exit_4_line(["steer", "--input", str(path)], capsys)
+        assert f"MAX_DIM = {MAX_DIM}" in err
 
 
 class TestUsage:

@@ -25,13 +25,14 @@ FLAG_VALUES = {
                  "qplate_tripartite", "noisy:0.5", "noisy:2", "noisy:nan", "noisy:", "fig9"],
     "--input": ["@state", "@fig1", "@bad", "@missing", "@dir"],
     "--settings": ["Z,X", "Z,X,Y", "Z", "Z,Z", "X,Q", ","],
-    "--grid": ["6", "10", "0", "-1", "101", "x"],
+    "--grid": ["6", "10", "0", "-1", "5", "101", "1000000000", "x"],
     "--bob-site": ["NY", "PUE", "b1", "b2", "in", ""],
     "--out": ["@out", "@dir", "@missing/out", "-"],
     "--format": ["json", "csv", "xml"],
     "--range": ["0.5..0.5", "0.6..0.7", "1..0", "a..b", "0..2", "..", "nan..1"],
     "--step": ["0.05", "0.5", "0", "-1", "nan", "inf", "1e-9"],
-    "--chsh-step": ["2", "3", "5", "7", "90", "360", "720", "0.5", "nan", "inf"],
+    "--chsh-step": ["2", "3", "5", "7", "90", "360", "720", "0.5", "nan", "inf", "-inf", "1e-300",
+                    "0.9999999"],
     "--site": ["NY", "PUE", "b1", "in", "zz"],
     "--basis": ["ZHV", "Xdiag", "Ycirc", "OAMpm", "occupation", "Q"],
 }

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from photonsteer.core import (
+    MAX_DIM,
     BasisDecl,
     BasisKet,
     DensityOperator,
@@ -19,6 +20,7 @@ from photonsteer.errors import (
     BasisMismatch,
     DimensionMismatch,
     NonUnitary,
+    OutOfRange,
     UnknownSite,
     UnknownSubsystem,
     ZeroState,
@@ -56,6 +58,18 @@ class TestBasisDecl:
     def test_declaration_order_preserved_for_display(self):
         decl = BasisDecl(("zz", "aa"))
         assert decl.sites == ("zz", "aa")
+
+    def test_dimension_bound_admits_its_edge(self):
+        assert BasisDecl(("a",), oam=tuple(range((MAX_DIM - 1) // 2))).dim == MAX_DIM
+
+    def test_dimension_above_bound_raises_before_any_ket(self, monkeypatch):
+        def no_ket(*args):
+            raise AssertionError("a basis ket was built")
+
+        monkeypatch.setattr(BasisKet, "photon", no_ket)
+        with pytest.raises(OutOfRange, match=f"MAX_DIM = {MAX_DIM}") as err:
+            BasisDecl(("a",), oam=tuple(range((MAX_DIM + 1) // 2)))
+        assert "\n" not in str(err.value)
 
 
 class TestNormalize:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from photonsteer.core import BasisDecl, BasisKet, StateVector, fidelity
-from photonsteer.errors import UnknownSite, ZeroProbabilityOutcome
+from photonsteer.errors import OutOfRange, UnknownSite, ZeroProbabilityOutcome
 from photonsteer.measurement import (
+    MAX_SHOTS,
     NO_CLICK,
     born_probabilities,
     collapse,
@@ -248,6 +249,20 @@ class TestSampling:
         s = StateVector.from_amplitudes(DECL, {ket("NY", "V"): 1.0})
         labels = sample_outcomes(s, polarization_setting("NY", "ZHV"), 200, seed=3)
         assert set(labels) == {"V-click"}
+
+    @pytest.mark.parametrize("n", [-1, MAX_SHOTS + 1])
+    def test_shot_count_out_of_range_raises_before_drawing(self, monkeypatch, n):
+        class NoDraws:
+            def random(self, size=None):
+                raise AssertionError("shots were drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: NoDraws())
+        with pytest.raises(OutOfRange, match=f"0 to {MAX_SHOTS}") as err:
+            sample_outcomes(eq1_state(), polarization_setting("NY", "ZHV"), n, seed=1)
+        assert "\n" not in str(err.value)
+
+    def test_zero_shots(self):
+        assert sample_outcomes(eq1_state(), polarization_setting("NY", "ZHV"), 0, seed=1) == []
 
     def test_single_sample_api(self):
         record = sample_outcome(eq1_state(), polarization_setting("NY", "ZHV"), seed=5)

@@ -1,5 +1,6 @@
 """Steering and Bell machinery: frames, assemblages, CJWR, CHSH, LHS search."""
 
+import math
 import tracemalloc
 from itertools import product
 
@@ -10,9 +11,9 @@ from conftest import brute_chsh_grid, horodecki_chsh_bound
 from photonsteer import steering
 from photonsteer.core import BasisDecl, BasisKet, DensityOperator, StateVector
 from photonsteer.errors import (
-    GridTooCoarse,
     NonDichotomicObservable,
     NonQubitBobMarginal,
+    OutOfRange,
     TooManySettings,
 )
 from photonsteer.scenarios import (
@@ -368,6 +369,49 @@ class TestChshGridOracles:
         assert peak <= 64 * 2**20
 
 
+class TestCostBounds:
+    """``check_grid`` and ``check_chsh_step`` raise a one-line ``OutOfRange`` before the
+    search they size allocates anything."""
+
+    @staticmethod
+    def assert_one_line_out_of_range(call, match):
+        with pytest.raises(OutOfRange, match=match) as err:
+            call()
+        assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("grid_n", [steering.MIN_GRID - 1, steering.MAX_GRID + 1, 6.5, "7"])
+    def test_lhs_grid_out_of_range_raises_before_the_grid(self, monkeypatch, grid_n):
+        asm = compute_assemblage(noisy_state(0.7), ("Z", "X"))
+
+        def no_grid(count):
+            raise AssertionError("the LHS grid was built")
+
+        monkeypatch.setattr(steering, "fibonacci_bloch_grid", no_grid)
+        self.assert_one_line_out_of_range(lambda: lhs_feasibility(asm, grid_n),
+                                          f"from {steering.MIN_GRID} to {steering.MAX_GRID}")
+
+    @pytest.mark.parametrize(
+        "step", [math.inf, -math.inf, math.nan, 0.0, -5.0, 1e-300, 0.9999999, 7.0, 720.0])
+    def test_chsh_step_out_of_range_raises_before_the_angles(self, monkeypatch, step):
+        rho = noisy_state(0.7)
+
+        def no_angles(*args, **kwargs):
+            raise AssertionError("the CHSH angle grid was built")
+
+        monkeypatch.setattr(steering.np, "arange", no_angles)
+        self.assert_one_line_out_of_range(lambda: chsh_optimize(rho, step), "divide 360")
+
+    def test_bounds_admit_their_edges(self):
+        for n in (steering.MIN_GRID, steering.MAX_GRID, np.int64(10), np.int32(6)):
+            assert steering.check_grid(n) == n and type(steering.check_grid(n)) is int
+        for step in (steering.MIN_CHSH_STEP, 360.0, 360.0 / 161):
+            steering.check_chsh_step(step)
+
+    def test_numpy_integer_grid_gives_the_int_verdict(self):
+        asm = compute_assemblage(noisy_state(0.5), ("Z", "X"))
+        assert lhs_feasibility(asm, np.int64(10)) == lhs_feasibility(asm, 10)
+
+
 class TestLhsFeasibility:
     def test_low_visibility_certified(self):
         asm = compute_assemblage(noisy_state(0.4), ("Z", "X"))
@@ -395,7 +439,7 @@ class TestLhsFeasibility:
 
     def test_grid_too_coarse(self):
         asm = compute_assemblage(noisy_state(0.4), ("Z", "X"))
-        with pytest.raises(GridTooCoarse):
+        with pytest.raises(OutOfRange, match="from 6 to 100"):
             lhs_feasibility(asm, 5)
 
     def test_too_many_settings(self):
