@@ -14,9 +14,9 @@ Exit codes: 0 success, 2 circuit parse error (diagnostic with line/column on
 stderr), 3 physics error (also --bob-site, --site or --basis on noisy:v),
 4 usage error (also --grid outside 6 to 100, a --chsh-step that is not finite,
 is below 1 degree or is not a divisor of 360, a circuit or --input file whose
-declared basis has more than 65 537 kets, a --input file that is not a finite
-unit state with integer OAM values and one amplitude per basis entry, and an
---out path that cannot be written).
+declared basis has more than 65 537 kets, a circuit whose elements × kets exceed
+2^25, a --input file that is not a finite unit state with integer OAM values and
+one amplitude per basis entry, and an --out path that cannot be written).
 Output is deterministic: identical arguments produce byte-identical files.
 """
 

@@ -28,6 +28,7 @@ Both searches are sized by one number each, and ``check_grid`` and
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from itertools import product
@@ -66,7 +67,7 @@ BOB_OBSERVABLES = {"Z": -_PAULI["Z"], "X": _PAULI["X"], "Y": _PAULI["Y"]}
 QUBIT_PAIR_LABELS = ("A0|B0", "A0|B1", "A1|B0", "A1|B1")
 
 # The LHS program has one column per strategy and grid state, 2^m · grid_n² in all;
-# Z,X,Y at MAX_GRID is a 24 × 80 000 program, ~0.25 s, ~47 MiB.
+# Z,X,Y at MAX_GRID is a 16 × 80 000 program, ~0.1 s, ~33 MiB.
 MIN_GRID = 6
 MAX_GRID = 100
 # Degrees. The CHSH search holds a few k² floats, k = 360 / step (5-11 MiB at 1°). It
@@ -115,9 +116,15 @@ class Assemblage:
             arr = np.asarray(mat, dtype=complex)
             if arr.shape != (2, 2):
                 raise NonQubitBobMarginal(f"member {key} has shape {arr.shape}")
-            if not np.allclose(arr, arr.conj().T, atol=ATOL):
+            a, b, c, d = arr.ravel().tolist()
+            # np.allclose(arr, arr^H, atol=ATOL) written out; NaN fails every test.
+            if not (2 * abs(a.imag) <= ATOL + 1e-5 * abs(a)
+                    and 2 * abs(d.imag) <= ATOL + 1e-5 * abs(d)
+                    and abs(b - c.conjugate()) <= ATOL + 1e-5 * min(abs(b), abs(c))):
                 raise ValueError(f"member {key} is not Hermitian")
-            if np.linalg.eigvalsh(arr).min() < -ATOL:
+            # The lower eigenvalue from the real diagonal and the lower triangle, the
+            # entries eigvalsh reads.
+            if not (a.real + d.real) / 2 - math.hypot((a.real - d.real) / 2, abs(c)) >= -ATOL:
                 raise ValueError(f"member {key} is not PSD")
             arr.setflags(write=False)
             frozen[key] = arr
@@ -138,6 +145,14 @@ class Assemblage:
 @dataclass(frozen=True)
 class SteeringVerdict:
     """LHS linear-program outcome at one grid resolution.
+
+    For m settings the solver gets 4m + 4 rows of full rank, 4 real components
+    each of Bob's marginal (from the first setting) and of sigma(+1|x) per
+    setting. The full program's other 4(m - 1) rows, sigma(-1|x) for every x,
+    follow from these under no-signalling. ``residual`` of a certified verdict is
+    max |A_full x - b_full| over all 8m rows, so an assemblage that signals is
+    never certified. Without a certificate it is the phase-1 optimum of the
+    4m + 4-row program, or that full residual if the solved rows were met.
 
     ``certificate`` (feasible case) lists (strategy, bloch_vector, weight)
     triples; a strategy assigns an outcome to each setting in order. It is
@@ -439,20 +454,25 @@ def lhs_feasibility(assemblage: Assemblage, grid_n: int) -> SteeringVerdict:
     comps = 0.5 * np.column_stack([1.0 + nz, 1.0 - nz, nx, -ny])
     # responds[s, x, a] = 1 when strategy s answers a to setting x.
     responds = (np.array(strategies)[:, :, None] == np.array(outcomes)).astype(float)
-    # Rows (setting, outcome, component) as in b; columns (strategy, grid
-    # state), grid index fastest, which the certificate's divmod relies on.
-    A = np.einsum("sxa,gc->xacsg", responds, comps).reshape(8 * m, -1)
-
-    b = np.concatenate(
-        [
-            _real_components(assemblage.members[(x, a)])
-            for x in assemblage.settings
-            for a in outcomes
-        ]
-    )
+    # The full program has rows (setting, outcome, component). In every column the
+    # rows of sigma(+1|x) and sigma(-1|x) sum to the column's state, so only Bob's
+    # marginal and sigma(+1|x) per setting are solved: 4m + 4 rows of full rank.
+    # Columns (strategy, grid state), grid index fastest, which the certificate's
+    # divmod relies on.
+    solved = np.vstack([np.ones(len(strategies)), responds[:, :, 0].T])
+    A = np.einsum("rs,gc->rcsg", solved, comps).reshape(4 * (m + 1), -1)
+    target = np.array([[_real_components(assemblage.members[(x, a)]) for a in outcomes]
+                       for x in assemblage.settings])  # the full program's b
+    b = np.concatenate([target[0].sum(axis=0), target[:, 0].ravel()])
 
     result = solve_feasibility(A, b)
-    if result.feasible and result.residual < 1e-7:
+    residual = result.objective  # the phase-1 optimum, unless a solution is found
+    if result.feasible:
+        # max |A_full x - b_full| over all 8m rows, so a signalling assemblage fails.
+        per_strategy = result.x.reshape(len(strategies), -1) @ comps
+        rebuilt = np.einsum("sxa,sc->xac", responds, per_strategy)
+        residual = float(np.max(np.abs(rebuilt - target)))
+    if result.feasible and residual < 1e-7:
         certificate = []
         for idx in np.nonzero(result.x > 1e-12)[0]:
             s_idx, g_idx = divmod(int(idx), len(grid))
@@ -460,12 +480,9 @@ def lhs_feasibility(assemblage: Assemblage, grid_n: int) -> SteeringVerdict:
                 (strategies[s_idx], tuple(float(v) for v in grid[g_idx]), float(result.x[idx]))
             )
         return SteeringVerdict(
-            "UnsteerableCertified", grid_n, result.residual, tuple(certificate), result.iterations
+            "UnsteerableCertified", grid_n, residual, tuple(certificate), result.iterations
         )
-    residual = result.residual if result.feasible else result.objective
-    return SteeringVerdict(
-        "NoLHSFoundAtResolution", grid_n, float(residual), None, result.iterations
-    )
+    return SteeringVerdict("NoLHSFoundAtResolution", grid_n, residual, None, result.iterations)
 
 
 def replay_certificate(verdict: SteeringVerdict, assemblage: Assemblage) -> float:

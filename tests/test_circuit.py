@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from photonsteer import elements
-from photonsteer.circuit import Circuit, ElementSpec, format_circuit, parse_circuit, run_circuit
+from photonsteer.circuit import (
+    MAX_ELEMENT_KETS,
+    Circuit,
+    ElementSpec,
+    format_circuit,
+    parse_circuit,
+    run_circuit,
+)
 from photonsteer.core import MAX_DIM, BasisKet, StateVector, fidelity
 from photonsteer.errors import (
     ArityError,
@@ -236,6 +243,29 @@ class TestRun:
         with pytest.raises(OutOfRange, match=str(MAX_DIM)) as err:
             run_circuit(oversize)
         assert "\n" not in str(err.value)
+
+    def test_element_kets_bound_admits_its_edge_and_raises_past_it(self, monkeypatch):
+        oam = tuple(range((MAX_DIM - 1) // 2))  # one site: MAX_DIM kets
+        source = (ElementSpec("source", ("a",), pol="H"),)
+        phases = (ElementSpec("phase", ("a",), angle=1.0),) * (MAX_ELEMENT_KETS // MAX_DIM - 1)
+        assert abs(run_circuit(Circuit(("a",), oam, source + phases)).norm() - 1.0) < 1e-12
+
+        def no_state(*args):
+            raise AssertionError("an amplitude vector was built")
+
+        monkeypatch.setattr(StateVector, "vacuum", no_state)
+        too_long = Circuit(("a",), oam, source + phases + phases[:1])
+        with pytest.raises(OutOfRange, match=f"MAX_ELEMENT_KETS = {MAX_ELEMENT_KETS}") as err:
+            run_circuit(too_long)
+        assert "\n" not in str(err.value)
+
+    def test_element_kets_bound_sits_far_above_the_corpus(self):
+        # The largest generated tables of the optical-table benchmark have dim 673
+        # and at most 300 elements.
+        assert MAX_ELEMENT_KETS >= 100 * 673 * 300
+        for text in CORPUS:
+            circuit = parse_circuit(text)
+            assert 1000 * len(circuit.elements) * circuit.declaration.dim <= MAX_ELEMENT_KETS
 
 
 def fold_public(circuit: Circuit) -> StateVector:

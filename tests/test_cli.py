@@ -7,6 +7,7 @@ import pytest
 
 from photonsteer import cli, scenarios, simplex, steering
 from photonsteer.cli import main
+from photonsteer.circuit import MAX_ELEMENT_KETS
 from photonsteer.core import MAX_DIM
 from photonsteer.scenarios import FIG1_CIRCUIT
 
@@ -464,6 +465,15 @@ class TestCostBounds:
         path.write_text(f"sites a\noam {oam}\nsource a H\n")
         err = self.exit_4_line(["run", str(path)], capsys)
         assert f"MAX_DIM = {MAX_DIM}" in err
+        assert capsys.readouterr().out == ""
+
+    def test_run_of_a_circuit_past_the_element_kets_bound_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "long.table"
+        oam = " ".join(str(m) for m in range((MAX_DIM - 1) // 2))
+        phases = "phase a 1\n" * (MAX_ELEMENT_KETS // MAX_DIM)
+        path.write_text(f"sites a\noam {oam}\nsource a H\n{phases}")
+        err = self.exit_4_line(["run", str(path)], capsys)
+        assert f"MAX_ELEMENT_KETS = {MAX_ELEMENT_KETS}" in err
         assert capsys.readouterr().out == ""
 
     def test_steer_input_of_an_oversize_basis_exits_4(self, tmp_path, capsys):

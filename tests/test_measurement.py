@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from photonsteer import measurement
 from photonsteer.core import BasisDecl, BasisKet, StateVector, fidelity
 from photonsteer.errors import OutOfRange, UnknownSite, ZeroProbabilityOutcome
 from photonsteer.measurement import (
     MAX_SHOTS,
     NO_CLICK,
+    OutcomeRecord,
+    _sample,
     born_probabilities,
     collapse,
     oam_setting,
@@ -268,6 +271,35 @@ class TestSampling:
         record = sample_outcome(eq1_state(), polarization_setting("NY", "ZHV"), seed=5)
         assert record.label in ("V-click", NO_CLICK)
         assert record.probability == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 2026])
+    def test_labels_equal_the_per_draw_loop(self, seed):
+        decl = BasisDecl(("a", "b", "c"), (-2, 0, 2))
+        state = random_state(decl, np.random.default_rng(seed))
+        for setting in (polarization_setting("a", "Xdiag"), oam_setting("b", "number", decl.oam),
+                        occupation_setting("c")):
+            records = born_probabilities(state, setting)
+            draws = np.random.default_rng(seed).random(3000)
+            assert sample_outcomes(state, setting, 3000, seed) == [
+                _sample(records, u).label for u in draws]
+
+    def test_draws_on_a_sum_and_in_the_rounding_gap(self, monkeypatch):
+        records = [OutcomeRecord("a", 0.1, None), OutcomeRecord("b", 0.2, None),
+                   OutcomeRecord("c", 0.7 - 1e-9, None)]
+        sums = np.cumsum([0.1, 0.2, 0.7 - 1e-9])
+        draws = np.array([0.0, 0.05, sums[0], np.nextafter(sums[1], 0), sums[1], 0.5,
+                          sums[2], 1 - 2**-53])
+
+        class FixedDraws:
+            def random(self, size=None):
+                assert size == draws.size
+                return draws
+
+        monkeypatch.setattr(measurement, "born_probabilities", lambda state, setting: records)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: FixedDraws())
+        labels = sample_outcomes(None, None, draws.size, seed=0)
+        assert labels == [_sample(records, u).label for u in draws]
+        assert labels == ["a", "a", "b", "b", "c", "c", "c", "c"]
 
     def test_chi_square_at_99_percent(self):
         labels = sample_outcomes(eq1_state(), polarization_setting("NY", "ZHV"), 100_000, seed=11)

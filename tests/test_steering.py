@@ -158,6 +158,57 @@ class TestAssemblage:
                 total = sum(np.trace(asm.members[(x, a)]).real for a in (1, -1))
                 assert total == pytest.approx(1.0, abs=1e-10)
 
+    @staticmethod
+    def one_member(matrix) -> Assemblage:
+        return Assemblage(("Z",), {("Z", +1): np.asarray(matrix, dtype=complex)})
+
+    @pytest.mark.parametrize("matrix", [
+        [[0.5, 0.0], [2e-10, 0.5]],
+        [[0.5, 2e-10j], [0.0, 0.5]],
+        [[2e-10j, 0.0], [0.0, 0.5]],
+        [[np.nan, 0.0], [0.0, 0.5]],
+    ])
+    def test_member_off_hermitian_by_2e10_or_nan_rejected(self, matrix):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            self.one_member(matrix)
+
+    @pytest.mark.parametrize("lowest, accepted", [(-2e-10, False), (-5e-11, True)])
+    def test_member_psd_bound_at_atol(self, lowest, accepted):
+        turn = np.array([[1.0, 1.0], [1.0, -1.0]]) * SQ2
+        for matrix in (np.diag([0.5, lowest]), turn @ np.diag([0.5, lowest]) @ turn):
+            if accepted:
+                self.one_member(matrix)
+            else:
+                with pytest.raises(ValueError, match="not PSD"):
+                    self.one_member(matrix)
+
+    def test_member_checks_equal_allclose_and_eigvalsh(self, rng):
+        # Oracle: the numpy checks the closed forms spell out, on members whose lowest
+        # eigenvalue and whose skew each lie within a factor 2 of their bound.
+        seen = set()
+        for _ in range(400):
+            g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            unitary = np.linalg.qr(g)[0]
+            lowest = -1e-10 * rng.uniform(0.5, 2.0)
+            matrix = unitary @ np.diag([rng.uniform(0, 1), lowest]) @ unitary.conj().T
+            bound = 1e-10 + 1e-5 * abs(matrix[1, 0])
+            matrix[1, 0] += bound * rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform())
+            hermitian = np.allclose(matrix, matrix.conj().T, atol=1e-10)
+            psd = np.linalg.eigvalsh(matrix).min() >= -1e-10
+            try:
+                self.one_member(matrix)
+                verdict = "accepted"
+            except ValueError as exc:
+                verdict = str(exc)
+            if not hermitian:
+                assert "not Hermitian" in verdict
+            elif not psd:
+                assert "not PSD" in verdict
+            else:
+                assert verdict == "accepted"
+            seen.add((hermitian, psd))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
 
 def kron_correlation(rho: np.ndarray, x: str, y: str) -> float:
     """Tr[rho (A_x ⊗ B_y)] with the 4x4 product written out."""
@@ -412,6 +463,33 @@ class TestCostBounds:
         assert lhs_feasibility(asm, np.int64(10)) == lhs_feasibility(asm, 10)
 
 
+def solved_program(asm: Assemblage, grid_n: int, monkeypatch):
+    """The (A, b) that ``lhs_feasibility`` hands to the solver."""
+    seen = {}
+
+    def capture(A, b):
+        seen["program"] = (A, b)
+        return solve_feasibility(A, b)
+
+    monkeypatch.setattr(steering, "solve_feasibility", capture)
+    lhs_feasibility(asm, grid_n)
+    return seen["program"]
+
+
+def column_loop_program(asm: Assemblage, grid_n: int):
+    """The full LHS program, one column per (strategy, grid state), grid index fastest:
+    rows (setting, outcome, component), 8m of them."""
+    columns = []
+    for strategy in product((+1, -1), repeat=len(asm.settings)):
+        responds = [float(a == b) for a in strategy for b in (+1, -1)]
+        for n in fibonacci_bloch_grid(grid_n * grid_n):
+            comp = steering._real_components(steering._bloch_state(n))
+            columns.append(np.concatenate([r * comp for r in responds]))
+    b = np.concatenate([steering._real_components(asm.members[(x, a)])
+                        for x in asm.settings for a in (+1, -1)])
+    return np.array(columns).T, b
+
+
 class TestLhsFeasibility:
     def test_low_visibility_certified(self):
         asm = compute_assemblage(noisy_state(0.4), ("Z", "X"))
@@ -477,23 +555,50 @@ class TestLhsFeasibility:
 
     @pytest.mark.parametrize("settings", [("Z", "X"), ("Z", "X", "Y")])
     def test_constraint_matrix_matches_column_loop(self, settings, monkeypatch):
-        seen = {}
+        asm = compute_assemblage(noisy_state(0.5), settings)
+        A, b = solved_program(asm, 10, monkeypatch)
 
-        def capture(A, b):
-            seen["A"] = A
-            return solve_feasibility(A, b)
+        # The solved rows: Bob's marginal from the first setting, then sigma(+1|x)
+        # for each setting, taken from the full program's rows (x, a, component).
+        full_A, full_b = column_loop_program(asm, 10)
+        rows = full_A.reshape(len(settings), 2, 4, -1)
+        np.testing.assert_array_equal(
+            A, np.concatenate([rows[0, 0] + rows[0, 1], *rows[:, 0]]))
+        target = full_b.reshape(len(settings), 2, 4)
+        np.testing.assert_array_equal(
+            b, np.concatenate([target[0, 0] + target[0, 1], *target[:, 0]]))
 
-        monkeypatch.setattr(steering, "solve_feasibility", capture)
-        lhs_feasibility(compute_assemblage(noisy_state(0.5), settings), 10)
+    @pytest.mark.parametrize("settings", [("Z", "X"), ("Z", "X", "Y")])
+    def test_solved_program_has_full_row_rank(self, settings, monkeypatch):
+        A, _ = solved_program(compute_assemblage(noisy_state(0.5), settings), 10, monkeypatch)
+        assert A.shape[0] == 4 * len(settings) + 4
+        assert np.linalg.matrix_rank(A) == A.shape[0]
 
-        # Reference: one column per (strategy, grid state), grid index fastest.
-        columns = []
-        for strategy in product((+1, -1), repeat=len(settings)):
-            responds = [float(a == b) for a in strategy for b in (+1, -1)]
-            for n in fibonacci_bloch_grid(100):
-                comp = steering._real_components(steering._bloch_state(n))
-                columns.append(np.concatenate([r * comp for r in responds]))
-        np.testing.assert_array_equal(seen["A"], np.array(columns).T)
+    @pytest.mark.parametrize("settings", [("Z", "X"), ("Z", "X", "Y")])
+    @pytest.mark.parametrize("grid", [10, 20])
+    def test_verdicts_equal_the_full_program(self, settings, grid):
+        # The oracle: the 8m-row program of the column loop, solved as it stands.
+        visibilities = np.round(np.r_[np.arange(0.30, 1.001, 0.05), 0.56, 0.58, 0.68, 0.72], 2)
+        for v in visibilities:
+            asm = compute_assemblage(noisy_state(v), settings)
+            full = solve_feasibility(*column_loop_program(asm, grid))
+            oracle = full.feasible and full.residual < 1e-7
+            verdict = lhs_feasibility(asm, grid)
+            assert (verdict.status == "UnsteerableCertified") == oracle, v
+            if oracle:
+                assert verdict.residual < 1e-7
+                assert replay_certificate(verdict, asm) < 1e-7
+
+    @pytest.mark.parametrize("signalling", ["Z", "X"])
+    def test_signalling_assemblage_finds_no_model(self, signalling):
+        members = dict(compute_assemblage(noisy_state(0.4), ("Z", "X")).members)
+        members[(signalling, +1)] = members[(signalling, +1)] + 1e-3 * IDENTITY
+        asm = Assemblage(("Z", "X"), members)
+        assert asm.no_signaling_residual() == pytest.approx(1e-3)
+        verdict = lhs_feasibility(asm, 20)
+        assert verdict.status == "NoLHSFoundAtResolution"
+        assert verdict.certificate is None
+        assert verdict.residual > 1e-7
 
     @pytest.mark.parametrize(
         "v, settings, grid, bound",
