@@ -31,6 +31,7 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Mapping
@@ -120,6 +121,13 @@ class BasisDecl:
     def site_axis(self) -> dict[str, int]:
         """Position of each site along axis 0 of ``tensor`` (sorted site order)."""
         return {site: i for i, site in enumerate(sorted(self.sites))}
+
+    @cached_property
+    def oam_array(self) -> np.ndarray:
+        """The sorted OAM values as a read-only integer array."""
+        out = np.array(self.oam)
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def kets(self) -> tuple[BasisKet, ...]:
@@ -238,7 +246,7 @@ class DensityOperator:
         n = len(self.labels)
         if mat.shape != (n, n):
             raise DimensionMismatch(f"matrix shape {mat.shape} does not match {n} labels")
-        if not np.allclose(mat, mat.conj().T, atol=ATOL):
+        if not _is_hermitian(mat):
             raise ValueError("density matrix is not Hermitian within 1e-10")
         eigs = np.linalg.eigvalsh(mat)
         if eigs.size and eigs.min() < -ATOL:
@@ -296,7 +304,7 @@ def expectation_value(rho: DensityOperator, obs: np.ndarray) -> float:
     obs = np.asarray(obs, dtype=complex)
     if obs.shape != (rho.dim, rho.dim):
         raise DimensionMismatch(f"observable shape {obs.shape} vs operator dim {rho.dim}")
-    if not np.allclose(obs, obs.conj().T, atol=ATOL):
+    if not _is_hermitian(obs):
         raise ValueError("observable is not Hermitian within 1e-10")
     value = complex(np.trace(rho.matrix @ obs))
     if abs(value.imag) > ATOL:
@@ -330,13 +338,41 @@ def _local_unitary(
     u = np.asarray(u, dtype=complex)
     if u.shape != (dim, dim):
         raise DimensionMismatch(f"matrix shape {u.shape}, register dimension {dim}")
-    # np.allclose(u @ u^H, I, atol=ATOL) without its per-call overhead: the
-    # same |a - b| <= atol + rtol * |b| test, and NaN or inf still fails it.
-    eye = np.eye(dim)
-    if not (np.abs(u @ u.conj().T - eye) <= ATOL + 1e-5 * eye).all():
+    if not (_is_unitary_2x2(u) if dim == 2 else _is_unitary(u)):
         raise NonUnitary("matrix is not unitary within 1e-10")
 
     block = decl.tensor(amps)
     if site is not None:
         block = block[decl.site_axis[site]]
     block[...] = u @ block if register == "pol" else block @ u.T
+
+
+def _is_hermitian(mat: np.ndarray) -> bool:
+    """np.allclose(mat, mat^H, atol=ATOL) without its per-call overhead: on finite
+    entries, the same |a - b| <= atol + rtol * |b| test."""
+    adj = mat.conj().T
+    if not np.isfinite(mat).all():
+        return bool(np.allclose(mat, adj, atol=ATOL))  # its own rules for inf and NaN
+    return bool((np.abs(mat - adj) <= ATOL + 1e-5 * np.abs(adj)).all())
+
+
+def _is_unitary(u: np.ndarray) -> bool:
+    """np.allclose(u @ u^H, I, atol=ATOL) without its per-call overhead: the same
+    |a - b| <= atol + rtol * |b| test, and NaN or inf still fails it."""
+    eye = np.eye(len(u))
+    return bool((np.abs(u @ u.conj().T - eye) <= ATOL + 1e-5 * eye).all())
+
+
+def _is_unitary_2x2(u: np.ndarray) -> bool:
+    """``_is_unitary`` for 2x2 written out on the entries of u u^H - I in Python floats.
+
+    |a|² + |b|² - 1 and |c|² + |d|² - 1 get the diagonal bound ATOL + 1e-5, and
+    a c̄ + b d̄ the off-diagonal bound ATOL. NaN fails every comparison, and an
+    inf entry makes a diagonal term inf or NaN.
+    """
+    (a, b), (c, d) = u.tolist()
+    diag_a = a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag - 1.0
+    diag_c = c.real * c.real + c.imag * c.imag + d.real * d.real + d.imag * d.imag - 1.0
+    off = a * c.conjugate() + b * d.conjugate()
+    return (abs(diag_a) <= ATOL + 1e-5 and abs(diag_c) <= ATOL + 1e-5
+            and math.hypot(off.real, off.imag) <= ATOL)

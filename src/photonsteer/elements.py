@@ -179,7 +179,7 @@ def _beamsplitter(decl: BasisDecl, amps: np.ndarray, site1: str, site2: str) -> 
 def _qplate(decl: BasisDecl, amps: np.ndarray, site: str, q: int) -> None:
     decl.require_site(site)
     shift = 2 * int(q)
-    oam = np.array(decl.oam)
+    oam = decl.oam_array
 
     block = decl.tensor(amps)[decl.site_axis[site]]  # (pol, oam) view
     circ = _TO_CIRC @ block  # rows: (L, R)

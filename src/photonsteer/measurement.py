@@ -12,6 +12,14 @@ a first-class outcome: finding the box empty still collapses the state.
 
 Occupation measurements are the destructive presence test at a site: click
 means the photon is there, no-click aggregates photon-elsewhere and vacuum.
+
+Computation. A register table is one contraction: the setting's basis vectors,
+stacked, meet the (site, pol, oam) amplitude tensor in one ``einsum``, and the
+projected amplitudes of every outcome are the rows of one (outcome, dim)
+array. Every probability and every detector-site mass is a row sum of that
+array, and each visible record wraps its row once, scaled to unit norm. The
+rows are filled in blocks of at most ``_BLOCK_ENTRIES`` amplitudes, so a table
+of many outcomes holds O(dim) memory at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ATOL, POLS, DensityOperator, StateVector, normalize
+from .core import ATOL, POLS, DensityOperator, StateVector
 from .errors import BasisMismatch, OutOfRange, UnknownSubsystem, ZeroProbabilityOutcome
 
 PROB_FLOOR = 1e-14
@@ -28,6 +36,11 @@ PROB_FLOOR = 1e-14
 NO_CLICK = "no-click"
 
 MAX_SHOTS = 10**6  # sample_outcomes returns one label per shot in a list: ~0.04 s at the bound
+
+# Projected amplitudes per block of a Born table (256 KiB): every table of up to
+# 24 outcomes at 673 kets is one block, and a table of many outcomes over a large
+# basis never holds more than one block, besides its records.
+_BLOCK_ENTRIES = 2**14
 
 # Register-level analyzer bases. Circular convention matches the q-plate:
 # |L> = (|H> - i|V>)/sqrt(2), |R> = (|H> + i|V>)/sqrt(2).
@@ -55,12 +68,16 @@ class MeasurementSetting:
     (label, register-level basis vector) pairs; occupation settings encode
     presence directly and carry no vectors. The projectors plus the no-click
     complement resolve the identity, so ``labels`` ends with no-click.
+    ``oam`` holds the sorted OAM values an "oam" setting's vectors are written
+    over; measuring a state whose declaration has other values raises
+    ``BasisMismatch``.
     """
 
     site: str
     register: str
     basis_name: str
     outcomes: tuple[tuple[str, np.ndarray], ...]
+    oam: tuple[int, ...] = ()
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -88,12 +105,14 @@ def polarization_setting(site: str, basis: str) -> MeasurementSetting:
 
 
 def oam_setting(site: str, basis: str, oam_values: tuple[int, ...]) -> MeasurementSetting:
-    """OAM analyzer. ``number`` projects each value; ``pm`` uses (|+2>±|-2>)/sqrt(2)."""
+    """OAM analyzer. ``number`` projects each value; ``pm`` uses (|+2>±|-2>)/sqrt(2).
+
+    The values are taken in sorted order, the order ``BasisDecl`` gives them.
+    """
+    oam_values = tuple(sorted(int(m) for m in oam_values))
     if basis == "number":
-        outcomes = tuple(
-            (str(m), np.eye(len(oam_values), dtype=complex)[i])
-            for i, m in enumerate(oam_values)
-        )
+        eye = np.eye(len(oam_values), dtype=complex)
+        outcomes = tuple((str(m), eye[i]) for i, m in enumerate(oam_values))
     elif basis == "pm":
         if 2 not in oam_values or -2 not in oam_values:
             raise ValueError(f"pm basis needs OAM values +2 and -2, have {oam_values}")
@@ -111,7 +130,7 @@ def oam_setting(site: str, basis: str, oam_values: tuple[int, ...]) -> Measureme
         outcomes = tuple(outcomes)
     else:
         raise ValueError(f"basis must be 'number' or 'pm', got {basis!r}")
-    return MeasurementSetting(site, "oam", basis, outcomes)
+    return MeasurementSetting(site, "oam", basis, outcomes, oam_values)
 
 
 def occupation_setting(site: str) -> MeasurementSetting:
@@ -119,31 +138,15 @@ def occupation_setting(site: str) -> MeasurementSetting:
     return MeasurementSetting(site, "occupation", "occupation", (("click", np.array([1.0])),))
 
 
-def _project(state: StateVector, setting: MeasurementSetting, vec: np.ndarray) -> np.ndarray:
-    """Apply the register projector |vec><vec| across the one-photon sector."""
-    decl = state.decl
-    n = len(POLS) if setting.register == "pol" else len(decl.oam)
-    if len(vec) != n:
-        raise BasisMismatch(
-            f"{setting.register} projector has dimension {len(vec)}, register has {n}"
-        )
-    t = decl.tensor(state.amps)
-    out = np.zeros(decl.dim, dtype=complex)
-    if setting.register == "pol":
-        coef = np.einsum("p,spm->sm", vec.conj(), t)
-        decl.tensor(out)[...] = vec[:, None] * coef[:, None, :]
-    else:
-        coef = np.einsum("m,spm->sp", vec.conj(), t)
-        decl.tensor(out)[...] = coef[..., None] * vec
-    return out
-
-
-def _site_mass(amps: np.ndarray, decl, site: str) -> float:
-    return float(np.sum(np.abs(decl.tensor(amps)[decl.site_axis[site]]) ** 2))
-
-
 def born_probabilities(state: StateVector, setting: MeasurementSetting) -> list[OutcomeRecord]:
     """Outcome records for ``setting`` on ``state``; probabilities sum to 1."""
+    return _born(state, setting, with_states=True)
+
+
+def _born(
+    state: StateVector, setting: MeasurementSetting, with_states: bool
+) -> list[OutcomeRecord]:
+    """``born_probabilities``; without states every conditional state is ``None``."""
     decl = state.decl
     decl.require_site(setting.site)
     if not state.is_normalized():
@@ -153,30 +156,68 @@ def born_probabilities(state: StateVector, setting: MeasurementSetting) -> list[
         click = np.zeros(decl.dim, dtype=complex)
         at_site = decl.site_axis[setting.site]
         decl.tensor(click)[at_site] = decl.tensor(state.amps)[at_site]
-        return [_record(decl, "click", click), _record(decl, NO_CLICK, state.amps - click)]
+        return [_record(decl, "click", click, with_states),
+                _record(decl, NO_CLICK, state.amps - click, with_states)]
 
+    _check_register(decl, setting)
+    t = decl.tensor(state.amps)
+    at_site = decl.site_axis[setting.site]
     dark = np.zeros(decl.dim, dtype=complex)
     dark[0] = state.amps[0]  # the vacuum never reaches the analyzer
     records: list[OutcomeRecord] = []
-    for label, vec in setting.outcomes:
-        amps = _project(state, setting, vec)
+    step = max(1, _BLOCK_ENTRIES // decl.dim)
+    for lo in range(0, len(setting.outcomes), step):
+        block = setting.outcomes[lo:lo + step]
+        rows = _projected(decl, setting.register, t, np.array([vec for _, vec in block]))
+        weights = np.abs(rows)
+        weights *= weights  # |rows|**2 without a second temporary
+        probs = np.sum(weights, axis=1).tolist()
+        masses = np.sum(weights[:, 1:].reshape(len(block), *decl.shape)[:, at_site], axis=(1, 2))
+        for (label, _), p, mass, row in zip(block, probs, masses.tolist(), rows):
+            if p >= PROB_FLOOR and mass < PROB_FLOOR * p:
+                # Invisible to the detector at this site: merge into no-click
+                # coherently (the apparatus cannot distinguish these branches).
+                dark += row
+                records.append(OutcomeRecord(label, 0.0, None))
+            else:
+                records.append(_record(decl, label, row, with_states, p))
+    return records + [_record(decl, NO_CLICK, dark, with_states)]
+
+
+def _check_register(decl, setting: MeasurementSetting) -> None:
+    if setting.register == "oam" and setting.oam != decl.oam:
+        raise BasisMismatch(
+            f"OAM setting is written over the values {setting.oam}, the basis declares {decl.oam}"
+        )
+    n = len(POLS) if setting.register == "pol" else len(decl.oam)
+    for _, vec in setting.outcomes:
+        if len(vec) != n:
+            raise BasisMismatch(
+                f"{setting.register} projector has dimension {len(vec)}, register has {n}"
+            )
+
+
+def _projected(decl, register: str, t: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Rows |vec><vec| applied across the one-photon sector of ``t``, one per vector."""
+    rows = np.zeros((len(vecs), decl.dim), dtype=complex)
+    out = rows[:, 1:].reshape(len(vecs), *decl.shape)
+    if register == "pol":
+        coef = np.einsum("kp,spm->ksm", vecs.conj(), t)
+        np.multiply(vecs[:, None, :, None], coef[:, :, None, :], out=out)
+    else:
+        coef = np.einsum("km,spm->ksp", vecs.conj(), t)
+        np.multiply(coef[..., None], vecs[:, None, None, :], out=out)
+    return rows
+
+
+def _record(decl, label: str, amps: np.ndarray, with_state: bool, p: float | None = None):
+    """Outcome with probability p = ||amps||^2; floored to 0 with no state below PROB_FLOOR."""
+    if p is None:
         p = float(np.sum(np.abs(amps) ** 2))
-        if p >= PROB_FLOOR and _site_mass(amps, decl, setting.site) < PROB_FLOOR * p:
-            # Invisible to the detector at this site: merge into no-click
-            # coherently (the apparatus cannot distinguish these branches).
-            dark = dark + amps
-            records.append(OutcomeRecord(label, 0.0, None))
-        else:
-            records.append(_record(decl, label, amps))
-    return records + [_record(decl, NO_CLICK, dark)]
-
-
-def _record(decl, label: str, amps: np.ndarray) -> OutcomeRecord:
-    """Outcome with probability ||amps||^2; floored to 0 with no state below PROB_FLOOR."""
-    p = float(np.sum(np.abs(amps) ** 2))
     if p < PROB_FLOOR:
         return OutcomeRecord(label, 0.0, None)
-    return OutcomeRecord(label, p, normalize(StateVector(decl, amps)))
+    cond = StateVector(decl, amps / np.linalg.norm(amps)) if with_state else None
+    return OutcomeRecord(label, p, cond)
 
 
 def collapse(state: StateVector, setting: MeasurementSetting, outcome_label: str) -> StateVector:
@@ -202,7 +243,7 @@ def sample_outcomes(
     """Draw ``n`` outcome labels; identical seeds give identical sequences."""
     if not 0 <= n <= MAX_SHOTS:
         raise OutOfRange(f"bad shot count {n}: need 0 to {MAX_SHOTS}")
-    records = born_probabilities(state, setting)
+    records = _born(state, setting, with_states=False)
     draws = np.random.default_rng(seed).random(n)
     # _sample for every draw at once: the first record whose running sum exceeds u
     # (np.cumsum adds in the loop's order), the last one for u in the rounding gap.

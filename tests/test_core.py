@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from photonsteer import elements
 from photonsteer.core import (
     MAX_DIM,
     BasisDecl,
     BasisKet,
     DensityOperator,
     StateVector,
+    _is_hermitian,
     apply_local_unitary,
     expectation_value,
     fidelity,
@@ -27,6 +29,7 @@ from photonsteer.errors import (
 )
 from photonsteer.measurement import reduced_state
 from photonsteer.scenarios import eq1_state, hardy_state, qplate_tripartite_state, twc_state
+from photonsteer.elements import waveplate
 
 from conftest import occupation_oracle, random_state, register_oracle
 
@@ -303,6 +306,85 @@ class TestApplyLocalUnitary:
             assert out.norm() == pytest.approx(1.0, abs=1e-10)
 
 
+NON_FINITE = (np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(np.nan, 0.0))
+
+
+def unitary_cases(dim: int, seed: int = 5) -> list:
+    """Seeded unitaries moved just inside and just outside the allclose bound, and
+    (2x2 only, the closed form) every entry made NaN or inf in turn.
+
+    Diagonal: row 0 scaled so (u u^H)[0,0] - 1 = ±(1e-10 + 1e-5)·(1 ∓ 1e-3).
+    Off-diagonal: row 1 shifted by eps·(row 0), so (u u^H)[1,0] = eps with
+    |eps| = 1e-10·(1 ∓ 1e-3) and a seeded phase.
+    """
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(8):
+        q = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+        for factor in (1 - 1e-3, 1 + 1e-3):
+            for sign in (1, -1):
+                u = q.copy()
+                u[0] *= np.sqrt(1 + sign * (1e-10 + 1e-5) * factor)
+                cases.append(u)
+            u = q.copy()
+            u[1] += 1e-10 * factor * np.exp(2j * np.pi * rng.random()) * q[0]
+            cases.append(u)
+    for (i, j) in np.ndindex(dim, dim) if dim == 2 else ():
+        for bad in NON_FINITE:
+            u = np.eye(dim, dtype=complex)
+            u[i, j] = bad
+            cases.append(u)
+    return cases
+
+
+def allclose_unitary(u: np.ndarray) -> bool:
+    with np.errstate(all="ignore"):
+        return bool(np.allclose(u @ u.conj().T, np.eye(len(u)), atol=1e-10))
+
+
+def accepts(apply, u) -> bool:
+    try:
+        apply(u)
+    except NonUnitary:
+        return False
+    return True
+
+
+class TestUnitarityBound:
+    """The unitarity test accepts and rejects exactly what np.allclose(u u^H, I) does."""
+
+    @pytest.mark.parametrize("register, decl", [
+        ("pol", TWO_SITES),
+        ("oam", BasisDecl(("a", "b"), oam=(0, 2))),
+        ("oam", BasisDecl(("a", "b"), oam=(-2, 0, 2))),
+    ])
+    def test_apply_local_unitary_matches_allclose(self, register, decl):
+        state = StateVector.from_amplitudes(decl, {ket(decl.sites[0], "H", decl.oam[0]): 1.0})
+        dim = 2 if register == "pol" else len(decl.oam)
+        verdicts = []
+        for u in unitary_cases(dim):
+            got = accepts(lambda m: apply_local_unitary(state, m, register, decl.sites[0]), u)
+            assert got == allclose_unitary(u), u
+            verdicts.append(got)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    @pytest.mark.parametrize("kind", ["hwp", "qwp"])
+    def test_waveplate_matches_allclose(self, monkeypatch, kind):
+        state = eq1_state()
+        verdicts = []
+        for u in unitary_cases(2, seed=11):
+            monkeypatch.setattr(elements, f"{kind}_matrix", lambda theta, u=u: u)
+            got = accepts(lambda m: waveplate(state, "NY", kind, 0.0), u)
+            assert got == allclose_unitary(u), u
+            verdicts.append(got)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_wave_plates_at_every_angle_pass(self):
+        for theta in np.linspace(-720.0, 720.0, 1441):
+            for kind in ("hwp", "qwp"):
+                waveplate(eq1_state(), "NY", kind, float(theta))
+
+
 class TestExpectationValue:
     def test_identity_gives_trace(self):
         rho = to_density(eq1_state())
@@ -367,6 +449,62 @@ class TestDensityOperatorInvariants:
     def test_subnormalized_member_allowed(self):
         rho = DensityOperator(("0", "1"), np.diag([0.25, 0.25]))
         assert rho.trace_value == pytest.approx(0.5)
+
+
+def hermitian_cases(seed: int = 7) -> list:
+    """Seeded full-rank 4x4 states moved just inside and just outside the allclose
+    bound, and entries made NaN or inf alone and in conjugate pairs.
+
+    Off-diagonal: m[i,j] shifted by (1e-10 + 1e-5·|m[j,i]|)·(1 ∓ 1e-3) with a
+    seeded phase. Diagonal: m[i,i] given an imaginary part t with
+    2|t| = (1e-10 + 1e-5·|m[i,i]|)·(1 ∓ 1e-3).
+    """
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(8):
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = a @ a.conj().T + np.eye(4)
+        rho *= 0.8 / np.trace(rho).real
+        i, j = rng.choice(4, 2, replace=False)
+        for factor in (1 - 1e-3, 1 + 1e-3):
+            m = rho.copy()
+            m[i, j] += (1e-10 + 1e-5 * abs(rho[j, i])) * factor * np.exp(2j * np.pi * rng.random())
+            cases.append(m)
+            m = rho.copy()
+            m[i, i] += 0.5j * (1e-10 + 1e-5 * abs(rho[i, i])) * factor
+            cases.append(m)
+    for bad in NON_FINITE:
+        for (i, j) in ((0, 0), (0, 1)):
+            m = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+            m[i, j] = bad
+            cases.append(m.copy())
+            m[j, i] = np.conj(bad)
+            cases.append(m)
+    return cases
+
+
+class TestHermitianBound:
+    """The Hermitian test accepts and rejects exactly what np.allclose(m, m^H) does."""
+
+    def test_predicate_matches_allclose(self):
+        verdicts = []
+        for m in hermitian_cases():
+            with np.errstate(all="ignore"):
+                want = bool(np.allclose(m, m.conj().T, atol=1e-10))
+            assert _is_hermitian(m) == want, m
+            verdicts.append(want)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_density_operator_matches_allclose(self):
+        for m in hermitian_cases(seed=13):
+            with np.errstate(all="ignore"):
+                want = bool(np.allclose(m, m.conj().T, atol=1e-10))
+            try:
+                DensityOperator(("0", "1", "2", "3"), m)
+                hermitian = True
+            except ValueError as exc:  # a later check (eigenvalues, trace) may still fail
+                hermitian = "not Hermitian" not in str(exc)
+            assert hermitian == want, m
 
 
 class TestWithDeclaration:

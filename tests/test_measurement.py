@@ -1,14 +1,17 @@
 """Measurement-layer tests: Born tables, collapse, sampling, reductions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from photonsteer import measurement
 from photonsteer.core import BasisDecl, BasisKet, StateVector, fidelity
-from photonsteer.errors import OutOfRange, UnknownSite, ZeroProbabilityOutcome
+from photonsteer.errors import BasisMismatch, OutOfRange, UnknownSite, ZeroProbabilityOutcome
 from photonsteer.measurement import (
     MAX_SHOTS,
     NO_CLICK,
+    MeasurementSetting,
     OutcomeRecord,
     _sample,
     born_probabilities,
@@ -190,6 +193,126 @@ class TestOamMeasurement:
         assert fidelity(t[NO_CLICK].conditional_state, target_minus) >= 1 - 1e-10
 
 
+class TestOamSettingValues:
+    """An OAM setting is written over sorted values, and only measures a declaration
+    with the same values."""
+
+    DECL = BasisDecl(("a",), (2, 0, -2))
+
+    def test_unsorted_values_label_the_measured_value(self):
+        s = StateVector.from_amplitudes(self.DECL, {ket("a", "H", 2): 1.0})
+        setting = oam_setting("a", "number", (2, 0, -2))
+        assert setting.labels == ("-2", "0", "2", NO_CLICK)
+        assert setting.oam == (-2, 0, 2)
+        t = table(s, setting)
+        assert t["2"].probability == 1.0
+        assert t["-2"].probability == t["0"].probability == 0.0
+
+    def test_unsorted_values_in_the_pm_basis(self):
+        s = StateVector.from_amplitudes(self.DECL, {ket("a", "H", 2): SQ2, ket("a", "H", -2): SQ2})
+        t = table(s, oam_setting("a", "pm", (0, 2, -2)))
+        assert t["+"].probability == pytest.approx(1.0, abs=1e-12)
+        assert t["-"].probability == 0.0
+
+    def test_number_vectors_are_identity_rows(self):
+        setting = oam_setting("a", "number", (3, -1, 0, 7))
+        vectors = np.array([vec for _, vec in setting.outcomes])
+        assert vectors.dtype == complex
+        assert np.array_equal(vectors, np.eye(4))
+
+    @pytest.mark.parametrize("values", [(5, 6, 7), (-2, 0), (-2, 0, 2, 4)])
+    def test_foreign_values_raise_basis_mismatch(self, values):
+        s = StateVector.from_amplitudes(self.DECL, {ket("a", "H", 2): 1.0})
+        setting = oam_setting("a", "number", values)
+        with pytest.raises(BasisMismatch, match="OAM setting"):
+            born_probabilities(s, setting)
+        with pytest.raises(BasisMismatch):
+            sample_outcomes(s, setting, 10, seed=1)
+        with pytest.raises(BasisMismatch):
+            collapse(s, setting, "5")
+
+    def test_hand_built_oam_setting_must_name_its_values(self):
+        s = StateVector.from_amplitudes(self.DECL, {ket("a", "H", 2): 1.0})
+        outcomes = oam_setting("a", "number", self.DECL.oam).outcomes
+        with pytest.raises(BasisMismatch, match="OAM setting"):
+            born_probabilities(s, MeasurementSetting("a", "oam", "number", outcomes))
+
+
+class TestRegisterLength:
+    DECL = BasisDecl(("a", "b"), (-2, 0, 2))
+
+    def _state(self):
+        return StateVector.from_amplitudes(self.DECL, {ket("a", "H", 0): 1.0})
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_pol_vectors_of_the_wrong_length(self, n):
+        vec = np.ones(n, dtype=complex) / np.sqrt(n)
+        setting = MeasurementSetting("a", "pol", "bad", (("x", vec),))
+        with pytest.raises(BasisMismatch, match="pol projector has dimension"):
+            born_probabilities(self._state(), setting)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_oam_vectors_of_the_wrong_length(self, n):
+        good = oam_setting("a", "number", self.DECL.oam)
+        outcomes = good.outcomes[:1] + (("x", np.eye(n, dtype=complex)[0]),)
+        setting = MeasurementSetting("a", "oam", "bad", outcomes, self.DECL.oam)
+        with pytest.raises(BasisMismatch, match="oam projector has dimension"):
+            born_probabilities(self._state(), setting)
+
+
+class TestBornBlocks:
+    """Blocks of outcomes give the records of one block, bit for bit, in O(dim) memory."""
+
+    @staticmethod
+    def _bits(records):
+        return [(r.label, r.probability.hex(),
+                 None if r.conditional_state is None else r.conditional_state.amps.tobytes())
+                for r in records]
+
+    def test_one_outcome_per_block_changes_no_bit(self, rng, monkeypatch):
+        decl = BasisDecl(("a", "b", "c"), oam=(-4, -2, 0, 2, 4))
+        states = [random_state(decl, rng) for _ in range(4)]
+        # the q-plate state has invisible outcomes to fold into no-click across blocks
+        states.append(qplate_tripartite_state())
+        for s in states:
+            for site in s.decl.sites:
+                settings = [polarization_setting(site, "Xdiag"),
+                            oam_setting(site, "number", s.decl.oam),
+                            oam_setting(site, "pm", s.decl.oam)]
+                whole = [self._bits(born_probabilities(s, x)) for x in settings]
+                monkeypatch.setattr(measurement, "_BLOCK_ENTRIES", 1)
+                split = [self._bits(born_probabilities(s, x)) for x in settings]
+                monkeypatch.undo()
+                assert split == whole
+
+    def test_sampling_table_has_the_born_probabilities(self, rng):
+        decl = BasisDecl(("a", "b"), oam=(-2, 0, 2))
+        for s in (random_state(decl, rng), qplate_tripartite_state()):
+            for setting in (polarization_setting(s.decl.sites[0], "Ycirc"),
+                            oam_setting(s.decl.sites[1], "pm", s.decl.oam),
+                            occupation_setting(s.decl.sites[0])):
+                full = born_probabilities(s, setting)
+                bare = measurement._born(s, setting, with_states=False)
+                assert [(r.label, r.probability) for r in bare] == \
+                    [(r.label, r.probability) for r in full]
+                assert all(r.conditional_state is None for r in bare)
+
+    def test_many_outcome_table_peak_memory(self):
+        decl = BasisDecl(tuple(f"s{i}" for i in range(8)), oam=tuple(range(-256, 256)))
+        s = StateVector.from_amplitudes(decl, {ket("s3", "V", 7): 1.0})
+        setting = oam_setting("s3", "number", decl.oam)
+        tracemalloc.start()
+        try:
+            records = born_probabilities(s, setting)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 8193-ket state is 131 KB; a 512 x 8193 block would be 67 MB
+        assert peak < 3 * 2**20
+        assert [r.label for r in records if r.probability > 0] == ["7"]
+        assert table(s, setting)["7"].conditional_state.amps.tobytes() == s.amps.tobytes()
+
+
 class TestCompleteness:
     @pytest.mark.parametrize("maker", [
         lambda site: polarization_setting(site, "ZHV"),
@@ -295,7 +418,7 @@ class TestSampling:
                 assert size == draws.size
                 return draws
 
-        monkeypatch.setattr(measurement, "born_probabilities", lambda state, setting: records)
+        monkeypatch.setattr(measurement, "_born", lambda state, setting, with_states: records)
         monkeypatch.setattr(np.random, "default_rng", lambda seed: FixedDraws())
         labels = sample_outcomes(None, None, draws.size, seed=0)
         assert labels == [_sample(records, u).label for u in draws]
