@@ -153,7 +153,7 @@ def cmd_steer(args) -> int:
     if len(set(settings)) != len(settings):
         raise UsageError(f"repeated setting in --settings {args.settings!r}")
     steering.check_grid(args.grid)
-    rho, frame = scenarios.steering_frame(_load_steer_input(args), args.bob_site)
+    rho, frame = steering.two_qubit_frame(_load_steer_input(args), args.bob_site)
     assemblage = steering.compute_assemblage(rho, settings)
     verdict = steering.lhs_feasibility(assemblage, args.grid)
     cjwr = steering.cjwr_value(rho, settings)

@@ -206,8 +206,8 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def is_normalized(self, atol: float = NORM_ATOL) -> bool:
-        return abs(self.norm() - 1.0) <= atol
+    def is_normalized(self) -> bool:
+        return abs(self.norm() - 1.0) <= NORM_ATOL
 
     def with_declaration(self, decl: BasisDecl) -> "StateVector":
         """Re-express this state over another declaration.
@@ -249,7 +249,7 @@ class DensityOperator:
         if not _is_hermitian(mat):
             raise ValueError("density matrix is not Hermitian within 1e-10")
         eigs = np.linalg.eigvalsh(mat)
-        if eigs.size and eigs.min() < -ATOL:
+        if eigs.size and not eigs.min() >= -ATOL:  # NaN fails too
             raise ValueError(f"density matrix has negative eigenvalue {eigs.min():.3e}")
         tr = float(np.real(np.trace(mat)))
         if not -ATOL < tr <= 1.0 + ATOL:
@@ -358,7 +358,10 @@ def _is_hermitian(mat: np.ndarray) -> bool:
 
 def _is_unitary(u: np.ndarray) -> bool:
     """np.allclose(u @ u^H, I, atol=ATOL) without its per-call overhead: the same
-    |a - b| <= atol + rtol * |b| test, and NaN or inf still fails it."""
+    |a - b| <= atol + rtol * |b| test. NaN or inf fails before the product, which
+    would warn."""
+    if not np.isfinite(u).all():
+        return False
     eye = np.eye(len(u))
     return bool((np.abs(u @ u.conj().T - eye) <= ATOL + 1e-5 * eye).all())
 

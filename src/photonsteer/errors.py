@@ -26,7 +26,7 @@ class BasisMismatch(PhysicsError):
 
 
 class UnknownSubsystem(PhysicsError):
-    """Partial-trace selector does not name a valid tensor factor."""
+    """Register selector names no register the state has."""
 
 
 class NonUnitary(PhysicsError):

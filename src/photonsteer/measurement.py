@@ -110,25 +110,15 @@ def oam_setting(site: str, basis: str, oam_values: tuple[int, ...]) -> Measureme
     The values are taken in sorted order, the order ``BasisDecl`` gives them.
     """
     oam_values = tuple(sorted(int(m) for m in oam_values))
-    if basis == "number":
-        eye = np.eye(len(oam_values), dtype=complex)
-        outcomes = tuple((str(m), eye[i]) for i, m in enumerate(oam_values))
-    elif basis == "pm":
+    eye = np.eye(len(oam_values), dtype=complex)
+    outcomes = tuple((str(m), eye[i]) for i, m in enumerate(oam_values))
+    if basis == "pm":
         if 2 not in oam_values or -2 not in oam_values:
             raise ValueError(f"pm basis needs OAM values +2 and -2, have {oam_values}")
-        plus = np.zeros(len(oam_values), dtype=complex)
-        minus = np.zeros(len(oam_values), dtype=complex)
-        plus[oam_values.index(2)] = plus[oam_values.index(-2)] = 1.0 / np.sqrt(2.0)
-        minus[oam_values.index(2)] = 1.0 / np.sqrt(2.0)
-        minus[oam_values.index(-2)] = -1.0 / np.sqrt(2.0)
-        outcomes = [("+", plus), ("-", minus)]
-        for i, m in enumerate(oam_values):
-            if m not in (2, -2):
-                vec = np.zeros(len(oam_values), dtype=complex)
-                vec[i] = 1.0
-                outcomes.append((str(m), vec))
-        outcomes = tuple(outcomes)
-    else:
+        up, down = eye[oam_values.index(2)], eye[oam_values.index(-2)]
+        outcomes = (("+", (up + down) / np.sqrt(2.0)), ("-", (up - down) / np.sqrt(2.0)),
+                    *(o for o in outcomes if o[0] not in ("2", "-2")))
+    elif basis != "number":
         raise ValueError(f"basis must be 'number' or 'pm', got {basis!r}")
     return MeasurementSetting(site, "oam", basis, outcomes, oam_values)
 

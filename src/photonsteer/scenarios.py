@@ -13,9 +13,9 @@ from . import measurement, steering
 from .circuit import parse_circuit, run_circuit
 from .core import BasisDecl, BasisKet, DensityOperator, StateVector
 from .errors import BadParameters
+from .steering import BOB_SITE
 
 ALICE_SITE = "NY"
-BOB_SITE = "PUE"
 
 # Preparation chain of the main experiment: heralded H photon, half-wave
 # plate to 45 degrees, polarizing beam splitter fanning out to the two cities.
@@ -131,28 +131,6 @@ def preset(spec: str) -> StateVector | DensityOperator:
     raise BadParameters(f"unknown preset {name!r} (have {PRESET_NAMES})")
 
 
-def _default_bob(state: StateVector) -> str:
-    """Bob's site when none is named: BOB_SITE if declared (or nothing is), else the
-    later-declared of the photon's sites if it occupies exactly two, else the last."""
-    sites = state.decl.sites
-    if BOB_SITE in sites or not sites:
-        return BOB_SITE
-    occupied = steering.occupied_sites(state)
-    return occupied[-1] if len(occupied) == 2 else sites[-1]
-
-
-def steering_frame(prepared: StateVector | DensityOperator, bob_site: str | None = None):
-    """Two-qubit frame and label: ``noisy:v`` as it is (no Bob site), a state
-    vector by ``steering.two_qubit_frame`` with Bob at ``_default_bob`` unless named."""
-    if isinstance(prepared, DensityOperator):
-        if bob_site is not None:
-            raise BadParameters(f"a two-qubit preset has no sites, so no Bob site {bob_site!r}")
-        return prepared, "two-qubit"
-    if bob_site is None:
-        bob_site = _default_bob(prepared)
-    return steering.two_qubit_frame(prepared, bob_site)
-
-
 def complex_pairs(matrix: np.ndarray) -> list:
     """A complex matrix as nested [re, im] pairs for JSON output."""
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix)]
@@ -181,6 +159,7 @@ def scenario_report(preset_spec: str, site: str | None = None, basis: str | None
     """
     prepared = preset(preset_spec)
     report: dict = {"preset": preset_spec}
+    bob_site = None
 
     if isinstance(prepared, StateVector):
         site = site or (ALICE_SITE if ALICE_SITE in prepared.decl.sites else prepared.decl.sites[0])
@@ -197,7 +176,7 @@ def scenario_report(preset_spec: str, site: str | None = None, basis: str | None
         else:
             raise BadParameters(f"unknown basis {basis!r}")
 
-        bob_site = _default_bob(prepared)
+        bob_site = steering.frame_sites(prepared)[1]
         outcomes = []
         for record in measurement.born_probabilities(prepared, setting):
             entry: dict = {"label": record.label, "probability": record.probability}
@@ -221,7 +200,7 @@ def scenario_report(preset_spec: str, site: str | None = None, basis: str | None
     elif site is not None or basis is not None:
         raise BadParameters(f"preset {preset_spec!r} is two-qubit: it takes no site or basis")
 
-    rho, frame = steering_frame(prepared)
+    rho, frame = steering.two_qubit_frame(prepared, bob_site)
     assemblage = steering.compute_assemblage(rho, ("Z", "X"))
     members = {}
     for key, member in assemblage.members.items():

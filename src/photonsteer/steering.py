@@ -7,7 +7,8 @@ his site as a coherent dual-rail mode (0 = empty, 1 = photon present); for
 path-only states both qubits are site occupations. In that frame the
 benchmark entangled state has +1 correlators along every axis with the
 dichotomic observable table below, whose occupation-Z assigns +1 to "photon
-present". ``two_qubit_frame`` chooses between the two frames, and
+present". ``two_qubit_frame`` is the one frame rule: it picks the sites
+(``frame_sites``) and one of the two frames for every prepared input, and
 ``compute_assemblage``, ``cjwr_value``, ``chsh_value`` and ``chsh_optimize``
 take the 4x4 frame it returns (a ``DensityOperator``) and nothing else.
 Every assemblage member and correlator comes from the one observable table:
@@ -37,6 +38,7 @@ import numpy as np
 
 from .core import ATOL, DensityOperator, StateVector
 from .errors import (
+    BadParameters,
     BasisMismatch,
     NonDichotomicObservable,
     NonQubitBobMarginal,
@@ -65,6 +67,9 @@ ALICE_OBSERVABLES = {"Z": _PAULI["Z"], "X": _PAULI["X"], "Y": _PAULI["Y"]}
 BOB_OBSERVABLES = {"Z": -_PAULI["Z"], "X": _PAULI["X"], "Y": _PAULI["Y"]}
 
 QUBIT_PAIR_LABELS = ("A0|B0", "A0|B1", "A1|B0", "A1|B1")
+
+# Bob's site when a state declares it and none is named (``frame_sites``).
+BOB_SITE = "PUE"
 
 # The LHS program has one column per strategy and grid state, 2^m · grid_n² in all;
 # Z,X,Y at MAX_GRID is a 16 × 80 000 program, ~0.1 s, ~33 MiB.
@@ -101,8 +106,9 @@ def check_chsh_step(step: float) -> None:
 class Assemblage:
     """Subnormalized conditional states at Bob, indexed by (setting, outcome).
 
-    Outcomes are the eigenvalues +1/-1 of Alice's dichotomic setting. Members
-    are 2x2 matrices in Bob's occupation basis. ``sum_a member(x, a)`` is
+    Outcomes are the eigenvalues +1/-1 of Alice's dichotomic setting; the keys
+    are exactly (x, ±1) for each setting x, else ``BasisMismatch``. Members are
+    2x2 matrices in Bob's occupation basis. ``sum_a member(x, a)`` is
     Alice-setting independent (no signaling); the residual records how well
     that holds numerically.
     """
@@ -111,6 +117,10 @@ class Assemblage:
     members: dict[tuple[str, int], np.ndarray]
 
     def __post_init__(self):
+        object.__setattr__(self, "settings", tuple(self.settings))
+        if set(self.members) != set(product(self.settings, (+1, -1))):
+            raise BasisMismatch(f"assemblage keys {list(self.members)} are not (x, ±1) for "
+                                f"each setting x of {self.settings}")
         frozen = {}
         for key, mat in self.members.items():
             arr = np.asarray(mat, dtype=complex)
@@ -129,7 +139,6 @@ class Assemblage:
             arr.setflags(write=False)
             frozen[key] = arr
         object.__setattr__(self, "members", frozen)
-        object.__setattr__(self, "settings", tuple(self.settings))
 
     def bob_marginal(self, setting: str) -> np.ndarray:
         return sum(self.members[(setting, a)] for a in (+1, -1))
@@ -188,36 +197,37 @@ class ChshResult:
                 raise ValueError(f"correlator {e} outside [-1, 1]")
 
 
-def occupied_sites(state: StateVector) -> list[str]:
-    """The declared sites that carry photon amplitude, in declaration order."""
+def frame_sites(state: StateVector, bob_site: str | None = None) -> tuple[str, str]:
+    """(Alice's site, Bob's site) of a one-photon frame. Bob is ``bob_site``, else ``BOB_SITE``
+    if declared (or nothing is), else the later of the photon's sites if it occupies exactly
+    two, else the last declared one; Alice is the occupied site besides Bob's, else the first
+    other one."""
     decl = state.decl
     t = decl.tensor(state.amps)
-    return [s for s in decl.sites if np.linalg.norm(t[decl.site_axis[s]]) > 1e-10]
-
-
-def _alice_site(state: StateVector, bob_site: str) -> str:
-    """Alice's site: the one occupied site other than Bob's, else the first other one."""
-    decl = state.decl
+    occupied = [s for s in decl.sites if np.linalg.norm(t[decl.site_axis[s]]) > 1e-10]
+    if bob_site is None:
+        bob_site = (BOB_SITE if BOB_SITE in decl.sites or not decl.sites
+                    else occupied[-1] if len(occupied) == 2 else decl.sites[-1])
     others = [s for s in decl.sites if s != bob_site]
     if not others:
         raise NonQubitBobMarginal(f"a steering frame needs two sites, the state has {decl.sites}")
     if bob_site not in decl.sites:
         raise UnknownSite(f"site {bob_site!r} not declared")
-    occupied = [s for s in occupied_sites(state) if s != bob_site]
+    occupied = [s for s in occupied if s != bob_site]
     if len(occupied) > 1:
         raise NonQubitBobMarginal(f"photon amplitude at {occupied} besides Bob's site {bob_site!r}")
-    return (occupied or others)[0]
+    return (occupied or others)[0], bob_site
 
 
 def pol_path_qubits(state: StateVector, bob_site: str) -> DensityOperator:
     """Two-qubit density matrix (polarization ⊗ Bob-site occupation).
 
     Requires a pure one-photon state over Bob's site and Alice's
-    (``_alice_site``); OAM is traced out. Basis order: (H,0), (H,1), (V,0),
+    (``frame_sites``); OAM is traced out. Basis order: (H,0), (H,1), (V,0),
     (V,1) with occupation 1 meaning the photon is at ``bob_site``.
     """
     decl = state.decl
-    alice_site = _alice_site(state, bob_site)
+    alice_site = frame_sites(state, bob_site)[0]
     if abs(state.amps[0]) ** 2 > ATOL:
         raise NonQubitBobMarginal("state has vacuum weight; polarization-path frame undefined")
 
@@ -272,14 +282,23 @@ def _occupation_qubits(state: StateVector, occ, alice_site: str, bob_site: str) 
     return DensityOperator(QUBIT_PAIR_LABELS, np.outer(amp2q, amp2q.conj()))
 
 
-def two_qubit_frame(state: StateVector, bob_site: str) -> tuple[DensityOperator, str]:
-    """The frame rule: the two-qubit frame and its label, ``occ-occ(alice,bob)`` for a state
-    with vacuum weight or a path-only one (``path_amplitudes``), else ``pol-path(bob=…)``."""
-    occ = path_amplitudes(state)
-    if abs(state.amps[0]) ** 2 <= 1e-12 and occ is None:
-        return pol_path_qubits(state, bob_site), f"pol-path(bob={bob_site})"
-    alice_site = _alice_site(state, bob_site)
-    return _occupation_qubits(state, occ, alice_site, bob_site), f"occ-occ({alice_site},{bob_site})"
+def two_qubit_frame(
+    prepared: StateVector | DensityOperator, bob_site: str | None = None
+) -> tuple[DensityOperator, str]:
+    """The frame rule: the two-qubit frame and its label. A ``DensityOperator`` (``noisy:v``)
+    is the frame already, ``two-qubit``, and has no Bob site. A state vector reads as
+    ``occ-occ(alice,bob)`` when it has vacuum weight or is path-only (``path_amplitudes``),
+    else as ``pol-path(bob=…)``, at the sites ``frame_sites`` picks."""
+    if isinstance(prepared, DensityOperator):
+        if bob_site is not None:
+            raise BadParameters(f"a two-qubit preset has no sites, so no Bob site {bob_site!r}")
+        return prepared, "two-qubit"
+    occ = path_amplitudes(prepared)
+    alice_site, bob_site = frame_sites(prepared, bob_site)
+    if abs(prepared.amps[0]) ** 2 <= 1e-12 and occ is None:
+        return pol_path_qubits(prepared, bob_site), f"pol-path(bob={bob_site})"
+    frame = _occupation_qubits(prepared, occ, alice_site, bob_site)
+    return frame, f"occ-occ({alice_site},{bob_site})"
 
 
 def _frame_matrix(rho: DensityOperator) -> np.ndarray:
@@ -442,10 +461,6 @@ def lhs_feasibility(assemblage: Assemblage, grid_n: int) -> SteeringVerdict:
     if m > 4:
         raise TooManySettings(f"at most 4 settings supported, got {m}")
     outcomes = (+1, -1)
-    for key in product(assemblage.settings, outcomes):
-        if key not in assemblage.members:
-            raise BasisMismatch(f"assemblage missing member {key}")
-
     grid = fibonacci_bloch_grid(grid_n * grid_n)
     strategies = list(product(outcomes, repeat=m))
 

@@ -379,6 +379,15 @@ class TestUnitarityBound:
             verdicts.append(got)
         assert 0 < sum(verdicts) < len(verdicts)
 
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_oam_matrix_raises_non_unitary(self, bad):
+        # Rejected before u @ u^H, whose numpy warning the suite turns into an error.
+        decl = BasisDecl(("a", "b"), oam=(-2, 0, 2))
+        u = np.eye(3, dtype=complex)
+        u[1, 2] = bad
+        with pytest.raises(NonUnitary):
+            apply_local_unitary(StateVector.vacuum(decl), u, "oam")
+
     def test_wave_plates_at_every_angle_pass(self):
         for theta in np.linspace(-720.0, 720.0, 1441):
             for kind in ("hwp", "qwp"):
@@ -449,6 +458,12 @@ class TestDensityOperatorInvariants:
     def test_subnormalized_member_allowed(self):
         rho = DensityOperator(("0", "1"), np.diag([0.25, 0.25]))
         assert rho.trace_value == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, complex(0.0, np.inf)])
+    def test_rejects_an_infinite_conjugate_pair(self, bad):
+        # np.allclose counts inf == inf as close, so only the eigenvalues (NaN) catch it.
+        with pytest.raises(ValueError, match="eigenvalue nan"):
+            DensityOperator(("0", "1"), np.array([[0.5, bad], [np.conj(bad), 0.5]]))
 
 
 def hermitian_cases(seed: int = 7) -> list:

@@ -21,7 +21,6 @@ from photonsteer.scenarios import (
     hardy_state,
     noisy_state,
     preset,
-    steering_frame,
     twc_state,
 )
 from photonsteer.simplex import solve_feasibility
@@ -160,7 +159,8 @@ class TestAssemblage:
 
     @staticmethod
     def one_member(matrix) -> Assemblage:
-        return Assemblage(("Z",), {("Z", +1): np.asarray(matrix, dtype=complex)})
+        member = np.asarray(matrix, dtype=complex)
+        return Assemblage(("Z",), {("Z", +1): member, ("Z", -1): member})
 
     @pytest.mark.parametrize("matrix", [
         [[0.5, 0.0], [2e-10, 0.5]],
@@ -229,7 +229,7 @@ class TestObservableTableOracle:
     @pytest.fixture
     def frames(self, rng):
         specs = ("eq1", "twc", "qplate_tripartite", "hardy", "noisy:0.72", "noisy:1")
-        frames = [steering_frame(preset(spec))[0] for spec in specs]
+        frames = [two_qubit_frame(preset(spec))[0] for spec in specs]
         return frames + [random_two_qubit_density(rng, mixed)
                          for mixed in (False, True) for _ in range(500)]
 
@@ -266,7 +266,7 @@ class TestObservableTableOracle:
         # leave no rounding in the outcome sums.
         specs = ["eq1", "twc", "qplate_tripartite"]
         specs += [f"noisy:{v}" for v in np.linspace(0.0, 1.0, 201)]
-        residuals = {spec: compute_assemblage(steering_frame(preset(spec))[0], settings)
+        residuals = {spec: compute_assemblage(two_qubit_frame(preset(spec))[0], settings)
                      .no_signaling_residual() for spec in specs}
         assert {spec: r for spec, r in residuals.items() if r != 0.0} == {}
 
