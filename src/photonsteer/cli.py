@@ -88,7 +88,7 @@ def _oam_value(value) -> int:
 
 def state_from_json_dict(doc: dict) -> StateVector:
     """Inverse of ``state_to_json_dict``; ValueError unless the file holds a unit state
-    with integer OAM values."""
+    with integer OAM values and names each ket at most once."""
     if len(doc["basis"]) != len(doc["amplitudes"]):
         raise ValueError(f"{len(doc['basis'])} basis entries but "
                          f"{len(doc['amplitudes'])} amplitudes")
@@ -97,6 +97,8 @@ def state_from_json_dict(doc: dict) -> StateVector:
     for entry, (re, im) in zip(doc["basis"], doc["amplitudes"]):
         ket = (BasisKet.vacuum() if entry == "vac"
                else BasisKet.photon(entry[0], entry[1], _oam_value(entry[2])))
+        if ket in amplitudes:
+            raise ValueError(f"basis entry {entry!r} names the ket {ket!r} again")
         amplitudes[ket] = complex(re, im)
     state = StateVector.from_amplitudes(decl, amplitudes)
     if not np.isfinite(state.amps).all():

@@ -14,8 +14,8 @@ site name to its position, which can differ from the declared order), axis 1
 over (H, V) and axis 2 over the sorted OAM values. ``BasisDecl.tensor``
 returns that view, and element actions, projections and register reductions
 are axis operations on it rather than per-ket index lookups. Element actions
-are in-place kernels on a writable view; the public functions copy the
-amplitudes, run the kernel and wrap the copy in a new ``StateVector``.
+are in-place kernels on a writable view; the public functions run them through
+``_on_copy``, on a copy of the amplitudes wrapped in a new ``StateVector``.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -67,7 +67,7 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class BasisKet:
     """One basis element: the vacuum, or a photon at (site, pol, oam)."""
 
@@ -215,13 +215,7 @@ class StateVector:
         Every ket carrying nonzero amplitude must exist in the target basis;
         kets only present in the target get amplitude zero.
         """
-        amps = np.zeros(decl.dim, dtype=complex)
-        for ket, amp in self.items(tol=0.0):
-            idx = decl.index.get(ket)
-            if idx is None:
-                raise BasisMismatch(f"ket {ket!r} carries amplitude but is absent from target basis")
-            amps[idx] = amp
-        return StateVector(decl, amps)
+        return StateVector.from_amplitudes(decl, dict(self.items()))
 
     def __repr__(self) -> str:
         terms = ", ".join(f"{ket!r}: {amp:.4g}" for ket, amp in self.items(tol=1e-12))
@@ -247,7 +241,8 @@ class DensityOperator:
         if mat.shape != (n, n):
             raise DimensionMismatch(f"matrix shape {mat.shape} does not match {n} labels")
         if not _is_hermitian(mat):
-            raise ValueError("density matrix is not Hermitian within 1e-10")
+            raise ValueError("density matrix has a non-finite entry" if not np.isfinite(mat).all()
+                             else "density matrix is not Hermitian within 1e-10")
         eigs = np.linalg.eigvalsh(mat)
         if eigs.size and not eigs.min() >= -ATOL:  # NaN fails too
             raise ValueError(f"density matrix has negative eigenvalue {eigs.min():.3e}")
@@ -321,8 +316,13 @@ def apply_local_unitary(
     the action is restricted to amplitudes at that site, otherwise it acts on
     the register across all sites. The vacuum amplitude is never touched.
     """
+    return _on_copy(_local_unitary, state, u, register, site)
+
+
+def _on_copy(kernel, state: StateVector, *args) -> StateVector:
+    """Run the in-place ``kernel(decl, amps, *args)`` on a copy of ``state``'s amplitudes."""
     amps = np.array(state.amps)
-    _local_unitary(state.decl, amps, u, register, site)
+    kernel(state.decl, amps, *args)
     return StateVector(state.decl, amps)
 
 
@@ -348,11 +348,11 @@ def _local_unitary(
 
 
 def _is_hermitian(mat: np.ndarray) -> bool:
-    """np.allclose(mat, mat^H, atol=ATOL) without its per-call overhead: on finite
-    entries, the same |a - b| <= atol + rtol * |b| test."""
-    adj = mat.conj().T
+    """np.allclose(mat, mat^H, atol=ATOL) on a finite matrix without its per-call overhead:
+    the same |a - b| <= atol + rtol * |b| test. NaN or inf fails before it, which would warn."""
     if not np.isfinite(mat).all():
-        return bool(np.allclose(mat, adj, atol=ATOL))  # its own rules for inf and NaN
+        return False
+    adj = mat.conj().T
     return bool((np.abs(mat - adj) <= ATOL + 1e-5 * np.abs(adj)).all())
 
 

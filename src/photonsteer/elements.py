@@ -17,8 +17,8 @@ they do not name. Each element has one implementation: a private in-place
 kernel ``_name(decl, amps, ...)`` that works on the writable (site, pol, oam)
 view ``decl.tensor(amps)``, checks its operands and raises the element's
 errors. ``circuit.run_circuit`` applies the kernels to one amplitude buffer.
-The public functions are pure: each copies the amplitudes of its input state,
-runs the kernel on the copy and wraps the copy in a new ``StateVector``.
+The public functions are pure: ``core._on_copy`` runs the kernel on a copy of
+the input state's amplitudes and wraps the copy in a new ``StateVector``.
 A non-finite wave-plate or phase angle raises ``NonUnitary`` before any
 trigonometry.
 """
@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .core import POLS, BasisDecl, BasisKet, StateVector, _local_unitary
+from .core import POLS, BasisDecl, BasisKet, StateVector, _local_unitary, _on_copy
 from .errors import DoubleExcitation, NonUnitary, OamOverflow, SiteCollision, UnknownSite
 
 _AMP_TOL = 1e-12
@@ -63,23 +63,17 @@ def heralded_source(decl: BasisDecl, site: str, pol: str) -> StateVector:
     Models the trigger postselection of a down-conversion pair source: once
     the trigger fires, exactly one photon of known polarization exists.
     """
-    amps = np.array(StateVector.vacuum(decl).amps)
-    _source(decl, amps, site, pol)
-    return StateVector(decl, amps)
+    return apply_source(StateVector.vacuum(decl), site, pol)
 
 
 def apply_source(state: StateVector, site: str, pol: str) -> StateVector:
     """Fire the heralded source on a running state (must still be vacuum)."""
-    amps = np.array(state.amps)
-    _source(state.decl, amps, site, pol)
-    return StateVector(state.decl, amps)
+    return _on_copy(_source, state, site, pol)
 
 
 def waveplate(state: StateVector, site: str, kind: str, theta_deg: float) -> StateVector:
     """Apply an HWP or QWP Jones matrix to the polarization at one site."""
-    amps = np.array(state.amps)
-    _waveplate(state.decl, amps, site, kind, theta_deg)
-    return StateVector(state.decl, amps)
+    return _on_copy(_waveplate, state, site, kind, theta_deg)
 
 
 def pbs_route(state: StateVector, input: str, out_h: str, out_v: str) -> StateVector:
@@ -88,30 +82,22 @@ def pbs_route(state: StateVector, input: str, out_h: str, out_v: str) -> StateVe
     No reflection phase is applied (compensable by a linear element, so the
     preparation narrative leaves it out). Vacuum passes through unchanged.
     """
-    amps = np.array(state.amps)
-    _pbs(state.decl, amps, input, out_h, out_v)
-    return StateVector(state.decl, amps)
+    return _on_copy(_pbs, state, input, out_h, out_v)
 
 
 def beamsplitter_5050(state: StateVector, site1: str, site2: str) -> StateVector:
     """Symmetric 50/50 beam splitter on the occupation amplitudes of two sites."""
-    amps = np.array(state.amps)
-    _beamsplitter(state.decl, amps, site1, site2)
-    return StateVector(state.decl, amps)
+    return _on_copy(_beamsplitter, state, site1, site2)
 
 
 def qplate(state: StateVector, site: str, q: int) -> StateVector:
     """Couple circular polarization to OAM at one site: |L,m> <-> |R,m+2q>."""
-    amps = np.array(state.amps)
-    _qplate(state.decl, amps, site, q)
-    return StateVector(state.decl, amps)
+    return _on_copy(_qplate, state, site, q)
 
 
 def phase_shift(state: StateVector, site: str, phi_deg: float) -> StateVector:
     """Multiply all amplitudes at ``site`` by exp(i phi)."""
-    amps = np.array(state.amps)
-    _phase(state.decl, amps, site, phi_deg)
-    return StateVector(state.decl, amps)
+    return _on_copy(_phase, state, site, phi_deg)
 
 
 # --- in-place kernels on a writable amplitude vector of ``decl`` -------------

@@ -75,7 +75,6 @@ class MeasurementSetting:
 
     site: str
     register: str
-    basis_name: str
     outcomes: tuple[tuple[str, np.ndarray], ...]
     oam: tuple[int, ...] = ()
 
@@ -101,7 +100,7 @@ def polarization_setting(site: str, basis: str) -> MeasurementSetting:
     """Polarization analyzer at ``site``; basis one of ZHV, Xdiag, Ycirc."""
     if basis not in _POL_BASES:
         raise ValueError(f"basis must be one of {tuple(_POL_BASES)}, got {basis!r}")
-    return MeasurementSetting(site, "pol", basis, _POL_BASES[basis])
+    return MeasurementSetting(site, "pol", _POL_BASES[basis])
 
 
 def oam_setting(site: str, basis: str, oam_values: tuple[int, ...]) -> MeasurementSetting:
@@ -120,12 +119,12 @@ def oam_setting(site: str, basis: str, oam_values: tuple[int, ...]) -> Measureme
                     *(o for o in outcomes if o[0] not in ("2", "-2")))
     elif basis != "number":
         raise ValueError(f"basis must be 'number' or 'pm', got {basis!r}")
-    return MeasurementSetting(site, "oam", basis, outcomes, oam_values)
+    return MeasurementSetting(site, "oam", outcomes, oam_values)
 
 
 def occupation_setting(site: str) -> MeasurementSetting:
     """Presence detector at ``site``: click iff the photon is found there."""
-    return MeasurementSetting(site, "occupation", "occupation", (("click", np.array([1.0])),))
+    return MeasurementSetting(site, "occupation", (("click", np.array([1.0])),))
 
 
 def born_probabilities(state: StateVector, setting: MeasurementSetting) -> list[OutcomeRecord]:
@@ -224,7 +223,8 @@ def collapse(state: StateVector, setting: MeasurementSetting, outcome_label: str
 
 def sample_outcome(state: StateVector, setting: MeasurementSetting, seed: int) -> OutcomeRecord:
     """Draw one outcome with a seed-reproducible generator (inverse CDF)."""
-    return _sample(born_probabilities(state, setting), np.random.default_rng(seed).random())
+    records = born_probabilities(state, setting)
+    return records[_pick(records, np.random.default_rng(seed).random(1))[0]]
 
 
 def sample_outcomes(
@@ -234,21 +234,15 @@ def sample_outcomes(
     if not 0 <= n <= MAX_SHOTS:
         raise OutOfRange(f"bad shot count {n}: need 0 to {MAX_SHOTS}")
     records = _born(state, setting, with_states=False)
-    draws = np.random.default_rng(seed).random(n)
-    # _sample for every draw at once: the first record whose running sum exceeds u
-    # (np.cumsum adds in the loop's order), the last one for u in the rounding gap.
+    picks = _pick(records, np.random.default_rng(seed).random(n))
+    return np.array([r.label for r in records], dtype=object)[picks].tolist()
+
+
+def _pick(records: list[OutcomeRecord], draws: np.ndarray) -> np.ndarray:
+    """Inverse CDF: per draw u, the index of the first record whose running sum exceeds u,
+    or of the last record for u in the rounding gap below 1."""
     picks = np.searchsorted(np.cumsum([r.probability for r in records]), draws, side="right")
-    labels = np.array([r.label for r in records], dtype=object)
-    return labels[np.minimum(picks, len(records) - 1)].tolist()
-
-
-def _sample(records: list[OutcomeRecord], u: float) -> OutcomeRecord:
-    acc = 0.0
-    for record in records:
-        acc += record.probability
-        if u < acc:
-            return record
-    return records[-1]  # u landed in the rounding gap below 1
+    return np.minimum(picks, len(records) - 1)
 
 
 def reduced_state(state: StateVector, keep: str, site: str | None = None) -> DensityOperator:

@@ -150,19 +150,20 @@ def chsh_json(chsh: steering.ChshResult) -> dict:
 def scenario_report(preset_spec: str, site: str | None = None, basis: str | None = None) -> dict:
     """Render one measurement narrative as comparable data.
 
-    The ``detector`` section is the Born table of the analyzer at ``site``
-    (photon-space presets only; ``noisy:v`` takes no ``site`` or ``basis``):
-    click labels, conditional states, and the photon-number readout of Bob's
-    site for each branch. The ``assemblage`` section gives the conditional
-    Bob-qubit states for Alice settings Z and X together with the CJWR and
-    CHSH values of the preset's two-qubit frame.
+    The ``detector`` section is the Born table of the analyzer at ``site``, by
+    default the frame's Alice (photon-space presets only; ``noisy:v`` takes no
+    ``site`` or ``basis``): click labels, conditional states, and the photon-number
+    readout of Bob's site for each branch. The ``assemblage`` section gives the
+    conditional Bob-qubit states for Alice settings Z and X together with the
+    CJWR and CHSH values of the preset's two-qubit frame.
     """
     prepared = preset(preset_spec)
     report: dict = {"preset": preset_spec}
     bob_site = None
 
     if isinstance(prepared, StateVector):
-        site = site or (ALICE_SITE if ALICE_SITE in prepared.decl.sites else prepared.decl.sites[0])
+        alice_site, bob_site = steering.frame_sites(prepared)
+        site = site or alice_site
         basis = basis or "ZHV"
         if basis in ("ZHV", "Xdiag", "Ycirc"):
             setting = measurement.polarization_setting(site, basis)
@@ -176,7 +177,6 @@ def scenario_report(preset_spec: str, site: str | None = None, basis: str | None
         else:
             raise BadParameters(f"unknown basis {basis!r}")
 
-        bob_site = steering.frame_sites(prepared)[1]
         outcomes = []
         for record in measurement.born_probabilities(prepared, setting):
             entry: dict = {"label": record.label, "probability": record.probability}

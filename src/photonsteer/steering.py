@@ -106,9 +106,9 @@ def check_chsh_step(step: float) -> None:
 class Assemblage:
     """Subnormalized conditional states at Bob, indexed by (setting, outcome).
 
-    Outcomes are the eigenvalues +1/-1 of Alice's dichotomic setting; the keys
-    are exactly (x, ±1) for each setting x, else ``BasisMismatch``. Members are
-    2x2 matrices in Bob's occupation basis. ``sum_a member(x, a)`` is
+    Outcomes are the eigenvalues +1/-1 of Alice's dichotomic setting; the settings are
+    distinct and the keys exactly (x, ±1) for each setting x, else ``BasisMismatch``.
+    Members are 2x2 matrices in Bob's occupation basis. ``sum_a member(x, a)`` is
     Alice-setting independent (no signaling); the residual records how well
     that holds numerically.
     """
@@ -118,6 +118,8 @@ class Assemblage:
 
     def __post_init__(self):
         object.__setattr__(self, "settings", tuple(self.settings))
+        if len(set(self.settings)) != len(self.settings):
+            raise BasisMismatch(f"repeated setting in {self.settings}")
         if set(self.members) != set(product(self.settings, (+1, -1))):
             raise BasisMismatch(f"assemblage keys {list(self.members)} are not (x, ±1) for "
                                 f"each setting x of {self.settings}")
@@ -318,12 +320,12 @@ def _correlation_matrix(rho2q: np.ndarray, axes=("Z", "X")) -> np.ndarray:
 def cjwr_value(rho: DensityOperator, axes) -> float:
     """Linear steering functional F_n = |sum_k <A_k ⊗ B_k>| / sqrt(n) on a two-qubit frame.
 
-    LHS-describable correlations obey F_n <= 1. The n axes are names ("Z",
-    "X", "Y") of the module observable tables; n must be 2 or 3.
+    LHS-describable correlations obey F_n <= 1 for n distinct axes. The axes are
+    names ("Z", "X", "Y") of the module observable tables; n must be 2 or 3.
     """
     axes = tuple(axes)
-    if len(axes) not in (2, 3):
-        raise ValueError(f"CJWR is implemented for n in {{2, 3}}, got {len(axes)}")
+    if len(axes) not in (2, 3) or len(set(axes)) != len(axes):
+        raise ValueError(f"CJWR is implemented for n in {{2, 3}} distinct axes, got {axes}")
     matrix = _frame_matrix(rho)
     for axis in axes:
         if axis not in ALICE_OBSERVABLES:

@@ -214,6 +214,20 @@ class TestSteer:
         assert "cannot read a 'run' state" in err and "OverflowError" in err
         assert err.count("\n") == 1
 
+    def test_input_naming_a_ket_twice_exits_4(self, tmp_path, capsys):
+        # The written amplitudes have norm² 1.36; keeping only the last of the two
+        # H amplitudes at site a would read as a unit state.
+        s = 1.0 / np.sqrt(2.0)
+        doc = {"sites": ["a", "b"], "oam": [0],
+               "basis": ["vac", ["a", "H", 0], ["a", "H", 0], ["b", "H", 0]],
+               "amplitudes": [[0.0, 0.0], [0.6, 0.0], [s, 0.0], [s, 0.0]]}
+        state_path = tmp_path / "state.json"
+        state_path.write_text(json.dumps(doc))
+        assert main(["steer", "--input", str(state_path)]) == 4
+        err = capsys.readouterr().err
+        assert "cannot read a 'run' state" in err and "|a,H,0>" in err
+        assert err.count("\n") == 1
+
     def test_deeply_nested_input_exits_4(self, tmp_path, capsys):
         state_path = tmp_path / "state.json"
         state_path.write_text("[" * 200_000)

@@ -50,6 +50,11 @@ class TestBasisDecl:
         assert labels == sorted(labels)
         assert labels[0] == "NY:H:-2"
 
+    def test_kets_are_not_ordered(self):
+        # Basis order comes from the declaration, never from comparing kets.
+        with pytest.raises(TypeError):
+            ket("a", "H") < ket("b", "H")
+
     def test_dimension(self):
         assert TWO_SITES.dim == 5
         assert BasisDecl(("a", "b", "c"), oam=(-2, 0, 2)).dim == 19
@@ -461,9 +466,14 @@ class TestDensityOperatorInvariants:
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, complex(0.0, np.inf)])
     def test_rejects_an_infinite_conjugate_pair(self, bad):
-        # np.allclose counts inf == inf as close, so only the eigenvalues (NaN) catch it.
-        with pytest.raises(ValueError, match="eigenvalue nan"):
+        # np.allclose counts inf == inf as close; the Hermitian test does not.
+        with pytest.raises(ValueError, match="non-finite entry"):
             DensityOperator(("0", "1"), np.array([[0.5, bad], [np.conj(bad), 0.5]]))
+
+    @pytest.mark.parametrize("matrix", [[[np.inf, 0.0], [0.0, 0.0]], [[np.nan, 0.0], [0.0, 1.0]]])
+    def test_names_a_non_finite_diagonal(self, matrix):
+        with pytest.raises(ValueError, match="non-finite entry"):
+            DensityOperator(("0", "1"), np.array(matrix))
 
 
 def hermitian_cases(seed: int = 7) -> list:
@@ -499,13 +509,13 @@ def hermitian_cases(seed: int = 7) -> list:
 
 
 class TestHermitianBound:
-    """The Hermitian test accepts and rejects exactly what np.allclose(m, m^H) does."""
+    """The Hermitian test accepts exactly the finite matrices np.allclose(m, m^H) accepts."""
 
     def test_predicate_matches_allclose(self):
         verdicts = []
         for m in hermitian_cases():
             with np.errstate(all="ignore"):
-                want = bool(np.allclose(m, m.conj().T, atol=1e-10))
+                want = bool(np.isfinite(m).all() and np.allclose(m, m.conj().T, atol=1e-10))
             assert _is_hermitian(m) == want, m
             verdicts.append(want)
         assert 0 < sum(verdicts) < len(verdicts)
@@ -513,12 +523,12 @@ class TestHermitianBound:
     def test_density_operator_matches_allclose(self):
         for m in hermitian_cases(seed=13):
             with np.errstate(all="ignore"):
-                want = bool(np.allclose(m, m.conj().T, atol=1e-10))
+                want = bool(np.isfinite(m).all() and np.allclose(m, m.conj().T, atol=1e-10))
             try:
                 DensityOperator(("0", "1", "2", "3"), m)
                 hermitian = True
             except ValueError as exc:  # a later check (eigenvalues, trace) may still fail
-                hermitian = "not Hermitian" not in str(exc)
+                hermitian = "not Hermitian" not in str(exc) and "non-finite" not in str(exc)
             assert hermitian == want, m
 
 
@@ -533,3 +543,13 @@ class TestWithDeclaration:
         small = BasisDecl(("NY",))
         with pytest.raises(BasisMismatch):
             eq1_state().with_declaration(small)
+
+    def test_amplitudes_equal_a_per_ket_placement(self, rng):
+        small = BasisDecl(("b", "a"), (0, 2))
+        big = BasisDecl(("c", "a", "b"), (-2, 0, 2))
+        state = random_state(small, rng)
+        moved = state.with_declaration(big)
+        want = np.zeros(big.dim, dtype=complex)
+        for k, amp in zip(small.kets, state.amps):
+            want[big.index[k]] = amp
+        assert moved.amps.tobytes() == want.tobytes()

@@ -13,7 +13,6 @@ from photonsteer.measurement import (
     NO_CLICK,
     MeasurementSetting,
     OutcomeRecord,
-    _sample,
     born_probabilities,
     collapse,
     oam_setting,
@@ -37,6 +36,16 @@ def ket(site, pol, oam=0):
 
 def table(state, setting):
     return {r.label: r for r in born_probabilities(state, setting)}
+
+
+def _sample(records, u):
+    """Inverse-CDF oracle for one draw u: the first record whose running sum exceeds u."""
+    acc = 0.0
+    for record in records:
+        acc += record.probability
+        if u < acc:
+            return record
+    return records[-1]  # u landed in the rounding gap below 1
 
 
 class TestSettings:
@@ -235,7 +244,7 @@ class TestOamSettingValues:
         s = StateVector.from_amplitudes(self.DECL, {ket("a", "H", 2): 1.0})
         outcomes = oam_setting("a", "number", self.DECL.oam).outcomes
         with pytest.raises(BasisMismatch, match="OAM setting"):
-            born_probabilities(s, MeasurementSetting("a", "oam", "number", outcomes))
+            born_probabilities(s, MeasurementSetting("a", "oam", outcomes))
 
 
 class TestRegisterLength:
@@ -247,7 +256,7 @@ class TestRegisterLength:
     @pytest.mark.parametrize("n", [1, 3])
     def test_pol_vectors_of_the_wrong_length(self, n):
         vec = np.ones(n, dtype=complex) / np.sqrt(n)
-        setting = MeasurementSetting("a", "pol", "bad", (("x", vec),))
+        setting = MeasurementSetting("a", "pol", (("x", vec),))
         with pytest.raises(BasisMismatch, match="pol projector has dimension"):
             born_probabilities(self._state(), setting)
 
@@ -255,7 +264,7 @@ class TestRegisterLength:
     def test_oam_vectors_of_the_wrong_length(self, n):
         good = oam_setting("a", "number", self.DECL.oam)
         outcomes = good.outcomes[:1] + (("x", np.eye(n, dtype=complex)[0]),)
-        setting = MeasurementSetting("a", "oam", "bad", outcomes, self.DECL.oam)
+        setting = MeasurementSetting("a", "oam", outcomes, self.DECL.oam)
         with pytest.raises(BasisMismatch, match="oam projector has dimension"):
             born_probabilities(self._state(), setting)
 
@@ -405,6 +414,21 @@ class TestSampling:
             draws = np.random.default_rng(seed).random(3000)
             assert sample_outcomes(state, setting, 3000, seed) == [
                 _sample(records, u).label for u in draws]
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 2026])
+    def test_single_sample_equals_the_loop(self, seed):
+        decl = BasisDecl(("a", "b", "c"), (-2, 0, 2))
+        state = random_state(decl, np.random.default_rng(seed))
+        for setting in (polarization_setting("a", "Xdiag"), oam_setting("b", "number", decl.oam),
+                        occupation_setting("c")):
+            records = born_probabilities(state, setting)
+            for draw_seed in range(20):
+                want = _sample(records, np.random.default_rng(draw_seed).random())
+                got = sample_outcome(state, setting, draw_seed)
+                assert (got.label, got.probability) == (want.label, want.probability)
+                got_amps, want_amps = (r.conditional_state and r.conditional_state.amps.tobytes()
+                                       for r in (got, want))
+                assert got_amps == want_amps
 
     def test_draws_on_a_sum_and_in_the_rounding_gap(self, monkeypatch):
         records = [OutcomeRecord("a", 0.1, None), OutcomeRecord("b", 0.2, None),

@@ -266,6 +266,13 @@ class TestFrameRuleOracle:
 
     @pytest.mark.parametrize("spec", ["eq1", "twc", "hardy", "hardy:0.6,0.8",
                                       "qplate_tripartite"])
+    def test_report_detector_defaults_to_the_frame_alice(self, spec):
+        alice = frame_sites(preset(spec))[0]
+        assert scenario_report(spec)["detector"]["site"] == alice
+        assert scenario_report(spec) == scenario_report(spec, site=alice, basis="ZHV")
+
+    @pytest.mark.parametrize("spec", ["eq1", "twc", "hardy", "hardy:0.6,0.8",
+                                      "qplate_tripartite"])
     def test_report_reads_the_frame_bob(self, spec):
         # The sites whose occupation readout matches every bob_occupation_* entry of
         # every report of the preset: exactly the frame's Bob.

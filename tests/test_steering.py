@@ -11,6 +11,7 @@ from conftest import brute_chsh_grid, horodecki_chsh_bound
 from photonsteer import steering
 from photonsteer.core import BasisDecl, BasisKet, DensityOperator, StateVector
 from photonsteer.errors import (
+    BasisMismatch,
     NonDichotomicObservable,
     NonQubitBobMarginal,
     OutOfRange,
@@ -157,6 +158,14 @@ class TestAssemblage:
                 total = sum(np.trace(asm.members[(x, a)]).real for a in (1, -1))
                 assert total == pytest.approx(1.0, abs=1e-10)
 
+    def test_repeated_setting_rejected(self):
+        # ("Z", "Z") has the key set of ("Z",), so the keys check alone passes it.
+        member = np.eye(2) / 4.0
+        with pytest.raises(BasisMismatch, match="repeated setting"):
+            Assemblage(("Z", "Z"), {("Z", +1): member, ("Z", -1): member})
+        with pytest.raises(BasisMismatch, match="repeated setting"):
+            compute_assemblage(noisy_state(0.5), ("Z", "X", "Z"))
+
     @staticmethod
     def one_member(matrix) -> Assemblage:
         member = np.asarray(matrix, dtype=complex)
@@ -298,6 +307,15 @@ class TestCjwr:
     def test_unknown_axis_rejected(self):
         with pytest.raises(NonDichotomicObservable):
             cjwr_value(noisy_state(1.0), ("Z", "W"))
+
+    @pytest.mark.parametrize("axes", [("Z", "Z"), ("Z", "Z", "Z"), ("X", "Z", "X")])
+    def test_repeated_axis_rejected(self, axes):
+        # F_n <= 1 holds for distinct axes only: on this separable frame ("Z", "Z")
+        # would read sqrt(2) and ("Z", "Z", "Z") sqrt(3).
+        rho = DensityOperator(QUBIT_PAIR_LABELS, np.diag([0.0, 0.5, 0.5, 0.0]))
+        assert cjwr_value(rho, ("Z", "X")) == pytest.approx(1.0 / np.sqrt(2.0))
+        with pytest.raises(ValueError, match="distinct axes"):
+            cjwr_value(rho, axes)
 
 
 class TestChsh:
