@@ -349,11 +349,13 @@ def _local_unitary(
 
 def _is_hermitian(mat: np.ndarray) -> bool:
     """np.allclose(mat, mat^H, atol=ATOL) on a finite matrix without its per-call overhead:
-    the same |a - b| <= atol + rtol * |b| test. NaN or inf fails before it, which would warn."""
+    the same |a - b| <= atol + rtol * |b| test. NaN or inf fails before it, which would warn;
+    a finite difference past the float limit overflows to inf and fails the bound."""
     if not np.isfinite(mat).all():
         return False
     adj = mat.conj().T
-    return bool((np.abs(mat - adj) <= ATOL + 1e-5 * np.abs(adj)).all())
+    with np.errstate(over="ignore"):
+        return bool((np.abs(mat - adj) <= ATOL + 1e-5 * np.abs(adj)).all())
 
 
 def _is_unitary(u: np.ndarray) -> bool:

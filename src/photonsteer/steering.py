@@ -29,6 +29,7 @@ Both searches are sized by one number each, and ``check_grid`` and
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -72,7 +73,8 @@ QUBIT_PAIR_LABELS = ("A0|B0", "A0|B1", "A1|B0", "A1|B1")
 BOB_SITE = "PUE"
 
 # The LHS program has one column per strategy and grid state, 2^m · grid_n² in all;
-# Z,X,Y at MAX_GRID is a 16 × 80 000 program, ~0.1 s, ~33 MiB.
+# Z,X,Y at MAX_GRID is a 16 × 80 000 program, handed to the solver as its 4 × 8 and
+# 10 000 × 4 Kronecker factors: 4-16 ms for 26-142 pivots, ~2.4 MiB peak (2-vCPU Xeon).
 MIN_GRID = 6
 MAX_GRID = 100
 # Degrees. The CHSH search holds a few k² floats, k = 360 / step (5-11 MiB at 1°). It
@@ -451,21 +453,16 @@ def _real_components(mat: np.ndarray) -> np.ndarray:
     return np.array([mat[0, 0].real, mat[1, 1].real, mat[0, 1].real, mat[0, 1].imag])
 
 
-def lhs_feasibility(assemblage: Assemblage, grid_n: int) -> SteeringVerdict:
-    """Search for a local-hidden-state model on a Bloch grid of grid_n² states.
-
-    Feasible: the assemblage is certified unsteerable and the certificate
-    reconstructs it within the reported residual. Infeasible: no model exists
-    *at this resolution*; pair with a CJWR violation before claiming steering.
-    """
-    grid_n = check_grid(grid_n)
-    m = len(assemblage.settings)
-    if m > 4:
-        raise TooManySettings(f"at most 4 settings supported, got {m}")
+# Bounded, so that grids MIN_GRID..MAX_GRID × 1-4 settings cannot pile up: a run of
+# requests uses a few dozen (grid_n, m) pairs, and an entry at MAX_GRID holds ~0.6 MB.
+@functools.lru_cache(maxsize=32)
+def _lhs_structure(grid_n: int, m: int):
+    """The parts of the LHS program that depend only on the grid and the setting count,
+    read-only: (grid, strategies, responds, solved, comps). Column (s, g) of the
+    program is the Kronecker product of ``solved[:, s]`` and ``comps[g]``."""
     outcomes = (+1, -1)
     grid = fibonacci_bloch_grid(grid_n * grid_n)
-    strategies = list(product(outcomes, repeat=m))
-
+    strategies = tuple(product(outcomes, repeat=m))
     # _real_components(_bloch_state(n)) in closed form, one row per grid state.
     nx, ny, nz = grid.T
     comps = 0.5 * np.column_stack([1.0 + nz, 1.0 - nz, nx, -ny])
@@ -477,12 +474,28 @@ def lhs_feasibility(assemblage: Assemblage, grid_n: int) -> SteeringVerdict:
     # Columns (strategy, grid state), grid index fastest, which the certificate's
     # divmod relies on.
     solved = np.vstack([np.ones(len(strategies)), responds[:, :, 0].T])
-    A = np.einsum("rs,gc->rcsg", solved, comps).reshape(4 * (m + 1), -1)
-    target = np.array([[_real_components(assemblage.members[(x, a)]) for a in outcomes]
+    for array in (grid, responds, solved, comps):
+        array.setflags(write=False)
+    return grid, strategies, responds, solved, comps
+
+
+def lhs_feasibility(assemblage: Assemblage, grid_n: int) -> SteeringVerdict:
+    """Search for a local-hidden-state model on a Bloch grid of grid_n² states.
+
+    Feasible: the assemblage is certified unsteerable and the certificate
+    reconstructs it within the reported residual. Infeasible: no model exists
+    *at this resolution*; pair with a CJWR violation before claiming steering.
+    """
+    grid_n = check_grid(grid_n)
+    m = len(assemblage.settings)
+    if m > 4:
+        raise TooManySettings(f"at most 4 settings supported, got {m}")
+    grid, strategies, responds, solved, comps = _lhs_structure(grid_n, m)
+    target = np.array([[_real_components(assemblage.members[(x, a)]) for a in (+1, -1)]
                        for x in assemblage.settings])  # the full program's b
     b = np.concatenate([target[0].sum(axis=0), target[:, 0].ravel()])
 
-    result = solve_feasibility(A, b)
+    result = solve_feasibility(solved, comps, b)
     residual = result.objective  # the phase-1 optimum, unless a solution is found
     if result.feasible:
         # max |A_full x - b_full| over all 8m rows, so a signalling assemblage fails.

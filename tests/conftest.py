@@ -3,19 +3,23 @@
 The state oracles address amplitudes one ``BasisKet`` at a time, so they check
 the package's (site, pol, oam) tensor code without relying on its layout. The
 CHSH oracles are the brute-force grid scan and the closed-form optimum.
+``lhs_program`` captures the factored LHS program the solver is handed.
 """
 
 import numpy as np
 import pytest
 
+from photonsteer import steering
 from photonsteer.core import POLS, BasisDecl, BasisKet, StateVector
 from photonsteer.errors import OamOverflow
 from photonsteer.measurement import NO_CLICK, PROB_FLOOR
+from photonsteer.simplex import solve_feasibility
 from photonsteer.steering import (
     ALICE_OBSERVABLES,
     BOB_OBSERVABLES,
     _correlation_matrix,
     chsh_value,
+    lhs_feasibility,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -241,3 +245,23 @@ def horodecki_chsh_bound(rho2q: np.ndarray) -> float:
     T = np.array([[np.trace(rho2q @ np.kron(ALICE_OBSERVABLES[i], BOB_OBSERVABLES[j])).real
                    for j in ("Z", "X")] for i in ("Z", "X")])
     return float(2.0 * np.linalg.norm(np.linalg.svd(T, compute_uv=False)))
+
+
+def lhs_program(asm, grid_n: int):
+    """The factored program (solved, comps, b) that ``lhs_feasibility`` hands the solver."""
+    seen = {}
+
+    def capture(solved, comps, b):
+        seen["program"] = (solved, comps, b)
+        return solve_feasibility(solved, comps, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(steering, "solve_feasibility", capture)
+        lhs_feasibility(asm, grid_n)
+    return seen["program"]
+
+
+def dense_matrix(solved, comps) -> np.ndarray:
+    """A[(r, c), (s, g)] = solved[r, s] · comps[g, c], rows r-major, columns s-major."""
+    return np.einsum("rs,gc->rcsg", solved, comps).reshape(
+        solved.shape[0] * comps.shape[1], -1)

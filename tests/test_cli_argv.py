@@ -1,15 +1,22 @@
 """Property test of the command line: any argv ends with exit code 0, 2, 3 or 4.
 
 Tokens come from small fixed pools, so no example runs a long sweep or a large
-LHS grid; file tokens name files under a temporary directory.
+LHS grid; file tokens name files under a temporary directory. ``python -m
+photonsteer`` is checked in a subprocess.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
-from photonsteer.cli import main  # noqa: E402
+import photonsteer  # noqa: E402
+from photonsteer.cli import EXIT_OK, EXIT_USAGE, main  # noqa: E402
 from photonsteer.scenarios import FIG1_CIRCUIT  # noqa: E402
 
 # The flags of each subcommand, and values per flag, valid and invalid;
@@ -77,3 +84,16 @@ def test_any_argv_exits_0_2_3_or_4(files, capsys, tokens):
         code = exc.code
     assert code in (0, 2, 3, 4), argv
     assert "Traceback" not in capsys.readouterr().err, argv
+
+
+# An unknown subcommand is a usage error, exit 4 like every argparse error here.
+@pytest.mark.parametrize("argv, code", [(["steer", "--preset", "eq1", "--grid", "6"], EXIT_OK),
+                                        (["teleport"], EXIT_USAGE)])
+def test_python_dash_m_runs_the_command_line(argv, code):
+    src = str(Path(photonsteer.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-m", "photonsteer", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr

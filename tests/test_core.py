@@ -470,6 +470,12 @@ class TestDensityOperatorInvariants:
         with pytest.raises(ValueError, match="non-finite entry"):
             DensityOperator(("0", "1"), np.array([[0.5, bad], [np.conj(bad), 0.5]]))
 
+    @pytest.mark.parametrize("big", [1e308, complex(1e308, 1e308)])
+    def test_rejects_an_antihermitian_pair_near_the_float_limit(self, big):
+        # m - m^H overflows to inf; under filterwarnings = error that must not warn.
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DensityOperator(("a", "b"), np.array([[0, big], [-np.conj(big), 0]]))
+
     @pytest.mark.parametrize("matrix", [[[np.inf, 0.0], [0.0, 0.0]], [[np.nan, 0.0], [0.0, 1.0]]])
     def test_names_a_non_finite_diagonal(self, matrix):
         with pytest.raises(ValueError, match="non-finite entry"):

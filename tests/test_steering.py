@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from conftest import brute_chsh_grid, horodecki_chsh_bound
+from conftest import brute_chsh_grid, dense_matrix, horodecki_chsh_bound, lhs_program
 
 from photonsteer import steering
 from photonsteer.core import BasisDecl, BasisKet, DensityOperator, StateVector
@@ -481,17 +481,10 @@ class TestCostBounds:
         assert lhs_feasibility(asm, np.int64(10)) == lhs_feasibility(asm, 10)
 
 
-def solved_program(asm: Assemblage, grid_n: int, monkeypatch):
-    """The (A, b) that ``lhs_feasibility`` hands to the solver."""
-    seen = {}
-
-    def capture(A, b):
-        seen["program"] = (A, b)
-        return solve_feasibility(A, b)
-
-    monkeypatch.setattr(steering, "solve_feasibility", capture)
-    lhs_feasibility(asm, grid_n)
-    return seen["program"]
+def solved_program(asm: Assemblage, grid_n: int):
+    """The program ``lhs_feasibility`` hands to the solver, as a dense (A, b)."""
+    solved, comps, b = lhs_program(asm, grid_n)
+    return dense_matrix(solved, comps), b
 
 
 def column_loop_program(asm: Assemblage, grid_n: int):
@@ -572,9 +565,9 @@ class TestLhsFeasibility:
         assert verdict.status == "UnsteerableCertified"
 
     @pytest.mark.parametrize("settings", [("Z", "X"), ("Z", "X", "Y")])
-    def test_constraint_matrix_matches_column_loop(self, settings, monkeypatch):
+    def test_constraint_matrix_matches_column_loop(self, settings):
         asm = compute_assemblage(noisy_state(0.5), settings)
-        A, b = solved_program(asm, 10, monkeypatch)
+        A, b = solved_program(asm, 10)
 
         # The solved rows: Bob's marginal from the first setting, then sigma(+1|x)
         # for each setting, taken from the full program's rows (x, a, component).
@@ -587,8 +580,8 @@ class TestLhsFeasibility:
             b, np.concatenate([target[0, 0] + target[0, 1], *target[:, 0]]))
 
     @pytest.mark.parametrize("settings", [("Z", "X"), ("Z", "X", "Y")])
-    def test_solved_program_has_full_row_rank(self, settings, monkeypatch):
-        A, _ = solved_program(compute_assemblage(noisy_state(0.5), settings), 10, monkeypatch)
+    def test_solved_program_has_full_row_rank(self, settings):
+        A, _ = solved_program(compute_assemblage(noisy_state(0.5), settings), 10)
         assert A.shape[0] == 4 * len(settings) + 4
         assert np.linalg.matrix_rank(A) == A.shape[0]
 
@@ -599,7 +592,8 @@ class TestLhsFeasibility:
         visibilities = np.round(np.r_[np.arange(0.30, 1.001, 0.05), 0.56, 0.58, 0.68, 0.72], 2)
         for v in visibilities:
             asm = compute_assemblage(noisy_state(v), settings)
-            full = solve_feasibility(*column_loop_program(asm, grid))
+            full_A, full_b = column_loop_program(asm, grid)
+            full = solve_feasibility(full_A, [[1.0]], full_b)
             oracle = full.feasible and full.residual < 1e-7
             verdict = lhs_feasibility(asm, grid)
             assert (verdict.status == "UnsteerableCertified") == oracle, v
@@ -627,6 +621,23 @@ class TestLhsFeasibility:
         first = lhs_feasibility(asm, grid)
         assert first.pivots <= bound
         assert lhs_feasibility(asm, grid).pivots == first.pivots
+
+    def test_cached_structure_is_read_only_and_bounded(self):
+        grid, strategies, *arrays = steering._lhs_structure(10, 2)
+        assert steering._lhs_structure.cache_info().maxsize is not None
+        assert isinstance(strategies, tuple)
+        for array in (grid, *arrays):
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 0.0
+
+    @pytest.mark.parametrize("settings", [("Z", "X"), ("Z", "X", "Y")])
+    def test_verdict_does_not_depend_on_the_cache(self, settings):
+        asm = compute_assemblage(noisy_state(0.5), settings)
+        steering._lhs_structure.cache_clear()
+        fresh = lhs_feasibility(asm, 10)
+        lhs_feasibility(asm, 40)
+        lhs_feasibility(asm, 20)
+        assert lhs_feasibility(asm, 10) == fresh
 
     @pytest.mark.parametrize(
         "v, settings, grid", [(0.65, ("Z", "X"), 60), (0.55, ("Z", "X", "Y"), 40)]
