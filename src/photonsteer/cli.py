@@ -8,7 +8,7 @@ Subcommands::
     report --preset            scenario report (Born table + assemblage) as JSON
 
 ``steer`` and ``report`` take their two-qubit frame from ``steering.two_qubit_frame``
-(occ-occ for a state with vacuum weight or a path-only one, else pol-path).
+(occ-occ for a path-only state, else pol-path, which allows no vacuum weight).
 
 Exit codes: 0 success, 2 circuit parse error (diagnostic with line/column on
 stderr), 3 physics error (also --bob-site, --site or --basis on noisy:v),

@@ -17,9 +17,10 @@ Computation. A register table is one contraction: the setting's basis vectors,
 stacked, meet the (site, pol, oam) amplitude tensor in one ``einsum``, and the
 projected amplitudes of every outcome are the rows of one (outcome, dim)
 array. Every probability and every detector-site mass is a row sum of that
-array, and each visible record wraps its row once, scaled to unit norm. The
-rows are filled in blocks of at most ``_BLOCK_ENTRIES`` amplitudes, so a table
-of many outcomes holds O(dim) memory at a time.
+array. ``born_probabilities`` scales every visible row to a unit state, and
+``collapse`` and ``sample_outcome`` only the row they return. The rows are filled
+in blocks of at most ``_BLOCK_ENTRIES`` amplitudes, so a table of many outcomes
+holds O(dim) memory at a time.
 """
 
 from __future__ import annotations
@@ -129,13 +130,12 @@ def occupation_setting(site: str) -> MeasurementSetting:
 
 def born_probabilities(state: StateVector, setting: MeasurementSetting) -> list[OutcomeRecord]:
     """Outcome records for ``setting`` on ``state``; probabilities sum to 1."""
-    return _born(state, setting, with_states=True)
+    return [_record(state.decl, *row) for row in _rows(state, setting)]
 
 
-def _born(
-    state: StateVector, setting: MeasurementSetting, with_states: bool
-) -> list[OutcomeRecord]:
-    """``born_probabilities``; without states every conditional state is ``None``."""
+def _rows(state: StateVector, setting: MeasurementSetting):
+    """(label, probability, projected amplitudes) per outcome, no-click last; the amplitudes
+    are ``None`` where ``_floored`` zeroes the probability and where no-click absorbs them."""
     decl = state.decl
     decl.require_site(setting.site)
     if not state.is_normalized():
@@ -145,15 +145,15 @@ def _born(
         click = np.zeros(decl.dim, dtype=complex)
         at_site = decl.site_axis[setting.site]
         decl.tensor(click)[at_site] = decl.tensor(state.amps)[at_site]
-        return [_record(decl, "click", click, with_states),
-                _record(decl, NO_CLICK, state.amps - click, with_states)]
+        yield _floored("click", click)
+        yield _floored(NO_CLICK, state.amps - click)
+        return
 
     _check_register(decl, setting)
     t = decl.tensor(state.amps)
     at_site = decl.site_axis[setting.site]
     dark = np.zeros(decl.dim, dtype=complex)
     dark[0] = state.amps[0]  # the vacuum never reaches the analyzer
-    records: list[OutcomeRecord] = []
     step = max(1, _BLOCK_ENTRIES // decl.dim)
     for lo in range(0, len(setting.outcomes), step):
         block = setting.outcomes[lo:lo + step]
@@ -167,10 +167,10 @@ def _born(
                 # Invisible to the detector at this site: merge into no-click
                 # coherently (the apparatus cannot distinguish these branches).
                 dark += row
-                records.append(OutcomeRecord(label, 0.0, None))
+                yield label, 0.0, None
             else:
-                records.append(_record(decl, label, row, with_states, p))
-    return records + [_record(decl, NO_CLICK, dark, with_states)]
+                yield _floored(label, row, p)
+    yield _floored(NO_CLICK, dark)
 
 
 def _check_register(decl, setting: MeasurementSetting) -> None:
@@ -199,32 +199,33 @@ def _projected(decl, register: str, t: np.ndarray, vecs: np.ndarray) -> np.ndarr
     return rows
 
 
-def _record(decl, label: str, amps: np.ndarray, with_state: bool, p: float | None = None):
-    """Outcome with probability p = ||amps||^2; floored to 0 with no state below PROB_FLOOR."""
+def _floored(label: str, amps: np.ndarray, p: float | None = None):
+    """A row of ``_rows`` with probability p = ||amps||^2; (label, 0.0, None) below PROB_FLOOR."""
     if p is None:
         p = float(np.sum(np.abs(amps) ** 2))
-    if p < PROB_FLOOR:
-        return OutcomeRecord(label, 0.0, None)
-    cond = StateVector(decl, amps / np.linalg.norm(amps)) if with_state else None
+    return (label, 0.0, None) if p < PROB_FLOOR else (label, p, amps)
+
+
+def _record(decl, label: str, p: float, amps: np.ndarray | None) -> OutcomeRecord:
+    """The record of one row of ``_rows``, its amplitudes scaled to a unit state."""
+    cond = None if amps is None else StateVector(decl, amps / np.linalg.norm(amps))
     return OutcomeRecord(label, p, cond)
 
 
 def collapse(state: StateVector, setting: MeasurementSetting, outcome_label: str) -> StateVector:
     """Normalized post-measurement state for one outcome."""
-    for record in born_probabilities(state, setting):
-        if record.label == outcome_label:
-            if record.probability < PROB_FLOOR or record.conditional_state is None:
-                raise ZeroProbabilityOutcome(
-                    f"outcome {outcome_label!r} has probability {record.probability:.3e}"
-                )
-            return record.conditional_state
+    for label, p, amps in _rows(state, setting):
+        if label == outcome_label:
+            if amps is None:
+                raise ZeroProbabilityOutcome(f"outcome {outcome_label!r} has probability {p:.3e}")
+            return _record(state.decl, label, p, amps).conditional_state
     raise ValueError(f"setting has no outcome {outcome_label!r} (labels: {setting.labels})")
 
 
 def sample_outcome(state: StateVector, setting: MeasurementSetting, seed: int) -> OutcomeRecord:
     """Draw one outcome with a seed-reproducible generator (inverse CDF)."""
-    records = born_probabilities(state, setting)
-    return records[_pick(records, np.random.default_rng(seed).random(1))[0]]
+    rows = list(_rows(state, setting))
+    return _record(state.decl, *rows[_pick(rows, np.random.default_rng(seed).random(1))[0]])
 
 
 def sample_outcomes(
@@ -233,16 +234,16 @@ def sample_outcomes(
     """Draw ``n`` outcome labels; identical seeds give identical sequences."""
     if not 0 <= n <= MAX_SHOTS:
         raise OutOfRange(f"bad shot count {n}: need 0 to {MAX_SHOTS}")
-    records = _born(state, setting, with_states=False)
-    picks = _pick(records, np.random.default_rng(seed).random(n))
-    return np.array([r.label for r in records], dtype=object)[picks].tolist()
+    rows = [(label, p, None) for label, p, _ in _rows(state, setting)]
+    picks = _pick(rows, np.random.default_rng(seed).random(n))
+    return np.array([label for label, _, _ in rows], dtype=object)[picks].tolist()
 
 
-def _pick(records: list[OutcomeRecord], draws: np.ndarray) -> np.ndarray:
-    """Inverse CDF: per draw u, the index of the first record whose running sum exceeds u,
-    or of the last record for u in the rounding gap below 1."""
-    picks = np.searchsorted(np.cumsum([r.probability for r in records]), draws, side="right")
-    return np.minimum(picks, len(records) - 1)
+def _pick(rows: list, draws: np.ndarray) -> np.ndarray:
+    """Inverse CDF over the probabilities of ``_rows``: per draw u, the index of the first
+    row whose running sum exceeds u, or of the last row for u in the rounding gap below 1."""
+    picks = np.searchsorted(np.cumsum([p for _, p, _ in rows]), draws, side="right")
+    return np.minimum(picks, len(rows) - 1)
 
 
 def reduced_state(state: StateVector, keep: str, site: str | None = None) -> DensityOperator:

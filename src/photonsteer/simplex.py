@@ -72,10 +72,14 @@ def _eta_step(binv: np.ndarray, direction: np.ndarray, leaving: int) -> None:
 
 
 def solve_feasibility(solved: np.ndarray, comps: np.ndarray, b: np.ndarray) -> FeasibilityResult:
-    """Search for x >= 0 with A x = b, A[(r, c), (s, g)] = solved[r, s] · comps[g, c]."""
+    """Search for x >= 0 with A x = b, A[(r, c), (s, g)] = solved[r, s] · comps[g, c].
+    An argument with a NaN or infinite entry is a ``ValueError`` that names it."""
     solved = np.asarray(solved, dtype=float)
     comps = np.asarray(comps, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
+    for name, array in (("solved", solved), ("comps", comps), ("b", b)):
+        if not np.isfinite(array).all():
+            raise ValueError(f"{name} has a non-finite entry")
     (rows, strategies), (states, width) = solved.shape, comps.shape
     m, n = rows * width, strategies * states
     if b.shape != (m,):

@@ -1,10 +1,10 @@
 """Nonlocality quantifiers: assemblages, CJWR steering value, CHSH, LHS search.
 
 Two-qubit frame. The analysis treats the prepared photon as an effective
-two-qubit system. For internal-external entanglement Alice's qubit is the
-polarization register (H -> 0, V -> 1) and Bob's qubit is the occupation of
-his site as a coherent dual-rail mode (0 = empty, 1 = photon present); for
-path-only states both qubits are site occupations. In that frame the
+two-qubit system. For path-only states (``path_amplitudes``) both qubits are
+site occupations; for any other, Alice's qubit is the polarization register
+(H -> 0, V -> 1) and Bob's qubit is the occupation of his site as a coherent
+dual-rail mode (0 = empty, 1 = photon present). In that frame the
 benchmark entangled state has +1 correlators along every axis with the
 dichotomic observable table below, whose occupation-Z assigns +1 to "photon
 present". ``two_qubit_frame`` is the one frame rule: it picks the sites
@@ -45,7 +45,6 @@ from .errors import (
     NonQubitBobMarginal,
     OutOfRange,
     TooManySettings,
-    UnknownSite,
 )
 from .simplex import solve_feasibility
 
@@ -108,11 +107,11 @@ def check_chsh_step(step: float) -> None:
 class Assemblage:
     """Subnormalized conditional states at Bob, indexed by (setting, outcome).
 
-    Outcomes are the eigenvalues +1/-1 of Alice's dichotomic setting; the settings are
-    distinct and the keys exactly (x, ±1) for each setting x, else ``BasisMismatch``.
-    Members are 2x2 matrices in Bob's occupation basis. ``sum_a member(x, a)`` is
-    Alice-setting independent (no signaling); the residual records how well
-    that holds numerically.
+    Outcomes are the eigenvalues +1/-1 of Alice's dichotomic setting. The settings are one
+    or more (else ``ValueError``) and distinct, and the keys are exactly (x, ±1) for each
+    setting x (else ``BasisMismatch``). Members are 2x2 matrices in Bob's occupation basis.
+    ``sum_a member(x, a)`` is Alice-setting independent (no signaling); the residual
+    records how well that holds numerically.
     """
 
     settings: tuple[str, ...]
@@ -120,6 +119,8 @@ class Assemblage:
 
     def __post_init__(self):
         object.__setattr__(self, "settings", tuple(self.settings))
+        if not self.settings:
+            raise ValueError("at least one Alice setting required")
         if len(set(self.settings)) != len(self.settings):
             raise BasisMismatch(f"repeated setting in {self.settings}")
         if set(self.members) != set(product(self.settings, (+1, -1))):
@@ -215,8 +216,7 @@ def frame_sites(state: StateVector, bob_site: str | None = None) -> tuple[str, s
     others = [s for s in decl.sites if s != bob_site]
     if not others:
         raise NonQubitBobMarginal(f"a steering frame needs two sites, the state has {decl.sites}")
-    if bob_site not in decl.sites:
-        raise UnknownSite(f"site {bob_site!r} not declared")
+    decl.require_site(bob_site)
     occupied = [s for s in occupied if s != bob_site]
     if len(occupied) > 1:
         raise NonQubitBobMarginal(f"photon amplitude at {occupied} besides Bob's site {bob_site!r}")
@@ -269,8 +269,7 @@ def occupation_qubits(state: StateVector, alice_site: str, bob_site: str) -> Den
 def _occupation_qubits(state: StateVector, occ, alice_site: str, bob_site: str) -> DensityOperator:
     decl = state.decl
     for s in (alice_site, bob_site):
-        if s not in decl.sites:
-            raise UnknownSite(f"site {s!r} not declared")
+        decl.require_site(s)
     if alice_site == bob_site:
         raise NonQubitBobMarginal("Alice and Bob need distinct sites")
 
@@ -291,15 +290,15 @@ def two_qubit_frame(
 ) -> tuple[DensityOperator, str]:
     """The frame rule: the two-qubit frame and its label. A ``DensityOperator`` (``noisy:v``)
     is the frame already, ``two-qubit``, and has no Bob site. A state vector reads as
-    ``occ-occ(alice,bob)`` when it has vacuum weight or is path-only (``path_amplitudes``),
-    else as ``pol-path(bob=…)``, at the sites ``frame_sites`` picks."""
+    ``occ-occ(alice,bob)`` if path-only (``path_amplitudes``), else as ``pol-path(bob=…)``,
+    which allows no vacuum weight, at the sites ``frame_sites`` picks."""
     if isinstance(prepared, DensityOperator):
         if bob_site is not None:
             raise BadParameters(f"a two-qubit preset has no sites, so no Bob site {bob_site!r}")
         return prepared, "two-qubit"
     occ = path_amplitudes(prepared)
     alice_site, bob_site = frame_sites(prepared, bob_site)
-    if abs(prepared.amps[0]) ** 2 <= 1e-12 and occ is None:
+    if occ is None:
         return pol_path_qubits(prepared, bob_site), f"pol-path(bob={bob_site})"
     frame = _occupation_qubits(prepared, occ, alice_site, bob_site)
     return frame, f"occ-occ({alice_site},{bob_site})"
@@ -419,8 +418,6 @@ def compute_assemblage(rho: DensityOperator, alice_settings) -> Assemblage:
     Bob's unconditional marginal for every setting (no signaling).
     """
     settings = tuple(alice_settings)
-    if not settings:
-        raise ValueError("at least one Alice setting required")
     frame = _frame_matrix(rho).reshape(2, 2, 2, 2)
     members: dict[tuple[str, int], np.ndarray] = {}
     for x in settings:

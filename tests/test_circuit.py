@@ -105,6 +105,16 @@ class TestParse:
         with pytest.raises(CircuitSyntaxError, match="duplicate"):
             parse_circuit("sites a a")
 
+    @pytest.mark.parametrize("text, error, message, line, column", [
+        ("sites a b\npbs a -> b b", ArityError, "PBS outputs must be distinct sites", 2, 12),
+        ("sites a\nbs a a", ArityError, "beam splitter needs two distinct sites", 2, 6),
+        ("oam 0 2 2", OamRangeError, "duplicate OAM value", 1, 5),
+    ])
+    def test_repeated_operand(self, text, error, message, line, column):
+        with pytest.raises(error, match=message) as err:
+            parse_circuit(text)
+        assert (err.value.line, err.value.column) == (line, column)
+
     def test_crlf_accepted(self):
         circuit = parse_circuit("sites a b\r\nsource a H\r\n")
         assert circuit.sites == ("a", "b")
@@ -210,6 +220,12 @@ class TestFormat:
 
 
 class TestRun:
+    @pytest.mark.parametrize("apply", [run_circuit, format_circuit], ids=["run", "format"])
+    def test_unknown_element_kind_of_a_hand_built_circuit(self, apply):
+        circuit = Circuit(("a",), (0,), (ElementSpec("mirror", ("a",)),))
+        with pytest.raises(ValueError, match="unknown element kind 'mirror'"):
+            apply(circuit)
+
     def test_fig1_reproduces_entangled_state(self):
         out = run_circuit(parse_circuit(FIG1_CIRCUIT))
         target = eq1_state()

@@ -325,6 +325,10 @@ class TestFrameRule:
 
 
 class TestSweep:
+    def test_range_that_is_not_numbers_exits_4(self, capsys):
+        assert main(["sweep", "--range", "a..b"]) == 4
+        assert capsys.readouterr().err == "bad --range 'a..b', expected like 0..1\n"
+
     def test_eleven_rows_with_linear_cjwr_and_transition(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--range", "0..1", "--step", "0.1",
@@ -438,6 +442,10 @@ class TestReport:
     def test_oam_basis_without_oam_register_exits_3(self, capsys):
         assert main(["report", "--preset", "eq1", "--basis", "OAMpm"]) == 3
         assert "OAMpm" in capsys.readouterr().err
+
+    def test_unknown_basis_exits_3(self, capsys):
+        assert main(["report", "--preset", "eq1", "--basis", "Q"]) == 3
+        assert capsys.readouterr().err == "unknown basis 'Q'\n"
 
     @pytest.mark.parametrize("flags", [["--site", "NY"], ["--basis", "ZHV"]])
     def test_detector_flags_on_two_qubit_preset_exit_3(self, flags, capsys):

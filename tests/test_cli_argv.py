@@ -5,6 +5,8 @@ LHS grid; file tokens name files under a temporary directory. ``python -m
 photonsteer`` is checked in a subprocess.
 """
 
+import json
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +18,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
 import photonsteer  # noqa: E402
-from photonsteer.cli import EXIT_OK, EXIT_USAGE, main  # noqa: E402
+from photonsteer.cli import EXIT_OK, EXIT_PHYSICS, EXIT_USAGE, main  # noqa: E402
 from photonsteer.scenarios import FIG1_CIRCUIT  # noqa: E402
 
 # The flags of each subcommand, and values per flag, valid and invalid;
@@ -30,7 +32,7 @@ FLAGS_OF = {
 FLAG_VALUES = {
     "--preset": ["eq1", "twc", "hardy", "hardy:0.6,0.8", "hardy:0,0", "hardy:x", "hardy:nan,nan",
                  "qplate_tripartite", "noisy:0.5", "noisy:2", "noisy:nan", "noisy:", "fig9"],
-    "--input": ["@state", "@fig1", "@bad", "@missing", "@dir"],
+    "--input": ["@state", "@vacuum", "@fig1", "@bad", "@missing", "@dir"],
     "--settings": ["Z,X", "Z,X,Y", "Z", "Z,Z", "X,Q", ","],
     "--grid": ["6", "10", "0", "-1", "5", "101", "1000000000", "x"],
     "--bob-site": ["NY", "PUE", "b1", "b2", "in", ""],
@@ -60,15 +62,28 @@ def argvs(draw):
     return argv + ([stray] if stray else [])
 
 
+def with_vacuum_weight(state, weight, out):
+    """The 'run' state file ``state`` rescaled to put ``weight`` on the vacuum, at norm 1."""
+    doc = json.loads(state.read_text())
+    scale = math.sqrt(1.0 - weight)
+    doc["amplitudes"] = [[math.sqrt(weight), 0.0]] + [
+        [re * scale, im * scale] for re, im in doc["amplitudes"][1:]]
+    out.write_text(json.dumps(doc))
+    return out
+
+
 @pytest.fixture
 def files(tmp_path):
     fig1 = tmp_path / "fig1.table"
     fig1.write_text(FIG1_CIRCUIT)
     state = tmp_path / "state.json"
     assert main(["run", str(fig1), "--out", str(state)]) == 0
+    # inside the 1e-9 norm tolerance of --input and the 1e-10 vacuum tolerance of pol-path
+    vacuum = with_vacuum_weight(state, 5e-11, tmp_path / "vacuum.json")
     bad = tmp_path / "bad.table"
     bad.write_text("hwp ghost 10\n")
-    return {"@fig1": fig1, "@state": state, "@bad": bad, "@missing": tmp_path / "missing",
+    return {"@fig1": fig1, "@state": state, "@vacuum": vacuum, "@bad": bad,
+            "@missing": tmp_path / "missing",
             "@missing/out": tmp_path / "missing" / "out", "@dir": tmp_path,
             "@out": tmp_path / "out"}
 
@@ -97,3 +112,15 @@ def test_python_dash_m_runs_the_command_line(argv, code):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == code, done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_fig1_with_vacuum_weight_inside_tolerance_reads_pol_path(files, tmp_path):
+    out = tmp_path / "steer.json"
+    assert main(["steer", "--input", str(files["@vacuum"]), "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["frame"] == "pol-path(bob=PUE)"
+
+
+def test_fig1_with_vacuum_weight_past_tolerance_names_the_vacuum(files, tmp_path, capsys):
+    state = with_vacuum_weight(files["@state"], 2e-10, tmp_path / "vacuum-2e-10.json")
+    assert main(["steer", "--input", str(state)]) == EXIT_PHYSICS
+    assert capsys.readouterr().err.startswith("state has vacuum weight")

@@ -63,6 +63,22 @@ class TestBasisDecl:
         with pytest.raises(ValueError, match="duplicate"):
             BasisDecl(("a", "a"))
 
+    def test_empty_oam_set_rejected(self):
+        with pytest.raises(ValueError, match=r"OAM set must be non-empty and duplicate-free: \(\)"):
+            BasisDecl(("a",), oam=())
+
+    def test_photon_polarization_is_h_or_v(self):
+        with pytest.raises(ValueError, match=r"must be one of \('H', 'V'\), got 'D'"):
+            BasisKet.photon("a", "D")
+
+    def test_amplitude_vector_length_checked(self):
+        with pytest.raises(BasisMismatch, match="amplitude vector has length 6, basis has 5"):
+            StateVector(TWO_SITES, np.zeros(6))
+
+    def test_amplitude_of_a_foreign_ket(self):
+        with pytest.raises(BasisMismatch, match=r"ket \|a,H,0> not in declared basis"):
+            eq1_state().amplitude(ket("a", "H"))
+
     def test_declaration_order_preserved_for_display(self):
         decl = BasisDecl(("zz", "aa"))
         assert decl.sites == ("zz", "aa")
@@ -302,6 +318,10 @@ class TestApplyLocalUnitary:
         with pytest.raises(DimensionMismatch):
             apply_local_unitary(eq1_state(), np.eye(3), "pol", "NY")
 
+    def test_unknown_register(self):
+        with pytest.raises(UnknownSubsystem, match="unknown register 'path'"):
+            apply_local_unitary(eq1_state(), np.eye(2), "path", "NY")
+
     def test_norm_preserved_on_random_states(self, rng):
         decl = BasisDecl(("a", "b"), oam=(-2, 0, 2))
         for _ in range(25):
@@ -443,6 +463,11 @@ class TestFidelity:
         branch = StateVector.from_amplitudes(TWO_SITES, {ket("PUE", "H"): 1.0})
         assert fidelity(eq1_state(), branch) == pytest.approx(0.5)
 
+    def test_unnormalized_state_rejected(self):
+        doubled = StateVector(TWO_SITES, 2.0 * eq1_state().amps)
+        with pytest.raises(ValueError, match=r"second state is not normalized \(norm 2\)"):
+            fidelity(eq1_state(), doubled)
+
 
 class TestDensityOperatorInvariants:
     def test_rejects_negative_eigenvalue(self):
@@ -463,6 +488,14 @@ class TestDensityOperatorInvariants:
     def test_subnormalized_member_allowed(self):
         rho = DensityOperator(("0", "1"), np.diag([0.25, 0.25]))
         assert rho.trace_value == pytest.approx(0.5)
+
+    def test_rejects_trace_above_one(self):
+        with pytest.raises(ValueError, match=r"trace 1.5 outside \(0, 1\]"):
+            DensityOperator(("0", "1"), np.diag([0.75, 0.75]))
+
+    def test_rejects_a_shape_that_is_not_its_labels(self):
+        with pytest.raises(DimensionMismatch, match=r"matrix shape \(2, 2\) does not match 3"):
+            DensityOperator(("0", "1", "2"), np.eye(2) / 2.0)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, complex(0.0, np.inf)])
     def test_rejects_an_infinite_conjugate_pair(self, bad):

@@ -56,6 +56,25 @@ class TestHeraldedSource:
         with pytest.raises(UnknownSite):
             heralded_source(DECL, "ghost", "H")
 
+    def test_source_needs_oam_zero(self):
+        decl = BasisDecl(("a",), oam=(-2, 2))
+        with pytest.raises(OamOverflow, match=r"source emits oam=0 but declared set is \(-2, 2\)"):
+            apply_source(StateVector.vacuum(decl), "a", "H")
+
+
+class TestOperandErrors:
+    @pytest.mark.parametrize("apply, error, message", [
+        (lambda s: waveplate(s, "in", "xwp", 10.0), ValueError,
+         "waveplate kind must be 'hwp' or 'qwp', got 'xwp'"),
+        (lambda s: pbs_route(s, "in", "NY", "NY"), SiteCollision,
+         "PBS outputs must be two distinct sites"),
+        (lambda s: beamsplitter_5050(s, "in", "in"), UnknownSite,
+         "beam splitter needs two distinct sites"),
+    ], ids=["waveplate-kind", "pbs-outputs", "bs-one-site"])
+    def test_rejected_with_its_message(self, apply, error, message):
+        with pytest.raises(error, match=message):
+            apply(heralded_source(DECL, "in", "H"))
+
 
 class TestWaveplate:
     def test_hwp_22_5_makes_diagonal_polarization(self):

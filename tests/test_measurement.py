@@ -71,6 +71,24 @@ class TestSettings:
         with pytest.raises(UnknownSite):
             born_probabilities(eq1_state(), setting)
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: polarization_setting("NY", "Q"),
+         r"basis must be one of \('ZHV', 'Xdiag', 'Ycirc'\), got 'Q'"),
+        (lambda: oam_setting("NY", "Q", (0,)), "basis must be 'number' or 'pm', got 'Q'"),
+    ], ids=["pol", "oam"])
+    def test_unknown_basis_name(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    def test_unnormalized_state_rejected(self):
+        doubled = StateVector(DECL, 2.0 * eq1_state().amps)
+        with pytest.raises(ValueError, match=r"requires a normalized state \(norm 2\)"):
+            born_probabilities(doubled, polarization_setting("NY", "ZHV"))
+
+    def test_collapse_on_an_unknown_label(self):
+        with pytest.raises(ValueError, match="setting has no outcome 'Q'"):
+            collapse(eq1_state(), polarization_setting("NY", "ZHV"), "Q")
+
 
 class TestScenarioListOne:
     """Vertical-polarization detection at New York on the entangled state."""
@@ -301,10 +319,10 @@ class TestBornBlocks:
                             oam_setting(s.decl.sites[1], "pm", s.decl.oam),
                             occupation_setting(s.decl.sites[0])):
                 full = born_probabilities(s, setting)
-                bare = measurement._born(s, setting, with_states=False)
-                assert [(r.label, r.probability) for r in bare] == \
+                bare = list(measurement._rows(s, setting))
+                assert [(label, p) for label, p, _ in bare] == \
                     [(r.label, r.probability) for r in full]
-                assert all(r.conditional_state is None for r in bare)
+                assert not any(isinstance(amps, StateVector) for _, _, amps in bare)
 
     def test_many_outcome_table_peak_memory(self):
         decl = BasisDecl(tuple(f"s{i}" for i in range(8)), oam=tuple(range(-256, 256)))
@@ -320,6 +338,30 @@ class TestBornBlocks:
         assert peak < 3 * 2**20
         assert [r.label for r in records if r.probability > 0] == ["7"]
         assert table(s, setting)["7"].conditional_state.amps.tobytes() == s.amps.tobytes()
+
+    def test_collapse_and_single_sample_build_one_state(self, rng, monkeypatch):
+        # 20 OAM values spread over both sites: 21 outcomes, 20 of them visible.
+        decl = BasisDecl(("a", "b"), oam=tuple(range(-10, 10)))
+        state = random_state(decl, rng)
+        setting = oam_setting("a", "number", decl.oam)
+        assert len(setting.labels) == 21
+        records = born_probabilities(state, setting)
+        built = []
+
+        class Counted(StateVector):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(measurement, "StateVector", Counted)
+        got = collapse(state, setting, "3")
+        assert len(built) == 1
+        assert got.amps.tobytes() == table(state, setting)["3"].conditional_state.amps.tobytes()
+        built.clear()
+        record = sample_outcome(state, setting, seed=4)
+        assert len(built) == 1 and built[0] is record.conditional_state
+        want = next(r for r in records if r.label == record.label)
+        assert record.conditional_state.amps.tobytes() == want.conditional_state.amps.tobytes()
 
 
 class TestCompleteness:
@@ -442,7 +484,8 @@ class TestSampling:
                 assert size == draws.size
                 return draws
 
-        monkeypatch.setattr(measurement, "_born", lambda state, setting, with_states: records)
+        monkeypatch.setattr(measurement, "_rows", lambda state, setting: (
+            (r.label, r.probability, None) for r in records))
         monkeypatch.setattr(np.random, "default_rng", lambda seed: FixedDraws())
         labels = sample_outcomes(None, None, draws.size, seed=0)
         assert labels == [_sample(records, u).label for u in draws]

@@ -85,6 +85,14 @@ class TestPresets:
             with pytest.raises(BadParameters, match="takes no parameters"):
                 preset(spec)
 
+    @pytest.mark.parametrize("spec, message", [
+        ("hardy:0.6", "hardy takes q,r, got '0.6'"),
+        ("noisy:", "noisy needs a visibility, e.g. noisy:0.4"),
+    ])
+    def test_preset_parameter_count(self, spec, message):
+        with pytest.raises(BadParameters, match=message):
+            preset(spec)
+
 
 class TestScenarioReport:
     def test_eq1_zhv_reproduces_first_scenario_list(self):
@@ -187,8 +195,8 @@ def readme_frame(sites, occupied, vacuum, path_only, bob):
     later-declared of the two sites the photon occupies if it occupies exactly
     two, else the last declared site. Alice is the one occupied site other than
     Bob's, else the first other declared site; a photon on two sites besides
-    Bob's is an error. A state with vacuum weight or a path-only one reads as
-    occ-occ, which needs it path-only; any other reads as pol-path.
+    Bob's is an error. A path-only state reads as occ-occ; any other reads as
+    pol-path, which needs it free of vacuum weight.
     """
     at = [s for s in sites if s in occupied]  # declaration order
     if bob is None:
@@ -201,11 +209,11 @@ def readme_frame(sites, occupied, vacuum, path_only, bob):
     if len(besides) > 1:
         return NonQubitBobMarginal
     alice = besides[0] if besides else next(s for s in sites if s != bob)
-    if not (vacuum or path_only):
-        return alice, bob, f"pol-path(bob={bob})"
-    if not path_only:
-        return alice, bob, NonQubitBobMarginal  # the internal factor depends on the site
-    return alice, bob, f"occ-occ({alice},{bob})"
+    if path_only:
+        return alice, bob, f"occ-occ({alice},{bob})"
+    if vacuum:
+        return alice, bob, NonQubitBobMarginal  # pol-path with vacuum weight
+    return alice, bob, f"pol-path(bob={bob})"
 
 
 def random_frame_case(rng):

@@ -220,6 +220,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             solve_feasibility(np.eye(2), DENSE, np.ones(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["solved", "comps", "b"])
+    def test_non_finite_argument_named_before_pricing(self, name, bad):
+        # Under filterwarnings = error, pricing a NaN or inf would fail with a RuntimeWarning.
+        args = {"solved": np.eye(2), "comps": np.array(DENSE), "b": np.array([0.5, 0.5])}
+        args[name].flat[0] = bad
+        with pytest.raises(ValueError, match=f"^{name} has a non-finite entry$"):
+            solve_feasibility(**args)
+
     def test_pivot_cap_raises_typed_breakdown(self, monkeypatch):
         monkeypatch.setattr(simplex, "MAX_PIVOTS", 1)
         with pytest.raises(SolverBreakdown) as err:

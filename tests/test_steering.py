@@ -16,6 +16,7 @@ from photonsteer.errors import (
     NonQubitBobMarginal,
     OutOfRange,
     TooManySettings,
+    UnknownSite,
 )
 from photonsteer.scenarios import (
     eq1_state,
@@ -107,6 +108,18 @@ class TestTwoQubitFrames:
         with pytest.raises(NonQubitBobMarginal):
             occupation_qubits(s, "NY", "PUE")
 
+    @pytest.mark.parametrize("alice, bob, error, message", [
+        ("b1", "zz", UnknownSite, r"site 'zz' not declared \(have \('b1', 'b2', 'b3'\)\)"),
+        ("b1", "b1", NonQubitBobMarginal, "Alice and Bob need distinct sites"),
+        ("b1", "b2", NonQubitBobMarginal, "photon amplitude at third site 'b3'"),
+    ])
+    def test_dual_rail_frame_site_errors(self, alice, bob, error, message):
+        decl = BasisDecl(("b1", "b2", "b3"))
+        split = StateVector.from_amplitudes(
+            decl, {BasisKet.photon(s, "H"): 1.0 / np.sqrt(3.0) for s in decl.sites})
+        with pytest.raises(error, match=message):
+            occupation_qubits(split, alice, bob)
+
     def test_analysis_functions_need_a_4x4_frame(self):
         qubit = DensityOperator(("H", "V"), np.eye(2) / 2.0)
         for call in (
@@ -165,6 +178,24 @@ class TestAssemblage:
             Assemblage(("Z", "Z"), {("Z", +1): member, ("Z", -1): member})
         with pytest.raises(BasisMismatch, match="repeated setting"):
             compute_assemblage(noisy_state(0.5), ("Z", "X", "Z"))
+
+    def test_no_setting_rejected(self):
+        # an empty assemblage used to reach lhs_feasibility and fail there with IndexError
+        with pytest.raises(ValueError, match="at least one Alice setting required"):
+            Assemblage((), {})
+        with pytest.raises(ValueError, match="at least one Alice setting required"):
+            compute_assemblage(noisy_state(0.5), ())
+
+    def test_unknown_setting_rejected(self):
+        with pytest.raises(NonDichotomicObservable, match="unknown setting 'Q', use Z, X or Y"):
+            compute_assemblage(noisy_state(0.5), ("Z", "Q"))
+
+    def test_keys_and_member_shape_checked(self):
+        member = np.eye(2) / 4.0
+        with pytest.raises(BasisMismatch, match=r"are not \(x, ±1\) for each setting x"):
+            Assemblage(("Z",), {("Z", +1): member, ("X", -1): member})
+        with pytest.raises(NonQubitBobMarginal, match=r"member \('Z', 1\) has shape \(3, 3\)"):
+            Assemblage(("Z",), {("Z", +1): np.eye(3) / 6.0, ("Z", -1): member})
 
     @staticmethod
     def one_member(matrix) -> Assemblage:
@@ -319,6 +350,12 @@ class TestCjwr:
 
 
 class TestChsh:
+    def test_result_bounds_checked(self):
+        with pytest.raises(ValueError, match="CHSH value 3.0 exceeds the Tsirelson bound"):
+            steering.ChshResult(3.0, steering.STANDARD_CHSH_ANGLES, (0.75,) * 4)
+        with pytest.raises(ValueError, match=r"correlator 1.5 outside \[-1, 1\]"):
+            steering.ChshResult(1.5, steering.STANDARD_CHSH_ANGLES, (1.5, 0.0, 0.0, 0.0))
+
     def test_standard_angles_reach_tsirelson(self):
         result = chsh_value(two_qubit_frame(eq1_state(), "PUE")[0], 0.0, 90.0, 45.0, 135.0)
         assert result.value == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-9)
@@ -537,6 +574,13 @@ class TestLhsFeasibility:
         asm = Assemblage(names, {(x, a): member for x in names for a in (1, -1)})
         with pytest.raises(TooManySettings):
             lhs_feasibility(asm, 10)
+
+    def test_replay_needs_a_certificate(self):
+        asm = compute_assemblage(noisy_state(0.9), ("Z", "X"))
+        verdict = lhs_feasibility(asm, 10)
+        assert verdict.status == "NoLHSFoundAtResolution"
+        with pytest.raises(ValueError, match="verdict carries no certificate"):
+            replay_certificate(verdict, asm)
 
     def test_certification_is_monotone_under_refinement(self):
         for v in (0.0, 0.4, 0.65):
