@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import ATOL, DensityOperator, StateVector
 from .errors import (
@@ -76,9 +77,10 @@ BOB_SITE = "PUE"
 # 10 000 × 4 Kronecker factors: 4-16 ms for 26-142 pivots, ~2.4 MiB peak (2-vCPU Xeon).
 MIN_GRID = 6
 MAX_GRID = 100
-# Degrees. The CHSH search holds a few k² floats, k = 360 / step (5-11 MiB at 1°). It
-# scans every Bob pair exactly, k³ work, only when the Z-X correlation block T is
-# about 0 (~0.25 s at 1°); otherwise only the few pairs its bound pass keeps.
+# Degrees. The CHSH search holds a few k² floats, k = 360 / step: its tracemalloc peak
+# at 1° is 3.5 MiB on noisy(0.7) and 11.1 MiB when every pair survives. It scans every
+# Bob pair exactly, k³ work, only when the Z-X correlation block T is about 0 (~0.2 s
+# at 1°); otherwise only the few pairs its bound pass keeps.
 MIN_CHSH_STEP = 1.0
 
 
@@ -371,34 +373,71 @@ def _scan_pairs(columns: np.ndarray, pairs: np.ndarray):
     return term0[rows, i0] + term1[rows, i1], i0, i1
 
 
+# Bounded: ``sweep`` uses one step for every point, a run of requests a handful, and
+# an entry at MIN_CHSH_STEP holds ~40 KB.
+@functools.lru_cache(maxsize=8)
+def _chsh_tables(step: float):
+    """The parts of the CHSH search that depend only on the step, read-only:
+    (angles, u, means, sin2, cos2). ``u`` holds the unit vectors of the k grid
+    angles; ``means`` those of the 2k - 1 mean angles μ = n · step / 2, then of
+    μ + 90°, each n = b0 + b1. ``sin2[b0, b1]`` = 2|sin(Δ/2)| and ``cos2[b0, b1]``
+    = 2|cos(Δ/2)|, Δ = (b0 - b1) · step, are (k, k) views of 2k - 1 floats."""
+    angles = np.arange(0.0, 360.0, step)
+    radians = np.deg2rad(angles)
+    u = np.stack([np.cos(radians), np.sin(radians)])
+    k = angles.size
+    mean = np.arange(2 * k - 1) * (step / 2)
+    turned = np.deg2rad(np.concatenate([mean, mean + 90.0]))
+    means = np.stack([np.cos(turned), np.sin(turned)])
+    half = np.deg2rad(np.arange(k) * (step / 2))  # Δ/2 for |b0 - b1| = 0 … k - 1
+
+    def toeplitz(table):  # view[b0, b1] = table[|b0 - b1|]
+        mirrored = np.concatenate([table[:0:-1], table])
+        mirrored.setflags(write=False)
+        return sliding_window_view(mirrored, k)[:, ::-1]
+
+    for array in (angles, u, means):
+        array.setflags(write=False)
+    return angles, u, means, toeplitz(2 * np.abs(np.sin(half))), toeplitz(2 * np.abs(np.cos(half)))
+
+
+def _pair_bounds(T: np.ndarray, step: float) -> np.ndarray:
+    """Upper bounds of S = E(a0,b0) - E(a0,b1) + E(a1,b0) + E(a1,b1) over the Alice
+    angles for every Bob pair, flat (b0 · k + b1). The a0 term is at most
+    |T(u_b0 - u_b1)| = 2|sin(Δ/2)|·|T u_{μ+90°}| and the a1 term at most
+    |T(u_b0 + u_b1)| = 2|cos(Δ/2)|·|T u_μ|, with μ = (b0 + b1)/2 and Δ = b0 - b1
+    (Horodecki, Horodecki & Horodecki, Phys. Lett. A 200, 340 (1995)): the two
+    norms are read by b0 + b1 through Hankel views, the tables by |b0 - b1|."""
+    _, _, means, sin2, cos2 = _chsh_tables(step)
+    k = sin2.shape[0]
+    a, c = np.hypot(*(T @ means)).reshape(2, -1)  # |T u_μ|, |T u_{μ+90°}|
+    bound = sin2 * sliding_window_view(c, k)
+    bound += cos2 * sliding_window_view(a, k)
+    return bound.ravel()
+
+
 def chsh_optimize(rho: DensityOperator, grid_step_deg: float) -> ChshResult:
     """Maximize the CHSH functional of a two-qubit frame over a uniform four-angle grid.
 
     For each Bob pair (b0, b1) the a0 and a1 terms are maximized over all k
     Alice angles on their own, k = 360 / step, and the pair with the highest
-    total wins, the lowest index among ties at each stage. The a0 term is at
-    most |T(u_b0 - u_b1)| and the a1 term at most |T(u_b0 + u_b1)|
-    (Horodecki, Horodecki & Horodecki, Phys. Lett. A 200, 340 (1995)), so one
-    O(k²) pass bounds every pair. The pair with the highest bound is scanned
-    exactly, and only the pairs whose bound reaches its total, less
+    total wins, the lowest index among ties at each stage. ``_pair_bounds``
+    bounds every pair's total from two norm vectors over the 2k - 1 mean
+    angles and two per-step tables over the k angle differences, in O(k)
+    work before the k² bounds themselves. The pair with the highest bound is
+    scanned exactly, and only the pairs whose bound reaches its total, less
     ``_ROUNDING_MARGIN``, are scanned exactly after it, in flat order. This
-    gives the same angles and value, bit for bit, as scanning every pair. When
-    T is about 0 every pair survives: k³ time, still in O(k²) memory.
+    gives the same angles and value, bit for bit, as scanning every pair.
+    When T is about 0 every pair survives: k³ time, still in O(k²) memory.
     """
     check_chsh_step(grid_step_deg)
     T = _correlation_matrix(_frame_matrix(rho))
-
-    angles = np.arange(0.0, 360.0, grid_step_deg)
-    radians = np.deg2rad(angles)
-    u = np.stack([np.cos(radians), np.sin(radians)])  # 2 x k
+    step = float(grid_step_deg)
+    angles, u = _chsh_tables(step)[:2]
+    k = angles.size
     E = u.T @ T @ u  # E[i, j] = E(angle_i, angle_j)
 
-    # S = E(a0,b0) - E(a0,b1) + E(a1,b0) + E(a1,b1), bounded per (b0, b1) pair.
-    k = angles.size
-    Tu = T @ u
-    w0 = Tu[:, :, None] - Tu[:, None, :]  # T(u_b0 - u_b1), 2 x k x k over (b0, b1)
-    w1 = Tu[:, :, None] + Tu[:, None, :]
-    bound = (np.hypot(*w0) + np.hypot(*w1)).ravel()
+    bound = _pair_bounds(T, step)
     columns = np.ascontiguousarray(E.T)
     incumbent = _scan_pairs(columns, np.array([np.argmax(bound)]))[0][0]
     survivors = np.flatnonzero(bound >= incumbent - _ROUNDING_MARGIN)

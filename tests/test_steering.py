@@ -74,6 +74,33 @@ def alice_rotated(rho: DensityOperator, phi_deg: float) -> DensityOperator:
     return DensityOperator(QUBIT_PAIR_LABELS, turn @ rho.matrix @ turn.T)
 
 
+def grid_vectors(step: float) -> np.ndarray:
+    radians = np.deg2rad(np.arange(0.0, 360.0, step))
+    return np.stack([np.cos(radians), np.sin(radians)])
+
+
+def hypot_pair_bounds(T: np.ndarray, step: float) -> np.ndarray:
+    """The pair bounds |T(u_b0 - u_b1)| + |T(u_b0 + u_b1)| in their direct form, over
+    2 × k × k arrays, flat (b0 · k + b1)."""
+    Tu = T @ grid_vectors(step)
+    return (np.hypot(*(Tu[:, :, None] - Tu[:, None, :]))
+            + np.hypot(*(Tu[:, :, None] + Tu[:, None, :]))).ravel()
+
+
+def exact_pair_totals(T: np.ndarray, step: float) -> np.ndarray:
+    """Every Bob pair's grid maximum of the a0 term plus that of the a1 term, flat
+    (b0 · k + b1), one b0 row at a time."""
+    u = grid_vectors(step)
+    E = u.T @ T @ u  # E[i, j] = E(angle_i, angle_j)
+    totals = np.empty_like(E)
+    for b0 in range(E.shape[0]):
+        totals[b0] = (E[:, b0, None] - E).max(axis=0) + (E[:, b0, None] + E).max(axis=0)
+    return totals.ravel()
+
+
+PHOTON_PRESETS = ("eq1", "twc", "hardy", "hardy:0.6,0.8", "qplate_tripartite")
+
+
 class TestTwoQubitFrames:
     def test_entangled_preset_is_triplet_in_pol_occupation(self):
         rho = pol_path_qubits(eq1_state(), "PUE")
@@ -449,6 +476,17 @@ class TestChshGridOracles:
         self.assert_same_as_brute_force(two_qubit_frame(product_state_ny_v(), "PUE")[0], step)
         self.assert_same_as_brute_force(noisy_state(0.63), step)
 
+    @pytest.mark.parametrize("step", [5.0, 3.0, 2.0])
+    @pytest.mark.parametrize("name", PHOTON_PRESETS)
+    def test_equals_brute_force_on_photon_preset_frames(self, step, name):
+        self.assert_same_as_brute_force(two_qubit_frame(preset(name))[0], step)
+
+    # k = 1, 2 and 3: the bound tables are 1 × 1 to 3 × 3 views of 1 to 5 floats.
+    @pytest.mark.parametrize("step", [360.0, 180.0, 120.0])
+    def test_equals_brute_force_on_the_coarsest_grids(self, rng, step):
+        self.assert_same_as_brute_force(noisy_state(0.7), step)
+        self.assert_same_as_brute_force(random_two_qubit_density(rng, mixed=True), step)
+
     def test_never_above_the_closed_form_optimum(self, rng):
         for _ in range(30):
             rho = random_two_qubit_density(rng, mixed=bool(rng.integers(2)))
@@ -473,6 +511,78 @@ class TestChshGridOracles:
         finally:
             tracemalloc.stop()
         assert peak <= 64 * 2**20
+
+    def test_one_degree_search_on_a_noisy_frame_stays_within_6_mib(self):
+        # The k² arrays are the bounds and one temporary, the survivor mask and E with its
+        # transposed copy, ~3.5 MiB; the 2 × k × k hypot form of the bounds peaked at 7.5 MiB.
+        state = noisy_state(0.7)
+        tracemalloc.start()
+        try:
+            chsh_optimize(state, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
+
+
+def bound_states(rng):
+    """noisy:v for v = 0 … 1 by 0.05, Alice-rotated noisy frames, the photon-preset
+    frames and random pure and mixed states."""
+    states = [noisy_state(v) for v in np.linspace(0.0, 1.0, 21)]
+    states += [alice_rotated(noisy_state(v), phi) for v in (1.0, 0.63) for phi in (7.3, 123.45)]
+    states += [two_qubit_frame(preset(name))[0] for name in PHOTON_PRESETS]
+    states += [random_two_qubit_density(rng, mixed) for mixed in (False, True, False, True)]
+    return states
+
+
+class TestChshPairBounds:
+    """The factored pair bounds against the direct ``hypot`` form and the exact totals,
+    and the per-step tables they read."""
+
+    STEPS = [5.0, 3.0, 2.0, 1.5, 1.0, 360.0 / 161]
+
+    @staticmethod
+    def correlations(rho):
+        return steering._correlation_matrix(steering._frame_matrix(rho))
+
+    @pytest.mark.parametrize("step", STEPS)
+    def test_equal_the_hypot_form_within_1e_12(self, rng, step):
+        for rho in bound_states(rng):
+            T = self.correlations(rho)
+            factored = steering._pair_bounds(T, step)
+            assert factored.shape == (grid_vectors(step).shape[1] ** 2,)
+            assert np.abs(factored - hypot_pair_bounds(T, step)).max() <= 1e-12
+
+    @pytest.mark.parametrize("step", STEPS)
+    def test_never_below_a_pair_exact_total_less_the_margin(self, rng, step):
+        states = bound_states(rng)
+        if step < 2.0:  # the k³ exact totals take ~0.2 s a state at 1°
+            states = [noisy_state(0.0), noisy_state(0.7), alice_rotated(noisy_state(1.0), 7.3),
+                      two_qubit_frame(preset("eq1"))[0], random_two_qubit_density(rng, True)]
+        for rho in states:
+            T = self.correlations(rho)
+            slack = steering._pair_bounds(T, step) - exact_pair_totals(T, step)
+            assert slack.min() >= -steering._ROUNDING_MARGIN
+
+    def test_every_array_of_an_entry_is_read_only(self):
+        for array in steering._chsh_tables(2.0):
+            while array is not None:
+                assert isinstance(array, np.ndarray) and not array.flags.writeable
+                array = array.base
+                if array is not None and not isinstance(array, np.ndarray):
+                    array = array.base  # the interface object behind a strided view
+
+    def test_cache_is_bounded(self):
+        assert steering._chsh_tables.cache_info().maxsize is not None
+
+    def test_one_degree_entry_holds_o_k_bytes(self):
+        owners = {}
+        for array in steering._chsh_tables(1.0):
+            while not (isinstance(array, np.ndarray) and array.flags.owndata):
+                array = array.base
+            owners[id(array)] = array.nbytes
+        # k = 360: the angles, 2k unit vectors, 4(2k - 1) mean vectors, 2(2k - 1) table floats.
+        assert sum(owners.values()) < 64 * 2**10
 
 
 class TestCostBounds:
