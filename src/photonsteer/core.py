@@ -338,7 +338,7 @@ def _local_unitary(
     u = np.asarray(u, dtype=complex)
     if u.shape != (dim, dim):
         raise DimensionMismatch(f"matrix shape {u.shape}, register dimension {dim}")
-    if not (_is_unitary_2x2(u) if dim == 2 else _is_unitary(u)):
+    if not (_is_unitary_2x2(*u.ravel().tolist()) if dim == 2 else _is_unitary(u)):
         raise NonUnitary("matrix is not unitary within 1e-10")
 
     block = decl.tensor(amps)
@@ -368,14 +368,14 @@ def _is_unitary(u: np.ndarray) -> bool:
     return bool((np.abs(u @ u.conj().T - eye) <= ATOL + 1e-5 * eye).all())
 
 
-def _is_unitary_2x2(u: np.ndarray) -> bool:
-    """``_is_unitary`` for 2x2 written out on the entries of u u^H - I in Python floats.
+def _is_unitary_2x2(a: complex, b: complex, c: complex, d: complex) -> bool:
+    """``_is_unitary`` for u = [[a, b], [c, d]] written out on the entries of u u^H - I,
+    given as Python floats or complex numbers.
 
     |a|² + |b|² - 1 and |c|² + |d|² - 1 get the diagonal bound ATOL + 1e-5, and
     a c̄ + b d̄ the off-diagonal bound ATOL. NaN fails every comparison, and an
     inf entry makes a diagonal term inf or NaN.
     """
-    (a, b), (c, d) = u.tolist()
     diag_a = a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag - 1.0
     diag_c = c.real * c.real + c.imag * c.imag + d.real * d.real + d.imag * d.imag - 1.0
     off = a * c.conjugate() + b * d.conjugate()

@@ -19,42 +19,64 @@ view ``decl.tensor(amps)``, checks its operands and raises the element's
 errors. ``circuit.run_circuit`` applies the kernels to one amplitude buffer.
 The public functions are pure: ``core._on_copy`` runs the kernel on a copy of
 the input state's amplitudes and wraps the copy in a new ``StateVector``.
-A non-finite wave-plate or phase angle raises ``NonUnitary`` before any
-trigonometry.
+
+The kernels do only the arithmetic of their element, on the (site, pol, oam)
+rows it touches. ``_jones`` gives the four wave-plate Jones entries as Python
+scalars (floats for the HWP, complex for the QWP), the unitarity test runs on
+those entries, and the kernel updates the site's H and V row views in place
+with them; ``hwp_matrix`` and ``qwp_matrix`` are arrays of the same entries.
+The beam splitter makes the same in-place update on the blocks of its two
+sites, and the phase shifter scales its site's block by one complex number.
+The q-plate takes its OAM shift positions from a bounded cache keyed by the
+OAM set and the shift. A non-finite wave-plate or phase angle raises
+``NonUnitary`` before any trigonometry.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from .core import POLS, BasisDecl, BasisKet, StateVector, _local_unitary, _on_copy
+from .core import POLS, BasisDecl, BasisKet, StateVector, _is_unitary_2x2, _on_copy
 from .errors import DoubleExcitation, NonUnitary, OamOverflow, SiteCollision, UnknownSite
 
 _AMP_TOL = 1e-12
 
-# (H, V) -> (L, R) change of basis: rows are <L|, <R|.
+# (H, V) -> (L, R) change of basis: rows are <L|, <R|; _FROM_CIRC is its inverse.
 _TO_CIRC = np.array([[1.0, 1.0j], [1.0, -1.0j]], dtype=complex) / np.sqrt(2.0)
+_FROM_CIRC = _TO_CIRC.conj().T
 
-# QWP retardance diag(1, i) in its own fast/slow axes.
-_QUARTER_WAVE = np.diag([1.0, 1.0j])
+# 50/50 beam splitter [[r, i r], [i r, r]] on the (site1, site2) blocks.
+_BS_R = 1.0 / math.sqrt(2.0)
+_BS_IR = 1j * _BS_R
 
-# 50/50 beam splitter on the occupation amplitudes of (site1, site2).
-_BS = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) / np.sqrt(2.0)
+
+def _jones(kind: str, theta_deg: float) -> tuple:
+    """Entries (a, b, c, d) of the Jones matrix [[a, b], [c, d]] of a ``kind`` = "hwp"
+    or "qwp" plate at a finite angle: floats for the HWP, complex for the QWP, whose
+    R(t) diag(1, i) R(-t) is [[c² + i s², cs - i cs], [cs - i cs, s² + i c²]] with
+    c = cos t and s = sin t."""
+    _require_finite(theta_deg, kind)
+    t = math.radians(theta_deg)
+    if kind == "hwp":
+        c, s = math.cos(2 * t), math.sin(2 * t)
+        return c, s, s, -c
+    c, s = math.cos(t), math.sin(t)
+    cs = c * s
+    return complex(c * c, s * s), complex(cs, -cs), complex(cs, -cs), complex(s * s, c * c)
 
 
 def hwp_matrix(theta_deg: float) -> np.ndarray:
-    t = np.deg2rad(theta_deg)
-    c, s = np.cos(2 * t), np.sin(2 * t)
-    return np.array([[c, s], [s, -c]], dtype=complex)
+    """HWP Jones matrix at a finite fast-axis angle; ``NonUnitary`` otherwise."""
+    return np.array(_jones("hwp", theta_deg), dtype=complex).reshape(2, 2)
 
 
 def qwp_matrix(theta_deg: float) -> np.ndarray:
-    t = np.deg2rad(theta_deg)
-    c, s = np.cos(t), np.sin(t)
-    rot = np.array([[c, -s], [s, c]], dtype=complex)
-    return rot @ _QUARTER_WAVE @ rot.T
+    """QWP Jones matrix at a finite fast-axis angle; ``NonUnitary`` otherwise."""
+    return np.array(_jones("qwp", theta_deg), dtype=complex).reshape(2, 2)
 
 
 def heralded_source(decl: BasisDecl, site: str, pol: str) -> StateVector:
@@ -120,15 +142,24 @@ def _source(decl: BasisDecl, amps: np.ndarray, site: str, pol: str) -> None:
 
 
 def _waveplate(decl: BasisDecl, amps: np.ndarray, site: str, kind: str, theta_deg: float) -> None:
-    if kind == "hwp":
-        jones = hwp_matrix
-    elif kind == "qwp":
-        jones = qwp_matrix
-    else:
+    if kind not in ("hwp", "qwp"):
         raise ValueError(f"waveplate kind must be 'hwp' or 'qwp', got {kind!r}")
     decl.require_site(site)
-    _require_finite(theta_deg, kind)
-    _local_unitary(decl, amps, jones(theta_deg), "pol", site)
+    a, b, c, d = _jones(kind, theta_deg)
+    if not _is_unitary_2x2(a, b, c, d):
+        raise NonUnitary("matrix is not unitary within 1e-10")
+    block = decl.tensor(amps)[decl.site_axis[site]]
+    _mix_rows(block[0], block[1], a, b, c, d)
+
+
+def _mix_rows(x: np.ndarray, y: np.ndarray, a, b, c, d) -> None:
+    """[x, y] <- [[a, b], [c, d]] [x, y] in place on two views of one shape. Each is
+    contiguous: one strided view of both would go through numpy's slower iterator."""
+    c_x = x * c  # before x changes
+    x *= a
+    x += y * b
+    y *= d
+    y += c_x
 
 
 def _pbs(decl: BasisDecl, amps: np.ndarray, input: str, out_h: str, out_v: str) -> None:
@@ -158,35 +189,47 @@ def _beamsplitter(decl: BasisDecl, amps: np.ndarray, site1: str, site2: str) -> 
     if site1 == site2:
         raise UnknownSite("beam splitter needs two distinct sites")
     t = decl.tensor(amps)
-    pair = [decl.site_axis[site1], decl.site_axis[site2]]
-    t[pair] = np.einsum("ab,bpm->apm", _BS, t[pair])
+    _mix_rows(t[decl.site_axis[site1]], t[decl.site_axis[site2]], _BS_R, _BS_IR, _BS_IR, _BS_R)
+
+
+@lru_cache(maxsize=16)
+def _oam_shifts(oam: tuple[int, ...], shift: int) -> tuple:
+    """For the L row (m -> m + shift) and the R row (m -> m - shift) of a q-plate on the
+    sorted OAM set ``oam``: the position of each target in the set and the mask of
+    targets outside it, all read-only. At 32 768 values an entry holds 576 KiB, so the
+    16 entries hold at most 9 MiB."""
+    values = np.array(oam)
+    out = []
+    for step in (shift, -shift):
+        target = values + step
+        pos = np.searchsorted(values, target).clip(max=len(oam) - 1)
+        missing = values[pos] != target
+        pos.setflags(write=False)
+        missing.setflags(write=False)
+        out.append((step, pos, missing))
+    return tuple(out)
 
 
 def _qplate(decl: BasisDecl, amps: np.ndarray, site: str, q: int) -> None:
     decl.require_site(site)
-    shift = 2 * int(q)
-    oam = decl.oam_array
-
     block = decl.tensor(amps)[decl.site_axis[site]]  # (pol, oam) view
     circ = _TO_CIRC @ block  # rows: (L, R)
     shifted = np.zeros_like(circ)
     # L at m moves to R at m + 2q; R at m moves to L at m - 2q. Amplitudes at
     # or below _AMP_TOL are dropped rather than checked against the OAM set.
-    for src, dst, step in ((0, 1, shift), (1, 0, -shift)):
-        target = oam + step
-        pos = np.searchsorted(oam, target).clip(max=len(oam) - 1)
+    for src, (step, pos, missing) in enumerate(_oam_shifts(decl.oam, 2 * int(q))):
         live = np.abs(circ[src]) > _AMP_TOL
-        overflow = live & (oam[pos] != target)
+        overflow = live & missing
         if overflow.any():
-            m = int(oam[overflow][0])
+            m = int(decl.oam_array[overflow][0])
             raise OamOverflow(
                 f"|{'LR'[src]},{m}> would shift to oam={m + step}, outside {decl.oam}"
             )
-        shifted[dst, pos[live]] = circ[src, live]
-    block[...] = _TO_CIRC.conj().T @ shifted
+        shifted[1 - src, pos[live]] = circ[src, live]
+    block[...] = _FROM_CIRC @ shifted
 
 
 def _phase(decl: BasisDecl, amps: np.ndarray, site: str, phi_deg: float) -> None:
     decl.require_site(site)
     _require_finite(phi_deg, "phase")
-    decl.tensor(amps)[decl.site_axis[site]] *= np.exp(1j * np.deg2rad(phi_deg))
+    decl.tensor(amps)[decl.site_axis[site]] *= cmath.exp(1j * math.radians(phi_deg))

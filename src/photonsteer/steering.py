@@ -378,14 +378,15 @@ def _scan_pairs(columns: np.ndarray, pairs: np.ndarray):
 @functools.lru_cache(maxsize=8)
 def _chsh_tables(step: float):
     """The parts of the CHSH search that depend only on the step, read-only:
-    (angles, u, means, sin2, cos2). ``u`` holds the unit vectors of the k grid
-    angles; ``means`` those of the 2k - 1 mean angles μ = n · step / 2, then of
-    μ + 90°, each n = b0 + b1. ``sin2[b0, b1]`` = 2|sin(Δ/2)| and ``cos2[b0, b1]``
+    (angles, u, means, sin2, cos2). ``angles`` are the k = round(360 / step)
+    grid angles n · step, all below 360°, and ``u`` holds their unit vectors;
+    ``means`` those of the 2k - 1 mean angles μ = n · step / 2, then of μ + 90°,
+    each n = b0 + b1. ``sin2[b0, b1]`` = 2|sin(Δ/2)| and ``cos2[b0, b1]``
     = 2|cos(Δ/2)|, Δ = (b0 - b1) · step, are (k, k) views of 2k - 1 floats."""
-    angles = np.arange(0.0, 360.0, step)
+    k = round(360.0 / step)
+    angles = np.arange(k) * step
     radians = np.deg2rad(angles)
     u = np.stack([np.cos(radians), np.sin(radians)])
-    k = angles.size
     mean = np.arange(2 * k - 1) * (step / 2)
     turned = np.deg2rad(np.concatenate([mean, mean + 90.0]))
     means = np.stack([np.cos(turned), np.sin(turned)])
@@ -420,11 +421,11 @@ def chsh_optimize(rho: DensityOperator, grid_step_deg: float) -> ChshResult:
     """Maximize the CHSH functional of a two-qubit frame over a uniform four-angle grid.
 
     For each Bob pair (b0, b1) the a0 and a1 terms are maximized over all k
-    Alice angles on their own, k = 360 / step, and the pair with the highest
-    total wins, the lowest index among ties at each stage. ``_pair_bounds``
-    bounds every pair's total from two norm vectors over the 2k - 1 mean
-    angles and two per-step tables over the k angle differences, in O(k)
-    work before the k² bounds themselves. The pair with the highest bound is
+    Alice angles n · step on their own, k = round(360 / step), and the pair
+    with the highest total wins, the lowest index among ties at each stage.
+    ``_pair_bounds`` bounds every pair's total from two norm vectors over the
+    2k - 1 mean angles and two per-step tables over the k angle differences,
+    in O(k) work before the k² bounds themselves. The pair with the highest bound is
     scanned exactly, and only the pairs whose bound reaches its total, less
     ``_ROUNDING_MARGIN``, are scanned exactly after it, in flat order. This
     gives the same angles and value, bit for bit, as scanning every pair.

@@ -220,7 +220,7 @@ def brute_chsh_grid(rho, grid_step_deg):
     ties). One b0 row at a time, so memory stays k². ``rho`` is a two-qubit frame.
     """
     T = _correlation_matrix(np.asarray(rho.matrix))
-    angles = np.arange(0.0, 360.0, grid_step_deg)
+    angles = np.arange(round(360.0 / grid_step_deg)) * grid_step_deg
     radians = np.deg2rad(angles)
     u = np.stack([np.cos(radians), np.sin(radians)])
     E = u.T @ T @ u  # E[i, j] = E(angle_i, angle_j)

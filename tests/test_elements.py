@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from photonsteer import elements
 from photonsteer.circuit import Circuit, ElementSpec, run_circuit
 from photonsteer.core import BasisDecl, BasisKet, StateVector, apply_local_unitary, fidelity
 from photonsteer.elements import (
@@ -26,7 +27,7 @@ from photonsteer.errors import (
     UnknownSite,
 )
 
-from conftest import random_state
+from conftest import qplate_oracle, random_state
 
 DECL = BasisDecl(("in", "NY", "PUE"))
 OAM_DECL = BasisDecl(("in", "NY", "PUE"), oam=(-2, 0, 2))
@@ -213,6 +214,53 @@ class TestQplate:
             amps /= np.linalg.norm(amps)
             out = qplate(StateVector(OAM_DECL, amps), "in", 1)
             assert out.norm() == pytest.approx(1.0, abs=1e-10)
+
+
+class TestQplateShiftCache:
+    """``_qplate`` takes its shift positions from ``elements._oam_shifts``, cached per
+    (OAM set, 2q)."""
+
+    NARROW = BasisDecl(("a", "b"), oam=(-2, 0, 2))
+    WIDE = BasisDecl(("a", "b"), oam=(-4, -2, 0, 2, 4))
+
+    @pytest.mark.parametrize("first, second", [("WIDE", "NARROW"), ("NARROW", "WIDE")])
+    def test_oam_sets_with_the_same_q_do_not_share_entries(self, first, second):
+        # |L, 2> at q = 1 moves to |R, 4>: in range on WIDE, an overflow on NARROW.
+        elements._oam_shifts.cache_clear()
+        for name in (first, second, first, second):
+            decl = getattr(self, name)
+            s = StateVector.from_amplitudes(
+                decl, {ket("a", "H", 2): SQ2, ket("a", "V", 2): -1j * SQ2})
+            if 4 in decl.oam:
+                np.testing.assert_allclose(
+                    qplate(s, "a", 1).amps, qplate_oracle(s, "a", 1), atol=1e-12)
+            else:
+                with pytest.raises(OamOverflow) as caught:
+                    qplate(s, "a", 1)
+                assert str(caught.value) == "|L,2> would shift to oam=4, outside (-2, 0, 2)"
+        info = elements._oam_shifts.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
+
+    def test_overflow_names_its_element_after_a_cache_hit(self):
+        # H -> (|L,-2> + |R,2>)/sqrt(2); the HWP swaps L and R, so the second plate sends
+        # |L,2> to oam 4. Every plate after the first run reads a cached entry.
+        elements._oam_shifts.cache_clear()
+        head = (ElementSpec("source", ("a",), pol="H"), ElementSpec("qplate", ("a",), q=1),
+                ElementSpec("hwp", ("a",), angle=30.0))
+        for extra in ((), (ElementSpec("phase", ("a",), angle=10.0),)) * 2:
+            circuit = Circuit(("a",), (-2, 0, 2),
+                              (*head, *extra, ElementSpec("qplate", ("a",), q=1)))
+            with pytest.raises(OamOverflow) as caught:
+                run_circuit(circuit)
+            assert str(caught.value) == (f"element {len(circuit.elements) - 1} (qplate): "
+                                         "|L,2> would shift to oam=4, outside (-2, 0, 2)")
+        info = elements._oam_shifts.cache_info()
+        assert info.misses == 1 and info.hits == 7
+
+    def test_entries_are_read_only_and_the_cache_is_bounded(self):
+        assert elements._oam_shifts.cache_info().maxsize is not None
+        for _, pos, missing in elements._oam_shifts(self.WIDE.oam, 2):
+            assert not pos.flags.writeable and not missing.flags.writeable
 
 
 class TestPhaseShift:

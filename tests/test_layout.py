@@ -49,16 +49,21 @@ from conftest import (
 )
 
 DECL = BasisDecl(("z", "a", "m"), oam=(-7, -2, 0, 2, 9))
+# 16 sites × 21 OAM values, dim 673: the largest table shape of the optical_table benchmark.
+WIDE_DECL = BasisDecl(
+    ("z", "a", "m", "q", "c", "x", "b", "k", "e", "w", "f", "p", "g", "t", "h", "n"),
+    oam=(-7, -2, 0, 2, 9, -20, -16, -13, -11, -9, -5, -4, -1, 1, 3, 5, 6, 12, 14, 17, 20),
+)
 TOL = 1e-12
 
 
 def restricted(state: StateVector, keep) -> StateVector:
     """``state`` with the photon kets failing ``keep(ket)`` zeroed, renormalized."""
     amps = np.array(state.amps)
-    for i, k in enumerate(DECL.kets):
+    for i, k in enumerate(state.decl.kets):
         if not k.is_vacuum and not keep(k):
             amps[i] = 0.0
-    return normalize(StateVector(DECL, amps))
+    return normalize(StateVector(state.decl, amps))
 
 
 def random_unitary(n, rng):
@@ -82,9 +87,11 @@ class TestTensorView:
 
 
 class TestElements:
+    decl = DECL
+
     def test_waveplates_and_local_unitaries(self, rng):
         for _ in range(5):
-            s = random_state(DECL, rng)
+            s = random_state(self.decl, rng)
             for site, kind, u in (("m", "hwp", hwp_matrix(31.0)), ("z", "qwp", qwp_matrix(31.0))):
                 np.testing.assert_allclose(
                     waveplate(s, site, kind, 31.0).amps,
@@ -95,7 +102,7 @@ class TestElements:
                 apply_local_unitary(s, u_pol, "pol").amps,
                 local_unitary_oracle(s, u_pol, "pol"), atol=TOL,
             )
-            u_oam = random_unitary(len(DECL.oam), rng)
+            u_oam = random_unitary(len(self.decl.oam), rng)
             for site in (None, "a"):
                 np.testing.assert_allclose(
                     apply_local_unitary(s, u_oam, "oam", site).amps,
@@ -107,21 +114,21 @@ class TestElements:
         out_h, out_v = outputs
         for _ in range(5):
             # Photon at the input only, so no output already holds amplitude.
-            s = restricted(random_state(DECL, rng), lambda k: k.site == "z")
+            s = restricted(random_state(self.decl, rng), lambda k: k.site == "z")
             np.testing.assert_allclose(
                 pbs_route(s, "z", out_h, out_v).amps, pbs_oracle(s, "z", out_h, out_v), atol=TOL
             )
 
     @pytest.mark.parametrize("pair", [("z", "m"), ("m", "a"), ("a", "z")])
     def test_beamsplitter(self, rng, pair):
-        s = random_state(DECL, rng)
+        s = random_state(self.decl, rng)
         np.testing.assert_allclose(
             beamsplitter_5050(s, *pair).amps, beamsplitter_oracle(s, *pair), atol=TOL
         )
 
     @pytest.mark.parametrize("site", ["z", "a", "m"])
     def test_phase_shift(self, rng, site):
-        s = random_state(DECL, rng)
+        s = random_state(self.decl, rng)
         np.testing.assert_allclose(
             phase_shift(s, site, 71.0).amps, phase_oracle(s, site, 71.0), atol=TOL
         )
@@ -131,29 +138,29 @@ class TestElements:
         # At the plate site only L at m with m + 2q declared and R at m with
         # m - 2q declared; the other sites are unrestricted.
         for site in ("z", "a"):
-            s = random_state(DECL, rng)
+            s = random_state(self.decl, rng)
             amps = np.array(s.amps)
-            block = DECL.tensor(amps)[DECL.site_axis[site]]
+            block = self.decl.tensor(amps)[self.decl.site_axis[site]]
             lr = np.array([[1.0, 1.0j], [1.0, -1.0j]]) / np.sqrt(2.0) @ block
             for row, step in ((0, 2 * q), (1, -2 * q)):
-                for j, m in enumerate(DECL.oam):
-                    if m + step not in DECL.oam:
+                for j, m in enumerate(self.decl.oam):
+                    if m + step not in self.decl.oam:
                         lr[row, j] = 0.0
             block[...] = np.array([[1.0, 1.0], [-1.0j, 1.0j]]) / np.sqrt(2.0) @ lr
-            s = normalize(StateVector(DECL, amps))
+            s = normalize(StateVector(self.decl, amps))
             np.testing.assert_allclose(qplate(s, site, q).amps, qplate_oracle(s, site, q), atol=TOL)
 
     @pytest.mark.parametrize("q", [1, 2, -1])
     def test_qplate_overflows_exactly_where_shift_undeclared(self, q):
         circular = {"L": (1.0, -1.0j), "R": (1.0, 1.0j)}  # (H, V) components of |L>, |R>
         for name, (ch, cv) in circular.items():
-            for m in DECL.oam:
-                s = StateVector.from_amplitudes(DECL, {
+            for m in self.decl.oam:
+                s = StateVector.from_amplitudes(self.decl, {
                     BasisKet.photon("m", "H", m): ch / np.sqrt(2.0),
                     BasisKet.photon("m", "V", m): cv / np.sqrt(2.0),
                 })
                 target = m + 2 * q if name == "L" else m - 2 * q
-                if target in DECL.oam:
+                if target in self.decl.oam:
                     np.testing.assert_allclose(
                         qplate(s, "m", q).amps, qplate_oracle(s, "m", q), atol=TOL
                     )
@@ -165,11 +172,17 @@ class TestElements:
 
     def test_qplate_drops_sub_tolerance_amplitudes(self):
         # An L amplitude below the tolerance at m = 9 would overflow; it is dropped.
-        s = StateVector.from_amplitudes(DECL, {
+        s = StateVector.from_amplitudes(self.decl, {
             BasisKet.photon("m", "H", 0): 1.0,
             BasisKet.photon("m", "H", 9): 1e-14,
         })
         np.testing.assert_allclose(qplate(s, "m", 1).amps, qplate_oracle(s, "m", 1), atol=TOL)
+
+
+class TestElementsAtWorkloadScale(TestElements):
+    """The same oracle checks on the largest generated optical-table shape."""
+
+    decl = WIDE_DECL
 
 
 class TestReductions:

@@ -75,7 +75,7 @@ def alice_rotated(rho: DensityOperator, phi_deg: float) -> DensityOperator:
 
 
 def grid_vectors(step: float) -> np.ndarray:
-    radians = np.deg2rad(np.arange(0.0, 360.0, step))
+    radians = np.deg2rad(np.arange(round(360.0 / step)) * step)
     return np.stack([np.cos(radians), np.sin(radians)])
 
 
@@ -439,11 +439,20 @@ class TestChshGridOracles:
         slow = brute_chsh_grid(rho, step)
         assert fast.angles == slow.angles and fast.value == slow.value, (step, fast, slow)
 
-    # np.arange gives 360/161 a 162nd point just below 360°.
     @pytest.mark.parametrize("step", [90.0, 45.0, 15.0, 5.0, 3.0, 2.0, 360.0 / 161])
     def test_equals_brute_force_on_random_states(self, rng, step):
         for mixed in (False, True) * 3:
             self.assert_same_as_brute_force(random_two_qubit_density(rng, mixed), step)
+
+    def test_every_angle_at_a_step_of_360_over_161_is_below_360(self):
+        # The grid is the k = 161 angles n · step. np.arange(0, 360, step) had a 162nd,
+        # 359.99999999999994, a near-copy of 0° that state 247 of this seed came back with.
+        rng = np.random.default_rng(3)
+        step = 360.0 / 161
+        assert steering._chsh_tables(step)[0].size == 161
+        for _ in range(300):
+            angles = chsh_optimize(random_two_qubit_density(rng), step).angles
+            assert all(0.0 <= angle < 360.0 for angle in angles), angles
 
     @pytest.mark.parametrize("step", [90.0, 45.0, 15.0, 5.0, 3.0, 2.0])
     def test_equals_brute_force_on_noisy_and_rank_one_states(self, step):
