@@ -52,8 +52,9 @@ ELEMENT_KINDS = ("source", "hwp", "qwp", "pbs", "bs", "qplate", "phase")
 
 # Elements × kets of the largest circuit run_circuit applies, as each element costs O(kets):
 # 511 elements at MAX_DIM. At the bound a circuit runs in ~0.03 s (phase shifters), ~0.07 s
-# (wave plates), ~0.09 s (beam splitters) and ~0.7 s (q-plates on a one-site basis), best of
-# three on a 2-vCPU Xeon.
+# (wave plates), ~0.09 s (beam splitters) and ~0.4 s (q-plates on a one-site basis), or
+# ~0.85 s once quarter-wave plates have spread the photon over 8192 OAM values, the most a
+# one-site circuit can reach; best of three on a 2-vCPU Xeon.
 MAX_ELEMENT_KETS = 2**25
 
 

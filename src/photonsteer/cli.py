@@ -16,7 +16,7 @@ stderr), 3 physics error (also --bob-site, --site or --basis on noisy:v),
 is below 1 degree or is not a divisor of 360, a circuit or --input file whose
 declared basis has more than 65 537 kets, a circuit whose elements × kets exceed
 2^25, a --input file that is not a finite unit state with integer OAM values and
-one amplitude per basis entry, and an --out path that cannot be written).
+one amplitude per declared basis entry, and an --out path that cannot be written).
 Output is deterministic: identical arguments produce byte-identical files.
 """
 
@@ -88,7 +88,7 @@ def _oam_value(value) -> int:
 
 def state_from_json_dict(doc: dict) -> StateVector:
     """Inverse of ``state_to_json_dict``; ValueError unless the file holds a unit state
-    with integer OAM values and names each ket at most once."""
+    with integer OAM values and names each ket at most once, all within its declaration."""
     if len(doc["basis"]) != len(doc["amplitudes"]):
         raise ValueError(f"{len(doc['basis'])} basis entries but "
                          f"{len(doc['amplitudes'])} amplitudes")
@@ -97,6 +97,8 @@ def state_from_json_dict(doc: dict) -> StateVector:
     for entry, (re, im) in zip(doc["basis"], doc["amplitudes"]):
         ket = (BasisKet.vacuum() if entry == "vac"
                else BasisKet.photon(entry[0], entry[1], _oam_value(entry[2])))
+        if ket not in decl.index:
+            raise ValueError(f"basis entry {entry!r} is outside the declared sites and OAM values")
         if ket in amplitudes:
             raise ValueError(f"basis entry {entry!r} names the ket {ket!r} again")
         amplitudes[ket] = complex(re, im)

@@ -11,11 +11,12 @@ Tensor contract. Because of that order, the amplitudes after the vacuum,
 ``amps[1:]``, are a C-ordered array of shape ``(n_sites, 2, n_oam)``:
 axis 0 runs over the sites in *sorted* order (``BasisDecl.site_axis`` maps a
 site name to its position, which can differ from the declared order), axis 1
-over (H, V) and axis 2 over the sorted OAM values. ``BasisDecl.tensor``
-returns that view, and element actions, projections and register reductions
-are axis operations on it rather than per-ket index lookups. Element actions
-are in-place kernels on a writable view; the public functions run them through
-``_on_copy``, on a copy of the amplitudes wrapped in a new ``StateVector``.
+over (H, V) and axis 2 over the sorted OAM values (``BasisDecl.oam_axis`` maps
+an OAM value to its position). ``BasisDecl.tensor`` returns that view, and
+element actions, projections and register reductions are axis operations on it
+rather than per-ket index lookups. Element actions are in-place kernels on a
+writable view; the public functions run them through ``_on_copy``, on a copy of
+the amplitudes wrapped in a new ``StateVector``.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -123,11 +124,9 @@ class BasisDecl:
         return {site: i for i, site in enumerate(sorted(self.sites))}
 
     @cached_property
-    def oam_array(self) -> np.ndarray:
-        """The sorted OAM values as a read-only integer array."""
-        out = np.array(self.oam)
-        out.setflags(write=False)
-        return out
+    def oam_axis(self) -> dict[int, int]:
+        """Position of each OAM value along axis 2 of ``tensor`` (sorted OAM order)."""
+        return {m: i for i, m in enumerate(self.oam)}
 
     @cached_property
     def kets(self) -> tuple[BasisKet, ...]:

@@ -27,16 +27,16 @@ those entries, and the kernel updates the site's H and V row views in place
 with them; ``hwp_matrix`` and ``qwp_matrix`` are arrays of the same entries.
 The beam splitter makes the same in-place update on the blocks of its two
 sites, and the phase shifter scales its site's block by one complex number.
-The q-plate takes its OAM shift positions from a bounded cache keyed by the
-OAM set and the shift. A non-finite wave-plate or phase angle raises
-``NonUnitary`` before any trigonometry.
+The q-plate moves only its live circular amplitudes and finds each target's
+position in ``BasisDecl.oam_axis``, in Python integers, so no shift wraps. A
+non-finite wave-plate or phase angle raises ``NonUnitary`` before any
+trigonometry.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -134,11 +134,11 @@ def _source(decl: BasisDecl, amps: np.ndarray, site: str, pol: str) -> None:
     if np.sum(np.abs(amps[1:]) ** 2) > _AMP_TOL:
         raise DoubleExcitation("source fired on a state that already holds a photon")
     decl.require_site(site)
-    if 0 not in decl.oam:
+    if 0 not in decl.oam_axis:
         raise OamOverflow(f"source emits oam=0 but declared set is {decl.oam}")
     BasisKet.photon(site, pol)  # rejects a polarization other than H or V
     amps[...] = 0.0
-    decl.tensor(amps)[decl.site_axis[site], POLS.index(pol), decl.oam.index(0)] = 1.0
+    decl.tensor(amps)[decl.site_axis[site], POLS.index(pol), decl.oam_axis[0]] = 1.0
 
 
 def _waveplate(decl: BasisDecl, amps: np.ndarray, site: str, kind: str, theta_deg: float) -> None:
@@ -192,24 +192,6 @@ def _beamsplitter(decl: BasisDecl, amps: np.ndarray, site1: str, site2: str) -> 
     _mix_rows(t[decl.site_axis[site1]], t[decl.site_axis[site2]], _BS_R, _BS_IR, _BS_IR, _BS_R)
 
 
-@lru_cache(maxsize=16)
-def _oam_shifts(oam: tuple[int, ...], shift: int) -> tuple:
-    """For the L row (m -> m + shift) and the R row (m -> m - shift) of a q-plate on the
-    sorted OAM set ``oam``: the position of each target in the set and the mask of
-    targets outside it, all read-only. At 32 768 values an entry holds 576 KiB, so the
-    16 entries hold at most 9 MiB."""
-    values = np.array(oam)
-    out = []
-    for step in (shift, -shift):
-        target = values + step
-        pos = np.searchsorted(values, target).clip(max=len(oam) - 1)
-        missing = values[pos] != target
-        pos.setflags(write=False)
-        missing.setflags(write=False)
-        out.append((step, pos, missing))
-    return tuple(out)
-
-
 def _qplate(decl: BasisDecl, amps: np.ndarray, site: str, q: int) -> None:
     decl.require_site(site)
     block = decl.tensor(amps)[decl.site_axis[site]]  # (pol, oam) view
@@ -217,15 +199,17 @@ def _qplate(decl: BasisDecl, amps: np.ndarray, site: str, q: int) -> None:
     shifted = np.zeros_like(circ)
     # L at m moves to R at m + 2q; R at m moves to L at m - 2q. Amplitudes at
     # or below _AMP_TOL are dropped rather than checked against the OAM set.
-    for src, (step, pos, missing) in enumerate(_oam_shifts(decl.oam, 2 * int(q))):
-        live = np.abs(circ[src]) > _AMP_TOL
-        overflow = live & missing
-        if overflow.any():
-            m = int(decl.oam_array[overflow][0])
+    oam, oam_axis, step = decl.oam, decl.oam_axis, 2 * int(q)
+    for src, row in enumerate(circ):
+        live = np.flatnonzero(np.abs(row) > _AMP_TOL)
+        targets = [oam_axis.get(oam[i] + step) for i in live.tolist()]
+        if None in targets:
+            m = oam[live[targets.index(None)]]
             raise OamOverflow(
-                f"|{'LR'[src]},{m}> would shift to oam={m + step}, outside {decl.oam}"
+                f"|{'LR'[src]},{m}> would shift to oam={m + step}, outside {oam}"
             )
-        shifted[1 - src, pos[live]] = circ[src, live]
+        shifted[1 - src, targets] = row[live]
+        step = -step
     block[...] = _FROM_CIRC @ shifted
 
 

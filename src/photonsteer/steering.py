@@ -252,7 +252,7 @@ def path_amplitudes(state: StateVector) -> np.ndarray | None:
     matrix = decl.tensor(state.amps).reshape(len(decl.sites), 2 * len(decl.oam))
     if np.linalg.norm(matrix) <= 1e-12:
         return np.zeros(len(decl.sites), dtype=complex)
-    u, sing, vh = np.linalg.svd(matrix)
+    u, sing, vh = np.linalg.svd(matrix, full_matrices=False)
     if sing.size > 1 and sing[1] > ATOL:
         return None
     phase = vh[0, np.argmax(np.abs(vh[0]))]

@@ -228,6 +228,21 @@ class TestSteer:
         assert "cannot read a 'run' state" in err and "|a,H,0>" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("entry", [["zz", "H", 0], ["a", "H", 2]],
+                             ids=["undeclared-site", "undeclared-oam"])
+    def test_input_with_a_basis_entry_outside_its_declaration_exits_4(self, tmp_path, capsys,
+                                                                      entry):
+        s = 1.0 / np.sqrt(2.0)
+        doc = {"sites": ["a", "b"], "oam": [0], "basis": ["vac", ["a", "H", 0], entry],
+               "amplitudes": [[0.0, 0.0], [s, 0.0], [s, 0.0]]}
+        state_path = tmp_path / "state.json"
+        state_path.write_text(json.dumps(doc))
+        assert main(["steer", "--input", str(state_path)]) == 4
+        err = capsys.readouterr().err
+        assert "cannot read a 'run' state" in err
+        assert f"basis entry {entry!r} is outside the declared sites and OAM values" in err
+        assert err.count("\n") == 1
+
     def test_deeply_nested_input_exits_4(self, tmp_path, capsys):
         state_path = tmp_path / "state.json"
         state_path.write_text("[" * 200_000)
@@ -283,6 +298,11 @@ class TestFrameRule:
         doc = self._run_then_steer("sites a b\nsource a H\nhwp a 22.5\nbs a b\n", tmp_path)
         assert doc["frame"] == "occ-occ(a,b)"
         assert doc["cjwr"] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
+
+    def test_photon_split_over_two_paths_with_2048_oam_values_reads_occ_occ(self, tmp_path):
+        oam = " ".join(str(m) for m in range(-1024, 1024))
+        doc = self._run_then_steer(f"sites a b\noam {oam}\nsource a H\nbs a b\n", tmp_path)
+        assert doc["frame"] == "occ-occ(a,b)"
 
     def test_alice_is_the_occupied_site_besides_bob(self, tmp_path):
         # "in" is declared first and ends empty; the photon is H at NY and PUE.

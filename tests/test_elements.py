@@ -6,7 +6,6 @@ import warnings
 import numpy as np
 import pytest
 
-from photonsteer import elements
 from photonsteer.circuit import Circuit, ElementSpec, run_circuit
 from photonsteer.core import BasisDecl, BasisKet, StateVector, apply_local_unitary, fidelity
 from photonsteer.elements import (
@@ -216,17 +215,16 @@ class TestQplate:
             assert out.norm() == pytest.approx(1.0, abs=1e-10)
 
 
-class TestQplateShiftCache:
-    """``_qplate`` takes its shift positions from ``elements._oam_shifts``, cached per
-    (OAM set, 2q)."""
+class TestQplateOamAxis:
+    """``_qplate`` finds each shifted OAM value's position in ``BasisDecl.oam_axis``, in
+    Python integers, so the shift of any declared value is exact."""
 
     NARROW = BasisDecl(("a", "b"), oam=(-2, 0, 2))
     WIDE = BasisDecl(("a", "b"), oam=(-4, -2, 0, 2, 4))
 
     @pytest.mark.parametrize("first, second", [("WIDE", "NARROW"), ("NARROW", "WIDE")])
-    def test_oam_sets_with_the_same_q_do_not_share_entries(self, first, second):
+    def test_the_same_q_shifts_within_each_oam_set(self, first, second):
         # |L, 2> at q = 1 moves to |R, 4>: in range on WIDE, an overflow on NARROW.
-        elements._oam_shifts.cache_clear()
         for name in (first, second, first, second):
             decl = getattr(self, name)
             s = StateVector.from_amplitudes(
@@ -238,13 +236,10 @@ class TestQplateShiftCache:
                 with pytest.raises(OamOverflow) as caught:
                     qplate(s, "a", 1)
                 assert str(caught.value) == "|L,2> would shift to oam=4, outside (-2, 0, 2)"
-        info = elements._oam_shifts.cache_info()
-        assert (info.misses, info.hits) == (2, 2)
 
-    def test_overflow_names_its_element_after_a_cache_hit(self):
+    def test_overflow_names_its_element_after_repeated_plates(self):
         # H -> (|L,-2> + |R,2>)/sqrt(2); the HWP swaps L and R, so the second plate sends
-        # |L,2> to oam 4. Every plate after the first run reads a cached entry.
-        elements._oam_shifts.cache_clear()
+        # |L,2> to oam 4.
         head = (ElementSpec("source", ("a",), pol="H"), ElementSpec("qplate", ("a",), q=1),
                 ElementSpec("hwp", ("a",), angle=30.0))
         for extra in ((), (ElementSpec("phase", ("a",), angle=10.0),)) * 2:
@@ -254,13 +249,41 @@ class TestQplateShiftCache:
                 run_circuit(circuit)
             assert str(caught.value) == (f"element {len(circuit.elements) - 1} (qplate): "
                                          "|L,2> would shift to oam=4, outside (-2, 0, 2)")
-        info = elements._oam_shifts.cache_info()
-        assert info.misses == 1 and info.hits == 7
 
-    def test_entries_are_read_only_and_the_cache_is_bounded(self):
-        assert elements._oam_shifts.cache_info().maxsize is not None
-        for _, pos, missing in elements._oam_shifts(self.WIDE.oam, 2):
-            assert not pos.flags.writeable and not missing.flags.writeable
+    @pytest.mark.parametrize("q", [10**20, 2**62])
+    def test_a_shift_past_int64_overflows(self, q):
+        circuit = Circuit(("a",), (-2, 0, 2), (ElementSpec("source", ("a",), pol="H"),
+                                               ElementSpec("qplate", ("a",), q=q)))
+        with pytest.raises(OamOverflow) as caught:
+            run_circuit(circuit)
+        assert str(caught.value) == (f"element 1 (qplate): |L,0> would shift to oam={2 * q}, "
+                                     "outside (-2, 0, 2)")
+
+    def test_shifts_past_int64_that_land_on_declared_values(self):
+        # 2q = 2^62 and then 2^63: every target is ±2^62, declared.
+        decl = BasisDecl(("a",), oam=(-2**62, 0, 2**62))
+        circuit = Circuit(decl.sites, decl.oam, (ElementSpec("source", ("a",), pol="H"),
+                                                 ElementSpec("qplate", ("a",), q=2**61),
+                                                 ElementSpec("qplate", ("a",), q=2**62)))
+        want = heralded_source(decl, "a", "H")
+        for q in (2**61, 2**62):
+            want = StateVector(decl, qplate_oracle(want, "a", q))
+        np.testing.assert_allclose(run_circuit(circuit).amps, want.amps, atol=1e-12)
+        assert abs(want.amplitude(ket("a", "H", 2**62))) == pytest.approx(0.5, abs=1e-12)
+
+    def test_a_target_past_int64_overflows_and_does_not_wrap(self):
+        # 2q = 2^63 - 2 puts |L> at -(2^63 - 2) and |R> at 2^63 - 2; the HWP swaps them,
+        # and the last plate sends |L, 2^63 - 2> to 2^63 + 2, which int64 wraps to a
+        # declared value.
+        top = 2**63 - 2
+        circuit = Circuit(("a",), (-top, 0, top), (ElementSpec("source", ("a",), pol="H"),
+                                                   ElementSpec("qplate", ("a",), q=top // 2),
+                                                   ElementSpec("hwp", ("a",), angle=45.0),
+                                                   ElementSpec("qplate", ("a",), q=2)))
+        with pytest.raises(OamOverflow) as caught:
+            run_circuit(circuit)
+        assert str(caught.value) == (f"element 3 (qplate): |L,{top}> would shift to "
+                                     f"oam={top + 4}, outside ({-top}, 0, {top})")
 
 
 class TestPhaseShift:

@@ -38,6 +38,7 @@ from photonsteer.steering import (
     fibonacci_bloch_grid,
     lhs_feasibility,
     occupation_qubits,
+    path_amplitudes,
     pol_path_qubits,
     replay_certificate,
     two_qubit_frame,
@@ -146,6 +147,24 @@ class TestTwoQubitFrames:
             decl, {BasisKet.photon(s, "H"): 1.0 / np.sqrt(3.0) for s in decl.sites})
         with pytest.raises(error, match=message):
             occupation_qubits(split, alice, bob)
+
+    @pytest.mark.parametrize("n_sites, n_oam", [(2, 2048), (2048, 1)])
+    def test_path_amplitudes_stays_within_4_mib(self, rng, n_sites, n_oam):
+        # A full SVD would hold a (2 n_oam)² vh or an n_sites² u: 256 or 64 MiB here.
+        decl = BasisDecl(tuple(f"s{i:04d}" for i in range(n_sites)), tuple(range(n_oam)))
+        path = rng.normal(size=n_sites) + 1j * rng.normal(size=n_sites)
+        internal = rng.normal(size=(2, n_oam)) + 1j * rng.normal(size=(2, n_oam))
+        amps = np.zeros(decl.dim, dtype=complex)
+        decl.tensor(amps)[...] = path[:, None, None] * internal
+        state = StateVector(decl, amps / np.linalg.norm(amps))
+        tracemalloc.start()
+        try:
+            occ = path_amplitudes(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        np.testing.assert_allclose(np.abs(occ), np.abs(path) / np.linalg.norm(path), atol=1e-12)
 
     def test_analysis_functions_need_a_4x4_frame(self):
         qubit = DensityOperator(("H", "V"), np.eye(2) / 2.0)
