@@ -110,7 +110,7 @@ def _arity(line: _Line, n: int, usage: str) -> None:
         )
 
 
-def _site(line: _Line, idx: int, declared: list[str]) -> str:
+def _site(line: _Line, idx: int, declared: dict[str, None]) -> str:
     token = line.tokens[idx]
     if not _IDENT.match(token):
         raise CircuitSyntaxError(
@@ -141,7 +141,7 @@ def parse_circuit(text: str | bytes) -> Circuit:
         text = text.decode("utf-8", errors="replace")
     text = text.removeprefix("\ufeff")  # a UTF-8 byte-order mark, as some editors save
 
-    sites: list[str] = []
+    sites: dict[str, None] = {}  # declared order; a dict for one-lookup membership
     oam: tuple[int, ...] | None = None
     parsed: list[ElementSpec] = []
 
@@ -163,7 +163,7 @@ def parse_circuit(text: str | bytes) -> Circuit:
                         f"duplicate site {token!r}", number, line.column(idx),
                         expected="unique site identifier",
                     )
-                sites.append(token)
+                sites[token] = None
 
         elif head == "oam":
             if len(line.tokens) == 1:

@@ -285,6 +285,3 @@ def main(argv=None) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_PHYSICS
 
-
-if __name__ == "__main__":
-    sys.exit(main())

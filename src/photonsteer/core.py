@@ -10,7 +10,9 @@ matrix layouts are deterministic for golden tests.
 Tensor contract. Because of that order, the amplitudes after the vacuum,
 ``amps[1:]``, are a C-ordered array of shape ``(n_sites, 2, n_oam)``:
 axis 0 runs over the sites in *sorted* order (``BasisDecl.site_axis`` maps a
-site name to its position, which can differ from the declared order), axis 1
+site name to its position, which can differ from the declared order, and
+``BasisDecl.site_position`` is the one site check: it returns that position or
+raises ``UnknownSite``), axis 1
 over (H, V) and axis 2 over the sorted OAM values (``BasisDecl.oam_axis`` maps
 an OAM value to its position). ``BasisDecl.tensor`` returns that view, and
 element actions, projections and register reductions are axis operations on it
@@ -150,9 +152,12 @@ class BasisDecl:
         """The (site, pol, oam) view of ``amps[1:]``; writable when ``amps`` is."""
         return amps[1:].reshape(self.shape)
 
-    def require_site(self, site: str) -> None:
-        if site not in self.sites:
-            raise UnknownSite(f"site {site!r} not declared (have {self.sites})")
+    def site_position(self, site: str) -> int:
+        """Position of ``site`` along axis 0 of ``tensor``; ``UnknownSite`` if it is not declared."""
+        try:
+            return self.site_axis[site]
+        except (KeyError, TypeError):  # TypeError: an unhashable name is not declared either
+            raise UnknownSite(f"site {site!r} not declared (have {self.sites})") from None
 
 
 @dataclass(frozen=True)
@@ -331,18 +336,16 @@ def _local_unitary(
     """In-place kernel of ``apply_local_unitary`` on a writable amplitude vector."""
     if register not in ("pol", "oam"):
         raise UnknownSubsystem(f"unknown register {register!r}")
+    block = decl.tensor(amps)
     if site is not None:
-        decl.require_site(site)
+        block = block[decl.site_position(site)]
     dim = 2 if register == "pol" else len(decl.oam)
     u = np.asarray(u, dtype=complex)
     if u.shape != (dim, dim):
         raise DimensionMismatch(f"matrix shape {u.shape}, register dimension {dim}")
-    if not (_is_unitary_2x2(*u.ravel().tolist()) if dim == 2 else _is_unitary(u)):
+    if not _is_unitary(u):
         raise NonUnitary("matrix is not unitary within 1e-10")
 
-    block = decl.tensor(amps)
-    if site is not None:
-        block = block[decl.site_axis[site]]
     block[...] = u @ block if register == "pol" else block @ u.T
 
 

@@ -133,22 +133,21 @@ def _require_finite(angle_deg: float, what: str) -> None:
 def _source(decl: BasisDecl, amps: np.ndarray, site: str, pol: str) -> None:
     if np.sum(np.abs(amps[1:]) ** 2) > _AMP_TOL:
         raise DoubleExcitation("source fired on a state that already holds a photon")
-    decl.require_site(site)
+    at_site = decl.site_position(site)
     if 0 not in decl.oam_axis:
         raise OamOverflow(f"source emits oam=0 but declared set is {decl.oam}")
     BasisKet.photon(site, pol)  # rejects a polarization other than H or V
     amps[...] = 0.0
-    decl.tensor(amps)[decl.site_axis[site], POLS.index(pol), decl.oam_axis[0]] = 1.0
+    decl.tensor(amps)[at_site, POLS.index(pol), decl.oam_axis[0]] = 1.0
 
 
 def _waveplate(decl: BasisDecl, amps: np.ndarray, site: str, kind: str, theta_deg: float) -> None:
     if kind not in ("hwp", "qwp"):
         raise ValueError(f"waveplate kind must be 'hwp' or 'qwp', got {kind!r}")
-    decl.require_site(site)
+    block = decl.tensor(amps)[decl.site_position(site)]
     a, b, c, d = _jones(kind, theta_deg)
     if not _is_unitary_2x2(a, b, c, d):
         raise NonUnitary("matrix is not unitary within 1e-10")
-    block = decl.tensor(amps)[decl.site_axis[site]]
     _mix_rows(block[0], block[1], a, b, c, d)
 
 
@@ -163,17 +162,16 @@ def _mix_rows(x: np.ndarray, y: np.ndarray, a, b, c, d) -> None:
 
 
 def _pbs(decl: BasisDecl, amps: np.ndarray, input: str, out_h: str, out_v: str) -> None:
-    for s in (input, out_h, out_v):
-        decl.require_site(s)
+    at_input, *at_outs = [decl.site_position(s) for s in (input, out_h, out_v)]
     if out_h == out_v:
         raise SiteCollision("PBS outputs must be two distinct sites")
 
     t = decl.tensor(amps)
-    src = t[decl.site_axis[input]]
-    for p, (pol, out) in enumerate(zip(POLS, (out_h, out_v))):
+    src = t[at_input]
+    for p, (pol, out, at_out) in enumerate(zip(POLS, (out_h, out_v), at_outs)):
         if out == input:
             continue
-        dst = t[decl.site_axis[out], p]
+        dst = t[at_out, p]
         if ((np.abs(dst) > _AMP_TOL) & (np.abs(src[p]) > _AMP_TOL)).any():
             raise SiteCollision(
                 f"output {out!r} already carries {pol} amplitude; merging paths "
@@ -184,17 +182,16 @@ def _pbs(decl: BasisDecl, amps: np.ndarray, input: str, out_h: str, out_v: str) 
 
 
 def _beamsplitter(decl: BasisDecl, amps: np.ndarray, site1: str, site2: str) -> None:
-    decl.require_site(site1)
-    decl.require_site(site2)
+    t = decl.tensor(amps)
+    row1 = t[decl.site_position(site1)]
+    row2 = t[decl.site_position(site2)]
     if site1 == site2:
         raise UnknownSite("beam splitter needs two distinct sites")
-    t = decl.tensor(amps)
-    _mix_rows(t[decl.site_axis[site1]], t[decl.site_axis[site2]], _BS_R, _BS_IR, _BS_IR, _BS_R)
+    _mix_rows(row1, row2, _BS_R, _BS_IR, _BS_IR, _BS_R)
 
 
 def _qplate(decl: BasisDecl, amps: np.ndarray, site: str, q: int) -> None:
-    decl.require_site(site)
-    block = decl.tensor(amps)[decl.site_axis[site]]  # (pol, oam) view
+    block = decl.tensor(amps)[decl.site_position(site)]  # (pol, oam) view
     circ = _TO_CIRC @ block  # rows: (L, R)
     shifted = np.zeros_like(circ)
     # L at m moves to R at m + 2q; R at m moves to L at m - 2q. Amplitudes at
@@ -214,6 +211,6 @@ def _qplate(decl: BasisDecl, amps: np.ndarray, site: str, q: int) -> None:
 
 
 def _phase(decl: BasisDecl, amps: np.ndarray, site: str, phi_deg: float) -> None:
-    decl.require_site(site)
+    block = decl.tensor(amps)[decl.site_position(site)]
     _require_finite(phi_deg, "phase")
-    decl.tensor(amps)[decl.site_axis[site]] *= cmath.exp(1j * math.radians(phi_deg))
+    block *= cmath.exp(1j * math.radians(phi_deg))

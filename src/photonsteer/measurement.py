@@ -137,13 +137,12 @@ def _rows(state: StateVector, setting: MeasurementSetting):
     """(label, probability, projected amplitudes) per outcome, no-click last; the amplitudes
     are ``None`` where ``_floored`` zeroes the probability and where no-click absorbs them."""
     decl = state.decl
-    decl.require_site(setting.site)
+    at_site = decl.site_position(setting.site)
     if not state.is_normalized():
         raise ValueError(f"measurement requires a normalized state (norm {state.norm():.6g})")
 
     if setting.register == "occupation":
         click = np.zeros(decl.dim, dtype=complex)
-        at_site = decl.site_axis[setting.site]
         decl.tensor(click)[at_site] = decl.tensor(state.amps)[at_site]
         yield _floored("click", click)
         yield _floored(NO_CLICK, state.amps - click)
@@ -151,7 +150,6 @@ def _rows(state: StateVector, setting: MeasurementSetting):
 
     _check_register(decl, setting)
     t = decl.tensor(state.amps)
-    at_site = decl.site_axis[setting.site]
     dark = np.zeros(decl.dim, dtype=complex)
     dark[0] = state.amps[0]  # the vacuum never reaches the analyzer
     step = max(1, _BLOCK_ENTRIES // decl.dim)
@@ -266,10 +264,10 @@ def reduced_state(state: StateVector, keep: str, site: str | None = None) -> Den
     if keep == "occupation":
         if site is None:
             raise UnknownSubsystem("occupation selector needs a site")
-        decl.require_site(site)
+        position = decl.site_position(site)
         weights = state.amps * state.amps.conj()  # the diagonal of |state><state|
         at_site = np.zeros(decl.dim, dtype=bool)
-        decl.tensor(at_site)[decl.site_axis[site]] = True
+        decl.tensor(at_site)[position] = True
         diag = [weights[~at_site].sum(), weights[at_site].sum()]
         return DensityOperator(("0", "1"), np.diag(diag))
 

@@ -218,7 +218,7 @@ def frame_sites(state: StateVector, bob_site: str | None = None) -> tuple[str, s
     others = [s for s in decl.sites if s != bob_site]
     if not others:
         raise NonQubitBobMarginal(f"a steering frame needs two sites, the state has {decl.sites}")
-    decl.require_site(bob_site)
+    decl.site_position(bob_site)
     occupied = [s for s in occupied if s != bob_site]
     if len(occupied) > 1:
         raise NonQubitBobMarginal(f"photon amplitude at {occupied} besides Bob's site {bob_site!r}")
@@ -265,13 +265,9 @@ def occupation_qubits(state: StateVector, alice_site: str, bob_site: str) -> Den
     The dual-rail reading of path-only states (``path_amplitudes``); it keeps
     occupation coherences, vacuum-photon ones included.
     """
-    return _occupation_qubits(state, path_amplitudes(state), alice_site, bob_site)
-
-
-def _occupation_qubits(state: StateVector, occ, alice_site: str, bob_site: str) -> DensityOperator:
+    occ = path_amplitudes(state)
     decl = state.decl
-    for s in (alice_site, bob_site):
-        decl.require_site(s)
+    at_alice, at_bob = [decl.site_position(s) for s in (alice_site, bob_site)]
     if alice_site == bob_site:
         raise NonQubitBobMarginal("Alice and Bob need distinct sites")
 
@@ -282,8 +278,7 @@ def _occupation_qubits(state: StateVector, occ, alice_site: str, bob_site: str) 
             raise NonQubitBobMarginal(f"photon amplitude at third site {s!r}")
 
     # |n_A n_B> in the order 00, 01, 10, 11.
-    amp2q = np.array([state.amps[0], occ[decl.site_axis[bob_site]],
-                      occ[decl.site_axis[alice_site]], 0.0], dtype=complex)
+    amp2q = np.array([state.amps[0], occ[at_bob], occ[at_alice], 0.0], dtype=complex)
     return DensityOperator(QUBIT_PAIR_LABELS, np.outer(amp2q, amp2q.conj()))
 
 
@@ -298,12 +293,11 @@ def two_qubit_frame(
         if bob_site is not None:
             raise BadParameters(f"a two-qubit preset has no sites, so no Bob site {bob_site!r}")
         return prepared, "two-qubit"
-    occ = path_amplitudes(prepared)
+    path_only = path_amplitudes(prepared) is not None
     alice_site, bob_site = frame_sites(prepared, bob_site)
-    if occ is None:
+    if not path_only:
         return pol_path_qubits(prepared, bob_site), f"pol-path(bob={bob_site})"
-    frame = _occupation_qubits(prepared, occ, alice_site, bob_site)
-    return frame, f"occ-occ({alice_site},{bob_site})"
+    return occupation_qubits(prepared, alice_site, bob_site), f"occ-occ({alice_site},{bob_site})"
 
 
 def _frame_matrix(rho: DensityOperator) -> np.ndarray:

@@ -96,6 +96,28 @@ class TestBasisDecl:
         assert "\n" not in str(err.value)
 
 
+    def test_site_position_is_the_tensor_axis_position(self):
+        decl = BasisDecl(("zz", "aa", "mm"))
+        assert [decl.site_position(s) for s in decl.sites] == [2, 0, 1]
+
+    @pytest.mark.parametrize("site", ["qq", None, ["aa"]])
+    def test_site_position_of_an_undeclared_site(self, site):
+        with pytest.raises(UnknownSite) as err:
+            BasisDecl(("zz", "aa")).site_position(site)
+        assert str(err.value) == f"site {site!r} not declared (have ('zz', 'aa'))"
+
+
+class TestRepr:
+    def test_vacuum_ket(self):
+        assert repr(BasisKet.vacuum()) == "|vac>"
+
+    def test_two_term_state(self):
+        assert repr(eq1_state()) == "StateVector(|NY,V,0>: 0.7071+0j, |PUE,H,0>: 0.7071+0j)"
+
+    def test_all_zero_state(self):
+        assert repr(StateVector(TWO_SITES, np.zeros(TWO_SITES.dim))) == "StateVector(0)"
+
+
 class TestNormalize:
     def test_scales_amplitude(self):
         s = StateVector.from_amplitudes(TWO_SITES, {BasisKet.vacuum(): 2.0})
