@@ -106,15 +106,12 @@ def noisy_state(v: float) -> DensityOperator:
 def preset(spec: str) -> StateVector | DensityOperator:
     """Resolve a preset id like ``eq1``, ``noisy:0.4`` or ``hardy:0.6,0.8``."""
     name, colon, args = spec.partition(":")
-    if colon and name in ("eq1", "twc", "qplate_tripartite"):
-        raise BadParameters(f"preset {name!r} takes no parameters, got {spec!r}")
+    fixed = {"eq1": eq1_state, "twc": twc_state, "qplate_tripartite": qplate_tripartite_state}
+    if name in fixed:
+        if colon:
+            raise BadParameters(f"preset {name!r} takes no parameters, got {spec!r}")
+        return fixed[name]()
     try:
-        if name == "eq1":
-            return eq1_state()
-        if name == "twc":
-            return twc_state()
-        if name == "qplate_tripartite":
-            return qplate_tripartite_state()
         if name == "hardy":
             if not args:
                 return hardy_state()
@@ -163,8 +160,8 @@ def scenario_report(preset_spec: str, site: str | None = None, basis: str | None
 
     if isinstance(prepared, StateVector):
         alice_site, bob_site = steering.frame_sites(prepared)
-        site = site or alice_site
-        basis = basis or "ZHV"
+        site = alice_site if site is None else site
+        basis = "ZHV" if basis is None else basis
         if basis in ("ZHV", "Xdiag", "Ycirc"):
             setting = measurement.polarization_setting(site, basis)
         elif basis == "OAMpm":

@@ -210,8 +210,8 @@ def frame_sites(state: StateVector, bob_site: str | None = None) -> tuple[str, s
     two, else the last declared one; Alice is the occupied site besides Bob's, else the first
     other one."""
     decl = state.decl
-    t = decl.tensor(state.amps)
-    occupied = [s for s in decl.sites if np.linalg.norm(t[decl.site_axis[s]]) > 1e-10]
+    weights = np.linalg.norm(state.amps[1:].reshape(len(decl.sites), 2 * len(decl.oam)), axis=1)
+    occupied = [s for s in decl.sites if weights[decl.site_axis[s]] > 1e-10]
     if bob_site is None:
         bob_site = (BOB_SITE if BOB_SITE in decl.sites or not decl.sites
                     else occupied[-1] if len(occupied) == 2 else decl.sites[-1])
@@ -225,15 +225,15 @@ def frame_sites(state: StateVector, bob_site: str | None = None) -> tuple[str, s
     return (occupied or others)[0], bob_site
 
 
-def pol_path_qubits(state: StateVector, bob_site: str) -> DensityOperator:
+def pol_path_qubits(state: StateVector, bob_site: str | None) -> DensityOperator:
     """Two-qubit density matrix (polarization ⊗ Bob-site occupation).
 
-    Requires a pure one-photon state over Bob's site and Alice's
-    (``frame_sites``); OAM is traced out. Basis order: (H,0), (H,1), (V,0),
-    (V,1) with occupation 1 meaning the photon is at ``bob_site``.
+    Requires a pure one-photon state over Alice's and Bob's sites, both from ``frame_sites``
+    (``bob_site`` None picks its default Bob); OAM is traced out. Basis order: (H,0), (H,1),
+    (V,0), (V,1) with occupation 1 meaning the photon is at Bob's site.
     """
     decl = state.decl
-    alice_site = frame_sites(state, bob_site)[0]
+    alice_site, bob_site = frame_sites(state, bob_site)
     if abs(state.amps[0]) ** 2 > ATOL:
         raise NonQubitBobMarginal("state has vacuum weight; polarization-path frame undefined")
 

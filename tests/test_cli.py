@@ -1,14 +1,20 @@
 """Command-line front end: exit codes, JSON/CSV schemas, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import photonsteer
 from photonsteer import cli, scenarios, simplex, steering
 from photonsteer.cli import main
 from photonsteer.circuit import MAX_ELEMENT_KETS
 from photonsteer.core import MAX_DIM
+from photonsteer.errors import BadParameters
 from photonsteer.scenarios import FIG1_CIRCUIT
 
 SQRT_HALF_16_DIGITS = 0.7071067811865476
@@ -184,13 +190,16 @@ class TestSteer:
         ("amplitudes", lambda amps: amps[:3], "3 amplitudes"),
         ("amplitudes", lambda amps: [[float("nan"), 0.0]] + amps[1:], "not finite"),
         ("amplitudes", lambda amps: [[2 * re, 2 * im] for re, im in amps], "norm 2.0"),
+        # Finite, but its norm overflows; numpy's overflow warning must not reach stderr.
+        ("amplitudes", lambda amps: [[1e200, 0.0]] + amps[1:],
+         "ValueError: norm inf is not 1 within 1e-09"),
         ("oam", lambda oam: [float("inf")], "OAM value inf is not an integer"),
         ("oam", lambda oam: [0.5], "OAM value 0.5 is not an integer"),
         ("oam", lambda oam: [True], "OAM value True is not an integer"),
         ("basis", lambda basis: basis[:1] + [[site, pol, 0.5] for site, pol, _ in basis[1:]],
          "OAM value 0.5 is not an integer"),
-    ], ids=["truncated", "nan", "unnormalised", "infinite-oam", "half-oam", "bool-oam",
-            "half-oam-in-basis"])
+    ], ids=["truncated", "nan", "unnormalised", "overflowing-norm", "infinite-oam", "half-oam",
+            "bool-oam", "half-oam-in-basis"])
     def test_input_that_is_not_a_unit_state_exits_4(self, fig1_file, tmp_path, capsys,
                                                     key, spoil, needle):
         state_path = tmp_path / "state.json"
@@ -390,6 +399,33 @@ class TestSweep:
         assert main(["sweep", "--step", repr(1.0 / cli.MAX_SWEEP_POINTS)]) == 4
         assert str(cli.MAX_SWEEP_POINTS) in capsys.readouterr().err
 
+    def test_step_too_small_to_move_v_exits_4(self):
+        # 1.0 + 1.05e-16 == 1.0, so the loop makes the same point until the bound stops it;
+        # the old estimate (hi - lo + 1e-12) / step = 9524 let it run forever. A subprocess
+        # with a timeout, so a regression fails instead of hanging the suite.
+        src = str(Path(photonsteer.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        done = subprocess.run(
+            [sys.executable, "-m", "photonsteer", "sweep", "--range", "1..1", "--step", "1.05e-16"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 4
+        assert done.stderr == (
+            f"bad sweep: step 1.05e-16 gives more than {cli.MAX_SWEEP_POINTS} points\n")
+
+    def test_points_within_the_bound_sweep_though_the_estimate_was_past_it(self, monkeypatch):
+        # 0.5 + 1e-16 rounds to the next double, so 0.5..0.5 makes 9008 points, while
+        # (hi - lo + 1e-12) / step reads 10 000. The first point stops the sweep here.
+        points = []
+
+        def first_point(v):
+            points.append(v)
+            raise BadParameters("stop after the first point")
+
+        monkeypatch.setattr(scenarios, "noisy_state", first_point)
+        assert main(["sweep", "--range", "0.5..0.5", "--step", "1e-16"]) == 3
+        assert points == [0.5]
+
     def test_range_outside_unit_interval_exits_4(self):
         assert main(["sweep", "--range", "0..2", "--step", "0.5"]) == 4
 
@@ -466,6 +502,14 @@ class TestReport:
     def test_unknown_basis_exits_3(self, capsys):
         assert main(["report", "--preset", "eq1", "--basis", "Q"]) == 3
         assert capsys.readouterr().err == "unknown basis 'Q'\n"
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--site", "site '' not declared (have ('NY', 'PUE'))\n"),
+        ("--basis", "unknown basis ''\n"),
+    ], ids=["site", "basis"])
+    def test_empty_site_or_basis_is_given_and_exits_3(self, flag, message, capsys):
+        assert main(["report", "--preset", "eq1", flag, ""]) == 3
+        assert capsys.readouterr().err == message
 
     @pytest.mark.parametrize("flags", [["--site", "NY"], ["--basis", "ZHV"]])
     def test_detector_flags_on_two_qubit_preset_exit_3(self, flags, capsys):

@@ -38,8 +38,8 @@ FLAG_VALUES = {
     "--bob-site": ["NY", "PUE", "b1", "b2", "in", ""],
     "--out": ["@out", "@dir", "@missing/out", "-"],
     "--format": ["json", "csv", "xml"],
-    "--range": ["0.5..0.5", "0.6..0.7", "1..0", "a..b", "0..2", "..", "nan..1"],
-    "--step": ["0.05", "0.5", "0", "-1", "nan", "inf", "1e-9"],
+    "--range": ["0.5..0.5", "0.6..0.7", "1..1", "1..0", "a..b", "0..2", "..", "nan..1"],
+    "--step": ["0.05", "0.5", "0", "-1", "nan", "inf", "1e-9", "1.05e-16"],
     "--chsh-step": ["2", "3", "5", "7", "90", "360", "720", "0.5", "nan", "inf", "-inf", "1e-300",
                     "0.9999999"],
     "--site": ["NY", "PUE", "b1", "in", "zz"],

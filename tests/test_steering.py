@@ -9,6 +9,7 @@ import pytest
 from conftest import brute_chsh_grid, dense_matrix, horodecki_chsh_bound, lhs_program
 
 from photonsteer import steering
+from photonsteer.circuit import parse_circuit, run_circuit
 from photonsteer.core import BasisDecl, BasisKet, DensityOperator, StateVector
 from photonsteer.errors import (
     BasisMismatch,
@@ -112,6 +113,40 @@ class TestTwoQubitFrames:
     def test_vacuum_weight_rejected(self):
         with pytest.raises(NonQubitBobMarginal):
             pol_path_qubits(hardy_state(), "u2")
+
+    @pytest.mark.parametrize("spec", PHOTON_PRESETS)
+    def test_pol_path_without_a_bob_site_reads_the_frame_bob(self, spec):
+        state = preset(spec)
+        bob = steering.frame_sites(state)[1]
+        if abs(state.amps[0]) > 0:  # hardy: refused for its vacuum weight either way
+            for site in (None, bob):
+                with pytest.raises(NonQubitBobMarginal, match="vacuum weight"):
+                    pol_path_qubits(state, site)
+        else:
+            np.testing.assert_array_equal(pol_path_qubits(state, None).matrix,
+                                          pol_path_qubits(state, bob).matrix)
+
+    def test_frame_sites_weighs_every_site_in_one_norm_call(self, monkeypatch):
+        # 32 000 sites (dim 64 001). Best of 3 with time.perf_counter on a 2-vCPU Xeon:
+        # frame_sites took 0.07-0.13 s with one norm call per site and takes 0.011-0.014 s
+        # with one row-norm call; two_qubit_frame went 0.30-0.38 s -> 0.047-0.059 s.
+        text = ("sites " + " ".join(f"s{i}" for i in range(32_000))
+                + "\nsource s0 H\nhwp s0 22.5\npbs s0 -> s1 s2\n")
+        state = run_circuit(parse_circuit(text))
+        calls = []
+        norm = np.linalg.norm
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return norm(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counted)
+        assert steering.frame_sites(state) == ("s1", "s2")
+        assert calls == [(32_000, 2)]
+
+    def test_frame_sites_of_a_declaration_without_sites(self):
+        with pytest.raises(NonQubitBobMarginal, match="needs two sites"):
+            steering.frame_sites(StateVector.vacuum(BasisDecl(())))
 
     def test_dual_rail_frame_for_path_state(self):
         rho = occupation_qubits(twc_state(), "b1", "b2")
