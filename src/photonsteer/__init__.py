@@ -44,6 +44,7 @@ from .steering import (
     chsh_value,
     cjwr_value,
     compute_assemblage,
+    joint_measurability_margin,
     lhs_feasibility,
     occupation_qubits,
     pol_path_qubits,

@@ -9,6 +9,12 @@ Subcommands::
 
 ``steer`` and ``report`` take their two-qubit frame from ``steering.two_qubit_frame``
 (occ-occ for a path-only state, else pol-path, which allows no vacuum weight).
+The LHS verdict of ``steer`` and ``sweep`` comes from ``steering.lhs_feasibility``:
+exact for two settings wherever Bob's marginal allows (``grid_n`` then only echoes
+--grid, and ``lhs_residual`` of an unfound model is the joint-measurability margin),
+else from the --grid Bloch grid program (``lhs_residual`` of an unfound model is its
+phase-1 optimum). A certificate's ``lhs_residual`` is its worst error over the full
+program's rows on either path.
 
 Exit codes: 0 success, 2 circuit parse error (line/column diagnostic on stderr), 3 physics
 error (also an undeclared --site or unknown --basis, even "", and --bob-site, --site or

@@ -15,12 +15,18 @@ Every assemblage member and correlator comes from the one observable table:
 Alice's projectors are (I ± A)/2, and members and <A_i ⊗ B_j> are each one
 einsum on the frame's (2, 2, 2, 2) tensor.
 
-The LHS search is an inner approximation: local-hidden-state models are
-restricted to mixtures of pure states on a deterministic Fibonacci grid of
-the Bloch sphere. A feasible program certifies the assemblage unsteerable
-(the certificate reconstructs it to the reported residual); an infeasible
-one is evidence at that resolution only and should be paired with a CJWR
-violation for a steering certificate.
+``lhs_feasibility`` decides two settings exactly where it can: the assemblage
+is unsteerable exactly when Bob's steering-equivalent effects are jointly
+measurable, and for two qubit effects that is the sign of a closed-form margin
+(``joint_measurability_margin``). A positive margin proves steering; a parent
+POVM of the two effects gives an LHS model of at most four hidden states.
+What that path leaves open, and every three- or four-setting request, goes to
+the grid search, an inner approximation: models are restricted to mixtures of
+pure states on a deterministic Fibonacci grid of the Bloch sphere. A feasible
+grid program certifies the assemblage unsteerable (the certificate
+reconstructs it to the reported residual); an infeasible one is evidence at
+that resolution only and should be paired with a CJWR violation for a
+steering certificate.
 
 Both searches are sized by one number each, and ``check_grid`` and
 ``check_chsh_step`` are the only copies of their bounds: each raises
@@ -160,20 +166,28 @@ class Assemblage:
 
 @dataclass(frozen=True)
 class SteeringVerdict:
-    """LHS linear-program outcome at one grid resolution.
+    """Outcome of ``lhs_feasibility``, from the exact two-setting path or the grid program.
 
-    For m settings the solver gets 4m + 4 rows of full rank, 4 real components
-    each of Bob's marginal (from the first setting) and of sigma(+1|x) per
-    setting. The full program's other 4(m - 1) rows, sigma(-1|x) for every x,
-    follow from these under no-signalling. ``residual`` of a certified verdict is
-    max |A_full x - b_full| over all 8m rows, so an assemblage that signals is
-    never certified. Without a certificate it is the phase-1 optimum of the
-    4m + 4-row program, or that full residual if the solved rows were met.
-
-    ``certificate`` (feasible case) lists (strategy, bloch_vector, weight)
+    ``certificate`` (certified case) lists (strategy, bloch_vector, weight)
     triples; a strategy assigns an outcome to each setting in order. It is
-    one LHS model among the many the program may admit. ``pivots`` counts
-    the simplex pivots of the solve.
+    one LHS model among the many an assemblage may admit. ``residual`` of a
+    certified verdict is max |A_full x - b_full| over all 8m rows of the full
+    program (the 4 real components of every sigma(a|x)), so an assemblage that
+    signals is never certified: at most 1e-9 on the exact path, below 1e-7 on
+    the grid.
+
+    Exact path (two settings): ``grid_n`` echoes the request, as no grid is
+    built, and ``pivots`` is 0. Its certificate has at most four hidden states,
+    which may be mixed (|bloch| < 1). Its ``NoLHSFoundAtResolution`` is a proof,
+    and ``residual`` is then the joint-measurability margin, above 1e-9.
+
+    Grid program: the solver gets 4m + 4 rows of full rank for m settings, 4
+    real components each of Bob's marginal (from the first setting) and of
+    sigma(+1|x) per setting; the full program's other 4(m - 1) rows,
+    sigma(-1|x) for every x, follow from these under no-signalling. Its
+    certificate holds pure grid states. Without one, ``residual`` is the
+    phase-1 optimum of the 4m + 4-row program, or the full residual if the
+    solved rows were met. ``pivots`` counts the simplex pivots of the solve.
     """
 
     status: str  # UnsteerableCertified | NoLHSFoundAtResolution
@@ -232,8 +246,12 @@ def pol_path_qubits(state: StateVector, bob_site: str | None) -> DensityOperator
     (``bob_site`` None picks its default Bob); OAM is traced out. Basis order: (H,0), (H,1),
     (V,0), (V,1) with occupation 1 meaning the photon is at Bob's site.
     """
+    return _pol_path_frame(state, *frame_sites(state, bob_site))
+
+
+def _pol_path_frame(state: StateVector, alice_site: str, bob_site: str) -> DensityOperator:
+    """``pol_path_qubits`` at the sites ``frame_sites`` already picked."""
     decl = state.decl
-    alice_site, bob_site = frame_sites(state, bob_site)
     if abs(state.amps[0]) ** 2 > ATOL:
         raise NonQubitBobMarginal("state has vacuum weight; polarization-path frame undefined")
 
@@ -265,7 +283,12 @@ def occupation_qubits(state: StateVector, alice_site: str, bob_site: str) -> Den
     The dual-rail reading of path-only states (``path_amplitudes``); it keeps
     occupation coherences, vacuum-photon ones included.
     """
-    occ = path_amplitudes(state)
+    return _occupation_frame(state, path_amplitudes(state), alice_site, bob_site)
+
+
+def _occupation_frame(state: StateVector, occ: np.ndarray | None, alice_site: str,
+                      bob_site: str) -> DensityOperator:
+    """``occupation_qubits`` with the state's ``path_amplitudes`` already taken."""
     decl = state.decl
     at_alice, at_bob = [decl.site_position(s) for s in (alice_site, bob_site)]
     if alice_site == bob_site:
@@ -293,11 +316,12 @@ def two_qubit_frame(
         if bob_site is not None:
             raise BadParameters(f"a two-qubit preset has no sites, so no Bob site {bob_site!r}")
         return prepared, "two-qubit"
-    path_only = path_amplitudes(prepared) is not None
+    occ = path_amplitudes(prepared)
     alice_site, bob_site = frame_sites(prepared, bob_site)
-    if not path_only:
-        return pol_path_qubits(prepared, bob_site), f"pol-path(bob={bob_site})"
-    return occupation_qubits(prepared, alice_site, bob_site), f"occ-occ({alice_site},{bob_site})"
+    if occ is None:
+        return _pol_path_frame(prepared, alice_site, bob_site), f"pol-path(bob={bob_site})"
+    return (_occupation_frame(prepared, occ, alice_site, bob_site),
+            f"occ-occ({alice_site},{bob_site})")
 
 
 def _frame_matrix(rho: DensityOperator) -> np.ndarray:
@@ -510,20 +534,255 @@ def _lhs_structure(grid_n: int, m: int):
     return grid, strategies, responds, solved, comps
 
 
+# The exact two-setting path of ``lhs_feasibility``. There a Hermitian 2x2 matrix is a
+# Bloch form (h0, h) of Python floats, h0·I + h·σ with h = (hx, hy, hz).
+#
+# A margin within _MARGIN_TOL of 0 is left to the grid program. Measured rounding of the
+# float margin: within 3.6e-15 of the exact 2v² - 1 of noisy(v), Z,X, at 2001
+# visibilities from 0 to 1, each under 51 unitaries at Bob; with Z,X, X,Y and Y,Z,
+# within 4.7e-13 of a 50-digit recomputation on 400 random frames of rank 1-4, and
+# within 7.9e-12 and 1.5e-10 on 100 frames each whose Bob marginal has eigenvalue ratio
+# 1e-4 and 1e-6. noisy(1/√2 ± 1e-6) reads ±2.8e-6.
+_MARGIN_TOL = 1e-9
+# Bob's marginal is of full rank when its lower eigenvalue is at least this share of
+# its upper one; the margin's rounding grows as the inverse of that share (above).
+_FULL_RANK = 1e-6
+# |e × f| at or below this: the two effects commute and their product is a parent.
+_COMMUTE_TOL = 1e-12
+# An exact certificate must rebuild the full program's 8 rows within this.
+_EXACT_RESIDUAL = 1e-9
+# The parent search: up to _SEARCH_ROUNDS stencils of 9 × 9 points over span{e, f},
+# each half the width of the last and centred on its best point.
+_SEARCH_ROUNDS = 48
+_STENCIL = np.stack(np.meshgrid(np.linspace(-1.0, 1.0, 9), np.linspace(-1.0, 1.0, 9)),
+                    axis=-1).reshape(-1, 2)
+_STENCIL.setflags(write=False)
+_TWO_STRATEGIES = tuple(product((+1, -1), repeat=2))
+
+
+def _dot(u, v) -> float:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _bloch_form(mat: np.ndarray):
+    """(h0, (hx, hy, hz)) of a Hermitian 2x2 matrix, from its real diagonal and upper entry."""
+    a, b, _, d = mat.ravel().tolist()
+    return (a.real + d.real) / 2, (b.real, -b.imag, (a.real - d.real) / 2)
+
+
+def _sandwich(s, m):
+    """S M S of two Bloch forms: (s0² + |s|²) m0 + 2 s0 (s·m) and
+    2 s0 m0 s + (s0² - |s|²) m + 2 (s·m) s."""
+    (s0, sv), (m0, mv) = s, m
+    dot, square, length = _dot(sv, mv), s0 * s0, _dot(sv, sv)
+    return ((square + length) * m0 + 2 * s0 * dot,
+            tuple(2 * s0 * m0 * si + (square - length) * mi + 2 * dot * si
+                  for si, mi in zip(sv, mv)))
+
+
+def _spectrum(rho):
+    """(lower eigenvalue, upper eigenvalue, unit axis) of a Bloch form; the axis is 0
+    when the two are equal."""
+    r0, rv = rho
+    radius = math.sqrt(_dot(rv, rv))
+    axis = tuple(x / radius for x in rv) if radius > 0 else (0.0, 0.0, 0.0)
+    return r0 - radius, r0 + radius, axis
+
+
+def _power(rho, p: float):
+    """ρ^p of a positive definite Bloch form:
+    (l₊^p + l₋^p)/2 · I + (l₊^p - l₋^p)/2 · axis·σ."""
+    low, high, axis = _spectrum(rho)
+    half = (high**p - low**p) / 2
+    return (high**p + low**p) / 2, tuple(half * x for x in axis)
+
+
+def _full_rank(low: float, high: float) -> bool:
+    return high > 0 and low >= _FULL_RANK * high
+
+
+def _steering_effects(assemblage: Assemblage, rho):
+    """Bob's steering-equivalent effects B(+1|x) = ρ_B^(-1/2) σ(+1|x) ρ_B^(-1/2), one
+    Bloch form per setting (Uola, Budroni, Gühne & Pellonpää, PRL 115, 230402 (2015))."""
+    root = _power(rho, -0.5)
+    return [_sandwich(root, _bloch_form(assemblage.members[(x, +1)]))
+            for x in assemblage.settings]
+
+
+def _unsharpness(alpha: float, length: float) -> float:
+    """F(α, a) = ½[√((1+α)² - |a|²) + √((1-α)² - |a|²)] of the effect
+    ½[(1+α)I + a·σ], with ``length`` = |a|²; 0 for a sharp unbiased one."""
+    return (math.sqrt(max(0.0, (1 + alpha) ** 2 - length))
+            + math.sqrt(max(0.0, (1 - alpha) ** 2 - length))) / 2
+
+
+def _yu_margin(e, f) -> float:
+    """(1 - F₁² - F₂²)(1 - α²/F₁² - β²/F₂²) - (a·b - αβ)² for the effects
+    e = ½[(1+α)I + a·σ] and f = ½[(1+β)I + b·σ]: the pair is jointly measurable
+    exactly when this is ≤ 0 (Yu, Liu, Li & Oh, PRA 81, 062116 (2010)). α²/F² ≤ |α|
+    is taken as 0 at F = 0, where α = 0; there the margin is |a × b|², so a sharp
+    unbiased effect is jointly measurable exactly with the effects it commutes with."""
+    (e0, ev), (f0, fv) = e, f
+    alpha, beta = 2 * e0 - 1, 2 * f0 - 1
+    f1, f2 = _unsharpness(alpha, 4 * _dot(ev, ev)), _unsharpness(beta, 4 * _dot(fv, fv))
+    bias = ((alpha * alpha / (f1 * f1) if f1 > 0 else 0.0)
+            + (beta * beta / (f2 * f2) if f2 > 0 else 0.0))
+    return (1 - f1 * f1 - f2 * f2) * (1 - bias) - (4 * _dot(ev, fv) - alpha * beta) ** 2
+
+
+def joint_measurability_margin(assemblage: Assemblage) -> float:
+    """The Yu-Liu-Li-Oh margin of Bob's two steering-equivalent effects: a two-setting
+    assemblage whose Bob marginal has full rank is unsteerable exactly when it is ≤ 0.
+    It reads the members alone, and replays a steerable verdict of ``lhs_feasibility``,
+    whose ``residual`` it is. ``ValueError`` for other than two settings or a Bob
+    marginal that is not of full rank."""
+    if len(assemblage.settings) != 2:
+        raise ValueError(f"the margin needs two settings, got {assemblage.settings}")
+    rho = _bloch_form(assemblage.bob_marginal(assemblage.settings[0]))
+    if not _full_rank(*_spectrum(rho)[:2]):
+        raise ValueError("Bob's marginal is not of full rank")
+    return _yu_margin(*_steering_effects(assemblage, rho))
+
+
+def _parent_slack(e0: float, f0: float, g, e_g, f_g, ef_g):
+    """For G(+,+) = g0·I + g·σ, given |g|, |e - g|, |f - g| and |e + f - g| (floats or
+    arrays): the largest least eigenvalue of the four parent effects G(+,+), e - G(+,+),
+    f - G(+,+) and I - e - f + G(+,+) over g0, and the g0 that reaches it. Concave in g."""
+    lower = np.maximum(g, e0 + f0 - 1 + ef_g)
+    upper = np.minimum(e0 - e_g, f0 - f_g)
+    return (upper - lower) / 2, (upper + lower) / 2
+
+
+def _parent_search(e, f):
+    """G(+,+) of a parent POVM of the non-commuting effects e and f, as a Bloch form, whose
+    four effects all have a positive least eigenvalue; None if none is found. The
+    parallelogram centre g = (e + f)/2 comes first: it is the optimum when e0 = f0 = ½.
+    Then a shrinking stencil over span{e, f}, which holds an optimum, since the slack is
+    concave and symmetric under reflection in that plane."""
+    (e0, ev), (f0, fv) = e, f
+    centre = tuple((x + y) / 2 for x, y in zip(ev, fv))
+    half_diff = tuple((x - y) / 2 for x, y in zip(ev, fv))
+    to_sum, to_diff = math.sqrt(_dot(centre, centre)), math.sqrt(_dot(half_diff, half_diff))
+    slack, g0 = _parent_slack(e0, f0, to_sum, to_diff, to_diff, to_sum)
+    if slack > 0:
+        return float(g0), centre
+    ev, fv = np.array(ev), np.array(fv)
+    u1 = ev / math.sqrt(ev @ ev)
+    u2 = fv - (fv @ u1) * u1
+    basis = np.stack([u1, u2 / math.sqrt(u2 @ u2)])
+    best, radius = basis @ centre, 2.0
+    for _ in range(_SEARCH_ROUNDS):
+        points = best + radius * _STENCIL
+        g = points @ basis
+        norms = np.linalg.norm([g, ev - g, fv - g, ev + fv - g], axis=-1)
+        slack, g0 = _parent_slack(e0, f0, *norms)
+        i = int(np.argmax(slack))
+        if slack[i] > 0:
+            return float(g0[i]), tuple(g[i].tolist())
+        best, radius = points[i], radius / 2
+    return None
+
+
+def _exact_two_setting(assemblage: Assemblage, grid_n: int) -> SteeringVerdict | None:
+    """The verdict of a two-setting assemblage from joint measurability, or None to leave
+    it to the grid program. A full-rank Bob marginal gives the effects e and f:
+    a margin above _MARGIN_TOL is steering, and a parent G(+,+) (the symmetrised product
+    of a commuting pair, else ``_parent_search`` below -_MARGIN_TOL) gives the hidden
+    states ρ_B^(1/2) G(a,b) ρ_B^(1/2). A rank-one marginal gives one hidden state, itself,
+    weighted p(a|x0) p(b|x1). A certificate counts only if it rebuilds all 8 rows within
+    _EXACT_RESIDUAL."""
+    rho = _bloch_form(assemblage.bob_marginal(assemblage.settings[0]))
+    low, high, axis = _spectrum(rho)
+    if _full_rank(low, high):
+        e, f = _steering_effects(assemblage, rho)
+        (e0, ev), (f0, fv) = e, f
+        cross = (ev[1] * fv[2] - ev[2] * fv[1], ev[2] * fv[0] - ev[0] * fv[2],
+                 ev[0] * fv[1] - ev[1] * fv[0])
+        if math.sqrt(_dot(cross, cross)) <= _COMMUTE_TOL:
+            g0, g = e0 * f0 + _dot(ev, fv), tuple(e0 * y + f0 * x for x, y in zip(ev, fv))
+        else:
+            margin = _yu_margin(e, f)
+            if margin > _MARGIN_TOL:
+                return SteeringVerdict("NoLHSFoundAtResolution", grid_n, margin, None, 0)
+            parent = _parent_search(e, f) if margin < -_MARGIN_TOL else None
+            if parent is None:
+                return None
+            g0, g = parent
+        root = _power(rho, 0.5)
+        hidden = [_sandwich(root, effect) for effect in (
+            (g0, g),
+            (e0 - g0, tuple(x - y for x, y in zip(ev, g))),
+            (f0 - g0, tuple(x - y for x, y in zip(fv, g))),
+            (1 - e0 - f0 + g0, tuple(z - x - y for x, y, z in zip(ev, fv, g))))]
+        entries = [(2 * t0, tuple(x / t0 for x in t) if t0 > 0 else t) for t0, t in hidden]
+    elif high > 0:
+        p = [[np.trace(assemblage.members[(x, a)]).real for a in (+1, -1)]
+             for x in assemblage.settings]
+        entries = [(p[0][i] * p[1][j] / (2 * rho[0]), axis) for i in (0, 1) for j in (0, 1)]
+    else:
+        return None
+    certificate = []
+    rebuilt = {key: [0.0] * 4 for key in assemblage.members}
+    for strategy, (weight, bloch) in zip(_TWO_STRATEGIES, entries):
+        # Weights within 1e-12 of 0 are dropped, as the grid program drops them.
+        if weight < -1e-12:
+            return None
+        if weight <= 1e-12:
+            continue
+        length = math.sqrt(_dot(bloch, bloch))
+        if length > 1 + 1e-9:
+            return None
+        nx, ny, nz = (x / max(length, 1.0) for x in bloch)
+        certificate.append((strategy, (nx, ny, nz), weight))
+        for x, a in zip(assemblage.settings, strategy):
+            total = rebuilt[(x, a)]
+            for c, v in enumerate((1 + nz, 1 - nz, nx, -ny)):
+                total[c] += weight * v / 2
+    residual = max(abs(got - want) for key, member in assemblage.members.items()
+                   for got, want in zip(rebuilt[key], _real_components(member).tolist()))
+    if residual > _EXACT_RESIDUAL:
+        return None
+    return SteeringVerdict("UnsteerableCertified", grid_n, residual, tuple(certificate), 0)
+
+
 def lhs_feasibility(assemblage: Assemblage, grid_n: int) -> SteeringVerdict:
+    """Decide whether the assemblage has a local-hidden-state model.
+
+    Two settings go first through an exact path (``_exact_two_setting``): a model of at
+    most four hidden states, built from a parent POVM of Bob's steering-equivalent
+    effects, certifies the assemblage unsteerable; a joint-measurability margin
+    (``joint_measurability_margin``) above ``_MARGIN_TOL`` proves that no model exists at
+    any resolution. Neither uses the grid, and ``pivots`` is 0. What that path leaves
+    open (a margin within ``_MARGIN_TOL`` of 0, a parent it does not find, a certificate
+    that does not rebuild the assemblage), and every program of three or four settings,
+    goes to the grid program (``_grid_feasibility``).
+    """
+    grid_n = check_grid(grid_n)
+    m = len(assemblage.settings)
+    if m > 4:
+        raise TooManySettings(f"at most 4 settings supported, got {m}")
+    if m == 2:
+        verdict = _exact_two_setting(assemblage, grid_n)
+        if verdict is not None:
+            return verdict
+    return _grid_feasibility(assemblage, grid_n)
+
+
+def _full_target(assemblage: Assemblage) -> np.ndarray:
+    """The full program's b: the real components of every member, (setting, outcome, 4)."""
+    return np.array([[_real_components(assemblage.members[(x, a)]) for a in (+1, -1)]
+                     for x in assemblage.settings])
+
+
+def _grid_feasibility(assemblage: Assemblage, grid_n: int) -> SteeringVerdict:
     """Search for a local-hidden-state model on a Bloch grid of grid_n² states.
 
     Feasible: the assemblage is certified unsteerable and the certificate
     reconstructs it within the reported residual. Infeasible: no model exists
     *at this resolution*; pair with a CJWR violation before claiming steering.
     """
-    grid_n = check_grid(grid_n)
-    m = len(assemblage.settings)
-    if m > 4:
-        raise TooManySettings(f"at most 4 settings supported, got {m}")
-    grid, strategies, responds, solved, comps = _lhs_structure(grid_n, m)
-    target = np.array([[_real_components(assemblage.members[(x, a)]) for a in (+1, -1)]
-                       for x in assemblage.settings])  # the full program's b
+    grid, strategies, responds, solved, comps = _lhs_structure(grid_n, len(assemblage.settings))
+    target = _full_target(assemblage)
     b = np.concatenate([target[0].sum(axis=0), target[:, 0].ravel()])
 
     result = solve_feasibility(solved, comps, b)
@@ -547,9 +806,14 @@ def lhs_feasibility(assemblage: Assemblage, grid_n: int) -> SteeringVerdict:
 
 
 def replay_certificate(verdict: SteeringVerdict, assemblage: Assemblage) -> float:
-    """Rebuild sigma(a|x) from an LHS certificate; returns the worst deviation."""
+    """Rebuild sigma(a|x) from an LHS certificate; returns the worst deviation.
+    ``ValueError`` unless every entry is a state: weight ≥ 0, |bloch| ≤ 1 + 1e-12."""
     if verdict.certificate is None:
         raise ValueError("verdict carries no certificate")
+    for strategy, bloch, weight in verdict.certificate:
+        if not weight >= 0 or not math.hypot(*bloch) <= 1 + 1e-12:
+            raise ValueError(f"certificate entry {strategy} is not a state: weight {weight!r}, "
+                             f"Bloch vector {bloch!r}")
     worst = 0.0
     for ix, x in enumerate(assemblage.settings):
         for a in (+1, -1):

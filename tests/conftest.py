@@ -3,7 +3,7 @@
 The state oracles address amplitudes one ``BasisKet`` at a time, so they check
 the package's (site, pol, oam) tensor code without relying on its layout. The
 CHSH oracles are the brute-force grid scan and the closed-form optimum.
-``lhs_program`` captures the factored LHS program the solver is handed.
+``lhs_program`` captures the factored grid program the solver is handed.
 """
 
 import numpy as np
@@ -19,7 +19,6 @@ from photonsteer.steering import (
     BOB_OBSERVABLES,
     _correlation_matrix,
     chsh_value,
-    lhs_feasibility,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -248,7 +247,9 @@ def horodecki_chsh_bound(rho2q: np.ndarray) -> float:
 
 
 def lhs_program(asm, grid_n: int):
-    """The factored program (solved, comps, b) that ``lhs_feasibility`` hands the solver."""
+    """The factored program (solved, comps, b) that the grid path of ``lhs_feasibility``
+    hands the solver (two-setting assemblages reach it only when the exact path leaves
+    them open, so it is called directly)."""
     seen = {}
 
     def capture(solved, comps, b):
@@ -257,7 +258,7 @@ def lhs_program(asm, grid_n: int):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(steering, "solve_feasibility", capture)
-        lhs_feasibility(asm, grid_n)
+        steering._grid_feasibility(asm, grid_n)
     return seen["program"]
 
 

@@ -162,7 +162,8 @@ class TestSteer:
 
     def test_solver_breakdown_exits_3(self, monkeypatch, capsys):
         monkeypatch.setattr(simplex, "MAX_PIVOTS", 1)
-        assert main(["steer", "--preset", "noisy:0.65", "--settings", "Z,X"]) == 3
+        # Three settings: a two-setting verdict needs no simplex.
+        assert main(["steer", "--preset", "noisy:0.65", "--settings", "Z,X,Y"]) == 3
         err = capsys.readouterr().err
         assert "did not converge" in err
         assert "Traceback" not in err

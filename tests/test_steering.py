@@ -1,5 +1,6 @@
 """Steering and Bell machinery: frames, assemblages, CJWR, CHSH, LHS search."""
 
+import dataclasses
 import math
 import tracemalloc
 from itertools import product
@@ -143,6 +144,26 @@ class TestTwoQubitFrames:
         monkeypatch.setattr(np.linalg, "norm", counted)
         assert steering.frame_sites(state) == ("s1", "s2")
         assert calls == [(32_000, 2)]
+
+    @pytest.mark.parametrize("spec", PHOTON_PRESETS)
+    def test_two_qubit_frame_takes_the_sites_and_the_path_once(self, monkeypatch, spec):
+        state = preset(spec)
+        alice, bob = steering.frame_sites(state)
+        if path_amplitudes(state) is None:
+            want = pol_path_qubits(state, bob), f"pol-path(bob={bob})"
+        else:
+            want = occupation_qubits(state, alice, bob), f"occ-occ({alice},{bob})"
+        calls = []
+        for name in ("frame_sites", "path_amplitudes"):
+            def counted(*args, _original=getattr(steering, name), _name=name):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(steering, name, counted)
+        rho, label = two_qubit_frame(state)
+        assert sorted(calls) == ["frame_sites", "path_amplitudes"]
+        assert label == want[1]
+        assert rho.matrix.tobytes() == want[0].matrix.tobytes()
 
     def test_frame_sites_of_a_declaration_without_sites(self):
         with pytest.raises(NonQubitBobMarginal, match="needs two sites"):
@@ -805,14 +826,15 @@ class TestLhsFeasibility:
     @pytest.mark.parametrize("settings", [("Z", "X"), ("Z", "X", "Y")])
     @pytest.mark.parametrize("grid", [10, 20])
     def test_verdicts_equal_the_full_program(self, settings, grid):
-        # The oracle: the 8m-row program of the column loop, solved as it stands.
+        # The oracle: the 8m-row program of the column loop, solved as it stands. Two
+        # settings go first through the exact path, so the grid path is called directly.
         visibilities = np.round(np.r_[np.arange(0.30, 1.001, 0.05), 0.56, 0.58, 0.68, 0.72], 2)
         for v in visibilities:
             asm = compute_assemblage(noisy_state(v), settings)
             full_A, full_b = column_loop_program(asm, grid)
             full = solve_feasibility(full_A, [[1.0]], full_b)
             oracle = full.feasible and full.residual < 1e-7
-            verdict = lhs_feasibility(asm, grid)
+            verdict = steering._grid_feasibility(asm, grid)
             assert (verdict.status == "UnsteerableCertified") == oracle, v
             if oracle:
                 assert verdict.residual < 1e-7
@@ -876,6 +898,204 @@ class TestLhsFeasibility:
         assert not any(c for v, c in zip(visibilities, certified) if v > SQ2)
         # The verdicts the lowest-index entering rule gave: certified up to v = 0.70.
         assert certified == [v <= 0.70 for v in visibilities]
+
+
+PAULI_VECTOR = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+SETTING_PAIRS = (("Z", "X"), ("X", "Y"), ("Y", "Z"))
+
+
+def ranked_frames(count: int = 400, seed: int = 7) -> list:
+    """Seeded random frames of rank 1, 2, 3 and 4 in turn."""
+    rng = np.random.default_rng(seed)
+    frames = []
+    for i in range(count):
+        g = rng.normal(size=(4, 1 + i % 4)) + 1j * rng.normal(size=(4, 1 + i % 4))
+        rho = g @ g.conj().T
+        frames.append(DensityOperator(QUBIT_PAIR_LABELS, rho / np.trace(rho).real))
+    return frames
+
+
+def steering_equivalent_blochs(asm: Assemblage):
+    """(e0, e, f0, f) of B(+1|x) = ρ^(-1/2) σ(+1|x) ρ^(-1/2) = b0·I + b·σ for both
+    settings, from matrices and eigh, or None when Bob's marginal is far from full rank."""
+    w, q = np.linalg.eigh(asm.bob_marginal(asm.settings[0]))
+    if w[0] < 1e-3 * w[1]:
+        return None
+    root = q @ np.diag(w ** -0.5) @ q.conj().T
+    out = []
+    for x in asm.settings:
+        b = root @ asm.members[(x, +1)] @ root
+        out += [np.trace(b).real / 2, np.einsum("ij,kji->k", b, PAULI_VECTOR).real / 2]
+    return out
+
+
+def brute_parent_slack(cases) -> np.ndarray:
+    """For each (e0, e, f0, f): the maximum over G(+,+) = g0·I + g·σ, g in span{e, f}, of the
+    least eigenvalue of G(+,+), e - G(+,+), f - G(+,+) and I - e - f + G(+,+). The least
+    eigenvalue of c0·I + c·σ is c0 - |c|; over g0 the four move as +g0, -g0, -g0, +g0, so
+    the best g0 gives the mean of the two pairwise minima. g is taken on a 17 × 17 grid
+    over a square around the unit disk, zoomed 9 times by 3 around its best point."""
+    e0 = np.array([c[0] for c in cases])[:, None]
+    f0 = np.array([c[2] for c in cases])[:, None]
+    e = np.array([c[1] for c in cases])[:, None, :]
+    f = np.array([c[3] for c in cases])[:, None, :]
+    basis = np.linalg.qr(np.concatenate([e, f], axis=1).transpose(0, 2, 1))[0]  # (n, 3, 2)
+    side = np.linspace(-1.0, 1.0, 17)
+    offsets = np.stack(np.meshgrid(side, side), axis=-1).reshape(-1, 2)
+    centre, radius = np.zeros((len(cases), 1, 2)), 1.05
+    for _ in range(9):
+        points = centre + radius * offsets
+        g = points @ basis.transpose(0, 2, 1)
+        low = [-np.linalg.norm(g, axis=-1), e0 - np.linalg.norm(e - g, axis=-1),
+               f0 - np.linalg.norm(f - g, axis=-1),
+               1 - e0 - f0 - np.linalg.norm(g - e - f, axis=-1)]
+        slack = (np.minimum(low[0], low[3]) + np.minimum(low[1], low[2])) / 2
+        best = slack.argmax(axis=1)
+        centre = np.take_along_axis(points, best[:, None, None], axis=1)
+        radius /= 3
+    return slack.max(axis=1)
+
+
+def assert_backed(verdict, asm: Assemblage) -> None:
+    """An exact two-setting verdict: a certificate of states that replays within 1e-9, or
+    a margin above the band that the members alone give again."""
+    assert verdict.pivots == 0
+    if verdict.status == "UnsteerableCertified":
+        weights = [w for _, _, w in verdict.certificate]
+        assert len(weights) <= 4 and min(weights) >= 0
+        assert sum(weights) == pytest.approx(1.0, abs=1e-9)
+        assert all(math.hypot(*bloch) <= 1.0 for _, bloch, _ in verdict.certificate)
+        assert verdict.residual <= 1e-9 and replay_certificate(verdict, asm) <= 1e-9
+    else:
+        assert verdict.certificate is None
+        assert verdict.residual == steering.joint_measurability_margin(asm)
+        assert verdict.residual > steering._MARGIN_TOL
+
+
+class TestExactTwoSettingPath:
+    """Two-setting verdicts from joint measurability, against a brute-force parent search,
+    the grid program and the closed forms of the presets."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        out = []
+        for rho in ranked_frames():
+            for settings in SETTING_PAIRS:
+                asm = compute_assemblage(rho, settings)
+                out.append((asm, steering_equivalent_blochs(asm)))
+        return out
+
+    def test_margin_sign_matches_the_brute_force_parent(self, cases):
+        full = [(asm, blochs) for asm, blochs in cases if blochs is not None]
+        assert len(full) == 1200
+        brute = brute_parent_slack([blochs for _, blochs in full])
+        margins = np.array([steering.joint_measurability_margin(asm) for asm, _ in full])
+        decided = np.abs(brute) > 1e-4
+        assert decided.sum() > 1100
+        np.testing.assert_array_equal((margins <= 0)[decided], (brute > 0)[decided])
+
+    def test_every_verdict_is_exact_and_backed(self, cases):
+        statuses = set()
+        for asm, _ in cases:
+            verdict = lhs_feasibility(asm, 20)
+            assert_backed(verdict, asm)
+            statuses.add(verdict.status)
+        assert statuses == {"UnsteerableCertified", "NoLHSFoundAtResolution"}
+
+    def test_the_grid_never_certifies_what_the_criterion_calls_steerable(self, cases):
+        steerable = [asm for asm, _ in cases
+                     if steering.joint_measurability_margin(asm) > steering._MARGIN_TOL]
+        assert len(steerable) > 300
+        for asm in steerable:
+            assert steering._grid_feasibility(asm, 20).status == "NoLHSFoundAtResolution"
+
+    @pytest.mark.parametrize("spec", ["eq1", "twc", "hardy", "hardy:0.6,0.8"])
+    def test_sharp_non_commuting_presets_are_steerable(self, spec):
+        asm = compute_assemblage(two_qubit_frame(preset(spec))[0], ("Z", "X"))
+        verdict = lhs_feasibility(asm, 20)
+        assert verdict.status == "NoLHSFoundAtResolution"
+        assert_backed(verdict, asm)
+        # a sharp unbiased pair: the margin is |a × b|², 1 for the orthogonal Z and X
+        assert verdict.residual == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("grid", [6, 20, 100])
+    def test_qplate_tripartite_is_certified_by_its_commuting_pair(self, grid):
+        asm = compute_assemblage(two_qubit_frame(preset("qplate_tripartite"))[0], ("Z", "X"))
+        verdict = lhs_feasibility(asm, grid)
+        assert verdict.status == "UnsteerableCertified" and verdict.grid_n == grid
+        assert_backed(verdict, asm)
+        assert sorted(bloch for _, bloch, _ in verdict.certificate) == [
+            (0.0, 0.0, -1.0), (0.0, 0.0, -1.0), (0.0, 0.0, 1.0), (0.0, 0.0, 1.0)]
+        # the grid has no pole, so it never finds the two pole states
+        assert steering._grid_feasibility(asm, grid).status == "NoLHSFoundAtResolution"
+
+    @pytest.mark.parametrize("offset", [-1e-6, 1e-6])
+    def test_noisy_is_decided_on_both_sides_of_the_threshold(self, offset):
+        v = 1 / math.sqrt(2) + offset
+        asm = compute_assemblage(noisy_state(v), ("Z", "X"))
+        margin = steering.joint_measurability_margin(asm)
+        assert margin == pytest.approx(2 * v * v - 1, abs=1e-14)
+        verdict = lhs_feasibility(asm, 20)
+        want = "UnsteerableCertified" if offset < 0 else "NoLHSFoundAtResolution"
+        assert verdict.status == want
+        assert_backed(verdict, asm)
+
+    def test_noisy_margin_is_two_v_squared_less_one(self):
+        for v in np.linspace(0.0, 1.0, 101):
+            asm = compute_assemblage(noisy_state(v), ("Z", "X"))
+            assert abs(steering.joint_measurability_margin(asm) - (2 * v * v - 1)) < 1e-14
+
+    def test_a_margin_within_the_band_goes_to_the_grid(self):
+        asm = compute_assemblage(noisy_state(1 / math.sqrt(2)), ("Z", "X"))
+        assert abs(steering.joint_measurability_margin(asm)) <= steering._MARGIN_TOL
+        verdict = lhs_feasibility(asm, 20)
+        assert verdict == steering._grid_feasibility(asm, 20)
+        assert verdict.pivots > 0
+
+    @pytest.mark.parametrize("v", [0.0, 0.4, 0.69, 0.9])
+    @pytest.mark.parametrize("signalling", ["Z", "X"])
+    def test_a_signalling_assemblage_is_never_certified(self, v, signalling):
+        members = dict(compute_assemblage(noisy_state(v), ("Z", "X")).members)
+        members[(signalling, +1)] = members[(signalling, +1)] + 1e-3 * IDENTITY
+        asm = Assemblage(("Z", "X"), members)
+        assert steering._exact_two_setting(asm, 20) is None or v > SQ2
+        verdict = lhs_feasibility(asm, 20)
+        assert verdict.status == "NoLHSFoundAtResolution" and verdict.certificate is None
+
+    def test_a_pure_bob_marginal_is_one_hidden_state(self):
+        # Alice's qubit mixed, Bob's pure along a direction no grid point hits.
+        bloch = np.array([0.3, -0.5, 0.6])
+        bloch /= np.linalg.norm(bloch)
+        alice = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+        rho = DensityOperator(QUBIT_PAIR_LABELS, np.kron(alice, steering._bloch_state(bloch)))
+        asm = compute_assemblage(rho, ("Z", "X"))
+        with pytest.raises(ValueError, match="not of full rank"):
+            steering.joint_measurability_margin(asm)
+        verdict = lhs_feasibility(asm, 20)
+        assert_backed(verdict, asm)
+        p = [[np.trace(asm.members[(x, a)]).real for a in (+1, -1)] for x in ("Z", "X")]
+        assert [s for s, _, _ in verdict.certificate] == list(product((+1, -1), repeat=2))
+        assert [w for _, _, w in verdict.certificate] == pytest.approx(
+            [p[0][i] * p[1][j] for i in (0, 1) for j in (0, 1)], abs=1e-15)
+        for _, got, _ in verdict.certificate:
+            np.testing.assert_allclose(got, bloch, atol=1e-12)
+        assert steering._grid_feasibility(asm, 20).status == "NoLHSFoundAtResolution"
+
+    def test_margin_needs_two_settings(self):
+        asm = compute_assemblage(noisy_state(0.5), ("Z", "X", "Y"))
+        with pytest.raises(ValueError, match="two settings"):
+            steering.joint_measurability_margin(asm)
+
+    @pytest.mark.parametrize("entry, message", [
+        (((1, 1), (0.0, 0.0, 1.0), -1e-9), "weight"),
+        (((1, 1), (0.0, 0.6, 0.8 + 2e-12), 0.1), "Bloch vector"),
+    ])
+    def test_replay_rejects_an_entry_that_is_not_a_state(self, entry, message):
+        asm = compute_assemblage(noisy_state(0.4), ("Z", "X"))
+        verdict = lhs_feasibility(asm, 20)
+        forged = dataclasses.replace(verdict, certificate=verdict.certificate + (entry,))
+        with pytest.raises(ValueError, match=message):
+            replay_certificate(forged, asm)
 
 
 class TestFibonacciGrid:
