@@ -18,7 +18,7 @@ program's rows on either path.
 
 Exit codes: 0 success, 2 circuit parse error (line/column diagnostic on stderr), 3 physics
 error (also an undeclared --site or unknown --basis, even "", and --bob-site, --site or
---basis on noisy:v), 4 usage error (also a sweep loop past 10 000 points, --grid outside 6
+--basis on noisy:v), 4 usage error (also a sweep loop past 10 000 steps, --grid outside 6
 to 100, a --chsh-step that is not finite, is below 1 degree or is not a divisor of 360, a
 circuit or --input file whose declared basis has more than 65 537 kets, a circuit whose
 elements × kets exceed 2^25, a --input file that is not a finite unit state with integer
@@ -46,7 +46,7 @@ EXIT_PARSE = 2
 EXIT_PHYSICS = 3
 EXIT_USAGE = 4
 
-MAX_SWEEP_POINTS = 10_000  # points the sweep loop makes, each an LHS program and a CHSH search
+MAX_SWEEP_POINTS = 10_000  # sweep loop steps; each point kept is an LHS program and a CHSH search
 
 
 class _Parser(argparse.ArgumentParser):
@@ -202,12 +202,17 @@ def cmd_sweep(args) -> int:
     if not (math.isfinite(args.step) and args.step > 0) or not 0.0 <= lo <= hi <= 1.0:
         raise UsageError(
             f"bad sweep: range [{lo}, {hi}] must sit inside [0, 1] with a finite step > 0")
+    # v runs to hi + 1e-12, so that a sum that lands just past hi still makes its point;
+    # each rounded point is kept once, and none above hi.
     values = []
-    v = lo
+    v, steps = lo, 0
     while v <= hi + 1e-12:
-        if len(values) == MAX_SWEEP_POINTS:
+        if steps == MAX_SWEEP_POINTS:
             raise UsageError(f"bad sweep: step {args.step} gives more than {MAX_SWEEP_POINTS} points")
-        values.append(round(v, 12))
+        steps += 1
+        point = round(v, 12)
+        if point <= hi and (not values or point != values[-1]):
+            values.append(point)
         v += args.step
     steering.check_chsh_step(args.chsh_step)
     steering.check_grid(args.grid)

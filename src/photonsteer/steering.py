@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import ATOL, DensityOperator, StateVector
 from .errors import (
@@ -83,10 +82,10 @@ BOB_SITE = "PUE"
 # 10 000 × 4 Kronecker factors: 4-16 ms for 26-142 pivots, ~2.4 MiB peak (2-vCPU Xeon).
 MIN_GRID = 6
 MAX_GRID = 100
-# Degrees. The CHSH search holds a few k² floats, k = 360 / step: its tracemalloc peak
-# at 1° is 3.5 MiB on noisy(0.7) and 11.1 MiB when every pair survives. It scans every
-# Bob pair exactly, k³ work, only when the Z-X correlation block T is about 0 (~0.2 s
-# at 1°); otherwise only the few pairs its bound pass keeps.
+# Degrees. The CHSH search holds the k² floats of E, k = 360 / step, and O(k) arrays for
+# the pairs its bounds keep: its tracemalloc peak at 1° is 1.2 MiB on noisy(0.7) (0.3 ms).
+# When the Z-X correlation block T is about 0 every Bob pair survives and is scanned over
+# every Alice angle, k³ work: 0.12-0.24 s and a peak of 13.9 MiB at 1° (2-vCPU Xeon).
 MIN_CHSH_STEP = 1.0
 
 
@@ -357,7 +356,11 @@ def cjwr_value(rho: DensityOperator, axes) -> float:
 
 def chsh_value(rho: DensityOperator, a0: float, a1: float, b0: float, b1: float) -> ChshResult:
     """CHSH functional of a two-qubit frame at four observable angles (degrees), Z-X plane."""
-    T = _correlation_matrix(_frame_matrix(rho))
+    return _chsh_at(_correlation_matrix(_frame_matrix(rho)), a0, a1, b0, b1)
+
+
+def _chsh_at(T: np.ndarray, a0: float, a1: float, b0: float, b1: float) -> ChshResult:
+    """``chsh_value`` from the frame's Z-X correlation block T."""
 
     def E(a: float, b: float) -> float:
         ta, tb = np.deg2rad(a), np.deg2rad(b)
@@ -370,37 +373,91 @@ def chsh_value(rho: DensityOperator, a0: float, a1: float, b0: float, b1: float)
     return ChshResult(s, (a0, a1, b0, b1), (e00, e01, e10, e11))
 
 
-# Rounding in the grid table E and in the pair bounds stays below 1e-14; a Bob pair
-# whose bound is within this of the incumbent's exact total is scanned, not dropped.
+# Rounding in the grid table E and in the pair bounds stays below 1e-14; a Bob pair (or
+# a row of pairs) whose bound is within this of the floor pair's exact total is kept.
 _ROUNDING_MARGIN = 1e-12
+# A term is read from the two grid angles that bracket its direction only when every
+# other angle falls short of their maximum by more than this: twice the margin, one for
+# the rounding of each of the two compared term values. A shorter term's pair is scanned.
+_BRACKET_GAP = 2 * _ROUNDING_MARGIN
 # Floats per temporary of one exact scan (128 KiB): small enough that a scan stays in
 # a core's L2 cache when every pair survives, where k pairs at a time would not.
 _SCAN_FLOATS = 2**14
+_TERM_SIGNS = np.array([[-1.0], [1.0]])  # the a0 term is b0 - b1, the a1 term b0 + b1
+_BRACKET = np.array([0, 1]).reshape(2, 1, 1)  # a term's two bracket angles: floor, floor + 1
+_XY = np.array([1.0, 1.0j])  # _XY @ v = v[0] + i v[1]
 
 
-def _scan_pairs(columns: np.ndarray, pairs: np.ndarray):
+def _scan_pairs(E: np.ndarray, pairs: np.ndarray):
     """Exact grid maxima of the a0 term E[i, b0] - E[i, b1] and the a1 term
     E[i, b0] + E[i, b1] over every Alice angle i, lowest i among ties, for the
     flat Bob pairs ``pairs`` (b0 · k + b1): their totals and both argmax angles.
-    ``columns`` is E transposed, so that each Bob angle's column is one row."""
-    b0, b1 = np.divmod(pairs, columns.shape[0])
-    col0, col1 = columns[b0], columns[b1]
-    term0, term1 = col0 - col1, col0 + col1
-    i0, i1 = term0.argmax(axis=1), term1.argmax(axis=1)
-    rows = np.arange(pairs.size)
-    return term0[rows, i0] + term1[rows, i1], i0, i1
+    It scans E transposed, each Bob angle's column one row, ``_SCAN_FLOATS`` at a time."""
+    columns = np.ascontiguousarray(E.T)
+    k = columns.shape[0]
+    total, i0, i1 = np.empty(pairs.size), np.empty_like(pairs), np.empty_like(pairs)
+    chunk = max(1, _SCAN_FLOATS // k)
+    for s in range(0, pairs.size, chunk):
+        b0, b1 = np.divmod(pairs[s:s + chunk], k)
+        col0, col1 = columns[b0], columns[b1]
+        term0, term1 = col0 - col1, col0 + col1
+        best0, best1 = term0.argmax(axis=1), term1.argmax(axis=1)
+        rows = np.arange(b0.size)
+        total[s:s + chunk] = term0[rows, best0] + term1[rows, best1]
+        i0[s:s + chunk], i1[s:s + chunk] = best0, best1
+    return total, i0, i1
+
+
+def _bracket(E: np.ndarray, b0: np.ndarray, b1: np.ndarray, w: np.ndarray):
+    """``_scan_pairs`` for the Bob pairs (b0, b1), bit for bit, from two Alice angles a term.
+
+    The a0 term at Alice angle i is u_i · w[0], w[0] = T(u_b0 - u_b1), and the a1 term
+    u_i · w[1], w[1] = T(u_b0 + u_b1), each w as x + iy. On the grid, u_i · w peaks at
+    one of the two angles that bracket the direction of w, and every other angle is
+    lower by at least |w| · 2 sin²(step/2). Both are evaluated with the E entries and
+    float operations of the scan, the lower index winning a tie. The caller sends only
+    pairs whose gap clears ``_BRACKET_GAP``."""
+    k = E.shape[0]
+    turns = (np.floor(np.angle(w) * (k / (2 * np.pi))).astype(np.intp) + _BRACKET) % k
+    rows = turns * k  # (bracket, term, pair): the flat offsets of the two bracket angles
+    values = E.take(rows + b0) + _TERM_SIGNS * E.take(rows + b1)
+    upper = (values[1] > values[0]) | ((values[1] == values[0]) & (turns[1] == 0))
+    best = np.where(upper, turns[1], turns[0])
+    peak = values.max(axis=0)
+    return peak[0] + peak[1], best[0], best[1]
+
+
+def _pair_totals(E: np.ndarray, z: np.ndarray, pairs: np.ndarray, step: float):
+    """The grid maxima of ``_scan_pairs`` for the flat Bob ``pairs``, bit for bit: by
+    ``_bracket`` for every pair whose two terms are long enough to read from their
+    bracket angles, by the exact scan for the rest (a short w, T about 0).
+    ``z`` holds T u_j as x + iy for every grid angle j."""
+    k = E.shape[0]
+    b0, b1 = np.divmod(pairs, k)
+    w = z[b0] + _TERM_SIGNS * z[b1]  # (term, pair)
+    short = np.abs(w).min(axis=0) * (2 * math.sin(math.radians(step) / 2) ** 2) <= _BRACKET_GAP
+    if not short.any():
+        return _bracket(E, b0, b1, w)
+    if short.all():  # T about 0
+        return _scan_pairs(E, pairs)
+    total, best0, best1 = np.empty(pairs.size), np.empty_like(pairs), np.empty_like(pairs)
+    sure = ~short
+    b0, b1, w = b0[sure], b1[sure], w[:, sure]  # (the full-size arrays go before the scan)
+    total[sure], best0[sure], best1[sure] = _bracket(E, b0, b1, w)
+    total[short], best0[short], best1[short] = _scan_pairs(E, pairs[short])
+    return total, best0, best1
 
 
 # Bounded: ``sweep`` uses one step for every point, a run of requests a handful, and
-# an entry at MIN_CHSH_STEP holds ~40 KB.
+# an entry at MIN_CHSH_STEP holds ~37 KB.
 @functools.lru_cache(maxsize=8)
 def _chsh_tables(step: float):
     """The parts of the CHSH search that depend only on the step, read-only:
     (angles, u, means, sin2, cos2). ``angles`` are the k = round(360 / step)
     grid angles n · step, all below 360°, and ``u`` holds their unit vectors;
     ``means`` those of the 2k - 1 mean angles μ = n · step / 2, then of μ + 90°,
-    each n = b0 + b1. ``sin2[b0, b1]`` = 2|sin(Δ/2)| and ``cos2[b0, b1]``
-    = 2|cos(Δ/2)|, Δ = (b0 - b1) · step, are (k, k) views of 2k - 1 floats."""
+    each n = b0 + b1. ``sin2[d]`` = 2|sin(Δ/2)| and ``cos2[d]`` = 2|cos(Δ/2)|,
+    Δ = d · step, for the k differences d = |b0 - b1|."""
     k = round(360.0 / step)
     angles = np.arange(k) * step
     radians = np.deg2rad(angles)
@@ -409,30 +466,47 @@ def _chsh_tables(step: float):
     turned = np.deg2rad(np.concatenate([mean, mean + 90.0]))
     means = np.stack([np.cos(turned), np.sin(turned)])
     half = np.deg2rad(np.arange(k) * (step / 2))  # Δ/2 for |b0 - b1| = 0 … k - 1
-
-    def toeplitz(table):  # view[b0, b1] = table[|b0 - b1|]
-        mirrored = np.concatenate([table[:0:-1], table])
-        mirrored.setflags(write=False)
-        return sliding_window_view(mirrored, k)[:, ::-1]
-
-    for array in (angles, u, means):
+    tables = angles, u, means, 2 * np.abs(np.sin(half)), 2 * np.abs(np.cos(half))
+    for array in tables:
         array.setflags(write=False)
-    return angles, u, means, toeplitz(2 * np.abs(np.sin(half))), toeplitz(2 * np.abs(np.cos(half)))
+    return tables
 
 
-def _pair_bounds(T: np.ndarray, step: float) -> np.ndarray:
+def _pair_bounds(a: np.ndarray, c: np.ndarray, sin2: np.ndarray, cos2: np.ndarray,
+                 rows: np.ndarray):
     """Upper bounds of S = E(a0,b0) - E(a0,b1) + E(a1,b0) + E(a1,b1) over the Alice
-    angles for every Bob pair, flat (b0 · k + b1). The a0 term is at most
+    angles for the Bob pairs b0 = b1 + d of every difference d in ``rows``, as
+    (b0, b1, bound); the pair (b1, b0) has the same bound. The a0 term is at most
     |T(u_b0 - u_b1)| = 2|sin(Δ/2)|·|T u_{μ+90°}| and the a1 term at most
     |T(u_b0 + u_b1)| = 2|cos(Δ/2)|·|T u_μ|, with μ = (b0 + b1)/2 and Δ = b0 - b1
-    (Horodecki, Horodecki & Horodecki, Phys. Lett. A 200, 340 (1995)): the two
-    norms are read by b0 + b1 through Hankel views, the tables by |b0 - b1|."""
-    _, _, means, sin2, cos2 = _chsh_tables(step)
-    k = sin2.shape[0]
+    (Horodecki, Horodecki & Horodecki, Phys. Lett. A 200, 340 (1995)): ``a`` = |T u_μ|
+    and ``c`` = |T u_{μ+90°}| are read by the mean index b0 + b1, the tables by d."""
+    counts = sin2.size - rows
+    d = np.repeat(rows, counts)
+    b1 = np.arange(d.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    n = 2 * b1 + d
+    return b1 + d, b1, sin2[d] * c[n] + cos2[d] * a[n]
+
+
+def _survivors(E: np.ndarray, T: np.ndarray, means: np.ndarray, sin2: np.ndarray,
+               cos2: np.ndarray) -> np.ndarray:
+    """The flat Bob pairs (b0 · k + b1), sorted, whose bound reaches the floor: the
+    exact total of the best-bound pair in the row of the best row bound, less
+    ``_ROUNDING_MARGIN``. Pair bounds are formed only on the rows whose row bound
+    reaches the floor."""
+    k = sin2.size
     a, c = np.hypot(*(T @ means)).reshape(2, -1)  # |T u_μ|, |T u_{μ+90°}|
-    bound = sin2 * sliding_window_view(c, k)
-    bound += cos2 * sliding_window_view(a, k)
-    return bound.ravel()
+    row_bounds = sin2 * c.max() + cos2 * a.max()
+    d = int(np.argmax(row_bounds))
+    # The pair bounds of row d, read by slicing: those of _pair_bounds, without index arrays.
+    row = slice(d, 2 * k - 1 - d, 2)  # the mean indices b0 + b1 = 2 · b1 + d of its pairs
+    b1 = int(np.argmax(sin2[d] * c[row] + cos2[d] * a[row]))
+    col0, col1 = E[:, b1 + d], E[:, b1]  # the exact scan of the pair (b1 + d, b1)
+    floor = (col0 - col1).max() + (col0 + col1).max() - _ROUNDING_MARGIN
+    b0, b1, bound = _pair_bounds(a, c, sin2, cos2, np.flatnonzero(row_bounds >= floor))
+    keep = bound >= floor
+    b0, b1 = b0[keep], b1[keep]
+    return np.sort(np.concatenate([b0 * k + b1, (b1 * k + b0)[b0 > b1]]))
 
 
 def chsh_optimize(rho: DensityOperator, grid_step_deg: float) -> ChshResult:
@@ -441,32 +515,35 @@ def chsh_optimize(rho: DensityOperator, grid_step_deg: float) -> ChshResult:
     For each Bob pair (b0, b1) the a0 and a1 terms are maximized over all k
     Alice angles n · step on their own, k = round(360 / step), and the pair
     with the highest total wins, the lowest index among ties at each stage.
-    ``_pair_bounds`` bounds every pair's total from two norm vectors over the
-    2k - 1 mean angles and two per-step tables over the k angle differences,
-    in O(k) work before the k² bounds themselves. The pair with the highest bound is
-    scanned exactly, and only the pairs whose bound reaches its total, less
-    ``_ROUNDING_MARGIN``, are scanned exactly after it, in flat order. This
-    gives the same angles and value, bit for bit, as scanning every pair.
-    When T is about 0 every pair survives: k³ time, still in O(k²) memory.
+    This gives the same angles and value, bit for bit, as scanning every pair,
+    in about O(k) work when the bounds are tight:
+    - Row bounds. Every pair with |b0 - b1| = d has a bound (``_pair_bounds``)
+      of at most sin2[d] · max(c) + cos2[d] · max(a), since float products and
+      sums round monotonically.
+    - Survivors. The best-bound pair of the best row is scanned exactly; its
+      total less ``_ROUNDING_MARGIN`` is the floor. Pair bounds are formed only
+      on the rows whose row bound reaches the floor, and the pairs whose bound
+      reaches it survive, in flat order. Each pair tied with the brute-force
+      winner survives: its bound is at least the maximum total less the margin.
+    - Alice angles. Each survivor's two terms are read from the two grid angles
+      that bracket their directions (``_pair_totals``); a pair with a term too
+      short for that is scanned over all k angles.
+    On ``noisy:v``, v > 0, 2-6 rows of pairs survive and none is scanned. When T
+    is about 0 every pair survives and is scanned: k³ time, in O(k²) memory.
     """
     check_chsh_step(grid_step_deg)
     T = _correlation_matrix(_frame_matrix(rho))
     step = float(grid_step_deg)
-    angles, u = _chsh_tables(step)[:2]
+    angles, u, means, sin2, cos2 = _chsh_tables(step)
     k = angles.size
     E = u.T @ T @ u  # E[i, j] = E(angle_i, angle_j)
 
-    bound = _pair_bounds(T, step)
-    columns = np.ascontiguousarray(E.T)
-    incumbent = _scan_pairs(columns, np.array([np.argmax(bound)]))[0][0]
-    survivors = np.flatnonzero(bound >= incumbent - _ROUNDING_MARGIN)
-    chunk = max(1, _SCAN_FLOATS // k)
-    total, best0_idx, best1_idx = (np.concatenate(parts) for parts in zip(*(
-        _scan_pairs(columns, survivors[s:s + chunk]) for s in range(0, survivors.size, chunk))))
+    pairs = _survivors(E, T, means, sin2, cos2)
+    total, best0_idx, best1_idx = _pair_totals(E, _XY @ T @ u, pairs, step)
     best = int(np.argmax(total))
-    i_b0, i_b1 = divmod(int(survivors[best]), k)
+    i_b0, i_b1 = divmod(int(pairs[best]), k)
     a0, a1 = float(angles[best0_idx[best]]), float(angles[best1_idx[best]])
-    return chsh_value(rho, a0, a1, float(angles[i_b0]), float(angles[i_b1]))
+    return _chsh_at(T, a0, a1, float(angles[i_b0]), float(angles[i_b1]))
 
 
 def compute_assemblage(rho: DensityOperator, alice_settings) -> Assemblage:

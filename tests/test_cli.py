@@ -18,6 +18,7 @@ from photonsteer.errors import BadParameters
 from photonsteer.scenarios import FIG1_CIRCUIT
 
 SQRT_HALF_16_DIGITS = 0.7071067811865476
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -426,6 +427,34 @@ class TestSweep:
         monkeypatch.setattr(scenarios, "noisy_state", first_point)
         assert main(["sweep", "--range", "0.5..0.5", "--step", "1e-16"]) == 3
         assert points == [0.5]
+
+    def test_a_step_too_small_to_round_apart_keeps_one_point(self, tmp_path, monkeypatch):
+        # v moves one ulp a step: 9008 steps to hi + 1e-12 round to 0.5 and then to
+        # 0.500000000001, above hi. Each rounded point is kept once and none above hi, so
+        # one point is solved; the second noisy_state call would exit 3.
+        points, noisy_state = [], scenarios.noisy_state
+
+        def once(v):
+            if points:
+                raise BadParameters(f"a second point {v!r}")
+            points.append(v)
+            return noisy_state(v)
+
+        monkeypatch.setattr(scenarios, "noisy_state", once)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--range", "0.5..0.5", "--step", "1e-16", "--grid", "6",
+                     "--out", str(out)]) == 0
+        assert points == [0.5]
+        assert [row.split(",")[0] for row in out.read_text().splitlines()[1:]] == ["0.5"]
+
+    # Made by the exhaustive CHSH search: every later search must give these bytes.
+    @pytest.mark.parametrize("chsh_step, fmt", [
+        ("1", "csv"), ("1.5", "csv"), ("2", "csv"), ("3", "csv"), ("5", "csv"), ("2", "json")])
+    def test_golden_bytes(self, tmp_path, chsh_step, fmt):
+        out = tmp_path / f"sweep.{fmt}"
+        assert main(["sweep", "--range", "0..1", "--step", "0.05", "--grid", "6",
+                     "--chsh-step", chsh_step, "--format", fmt, "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / f"sweep_chsh_step_{chsh_step}.{fmt}").read_bytes()
 
     def test_range_outside_unit_interval_exits_4(self):
         assert main(["sweep", "--range", "0..2", "--step", "0.5"]) == 4

@@ -90,6 +90,33 @@ def hypot_pair_bounds(T: np.ndarray, step: float) -> np.ndarray:
             + np.hypot(*(Tu[:, :, None] + Tu[:, None, :]))).ravel()
 
 
+def factored_pair_bounds(rho: DensityOperator, step: float) -> np.ndarray:
+    """Every Bob pair's bound from ``steering._pair_bounds`` on all k differences, with
+    the norm vectors and tables ``chsh_optimize`` hands it, flat (b0 · k + b1)."""
+    seen = []
+
+    def capture(a, c, sin2, cos2, rows):
+        seen.append((a, c, sin2, cos2))
+        return pair_bounds(a, c, sin2, cos2, rows)
+
+    pair_bounds = steering._pair_bounds
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(steering, "_pair_bounds", capture)
+        chsh_optimize(rho, step)
+    a, c, sin2, cos2 = seen[0]
+    k = sin2.size
+    b0, b1, bound = pair_bounds(a, c, sin2, cos2, np.arange(k))
+    flat = np.full(k * k, np.nan)
+    flat[b0 * k + b1] = bound
+    flat[b1 * k + b0] = bound
+    return flat
+
+
+def toward_white_noise(rho: DensityOperator, scale: float) -> DensityOperator:
+    """scale · ρ + (1 - scale) · I/4: the correlation block T scaled by ``scale``."""
+    return DensityOperator(QUBIT_PAIR_LABELS, scale * rho.matrix + (1.0 - scale) * np.eye(4) / 4)
+
+
 def exact_pair_totals(T: np.ndarray, step: float) -> np.ndarray:
     """Every Bob pair's grid maximum of the a0 term plus that of the a1 term, flat
     (b0 · k + b1), one b0 row at a time."""
@@ -555,6 +582,62 @@ class TestChshGridOracles:
             assert 0.0 < horodecki_chsh_bound(rho.matrix) < steering._ROUNDING_MARGIN
             self.assert_same_as_brute_force(rho, step)
 
+    # T scaled from 1e-6 down to 1e-11: a survivor's terms are read from their two bracket
+    # angles while |w| · 2 sin²(step/2) clears _BRACKET_GAP, and scanned below it (k = 2
+    # always scans: every pair has a zero term).
+    @pytest.mark.parametrize("step", [2.0, 1.0, 360.0 / 161, 120.0, 180.0])
+    @pytest.mark.parametrize("scale", [1e-6, 1e-8, 1e-9, 1e-10, 1e-11])
+    def test_equals_brute_force_near_the_bracket_gate(self, step, scale):
+        rho = random_two_qubit_density(np.random.default_rng(11), mixed=True)
+        self.assert_same_as_brute_force(toward_white_noise(rho, scale), step)
+
+    # Product frames: T has rank one, so many Bob pairs tie at the maximum, among them
+    # pairs 180° apart, whose a1 term is rounding noise (about 1e-17). Only the gate keeps
+    # such a term off its two bracket angles.
+    @pytest.mark.parametrize("step, alice, bob", [
+        (3.0, 0.0, 140.0), (2.0, 0.0, 55.0), (2.0, 17.0, 15.0), (2.0, 33.3, 45.0)])
+    def test_equals_brute_force_on_product_frames_with_a_term_of_rounding_noise(
+            self, step, alice, bob):
+        def pure(deg):  # the pure qubit state of Bloch vector (cos, sin) in the Z-X plane
+            t = np.deg2rad(deg)
+            return (np.eye(2) + np.cos(t) * np.diag([1.0, -1.0]) + np.sin(t) * PAULI_X) / 2
+
+        rho = DensityOperator(QUBIT_PAIR_LABELS, np.kron(pure(alice), pure(bob)))
+        self.assert_same_as_brute_force(rho, step)
+
+    @staticmethod
+    def pairs_seen(rho, step):
+        """(bracketed, scanned): the Bob pairs one search reads from bracket angles and
+        the pairs it scans over every Alice angle."""
+        seen = {"bracketed": 0, "scanned": 0}
+        bracket, scan = steering._bracket, steering._scan_pairs
+
+        def bracketed(E, b0, b1, w):
+            seen["bracketed"] += b0.size
+            return bracket(E, b0, b1, w)
+
+        def scanned(E, pairs):
+            seen["scanned"] += pairs.size
+            return scan(E, pairs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(steering, "_bracket", bracketed)
+            patch.setattr(steering, "_scan_pairs", scanned)
+            chsh_optimize(rho, step)
+        return seen["bracketed"], seen["scanned"]
+
+    @pytest.mark.parametrize("step, scale", [(1.0, 3e-8), (360.0 / 161, 5e-9), (120.0, 1e-11)])
+    def test_equals_brute_force_when_one_search_brackets_some_pairs_and_scans_others(
+            self, step, scale):
+        rho = toward_white_noise(random_two_qubit_density(np.random.default_rng(11), True), scale)
+        bracketed, scanned = self.pairs_seen(rho, step)
+        assert bracketed > 0 and scanned > 0
+        self.assert_same_as_brute_force(rho, step)
+
+    def test_a_noisy_frame_scans_at_most_one_pair_at_one_degree(self):
+        bracketed, scanned = self.pairs_seen(noisy_state(0.7), 1.0)
+        assert scanned <= 1 and bracketed > 0
+
     @pytest.mark.parametrize("step", [1.5, 1.0])
     def test_equals_brute_force_on_product_and_noisy_frames_at_fine_steps(self, step):
         self.assert_same_as_brute_force(two_qubit_frame(product_state_ny_v(), "PUE")[0], step)
@@ -597,8 +680,8 @@ class TestChshGridOracles:
         assert peak <= 64 * 2**20
 
     def test_one_degree_search_on_a_noisy_frame_stays_within_6_mib(self):
-        # The k² arrays are the bounds and one temporary, the survivor mask and E with its
-        # transposed copy, ~3.5 MiB; the 2 × k × k hypot form of the bounds peaked at 7.5 MiB.
+        # E is the one k² array (~1 MiB): the bounds and the survivors are O(k), ~1.2 MiB in
+        # all; bounding all k² pairs peaked at 3.5 MiB, their 2 × k × k hypot form at 7.5 MiB.
         state = noisy_state(0.7)
         tracemalloc.start()
         try:
@@ -632,10 +715,10 @@ class TestChshPairBounds:
     @pytest.mark.parametrize("step", STEPS)
     def test_equal_the_hypot_form_within_1e_12(self, rng, step):
         for rho in bound_states(rng):
-            T = self.correlations(rho)
-            factored = steering._pair_bounds(T, step)
+            factored = factored_pair_bounds(rho, step)
             assert factored.shape == (grid_vectors(step).shape[1] ** 2,)
-            assert np.abs(factored - hypot_pair_bounds(T, step)).max() <= 1e-12
+            hypot_form = hypot_pair_bounds(self.correlations(rho), step)
+            assert np.abs(factored - hypot_form).max() <= 1e-12  # NaN (a pair missed) fails
 
     @pytest.mark.parametrize("step", STEPS)
     def test_never_below_a_pair_exact_total_less_the_margin(self, rng, step):
@@ -644,9 +727,8 @@ class TestChshPairBounds:
             states = [noisy_state(0.0), noisy_state(0.7), alice_rotated(noisy_state(1.0), 7.3),
                       two_qubit_frame(preset("eq1"))[0], random_two_qubit_density(rng, True)]
         for rho in states:
-            T = self.correlations(rho)
-            slack = steering._pair_bounds(T, step) - exact_pair_totals(T, step)
-            assert slack.min() >= -steering._ROUNDING_MARGIN
+            exact = exact_pair_totals(self.correlations(rho), step)
+            assert (factored_pair_bounds(rho, step) - exact).min() >= -steering._ROUNDING_MARGIN
 
     def test_every_array_of_an_entry_is_read_only(self):
         for array in steering._chsh_tables(2.0):
