@@ -203,15 +203,15 @@ def cmd_sweep(args) -> int:
         raise UsageError(
             f"bad sweep: range [{lo}, {hi}] must sit inside [0, 1] with a finite step > 0")
     # v runs to hi + 1e-12, so that a sum that lands just past hi still makes its point;
-    # each rounded point is kept once, and none above hi.
+    # each rounded point is kept once, and none above hi rounded alike.
     values = []
-    v, steps = lo, 0
+    v, steps, last = lo, 0, round(hi, 12)
     while v <= hi + 1e-12:
         if steps == MAX_SWEEP_POINTS:
             raise UsageError(f"bad sweep: step {args.step} gives more than {MAX_SWEEP_POINTS} points")
         steps += 1
         point = round(v, 12)
-        if point <= hi and (not values or point != values[-1]):
+        if point <= last and (not values or point != values[-1]):
             values.append(point)
         v += args.step
     steering.check_chsh_step(args.chsh_step)

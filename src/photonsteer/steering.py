@@ -84,8 +84,8 @@ MIN_GRID = 6
 MAX_GRID = 100
 # Degrees. The CHSH search holds the k² floats of E, k = 360 / step, and O(k) arrays for
 # the pairs its bounds keep: its tracemalloc peak at 1° is 1.2 MiB on noisy(0.7) (0.3 ms).
-# When the Z-X correlation block T is about 0 every Bob pair survives and is scanned over
-# every Alice angle, k³ work: 0.12-0.24 s and a peak of 13.9 MiB at 1° (2-vCPU Xeon).
+# When the Z-X correlation block T is about 0 every Bob pair is scanned over every Alice
+# angle, k³ work: 0.10-0.11 s and a peak of 6.7 MiB at 1° (2-vCPU Xeon).
 MIN_CHSH_STEP = 1.0
 
 
@@ -381,7 +381,7 @@ _ROUNDING_MARGIN = 1e-12
 # the rounding of each of the two compared term values. A shorter term's pair is scanned.
 _BRACKET_GAP = 2 * _ROUNDING_MARGIN
 # Floats per temporary of one exact scan (128 KiB): small enough that a scan stays in
-# a core's L2 cache when every pair survives, where k pairs at a time would not.
+# a core's L2 cache when every pair is scanned, where k pairs at a time would not.
 _SCAN_FLOATS = 2**14
 _TERM_SIGNS = np.array([[-1.0], [1.0]])  # the a0 term is b0 - b1, the a1 term b0 + b1
 _BRACKET = np.array([0, 1]).reshape(2, 1, 1)  # a term's two bracket angles: floor, floor + 1
@@ -427,23 +427,20 @@ def _bracket(E: np.ndarray, b0: np.ndarray, b1: np.ndarray, w: np.ndarray):
     return peak[0] + peak[1], best[0], best[1]
 
 
-def _pair_totals(E: np.ndarray, z: np.ndarray, pairs: np.ndarray, step: float):
+def _pair_totals(E: np.ndarray, z: np.ndarray, pairs: np.ndarray, gap: float):
     """The grid maxima of ``_scan_pairs`` for the flat Bob ``pairs``, bit for bit: by
     ``_bracket`` for every pair whose two terms are long enough to read from their
-    bracket angles, by the exact scan for the rest (a short w, T about 0).
-    ``z`` holds T u_j as x + iy for every grid angle j."""
+    bracket angles, by the exact scan for the rest (a term that is 0 or rounding noise).
+    ``z`` holds T u_j as x + iy for every grid angle j; ``gap`` is 2 sin²(step/2)."""
     k = E.shape[0]
     b0, b1 = np.divmod(pairs, k)
     w = z[b0] + _TERM_SIGNS * z[b1]  # (term, pair)
-    short = np.abs(w).min(axis=0) * (2 * math.sin(math.radians(step) / 2) ** 2) <= _BRACKET_GAP
-    if not short.any():
+    short = np.abs(w).min(axis=0) * gap <= _BRACKET_GAP
+    if not short.any():  # every pair of a noisy frame: no masks, no transposed copy of E
         return _bracket(E, b0, b1, w)
-    if short.all():  # T about 0
-        return _scan_pairs(E, pairs)
     total, best0, best1 = np.empty(pairs.size), np.empty_like(pairs), np.empty_like(pairs)
     sure = ~short
-    b0, b1, w = b0[sure], b1[sure], w[:, sure]  # (the full-size arrays go before the scan)
-    total[sure], best0[sure], best1[sure] = _bracket(E, b0, b1, w)
+    total[sure], best0[sure], best1[sure] = _bracket(E, b0[sure], b1[sure], w[:, sure])
     total[short], best0[short], best1[short] = _scan_pairs(E, pairs[short])
     return total, best0, best1
 
@@ -497,11 +494,9 @@ def _survivors(E: np.ndarray, T: np.ndarray, means: np.ndarray, sin2: np.ndarray
     k = sin2.size
     a, c = np.hypot(*(T @ means)).reshape(2, -1)  # |T u_μ|, |T u_{μ+90°}|
     row_bounds = sin2 * c.max() + cos2 * a.max()
-    d = int(np.argmax(row_bounds))
-    # The pair bounds of row d, read by slicing: those of _pair_bounds, without index arrays.
-    row = slice(d, 2 * k - 1 - d, 2)  # the mean indices b0 + b1 = 2 · b1 + d of its pairs
-    b1 = int(np.argmax(sin2[d] * c[row] + cos2[d] * a[row]))
-    col0, col1 = E[:, b1 + d], E[:, b1]  # the exact scan of the pair (b1 + d, b1)
+    b0, b1, bound = _pair_bounds(a, c, sin2, cos2, np.argmax(row_bounds, keepdims=True))
+    j = np.argmax(bound)
+    col0, col1 = E[:, b0[j]], E[:, b1[j]]  # the exact scan of the best-bound pair
     floor = (col0 - col1).max() + (col0 + col1).max() - _ROUNDING_MARGIN
     b0, b1, bound = _pair_bounds(a, c, sin2, cos2, np.flatnonzero(row_bounds >= floor))
     keep = bound >= floor
@@ -529,7 +524,8 @@ def chsh_optimize(rho: DensityOperator, grid_step_deg: float) -> ChshResult:
       that bracket their directions (``_pair_totals``); a pair with a term too
       short for that is scanned over all k angles.
     On ``noisy:v``, v > 0, 2-6 rows of pairs survive and none is scanned. When T
-    is about 0 every pair survives and is scanned: k³ time, in O(k²) memory.
+    is about 0, so that no term can be long enough to bracket (|w| ≤ 2 max |T u_j|),
+    every pair is scanned with no bounds formed: k³ time, in O(k²) memory.
     """
     check_chsh_step(grid_step_deg)
     T = _correlation_matrix(_frame_matrix(rho))
@@ -538,8 +534,14 @@ def chsh_optimize(rho: DensityOperator, grid_step_deg: float) -> ChshResult:
     k = angles.size
     E = u.T @ T @ u  # E[i, j] = E(angle_i, angle_j)
 
-    pairs = _survivors(E, T, means, sin2, cos2)
-    total, best0_idx, best1_idx = _pair_totals(E, _XY @ T @ u, pairs, step)
+    z = _XY @ T @ u  # T u_j as x + iy
+    gap = 2 * math.sin(math.radians(step) / 2) ** 2  # a term's bracket gap per unit |w|
+    if 2 * np.abs(z).max() * gap <= _BRACKET_GAP:  # every |w| ≤ 2 max|z| is short: T about 0
+        pairs = np.arange(k * k)
+        total, best0_idx, best1_idx = _scan_pairs(E, pairs)
+    else:
+        pairs = _survivors(E, T, means, sin2, cos2)
+        total, best0_idx, best1_idx = _pair_totals(E, z, pairs, gap)
     best = int(np.argmax(total))
     i_b0, i_b1 = divmod(int(pairs[best]), k)
     a0, a1 = float(angles[best0_idx[best]]), float(angles[best1_idx[best]])

@@ -447,6 +447,20 @@ class TestSweep:
         assert points == [0.5]
         assert [row.split(",")[0] for row in out.read_text().splitlines()[1:]] == ["0.5"]
 
+    @pytest.mark.parametrize("sweep_range, step, points", [
+        # hi rounds up to 12 digits: its point is kept, as the same rounding of hi.
+        (f"{SQRT_HALF_16_DIGITS!r}..{SQRT_HALF_16_DIGITS!r}", "0.1", ["0.707106781187"]),
+        ("0..0.6666666666666666", "0.3333333333333333",
+         ["0.0", "0.333333333333", "0.666666666667"]),
+        # 0.5000000000007 rounds to 0.500000000001, above hi = 0.5 rounded alike.
+        ("0..0.5", "0.5000000000007", ["0.0"]),
+    ])
+    def test_points_are_kept_up_to_hi_rounded_alike(self, tmp_path, sweep_range, step, points):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--range", sweep_range, "--step", step, "--grid", "6",
+                     "--out", str(out)]) == 0
+        assert [row.split(",")[0] for row in out.read_text().splitlines()[1:]] == points
+
     # Made by the exhaustive CHSH search: every later search must give these bytes.
     @pytest.mark.parametrize("chsh_step, fmt", [
         ("1", "csv"), ("1.5", "csv"), ("2", "csv"), ("3", "csv"), ("5", "csv"), ("2", "json")])

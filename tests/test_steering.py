@@ -92,7 +92,8 @@ def hypot_pair_bounds(T: np.ndarray, step: float) -> np.ndarray:
 
 def factored_pair_bounds(rho: DensityOperator, step: float) -> np.ndarray:
     """Every Bob pair's bound from ``steering._pair_bounds`` on all k differences, with
-    the norm vectors and tables ``chsh_optimize`` hands it, flat (b0 · k + b1)."""
+    the norm vectors and tables ``steering._survivors`` hands it, flat (b0 · k + b1).
+    It calls ``_survivors`` itself: ``chsh_optimize`` forms no bounds when T is about 0."""
     seen = []
 
     def capture(a, c, sin2, cos2, rows):
@@ -100,9 +101,11 @@ def factored_pair_bounds(rho: DensityOperator, step: float) -> np.ndarray:
         return pair_bounds(a, c, sin2, cos2, rows)
 
     pair_bounds = steering._pair_bounds
+    T = steering._correlation_matrix(steering._frame_matrix(rho))
+    _, u, means, sin2, cos2 = steering._chsh_tables(float(step))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(steering, "_pair_bounds", capture)
-        chsh_optimize(rho, step)
+        steering._survivors(u.T @ T @ u, T, means, sin2, cos2)
     a, c, sin2, cos2 = seen[0]
     k = sin2.size
     b0, b1, bound = pair_bounds(a, c, sin2, cos2, np.arange(k))
@@ -577,7 +580,8 @@ class TestChshGridOracles:
 
     @pytest.mark.parametrize("step", [5.0, 2.0])
     def test_equals_brute_force_when_every_bound_is_below_the_rounding_margin(self, step):
-        # T of order 1e-13: every pair bound sits under the margin, so every pair survives.
+        # T of order 1e-13: every pair bound sits under the margin and no term clears the
+        # bracket gate, so every pair is scanned.
         for rho in (noisy_state(1e-13), alice_rotated(noisy_state(1e-13), 7.3)):
             assert 0.0 < horodecki_chsh_bound(rho.matrix) < steering._ROUNDING_MARGIN
             self.assert_same_as_brute_force(rho, step)
@@ -637,6 +641,15 @@ class TestChshGridOracles:
     def test_a_noisy_frame_scans_at_most_one_pair_at_one_degree(self):
         bracketed, scanned = self.pairs_seen(noisy_state(0.7), 1.0)
         assert scanned <= 1 and bracketed > 0
+
+    @pytest.mark.parametrize("v", [0.0, 1e-13])
+    def test_a_frame_with_t_about_0_scans_every_pair_and_forms_no_bound(self, monkeypatch, v):
+        # No term can clear the bracket gate, so the search goes straight to the scan.
+        def no_bound(*args):
+            raise AssertionError("a pair bound was formed")
+
+        monkeypatch.setattr(steering, "_pair_bounds", no_bound)
+        assert self.pairs_seen(noisy_state(v), 5.0) == (0, 72 * 72)
 
     @pytest.mark.parametrize("step", [1.5, 1.0])
     def test_equals_brute_force_on_product_and_noisy_frames_at_fine_steps(self, step):
