@@ -14,7 +14,7 @@ exact for two settings wherever Bob's marginal allows (``grid_n`` then only echo
 --grid, and ``lhs_residual`` of an unfound model is the joint-measurability margin),
 else from the --grid Bloch grid program (``lhs_residual`` of an unfound model is its
 phase-1 optimum). A certificate's ``lhs_residual`` is its worst error over the full
-program's rows on either path.
+program's 8m rows on either path, exactly what ``steering.replay_certificate`` returns.
 
 Exit codes: 0 success, 2 circuit parse error (line/column diagnostic on stderr), 3 physics
 error (also an undeclared --site or unknown --basis, even "", and --bob-site, --site or

@@ -171,9 +171,10 @@ class SteeringVerdict:
     triples; a strategy assigns an outcome to each setting in order. It is
     one LHS model among the many an assemblage may admit. ``residual`` of a
     certified verdict is max |A_full x - b_full| over all 8m rows of the full
-    program (the 4 real components of every sigma(a|x)), so an assemblage that
-    signals is never certified: at most 1e-9 on the exact path, below 1e-7 on
-    the grid.
+    program (the 4 real components of every sigma(a|x)), rebuilt from the
+    certificate: exactly what ``replay_certificate`` returns. So an assemblage
+    that signals is never certified: at most 1e-9 on the exact path, below 1e-7
+    on the grid.
 
     Exact path (two settings): ``grid_n`` echoes the request, as no grid is
     built, and ``pivots`` is 0. Its certificate has at most four hidden states,
@@ -185,8 +186,8 @@ class SteeringVerdict:
     sigma(+1|x) per setting; the full program's other 4(m - 1) rows,
     sigma(-1|x) for every x, follow from these under no-signalling. Its
     certificate holds pure grid states. Without one, ``residual`` is the
-    phase-1 optimum of the 4m + 4-row program, or the full residual if the
-    solved rows were met. ``pivots`` counts the simplex pivots of the solve.
+    phase-1 optimum of the 4m + 4-row program, or the 8m-row residual of the
+    certificate if the solved rows were met. ``pivots`` counts the simplex pivots.
     """
 
     status: str  # UnsteerableCertified | NoLHSFoundAtResolution
@@ -577,14 +578,35 @@ def fibonacci_bloch_grid(count: int) -> np.ndarray:
     return np.column_stack([radius * np.cos(phi), radius * np.sin(phi), z])
 
 
-def _bloch_state(n: np.ndarray) -> np.ndarray:
-    return 0.5 * (
-        _PAULI["I"] + n[0] * _PAULI["X"] + n[1] * _PAULI["Y"] + n[2] * _PAULI["Z"]
-    )
+def _state_rows(bloch: np.ndarray) -> np.ndarray:
+    """The full program's 4 rows of each Bloch state, (n, 3) -> (n, 4), in closed form:
+    ½(1 + nz, 1 - nz, nx, -ny), the entries ``_full_target`` reads of a member."""
+    nx, ny, nz = bloch.T
+    return 0.5 * np.column_stack([1.0 + nz, 1.0 - nz, nx, -ny])
 
 
-def _real_components(mat: np.ndarray) -> np.ndarray:
-    return np.array([mat[0, 0].real, mat[1, 1].real, mat[0, 1].real, mat[0, 1].imag])
+def _full_target(assemblage: Assemblage) -> np.ndarray:
+    """The full program's b, (setting, outcome, 4): the real diagonal of every member,
+    then the real and imaginary parts of its upper off-diagonal entry."""
+    sigma = np.array([[assemblage.members[(x, a)] for a in (+1, -1)] for x in assemblage.settings])
+    # As floats a member reads re, im of its entries 00, 01, 10 and 11 in turn.
+    return sigma.reshape(len(assemblage.settings), 2, 4).view(float)[..., [0, 6, 2, 3]]
+
+
+# Both LHS paths drop a certificate weight at or below this; the exact path refuses one
+# below its negative.
+_WEIGHT_FLOOR = 1e-12
+
+
+def _certificate_residual(certificate, assemblage: Assemblage) -> float:
+    """max |A_full x - b_full| of an LHS certificate over all 8m rows of the full program:
+    each (strategy, bloch, weight) entry adds its weighted state rows to sigma(a|x) for
+    the outcome a its strategy gives each setting x."""
+    m = len(assemblage.settings)
+    entries = np.array([(*s, *bloch, w) for s, bloch, w in certificate], float).reshape(-1, m + 4)
+    answers = entries[:, :m, None] == (+1, -1)  # [entry, x, a]: strategy answers a to x
+    rebuilt = np.einsum("sxa,sc->xac", answers, entries[:, -1:] * _state_rows(entries[:, m:-1]))
+    return float(np.abs(rebuilt - _full_target(assemblage)).max())
 
 
 # Bounded, so that grids MIN_GRID..MAX_GRID × 1-4 settings cannot pile up: a run of
@@ -592,25 +614,20 @@ def _real_components(mat: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=32)
 def _lhs_structure(grid_n: int, m: int):
     """The parts of the LHS program that depend only on the grid and the setting count,
-    read-only: (grid, strategies, responds, solved, comps). Column (s, g) of the
-    program is the Kronecker product of ``solved[:, s]`` and ``comps[g]``."""
-    outcomes = (+1, -1)
+    read-only: (grid, strategies, solved, comps). Column (s, g) of the program is the
+    Kronecker product of ``solved[:, s]`` and ``comps[g]``."""
     grid = fibonacci_bloch_grid(grid_n * grid_n)
-    strategies = tuple(product(outcomes, repeat=m))
-    # _real_components(_bloch_state(n)) in closed form, one row per grid state.
-    nx, ny, nz = grid.T
-    comps = 0.5 * np.column_stack([1.0 + nz, 1.0 - nz, nx, -ny])
-    # responds[s, x, a] = 1 when strategy s answers a to setting x.
-    responds = (np.array(strategies)[:, :, None] == np.array(outcomes)).astype(float)
+    strategies = tuple(product((+1, -1), repeat=m))
+    comps = _state_rows(grid)
     # The full program has rows (setting, outcome, component). In every column the
     # rows of sigma(+1|x) and sigma(-1|x) sum to the column's state, so only Bob's
     # marginal and sigma(+1|x) per setting are solved: 4m + 4 rows of full rank.
     # Columns (strategy, grid state), grid index fastest, which the certificate's
     # divmod relies on.
-    solved = np.vstack([np.ones(len(strategies)), responds[:, :, 0].T])
-    for array in (grid, responds, solved, comps):
+    solved = np.vstack([np.ones(len(strategies)), np.array(strategies).T == +1])
+    for array in (grid, solved, comps):
         array.setflags(write=False)
-    return grid, strategies, responds, solved, comps
+    return grid, strategies, solved, comps
 
 
 # The exact two-setting path of ``lhs_feasibility``. There a Hermitian 2x2 matrix is a
@@ -801,24 +818,16 @@ def _exact_two_setting(assemblage: Assemblage, grid_n: int) -> SteeringVerdict |
     else:
         return None
     certificate = []
-    rebuilt = {key: [0.0] * 4 for key in assemblage.members}
     for strategy, (weight, bloch) in zip(_TWO_STRATEGIES, entries):
-        # Weights within 1e-12 of 0 are dropped, as the grid program drops them.
-        if weight < -1e-12:
+        if weight < -_WEIGHT_FLOOR:
             return None
-        if weight <= 1e-12:
+        if weight <= _WEIGHT_FLOOR:
             continue
         length = math.sqrt(_dot(bloch, bloch))
         if length > 1 + 1e-9:
             return None
-        nx, ny, nz = (x / max(length, 1.0) for x in bloch)
-        certificate.append((strategy, (nx, ny, nz), weight))
-        for x, a in zip(assemblage.settings, strategy):
-            total = rebuilt[(x, a)]
-            for c, v in enumerate((1 + nz, 1 - nz, nx, -ny)):
-                total[c] += weight * v / 2
-    residual = max(abs(got - want) for key, member in assemblage.members.items()
-                   for got, want in zip(rebuilt[key], _real_components(member).tolist()))
+        certificate.append((strategy, tuple(x / max(length, 1.0) for x in bloch), weight))
+    residual = _certificate_residual(certificate, assemblage)
     if residual > _EXACT_RESIDUAL:
         return None
     return SteeringVerdict("UnsteerableCertified", grid_n, residual, tuple(certificate), 0)
@@ -847,12 +856,6 @@ def lhs_feasibility(assemblage: Assemblage, grid_n: int) -> SteeringVerdict:
     return _grid_feasibility(assemblage, grid_n)
 
 
-def _full_target(assemblage: Assemblage) -> np.ndarray:
-    """The full program's b: the real components of every member, (setting, outcome, 4)."""
-    return np.array([[_real_components(assemblage.members[(x, a)]) for a in (+1, -1)]
-                     for x in assemblage.settings])
-
-
 def _grid_feasibility(assemblage: Assemblage, grid_n: int) -> SteeringVerdict:
     """Search for a local-hidden-state model on a Bloch grid of grid_n² states.
 
@@ -860,45 +863,37 @@ def _grid_feasibility(assemblage: Assemblage, grid_n: int) -> SteeringVerdict:
     reconstructs it within the reported residual. Infeasible: no model exists
     *at this resolution*; pair with a CJWR violation before claiming steering.
     """
-    grid, strategies, responds, solved, comps = _lhs_structure(grid_n, len(assemblage.settings))
+    grid, strategies, solved, comps = _lhs_structure(grid_n, len(assemblage.settings))
     target = _full_target(assemblage)
     b = np.concatenate([target[0].sum(axis=0), target[:, 0].ravel()])
 
     result = solve_feasibility(solved, comps, b)
-    residual = result.objective  # the phase-1 optimum, unless a solution is found
-    if result.feasible:
-        # max |A_full x - b_full| over all 8m rows, so a signalling assemblage fails.
-        per_strategy = result.x.reshape(len(strategies), -1) @ comps
-        rebuilt = np.einsum("sxa,sc->xac", responds, per_strategy)
-        residual = float(np.max(np.abs(rebuilt - target)))
-    if result.feasible and residual < 1e-7:
-        certificate = []
-        for idx in np.nonzero(result.x > 1e-12)[0]:
-            s_idx, g_idx = divmod(int(idx), len(grid))
-            certificate.append(
-                (strategies[s_idx], tuple(float(v) for v in grid[g_idx]), float(result.x[idx]))
-            )
-        return SteeringVerdict(
-            "UnsteerableCertified", grid_n, residual, tuple(certificate), result.iterations
-        )
+    if not result.feasible:  # the residual is the phase-1 optimum
+        return SteeringVerdict("NoLHSFoundAtResolution", grid_n, result.objective, None,
+                               result.iterations)
+    certificate = []
+    for idx in np.flatnonzero(result.x > _WEIGHT_FLOOR).tolist():
+        s_idx, g_idx = divmod(idx, len(grid))
+        certificate.append((strategies[s_idx], tuple(grid[g_idx].tolist()), float(result.x[idx])))
+    residual = _certificate_residual(certificate, assemblage)  # 8m rows: signalling fails
+    if residual < 1e-7:
+        return SteeringVerdict("UnsteerableCertified", grid_n, residual, tuple(certificate),
+                               result.iterations)
     return SteeringVerdict("NoLHSFoundAtResolution", grid_n, residual, None, result.iterations)
 
 
 def replay_certificate(verdict: SteeringVerdict, assemblage: Assemblage) -> float:
-    """Rebuild sigma(a|x) from an LHS certificate; returns the worst deviation.
-    ``ValueError`` unless every entry is a state: weight ≥ 0, |bloch| ≤ 1 + 1e-12."""
+    """max |A_full x - b_full| of an LHS certificate over all 8m rows: exactly the ``residual``
+    of a certified verdict. ``ValueError`` unless every entry has m outcomes, each ±1, for
+    the m settings, and is a state: weight ≥ 0, 3 Bloch components, length ≤ 1 + 1e-12."""
     if verdict.certificate is None:
         raise ValueError("verdict carries no certificate")
+    m = len(assemblage.settings)
     for strategy, bloch, weight in verdict.certificate:
-        if not weight >= 0 or not math.hypot(*bloch) <= 1 + 1e-12:
+        if len(strategy) != m or not all(a in (+1, -1) for a in strategy):
+            raise ValueError(f"certificate entry {strategy} is not a strategy: need {m} "
+                             f"outcomes, each ±1")
+        if not weight >= 0 or len(bloch) != 3 or not math.hypot(*bloch) <= 1 + 1e-12:
             raise ValueError(f"certificate entry {strategy} is not a state: weight {weight!r}, "
                              f"Bloch vector {bloch!r}")
-    worst = 0.0
-    for ix, x in enumerate(assemblage.settings):
-        for a in (+1, -1):
-            total = np.zeros((2, 2), dtype=complex)
-            for strategy, bloch, weight in verdict.certificate:
-                if strategy[ix] == a:
-                    total += weight * _bloch_state(np.asarray(bloch))
-            worst = max(worst, float(np.max(np.abs(total - assemblage.members[(x, a)]))))
-    return worst
+    return _certificate_residual(verdict.certificate, assemblage)

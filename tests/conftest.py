@@ -3,7 +3,9 @@
 The state oracles address amplitudes one ``BasisKet`` at a time, so they check
 the package's (site, pol, oam) tensor code without relying on its layout. The
 CHSH oracles are the brute-force grid scan and the closed-form optimum.
-``lhs_program`` captures the factored grid program the solver is handed.
+``lhs_program`` captures the factored grid program the solver is handed;
+``bloch_state`` and ``real_components`` build the full LHS program's columns
+without the package's encoders.
 """
 
 import numpy as np
@@ -244,6 +246,18 @@ def horodecki_chsh_bound(rho2q: np.ndarray) -> float:
     T = np.array([[np.trace(rho2q @ np.kron(ALICE_OBSERVABLES[i], BOB_OBSERVABLES[j])).real
                    for j in ("Z", "X")] for i in ("Z", "X")])
     return float(2.0 * np.linalg.norm(np.linalg.svd(T, compute_uv=False)))
+
+
+def bloch_state(n) -> np.ndarray:
+    """The qubit state ½(I + n·σ) of Bloch vector n, its entries written out."""
+    nx, ny, nz = n
+    return 0.5 * np.array([[1 + nz, nx - 1j * ny], [nx + 1j * ny, 1 - nz]])
+
+
+def real_components(mat) -> np.ndarray:
+    """The 4 rows of a 2x2 member in the full LHS program: the real diagonal, then the
+    real and imaginary parts of the upper off-diagonal entry."""
+    return np.array([mat[0, 0].real, mat[1, 1].real, mat[0, 1].real, mat[0, 1].imag])
 
 
 def lhs_program(asm, grid_n: int):

@@ -7,7 +7,14 @@ from itertools import product
 
 import numpy as np
 import pytest
-from conftest import brute_chsh_grid, dense_matrix, horodecki_chsh_bound, lhs_program
+from conftest import (
+    bloch_state,
+    brute_chsh_grid,
+    dense_matrix,
+    horodecki_chsh_bound,
+    lhs_program,
+    real_components,
+)
 
 from photonsteer import steering
 from photonsteer.circuit import parse_circuit, run_circuit
@@ -820,9 +827,9 @@ def column_loop_program(asm: Assemblage, grid_n: int):
     for strategy in product((+1, -1), repeat=len(asm.settings)):
         responds = [float(a == b) for a in strategy for b in (+1, -1)]
         for n in fibonacci_bloch_grid(grid_n * grid_n):
-            comp = steering._real_components(steering._bloch_state(n))
+            comp = real_components(bloch_state(n))
             columns.append(np.concatenate([r * comp for r in responds]))
-    b = np.concatenate([steering._real_components(asm.members[(x, a)])
+    b = np.concatenate([real_components(asm.members[(x, a)])
                         for x in asm.settings for a in (+1, -1)])
     return np.array(columns).T, b
 
@@ -870,6 +877,22 @@ class TestLhsFeasibility:
         assert verdict.status == "NoLHSFoundAtResolution"
         with pytest.raises(ValueError, match="verdict carries no certificate"):
             replay_certificate(verdict, asm)
+
+    def test_replay_returns_the_reported_residual_bit_for_bit(self):
+        # Both paths and replay rebuild a certificate by one rule, over all 8m rows.
+        certified = 0
+        for spec in ("noisy:0.3", "noisy:0.5", "noisy:0.55", "noisy:0.69", "noisy:0",
+                     "qplate_tripartite"):
+            rho = two_qubit_frame(preset(spec))[0]
+            for settings in (("Z", "X"), ("X", "Y"), ("Z", "Y"), ("Z", "X", "Y")):
+                asm = compute_assemblage(rho, settings)
+                for grid in (6, 10, 20, 40):
+                    verdict = lhs_feasibility(asm, grid)
+                    if verdict.certificate is not None:
+                        certified += 1
+                        assert replay_certificate(verdict, asm) == verdict.residual, (
+                            spec, settings, grid)
+        assert certified == 88
 
     def test_certification_is_monotone_under_refinement(self):
         for v in (0.0, 0.4, 0.65):
@@ -1162,7 +1185,7 @@ class TestExactTwoSettingPath:
         bloch = np.array([0.3, -0.5, 0.6])
         bloch /= np.linalg.norm(bloch)
         alice = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
-        rho = DensityOperator(QUBIT_PAIR_LABELS, np.kron(alice, steering._bloch_state(bloch)))
+        rho = DensityOperator(QUBIT_PAIR_LABELS, np.kron(alice, bloch_state(bloch)))
         asm = compute_assemblage(rho, ("Z", "X"))
         with pytest.raises(ValueError, match="not of full rank"):
             steering.joint_measurability_margin(asm)
@@ -1184,6 +1207,10 @@ class TestExactTwoSettingPath:
     @pytest.mark.parametrize("entry, message", [
         (((1, 1), (0.0, 0.0, 1.0), -1e-9), "weight"),
         (((1, 1), (0.0, 0.6, 0.8 + 2e-12), 0.1), "Bloch vector"),
+        (((1, 1), (0.6, 0.8), 0.1), "Bloch vector"),
+        (((1,), (0.0, 0.0, 1.0), 0.1), r"entry \(1,\) is not a strategy: need 2 outcomes"),
+        (((1, 1, -1), (0.0, 0.0, 1.0), 0.1), "is not a strategy: need 2 outcomes"),
+        (((1, 0), (0.0, 0.0, 1.0), 0.1), r"entry \(1, 0\) is not a strategy"),
     ])
     def test_replay_rejects_an_entry_that_is_not_a_state(self, entry, message):
         asm = compute_assemblage(noisy_state(0.4), ("Z", "X"))
