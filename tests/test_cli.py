@@ -161,6 +161,17 @@ class TestSteer:
         assert doc["lhs_verdict"] == "UnsteerableCertified"
         assert "pivots" not in doc
 
+    # Made before three- and four-setting verdicts moved off the grid: every two-setting
+    # verdict (exact path, margin proof, certificate) must keep these bytes.
+    @pytest.mark.parametrize("spec", ["noisy:0.4", "noisy:0.69", "noisy:0.8", "eq1", "twc",
+                                      "hardy", "qplate_tripartite"])
+    def test_two_setting_golden_bytes(self, tmp_path, spec):
+        out = tmp_path / "steer.json"
+        assert main(["steer", "--preset", spec, "--settings", "Z,X", "--grid", "20",
+                     "--out", str(out)]) == 0
+        golden = GOLDEN / f"steer_{spec.replace(':', '_')}_ZX.json"
+        assert out.read_bytes() == golden.read_bytes()
+
     def test_solver_breakdown_exits_3(self, monkeypatch, capsys):
         monkeypatch.setattr(simplex, "MAX_PIVOTS", 1)
         # Three settings: a two-setting verdict needs no simplex.
