@@ -22,6 +22,9 @@ degenerate programs, and these are heavily degenerate, so once
 the solver switches to Bland's rule (lowest improving column in) for the
 rest of the solve, which guarantees termination. The leaving row is the
 lowest basis index among ratio ties under both rules.
+
+A solve returns its final basis and duals, and can start from a given feasible basis:
+column generation adds columns and warm-starts each round from the last basis.
 """
 
 from __future__ import annotations
@@ -54,6 +57,10 @@ class FeasibilityResult:
     residual: float  # max |A x - b| recomputed from scratch
     iterations: int
     bland_iterations: int = 0  # pivots taken after the fallback to Bland's rule
+    # Phase-1 duals y at exit, on the rows as given (b's signs undone): y·b is the optimum
+    # before x is clamped at 0, and y·A_j ≤ PIVOT_TOL for every column j.
+    duals: np.ndarray | None = None
+    basis: np.ndarray | None = None  # the final basis, a valid ``start`` for the same rows
 
 
 def _inverse(basis_matrix: np.ndarray, iterations: int) -> np.ndarray:
@@ -71,9 +78,16 @@ def _eta_step(binv: np.ndarray, direction: np.ndarray, leaving: int) -> None:
     binv[leaving] = pivot_row
 
 
-def solve_feasibility(solved: np.ndarray, comps: np.ndarray, b: np.ndarray) -> FeasibilityResult:
+def solve_feasibility(solved: np.ndarray, comps: np.ndarray, b: np.ndarray,
+                      start: np.ndarray | None = None) -> FeasibilityResult:
     """Search for x >= 0 with A x = b, A[(r, c), (s, g)] = solved[r, s] · comps[g, c].
-    An argument with a NaN or infinite entry is a ``ValueError`` that names it."""
+    An argument with a NaN or infinite entry is a ``ValueError`` that names it.
+
+    ``start`` is a basis to begin from, one column of [A | I] per row (structural columns
+    s-major, then the artificials), such as the ``basis`` of an earlier result renumbered
+    for new columns; it must be primal feasible (B⁻¹ b' ≥ 0, b' being b with its negative
+    rows negated), which keeping b and the basis columns guarantees. None starts from
+    the artificial basis."""
     solved = np.asarray(solved, dtype=float)
     comps = np.asarray(comps, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -106,11 +120,17 @@ def solve_feasibility(solved: np.ndarray, comps: np.ndarray, b: np.ndarray) -> F
     def factorize():
         return _inverse(np.column_stack([column(j) for j in basis]), iterations)
 
-    basis = np.arange(n, n + m)
-    binv = np.eye(m)
+    iterations = 0
+    if start is None:
+        basis, binv = np.arange(n, n + m), np.eye(m)
+    else:
+        basis = np.array(start, dtype=np.intp)
+        if basis.shape != (m,) or np.unique(basis).size != m or not (
+                (basis >= 0) & (basis < n + m)).all():
+            raise ValueError(f"start is not {m} distinct columns below {n + m}")
+        binv = factorize()
     since_factor = 0  # eta steps applied to binv since its factorization
 
-    iterations = 0
     bland_from = None  # pivot count at which Bland's rule took over
     best_objective = np.inf
     last_decrease = 0
@@ -163,11 +183,13 @@ def solve_feasibility(solved: np.ndarray, comps: np.ndarray, b: np.ndarray) -> F
     bland_iterations = 0 if bland_from is None else iterations - bland_from
     objective = float(cost_basic @ np.maximum(x_basic, 0.0))
     if objective > FEAS_TOL:
-        return FeasibilityResult(False, None, objective, objective, iterations, bland_iterations)
+        return FeasibilityResult(False, None, objective, objective, iterations, bland_iterations,
+                                 sign * duals, basis)
 
     x = np.zeros(n)
     structural = basis < n
     x[basis[structural]] = np.maximum(x_basic[structural], 0.0)
     rebuilt = solved @ x.reshape(strategies, states) @ comps
     residual = float(np.max(np.abs(rebuilt.ravel() - b))) if m else 0.0
-    return FeasibilityResult(True, x, objective, residual, iterations, bland_iterations)
+    return FeasibilityResult(True, x, objective, residual, iterations, bland_iterations,
+                             sign * duals, basis)

@@ -20,17 +20,22 @@ is unsteerable exactly when Bob's steering-equivalent effects are jointly
 measurable, and for two qubit effects that is the sign of a closed-form margin
 (``joint_measurability_margin``). A positive margin proves steering; a parent
 POVM of the two effects gives an LHS model of at most four hidden states.
-What that path leaves open, and every three- or four-setting request, goes to
-the grid search, an inner approximation: models are restricted to mixtures of
-pure states on a deterministic Fibonacci grid of the Bloch sphere. A feasible
-grid program certifies the assemblage unsteerable (the certificate
-reconstructs it to the reported residual); an infeasible one is evidence at
-that resolution only and should be paired with a CJWR violation for a
-steering certificate.
+Three and four settings go to column generation over the whole Bloch sphere:
+from the six axis states, each round adds the best pure state of every
+strategy under the program's duals, until the program is feasible (a
+certificate) or its duals give a steering witness, a margin that no LHS model
+of any resolution can meet (``replay_witness``). What the two-setting path
+leaves open goes to the grid search, an inner approximation: models are
+restricted to mixtures of pure states on a deterministic Fibonacci grid of
+the Bloch sphere. A feasible grid program certifies the assemblage
+unsteerable (the certificate reconstructs it to the reported residual); an
+infeasible one is evidence at that resolution only and should be paired with
+a CJWR violation for a steering certificate.
 
-Both searches are sized by one number each, and ``check_grid`` and
-``check_chsh_step`` are the only copies of their bounds: each raises
-``OutOfRange`` before its search allocates anything.
+The grid and CHSH searches are sized by one number each, and ``check_grid``
+and ``check_chsh_step`` are the only copies of their bounds: each raises
+``OutOfRange`` before its search allocates anything. Column generation stops
+after ``_MAX_ROUNDS`` rounds, each adding at most 2^m states.
 """
 
 from __future__ import annotations
@@ -77,9 +82,10 @@ QUBIT_PAIR_LABELS = ("A0|B0", "A0|B1", "A1|B0", "A1|B1")
 # Bob's site when a state declares it and none is named (``frame_sites``).
 BOB_SITE = "PUE"
 
-# The LHS program has one column per strategy and grid state, 2^m · grid_n² in all;
-# Z,X,Y at MAX_GRID is a 16 × 80 000 program, handed to the solver as its 4 × 8 and
-# 10 000 × 4 Kronecker factors: 4-16 ms for 26-142 pivots, ~2.4 MiB peak (2-vCPU Xeon).
+# The grid program has one column per strategy and grid state, 2^m · grid_n² in all.
+# Only two-setting requests that the exact path leaves open reach it: at MAX_GRID a
+# 12 × 40 000 program, handed to the solver as its 3 × 4 and 10 000 × 4 Kronecker
+# factors, 3.7-7.2 ms for 28-92 pivots on noisy(v), Z,X, ~1.2 MiB peak (2-vCPU Xeon).
 MIN_GRID = 6
 MAX_GRID = 100
 # Degrees. The CHSH search holds the k² floats of E, k = 360 / step, and O(k) arrays for
@@ -165,7 +171,8 @@ class Assemblage:
 
 @dataclass(frozen=True)
 class SteeringVerdict:
-    """Outcome of ``lhs_feasibility``, from the exact two-setting path or the grid program.
+    """Outcome of ``lhs_feasibility``: from the exact two-setting path, column generation
+    (three or four settings) or the grid program (what the exact path leaves open).
 
     ``certificate`` (certified case) lists (strategy, bloch_vector, weight)
     triples; a strategy assigns an outcome to each setting in order. It is
@@ -174,20 +181,32 @@ class SteeringVerdict:
     program (the 4 real components of every sigma(a|x)), rebuilt from the
     certificate: exactly what ``replay_certificate`` returns. So an assemblage
     that signals is never certified: at most 1e-9 on the exact path, below 1e-7
-    on the grid.
+    from a program.
 
     Exact path (two settings): ``grid_n`` echoes the request, as no grid is
     built, and ``pivots`` is 0. Its certificate has at most four hidden states,
     which may be mixed (|bloch| < 1). Its ``NoLHSFoundAtResolution`` is a proof,
     and ``residual`` is then the joint-measurability margin, above 1e-9.
 
-    Grid program: the solver gets 4m + 4 rows of full rank for m settings, 4
-    real components each of Bob's marginal (from the first setting) and of
+    Both programs solve 4m + 4 rows of full rank for m settings, 4 real
+    components each of Bob's marginal (from the first setting) and of
     sigma(+1|x) per setting; the full program's other 4(m - 1) rows,
-    sigma(-1|x) for every x, follow from these under no-signalling. Its
-    certificate holds pure grid states. Without one, ``residual`` is the
-    phase-1 optimum of the 4m + 4-row program, or the 8m-row residual of the
-    certificate if the solved rows were met. ``pivots`` counts the simplex pivots.
+    sigma(-1|x) for every x, follow from these under no-signalling. Their
+    certificates hold pure states. ``pivots`` counts the simplex pivots, over
+    every round of column generation.
+
+    Column generation (three or four settings): ``grid_n`` echoes the request,
+    as no grid is built. Its ``NoLHSFoundAtResolution`` is a proof unless it
+    is left open past the round cap. A proof carries the duals y of the solved
+    rows as ``witness``, and ``residual`` is the witness margin, above 1e-9,
+    exactly what ``replay_witness`` returns; or, without a witness, the 8m-row
+    residual of a certificate that met the solved rows but not the full ones
+    (an assemblage that signals). Left open, it has neither, and ``residual``
+    is the last phase-1 optimum.
+
+    Grid program: without a certificate, ``residual`` is the phase-1 optimum of
+    the 4m + 4-row program, or the 8m-row residual of the certificate if the
+    solved rows were met.
     """
 
     status: str  # UnsteerableCertified | NoLHSFoundAtResolution
@@ -195,6 +214,7 @@ class SteeringVerdict:
     residual: float
     certificate: tuple[tuple[tuple[int, ...], tuple[float, float, float], float], ...] | None
     pivots: int  # simplex pivots the program took
+    witness: tuple[float, ...] | None = None  # duals y of a steering witness
 
 
 @dataclass(frozen=True)
@@ -598,36 +618,49 @@ def _full_target(assemblage: Assemblage) -> np.ndarray:
 _WEIGHT_FLOOR = 1e-12
 
 
-def _certificate_residual(certificate, assemblage: Assemblage) -> float:
-    """max |A_full x - b_full| of an LHS certificate over all 8m rows of the full program:
-    each (strategy, bloch, weight) entry adds its weighted state rows to sigma(a|x) for
-    the outcome a its strategy gives each setting x."""
-    m = len(assemblage.settings)
+def _certificate_residual(certificate, target: np.ndarray) -> float:
+    """max |A_full x - b_full| of an LHS certificate over all 8m rows of the full program,
+    ``target`` being b_full (``_full_target``): each (strategy, bloch, weight) entry adds its
+    weighted state rows to sigma(a|x) for the outcome a its strategy gives each setting x."""
+    m = target.shape[0]
     entries = np.array([(*s, *bloch, w) for s, bloch, w in certificate], float).reshape(-1, m + 4)
     answers = entries[:, :m, None] == (+1, -1)  # [entry, x, a]: strategy answers a to x
     rebuilt = np.einsum("sxa,sc->xac", answers, entries[:, -1:] * _state_rows(entries[:, m:-1]))
-    return float(np.abs(rebuilt - _full_target(assemblage)).max())
+    return float(np.abs(rebuilt - target).max())
+
+
+def _solved_target(target: np.ndarray) -> np.ndarray:
+    """The program's b from the full one: Bob's marginal from the first setting, then
+    sigma(+1|x) for each setting, 4 real components each (4m + 4 rows)."""
+    return np.concatenate([target[0].sum(axis=0), target[:, 0].ravel()])
+
+
+@functools.lru_cache(maxsize=4)
+def _strategies(m: int):
+    """The deterministic strategies of m settings and the program's left factor, read-only:
+    (strategies, solved). The full program has rows (setting, outcome, component); in
+    every column the rows of sigma(+1|x) and sigma(-1|x) sum to the column's state, so
+    only Bob's marginal and sigma(+1|x) per setting are solved, 4m + 4 rows of full rank:
+    ``solved[r, s]`` is 1 where strategy s puts its state in row group r."""
+    strategies = tuple(product((+1, -1), repeat=m))
+    solved = np.vstack([np.ones(len(strategies)), np.array(strategies).T == +1])
+    solved.setflags(write=False)
+    return strategies, solved
 
 
 # Bounded, so that grids MIN_GRID..MAX_GRID × 1-4 settings cannot pile up: a run of
 # requests uses a few dozen (grid_n, m) pairs, and an entry at MAX_GRID holds ~0.6 MB.
 @functools.lru_cache(maxsize=32)
 def _lhs_structure(grid_n: int, m: int):
-    """The parts of the LHS program that depend only on the grid and the setting count,
+    """The parts of the grid program that depend only on the grid and the setting count,
     read-only: (grid, strategies, solved, comps). Column (s, g) of the program is the
-    Kronecker product of ``solved[:, s]`` and ``comps[g]``."""
+    Kronecker product of ``solved[:, s]`` and ``comps[g]``, grid index fastest, which the
+    certificate's divmod relies on."""
     grid = fibonacci_bloch_grid(grid_n * grid_n)
-    strategies = tuple(product((+1, -1), repeat=m))
     comps = _state_rows(grid)
-    # The full program has rows (setting, outcome, component). In every column the
-    # rows of sigma(+1|x) and sigma(-1|x) sum to the column's state, so only Bob's
-    # marginal and sigma(+1|x) per setting are solved: 4m + 4 rows of full rank.
-    # Columns (strategy, grid state), grid index fastest, which the certificate's
-    # divmod relies on.
-    solved = np.vstack([np.ones(len(strategies)), np.array(strategies).T == +1])
-    for array in (grid, solved, comps):
+    for array in (grid, comps):
         array.setflags(write=False)
-    return grid, strategies, solved, comps
+    return (grid, *_strategies(m), comps)
 
 
 # The exact two-setting path of ``lhs_feasibility``. There a Hermitian 2x2 matrix is a
@@ -827,7 +860,7 @@ def _exact_two_setting(assemblage: Assemblage, grid_n: int) -> SteeringVerdict |
         if length > 1 + 1e-9:
             return None
         certificate.append((strategy, tuple(x / max(length, 1.0) for x in bloch), weight))
-    residual = _certificate_residual(certificate, assemblage)
+    residual = _certificate_residual(certificate, _full_target(assemblage))
     if residual > _EXACT_RESIDUAL:
         return None
     return SteeringVerdict("UnsteerableCertified", grid_n, residual, tuple(certificate), 0)
@@ -842,8 +875,10 @@ def lhs_feasibility(assemblage: Assemblage, grid_n: int) -> SteeringVerdict:
     (``joint_measurability_margin``) above ``_MARGIN_TOL`` proves that no model exists at
     any resolution. Neither uses the grid, and ``pivots`` is 0. What that path leaves
     open (a margin within ``_MARGIN_TOL`` of 0, a parent it does not find, a certificate
-    that does not rebuild the assemblage), and every program of three or four settings,
-    goes to the grid program (``_grid_feasibility``).
+    that does not rebuild the assemblage) goes to the grid program (``_grid_feasibility``).
+    Three and four settings go to column generation over the whole Bloch sphere
+    (``_column_generation``), which builds no grid either: ``grid_n`` is checked and
+    echoed.
     """
     grid_n = check_grid(grid_n)
     m = len(assemblage.settings)
@@ -853,7 +888,30 @@ def lhs_feasibility(assemblage: Assemblage, grid_n: int) -> SteeringVerdict:
         verdict = _exact_two_setting(assemblage, grid_n)
         if verdict is not None:
             return verdict
+    if m > 2:
+        return _column_generation(assemblage, grid_n)
     return _grid_feasibility(assemblage, grid_n)
+
+
+# A program certificate must rebuild the full program's 8m rows below this.
+_PROGRAM_RESIDUAL = 1e-7
+
+
+def _program_verdict(x: np.ndarray, strategies, states: np.ndarray, target: np.ndarray,
+                     grid_n: int, pivots: int) -> SteeringVerdict:
+    """The verdict of a feasible program over the Bloch ``states``, from its solution x
+    (columns strategy-major, state index fastest): certified if the certificate of its
+    weights above ``_WEIGHT_FLOOR`` rebuilds all 8m rows of ``target`` below
+    ``_PROGRAM_RESIDUAL``, else not found with that residual (an assemblage that signals)."""
+    certificate = []
+    for idx in np.flatnonzero(x > _WEIGHT_FLOOR).tolist():
+        s_idx, g_idx = divmod(idx, len(states))
+        certificate.append((strategies[s_idx], tuple(states[g_idx].tolist()), float(x[idx])))
+    residual = _certificate_residual(certificate, target)
+    if residual < _PROGRAM_RESIDUAL:
+        return SteeringVerdict("UnsteerableCertified", grid_n, residual, tuple(certificate),
+                               pivots)
+    return SteeringVerdict("NoLHSFoundAtResolution", grid_n, residual, None, pivots)
 
 
 def _grid_feasibility(assemblage: Assemblage, grid_n: int) -> SteeringVerdict:
@@ -865,21 +923,87 @@ def _grid_feasibility(assemblage: Assemblage, grid_n: int) -> SteeringVerdict:
     """
     grid, strategies, solved, comps = _lhs_structure(grid_n, len(assemblage.settings))
     target = _full_target(assemblage)
-    b = np.concatenate([target[0].sum(axis=0), target[:, 0].ravel()])
-
-    result = solve_feasibility(solved, comps, b)
+    result = solve_feasibility(solved, comps, _solved_target(target))
     if not result.feasible:  # the residual is the phase-1 optimum
         return SteeringVerdict("NoLHSFoundAtResolution", grid_n, result.objective, None,
                                result.iterations)
-    certificate = []
-    for idx in np.flatnonzero(result.x > _WEIGHT_FLOOR).tolist():
-        s_idx, g_idx = divmod(idx, len(grid))
-        certificate.append((strategies[s_idx], tuple(grid[g_idx].tolist()), float(result.x[idx])))
-    residual = _certificate_residual(certificate, assemblage)  # 8m rows: signalling fails
-    if residual < 1e-7:
-        return SteeringVerdict("UnsteerableCertified", grid_n, residual, tuple(certificate),
-                               result.iterations)
-    return SteeringVerdict("NoLHSFoundAtResolution", grid_n, residual, None, result.iterations)
+    return _program_verdict(result.x, strategies, grid, target, grid_n, result.iterations)
+
+
+# Column generation (Gilmore & Gomory, Oper. Res. 9, 849 (1961)) starts from these six
+# states for every strategy.
+_AXIS_STATES = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                         [0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+_AXIS_STATES.setflags(write=False)
+# A strategy whose best state would price above this adds that state.
+_PRICE_TOL = 1e-10
+# A witness margin must exceed this. Measured rounding of the float margin against a
+# 50-digit recomputation from the same duals: at most 4.6e-16 on 400 random frames of
+# rank 1-4 (rng 7) with Z,X,Y and with a fourth setting along (1, 1, 1)/√3, and 1.2e-16
+# on noisy(v), Z,X,Y, v = 0.3 … 1 by 0.005. noisy(1/√3 + 1e-6) reads 7.5e-7.
+_WITNESS_TOL = 1e-9
+# Rounds (solves) of column generation before the verdict is left open. Measured: at most
+# 11 rounds on the Z,X,Y frames above and 9 with the fourth setting, 7 on hardy:q,r over
+# θ = 0.2 … 1.3, 2 on noisy(v); every one of them was decided.
+_MAX_ROUNDS = 40
+
+
+def _witness_bounds(y: np.ndarray, b: np.ndarray, solved: np.ndarray):
+    """The whole-sphere reading of duals y of the program's rows: (margin, beta, length, top).
+
+    Column (s, n) of the program prices at y·col = α_s + β_s·n, with W = solvedᵀY (Y the
+    duals on the (row group, component) grid), α_s = ½(W₀ + W₁) and
+    β_s = ½(W₂, −W₃, W₀ − W₁); over the Bloch sphere strategy s peaks at
+    top_s = α_s + |β_s|, on n = β_s/|β_s|. An LHS model spreads weight tr ρ_B = b₀ + b₁
+    over pure states, so it gives y·b ≤ tr ρ_B · max_s top_s: a positive
+    margin y·b − tr ρ_B · max_s top_s proves that none exists (Cavalcanti & Skrzypczyk,
+    Rep. Prog. Phys. 80, 024001 (2017))."""
+    w = solved.T @ y.reshape(-1, 4)
+    beta = 0.5 * np.column_stack([w[:, 2], -w[:, 3], w[:, 0] - w[:, 1]])
+    length = np.sqrt((beta * beta).sum(axis=1))
+    top = 0.5 * (w[:, 0] + w[:, 1]) + length
+    return float(y @ b - (b[0] + b[1]) * top.max()), beta, length, top
+
+
+def _column_generation(assemblage: Assemblage, grid_n: int) -> SteeringVerdict:
+    """Decide a program of three or four settings over the whole Bloch sphere.
+
+    The program starts with the six axis states (``_AXIS_STATES``) for every strategy.
+    A feasible round gives a certificate under ``_program_verdict``'s rule. Otherwise its
+    phase-1 duals y price every Bloch state in closed form (``_witness_bounds``): a margin
+    above ``_WITNESS_TOL`` is a steering witness over the whole sphere, reported as
+    ``NoLHSFoundAtResolution`` with the margin as ``residual`` and y as ``witness``
+    (``replay_witness``). Else every strategy whose best state prices above
+    ``_PRICE_TOL`` adds that state, for every strategy, and the program is solved again.
+    After ``_MAX_ROUNDS`` rounds, or a round that adds no state, the verdict is left open:
+    ``NoLHSFoundAtResolution`` with the last phase-1 optimum and no witness. ``pivots``
+    sums the rounds.
+    """
+    strategies, solved = _strategies(len(assemblage.settings))
+    target = _full_target(assemblage)
+    b = _solved_target(target)
+    states, pivots, start = _AXIS_STATES, 0, None
+    for _ in range(_MAX_ROUNDS):
+        result = solve_feasibility(solved, _state_rows(states), b, start)
+        pivots += result.iterations
+        if result.feasible:
+            return _program_verdict(result.x, strategies, states, target, grid_n, pivots)
+        margin, beta, length, top = _witness_bounds(result.duals, b, solved)
+        if margin > _WITNESS_TOL:
+            return SteeringVerdict("NoLHSFoundAtResolution", grid_n, margin, None, pivots,
+                                   tuple(result.duals.tolist()))
+        grow = (top > _PRICE_TOL) & (length > 0)
+        if not grow.any():
+            break
+        grown = np.vstack([states, beta[grow] / length[grow, None]])
+        # The last basis, renumbered for the grown program, starts the next round: its
+        # columns and b are unchanged, so it is still feasible. An artificial (past the
+        # last strategy) shifts by the new columns.
+        strategy, state = np.divmod(result.basis, len(states))
+        start = np.where(strategy < len(strategies), strategy * len(grown) + state,
+                         result.basis + len(strategies) * (len(grown) - len(states)))
+        states = grown
+    return SteeringVerdict("NoLHSFoundAtResolution", grid_n, result.objective, None, pivots)
 
 
 def replay_certificate(verdict: SteeringVerdict, assemblage: Assemblage) -> float:
@@ -896,4 +1020,21 @@ def replay_certificate(verdict: SteeringVerdict, assemblage: Assemblage) -> floa
         if not weight >= 0 or len(bloch) != 3 or not math.hypot(*bloch) <= 1 + 1e-12:
             raise ValueError(f"certificate entry {strategy} is not a state: weight {weight!r}, "
                              f"Bloch vector {bloch!r}")
-    return _certificate_residual(verdict.certificate, assemblage)
+    return _certificate_residual(verdict.certificate, _full_target(assemblage))
+
+
+def replay_witness(verdict: SteeringVerdict, assemblage: Assemblage) -> float:
+    """The steering-witness margin of a verdict, from its ``witness`` y and the members
+    alone: y·b − tr ρ_B · max over strategies and Bloch states of y·col, exactly the
+    ``residual`` of a witnessed verdict. ``ValueError`` unless y has one finite entry per
+    program row (4m + 4) and the margin exceeds ``_WITNESS_TOL``."""
+    if verdict.witness is None:
+        raise ValueError("verdict carries no witness")
+    m = len(assemblage.settings)
+    y = np.array(verdict.witness, dtype=float)
+    if y.shape != (4 * m + 4,) or not np.isfinite(y).all():
+        raise ValueError(f"witness {verdict.witness!r} is not {4 * m + 4} finite duals")
+    margin = _witness_bounds(y, _solved_target(_full_target(assemblage)), _strategies(m)[1])[0]
+    if not margin > _WITNESS_TOL:
+        raise ValueError(f"witness margin {margin!r} is not above {_WITNESS_TOL}")
+    return margin

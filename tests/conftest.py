@@ -5,8 +5,11 @@ the package's (site, pol, oam) tensor code without relying on its layout. The
 CHSH oracles are the brute-force grid scan and the closed-form optimum.
 ``lhs_program`` captures the factored grid program the solver is handed;
 ``bloch_state`` and ``real_components`` build the full LHS program's columns
-without the package's encoders.
+without the package's encoders, and ``witness_oracle`` checks a steering
+witness with them on random Bloch directions.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -280,3 +283,31 @@ def dense_matrix(solved, comps) -> np.ndarray:
     """A[(r, c), (s, g)] = solved[r, s] · comps[g, c], rows r-major, columns s-major."""
     return np.einsum("rs,gc->rcsg", solved, comps).reshape(
         solved.shape[0] * comps.shape[1], -1)
+
+
+@functools.lru_cache(maxsize=1)
+def sphere_rows(count: int = 20_000, seed: int = 26) -> np.ndarray:
+    """``real_components(bloch_state(n))`` of ``count`` seeded random unit vectors n."""
+    directions = np.random.default_rng(seed).normal(size=(count, 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    rows = np.array([real_components(bloch_state(n)) for n in directions])
+    rows.setflags(write=False)
+    return rows
+
+
+def witness_oracle(asm, y) -> float:
+    """y·b − tr ρ_B · max over strategies and 20 000 random Bloch directions of y·col.
+
+    The rows are the program's: Bob's marginal from the first setting, then σ(+1|x) per
+    setting, 4 real components each. Column (s, n) holds n's components in the marginal
+    rows and in the σ(+1|x) rows of the settings x where strategy s answers +1, so the
+    best strategy for n answers +1 exactly where those rows price above 0. A witness
+    holds on the sampled directions when this is at least its reported margin: the
+    sampled maximum cannot exceed the whole sphere's."""
+    settings = asm.settings
+    marginal = asm.members[(settings[0], +1)] + asm.members[(settings[0], -1)]
+    b = np.concatenate([real_components(marginal)]
+                       + [real_components(asm.members[(x, +1)]) for x in settings])
+    prices = sphere_rows() @ np.asarray(y, dtype=float).reshape(len(settings) + 1, 4).T
+    best = prices[:, 0] + np.maximum(prices[:, 1:], 0.0).sum(axis=1)
+    return float(np.asarray(y) @ b - np.trace(marginal).real * best.max())

@@ -305,3 +305,45 @@ class TestDenseOracle:
     def test_singular_refactorization_raises_typed_breakdown(self):
         with pytest.raises(SolverBreakdown, match="singular basis after 7 iterations"):
             simplex._inverse(np.zeros((2, 2)), 7)
+
+
+class TestDualsAndStart:
+    """The exit duals and basis that column generation reads, and a warm start from them."""
+
+    @pytest.mark.parametrize("case", ORACLE_CASES[::7], ids=oracle_case_id)
+    def test_duals_price_every_column_and_give_the_optimum(self, case):
+        solved, comps, b = oracle_program(case)
+        result = solve_feasibility(solved, comps, b)
+        A = dense_matrix(solved, comps)
+        assert result.duals.shape == b.shape
+        assert (result.duals @ A).max() <= PIVOT_TOL + 1e-12
+        assert (np.where(b < 0, -1.0, 1.0) * result.duals).max() <= 1.0 + 1e-12
+        assert result.duals @ b == pytest.approx(result.objective, abs=1e-9)
+
+    @pytest.mark.parametrize("case", ORACLE_CASES[::7], ids=oracle_case_id)
+    def test_a_solve_from_its_own_basis_takes_no_pivot(self, case):
+        solved, comps, b = oracle_program(case)
+        result = solve_feasibility(solved, comps, b)
+        again = solve_feasibility(solved, comps, b, result.basis)
+        assert again.iterations == 0
+        assert (again.feasible, again.objective) == pytest.approx(
+            (result.feasible, result.objective), abs=1e-12)
+
+    @pytest.mark.parametrize("v", [0.4, 0.9])
+    def test_a_warm_start_after_new_columns_keeps_the_verdict(self, v):
+        solved, comps, b = lhs_program(compute_assemblage(noisy_state(v), ("Z", "X", "Y")), 10)
+        first = solve_feasibility(solved, comps[:40], b)
+        # Renumber the basis for 100 states a strategy; artificials follow all columns.
+        strategy, state = np.divmod(first.basis, 40)
+        start = np.where(strategy < solved.shape[1], strategy * 100 + state,
+                         first.basis + solved.shape[1] * 60)
+        warm = solve_feasibility(solved, comps, b, start)
+        cold = solve_feasibility(solved, comps, b)
+        assert warm.feasible == cold.feasible == (v < 0.5)
+        assert warm.iterations <= first.iterations + cold.iterations
+
+    @pytest.mark.parametrize("start", [[0, 1], [0, 0, 1], [0, 1, 5], [-1, 0, 1]])
+    def test_a_start_that_is_not_a_basis_is_refused(self, start):
+        with pytest.raises(ValueError, match="start is not 3 distinct columns below 5"):
+            solve_feasibility(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), DENSE,
+                              np.array([0.5, 0.5, 1.0]), start)

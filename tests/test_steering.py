@@ -14,6 +14,7 @@ from conftest import (
     horodecki_chsh_bound,
     lhs_program,
     real_components,
+    witness_oracle,
 )
 
 from photonsteer import steering
@@ -50,6 +51,7 @@ from photonsteer.steering import (
     path_amplitudes,
     pol_path_qubits,
     replay_certificate,
+    replay_witness,
     two_qubit_frame,
 )
 
@@ -892,7 +894,9 @@ class TestLhsFeasibility:
                         certified += 1
                         assert replay_certificate(verdict, asm) == verdict.residual, (
                             spec, settings, grid)
-        assert certified == 88
+        # 88 on the grid program; Z,X,Y column generation adds qplate_tripartite at every
+        # grid_n (6, 10, 20, 40), whose pole states no grid holds.
+        assert certified == 92
 
     def test_certification_is_monotone_under_refinement(self):
         for v in (0.0, 0.4, 0.65):
@@ -1218,6 +1222,167 @@ class TestExactTwoSettingPath:
         forged = dataclasses.replace(verdict, certificate=verdict.certificate + (entry,))
         with pytest.raises(ValueError, match=message):
             replay_certificate(forged, asm)
+
+
+DIAGONAL = sum(ALICE_OBSERVABLES[x] for x in ("Z", "X", "Y")) / math.sqrt(3)
+
+
+def with_diagonal_setting(rho: DensityOperator) -> Assemblage:
+    """The Z,X,Y assemblage of a frame and a fourth setting D along (1, 1, 1)/√3, its
+    members σ(a|D) = Tr_A[((I + a·D)/2 ⊗ I) ρ] written out as in ``compute_assemblage``."""
+    asm = compute_assemblage(rho, ("Z", "X", "Y"))
+    frame = np.asarray(rho.matrix).reshape(2, 2, 2, 2)
+    members = dict(asm.members)
+    for a in (+1, -1):
+        members[("D", a)] = np.einsum("ac,cbad->bd", (IDENTITY + a * DIAGONAL) / 2, frame)
+    return Assemblage(("Z", "X", "Y", "D"), members)
+
+
+def assert_decided(verdict, asm: Assemblage) -> None:
+    """A column-generation verdict: a certificate of pure states that replays below 1e-7,
+    or a witness whose margin replays bit for bit and holds on 20 000 random directions."""
+    if verdict.status == "UnsteerableCertified":
+        assert verdict.witness is None
+        assert verdict.residual < 1e-7 and replay_certificate(verdict, asm) == verdict.residual
+        assert all(abs(math.hypot(*bloch) - 1) < 1e-12 for _, bloch, _ in verdict.certificate)
+    else:
+        assert verdict.certificate is None and verdict.witness is not None
+        assert verdict.residual > steering._WITNESS_TOL
+        assert replay_witness(verdict, asm) == verdict.residual
+        assert witness_oracle(asm, verdict.witness) >= verdict.residual - 1e-12
+
+
+class TestColumnGeneration:
+    """Three- and four-setting verdicts over the whole Bloch sphere, against the exact
+    noisy thresholds, the grid program and an independent witness oracle."""
+
+    @pytest.fixture(scope="class")
+    def random_cases(self):
+        """(assemblage, verdict) for 400 random frames of rank 1-4 with Z,X,Y."""
+        cases = []
+        for rho in ranked_frames():
+            asm = compute_assemblage(rho, ("Z", "X", "Y"))
+            cases.append((asm, lhs_feasibility(asm, 20)))
+        return cases
+
+    @pytest.mark.parametrize("offset, want", [(-1e-6, "UnsteerableCertified"),
+                                              (0.0, "UnsteerableCertified"),
+                                              (1e-6, "NoLHSFoundAtResolution")])
+    def test_noisy_is_decided_on_both_sides_of_one_over_root_three(self, offset, want):
+        asm = compute_assemblage(noisy_state(1 / math.sqrt(3) + offset), ("Z", "X", "Y"))
+        verdict = lhs_feasibility(asm, 20)
+        assert verdict.status == want and verdict.grid_n == 20
+        assert_decided(verdict, asm)
+        # the grid program proves neither side
+        assert steering._grid_feasibility(asm, 20).status == "NoLHSFoundAtResolution"
+
+    @pytest.mark.parametrize("spec", ["eq1", "twc", "hardy", "hardy:0.6,0.8"])
+    def test_photon_presets_are_witnessed(self, spec):
+        asm = compute_assemblage(two_qubit_frame(preset(spec))[0], ("Z", "X", "Y"))
+        verdict = lhs_feasibility(asm, 20)
+        assert verdict.status == "NoLHSFoundAtResolution"
+        assert_decided(verdict, asm)
+
+    def test_qplate_tripartite_is_certified_by_the_axis_states(self, monkeypatch):
+        asm = compute_assemblage(two_qubit_frame(preset("qplate_tripartite"))[0],
+                                 ("Z", "X", "Y"))
+        solves = []
+        monkeypatch.setattr(steering, "solve_feasibility",
+                            lambda *args: solves.append(args) or solve_feasibility(*args))
+        verdict = lhs_feasibility(asm, 20)
+        assert verdict.status == "UnsteerableCertified" and len(solves) == 1
+        assert_decided(verdict, asm)
+        assert {bloch for _, bloch, _ in verdict.certificate} <= {
+            tuple(n) for n in steering._AXIS_STATES.tolist()}
+
+    def test_every_random_frame_is_decided(self, random_cases):
+        statuses = [verdict.status for _, verdict in random_cases]
+        assert statuses.count("UnsteerableCertified") == 216
+        for asm, verdict in random_cases:
+            assert_decided(verdict, asm)
+
+    def test_no_witness_where_the_grid_certifies(self, random_cases):
+        certified = 0
+        for asm, verdict in random_cases:
+            if steering._grid_feasibility(asm, 20).status == "UnsteerableCertified":
+                certified += 1
+                assert verdict.status == "UnsteerableCertified"
+        assert certified > 150
+
+    def test_four_settings_are_decided(self):
+        statuses = set()
+        for rho in ranked_frames(40, seed=26):
+            asm = with_diagonal_setting(rho)
+            verdict = lhs_feasibility(asm, 20)
+            assert len(verdict.witness or ()) in (0, 20)
+            assert_decided(verdict, asm)
+            statuses.add(verdict.status)
+        assert statuses == {"UnsteerableCertified", "NoLHSFoundAtResolution"}
+
+    def test_no_grid_is_built(self, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(steering, "fibonacci_bloch_grid", no_grid)
+        steering._lhs_structure.cache_clear()
+        for v in (0.4, 0.9):
+            asm = compute_assemblage(noisy_state(v), ("Z", "X", "Y"))
+            assert lhs_feasibility(asm, 100).grid_n == 100
+
+    def test_a_strategy_with_no_bloch_part_adds_no_state(self, monkeypatch):
+        # Duals on the marginal's diagonal alone: every strategy prices at 1 everywhere,
+        # β = 0 for all of them, the margin is 0, and there is no state to add.
+        asm = compute_assemblage(noisy_state(0.9), ("Z", "X", "Y"))
+        duals = np.zeros(16)
+        duals[:2] = 1.0
+        solves = []
+
+        def infeasible(solved, comps, b, start=None):
+            solves.append(start)
+            return dataclasses.replace(solve_feasibility(solved, comps, b), feasible=False,
+                                       x=None, objective=0.5, duals=duals)
+
+        monkeypatch.setattr(steering, "solve_feasibility", infeasible)
+        verdict = lhs_feasibility(asm, 20)  # a RuntimeWarning would fail here
+        assert solves == [None]
+        assert verdict == steering.SteeringVerdict("NoLHSFoundAtResolution", 20, 0.5, None,
+                                                   verdict.pivots)
+
+    def test_past_the_round_cap_the_verdict_is_open(self, monkeypatch):
+        asm = compute_assemblage(two_qubit_frame(preset("hardy"))[0], ("Z", "X", "Y"))
+        monkeypatch.setattr(steering, "_MAX_ROUNDS", 1)
+        verdict = lhs_feasibility(asm, 20)
+        assert verdict.status == "NoLHSFoundAtResolution"
+        assert verdict.witness is None and verdict.certificate is None
+        assert verdict.residual > 0
+        with pytest.raises(ValueError, match="verdict carries no witness"):
+            replay_witness(verdict, asm)
+
+    def test_signalling_assemblage_is_never_certified(self):
+        members = dict(compute_assemblage(noisy_state(0.4), ("Z", "X", "Y")).members)
+        members[("Y", +1)] = members[("Y", +1)] + 1e-3 * IDENTITY
+        asm = Assemblage(("Z", "X", "Y"), members)
+        verdict = lhs_feasibility(asm, 20)
+        assert verdict.status == "NoLHSFoundAtResolution" and verdict.certificate is None
+        assert verdict.residual > 1e-7
+
+    def test_replay_refuses_a_witness_that_does_not_hold(self):
+        steerable = compute_assemblage(noisy_state(0.9), ("Z", "X", "Y"))
+        verdict = lhs_feasibility(steerable, 20)
+        assert replay_witness(verdict, steerable) == verdict.residual
+        unsteerable = compute_assemblage(noisy_state(0.3), ("Z", "X", "Y"))
+        with pytest.raises(ValueError, match="margin .* is not above 1e-09"):
+            replay_witness(verdict, unsteerable)
+        for forged in (verdict.witness[:-1], (math.nan,) + verdict.witness[1:]):
+            with pytest.raises(ValueError, match="is not 16 finite duals"):
+                replay_witness(dataclasses.replace(verdict, witness=forged), steerable)
+        with pytest.raises(ValueError, match="verdict carries no witness"):
+            replay_witness(lhs_feasibility(unsteerable, 20), unsteerable)
+
+    def test_verdicts_repeat_bit_for_bit(self):
+        for spec in ("noisy:0.57", "noisy:0.6", "hardy"):
+            asm = compute_assemblage(two_qubit_frame(preset(spec))[0], ("Z", "X", "Y"))
+            assert lhs_feasibility(asm, 10) == lhs_feasibility(asm, 10)
 
 
 class TestFibonacciGrid:
