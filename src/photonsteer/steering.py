@@ -940,7 +940,8 @@ _PRICE_TOL = 1e-10
 # A witness margin must exceed this. Measured rounding of the float margin against a
 # 50-digit recomputation from the same duals: at most 4.6e-16 on 400 random frames of
 # rank 1-4 (rng 7) with Z,X,Y and with a fourth setting along (1, 1, 1)/√3, and 1.2e-16
-# on noisy(v), Z,X,Y, v = 0.3 … 1 by 0.005. noisy(1/√3 + 1e-6) reads 7.5e-7.
+# on noisy(v), Z,X,Y, v = 0.3 … 1 by 0.005. 1e-9, as for the two-setting margin, is over
+# 10⁶ times that, and below noisy(1/√3 + 1e-6), which reads 7.5e-7.
 _WITNESS_TOL = 1e-9
 # Rounds (solves) of column generation before the verdict is left open. Measured: at most
 # 11 rounds on the Z,X,Y frames above and 9 with the fourth setting, 7 on hardy:q,r over
