@@ -1276,6 +1276,13 @@ class TestColumnGeneration:
         # the grid program proves neither side
         assert steering._grid_feasibility(asm, 20).status == "NoLHSFoundAtResolution"
 
+    def test_noisy_flips_once_at_one_over_root_three(self):
+        for v in np.round(np.arange(0.0, 1.001, 0.01), 2):
+            asm = compute_assemblage(noisy_state(v), ("Z", "X", "Y"))
+            verdict = lhs_feasibility(asm, 10)
+            assert (verdict.status == "UnsteerableCertified") == (v <= 1 / math.sqrt(3)), v
+            assert verdict.certificate is not None or verdict.witness is not None, v
+
     @pytest.mark.parametrize("spec", ["eq1", "twc", "hardy", "hardy:0.6,0.8"])
     def test_photon_presets_are_witnessed(self, spec):
         asm = compute_assemblage(two_qubit_frame(preset(spec))[0], ("Z", "X", "Y"))
