@@ -10,15 +10,15 @@ Subcommands::
 ``steer`` and ``report`` take their two-qubit frame from ``steering.two_qubit_frame``
 (occ-occ for a path-only state, else pol-path, which allows no vacuum weight).
 The LHS verdict of ``steer`` and ``sweep`` comes from ``steering.lhs_feasibility``.
-Two settings are exact wherever Bob's marginal allows (``grid_n`` then only echoes
---grid, and ``lhs_residual`` of an unfound model is the joint-measurability margin),
-else they go to the --grid Bloch grid program (``lhs_residual`` of an unfound model is
-its phase-1 optimum). Three settings go to column generation over the whole Bloch
-sphere, which builds no grid: ``grid_n`` echoes --grid, and ``NoLHSFoundAtResolution``
-is a proof unless the search ran past its round cap; ``lhs_residual`` is then the
-steering-witness margin (``steering.replay_witness``), or past the cap the last phase-1
-optimum. A certificate's ``lhs_residual`` is its worst error over the full program's 8m
-rows on every path, exactly what ``steering.replay_certificate`` returns.
+Two settings are exact wherever Bob's marginal allows (``lhs_residual`` of an unfound
+model is then the joint-measurability margin). Everything else goes to column generation
+over the whole Bloch sphere: ``NoLHSFoundAtResolution`` is then a proof unless the search
+ran past its round cap, ``lhs_residual`` is the steering-witness margin, and ``steer``
+writes the witness's duals as ``witness`` (``steering.replay_witness``); past the cap it
+has no ``witness`` and ``lhs_residual`` is the last phase-1 optimum. A certificate's
+``lhs_residual`` is its worst error over the full program's 8m rows on every path,
+exactly what ``steering.replay_certificate`` returns. --grid is checked (6 to 100), and
+``steer`` echoes it as ``grid_n``; no verdict depends on it.
 
 Exit codes: 0 success, 2 circuit parse error (line/column diagnostic on stderr), 3 physics
 error (also an undeclared --site or unknown --basis, even "", and --bob-site, --site or
@@ -193,6 +193,8 @@ def cmd_steer(args) -> int:
             {"strategy": list(strategy), "bloch": list(bloch), "weight": weight}
             for strategy, bloch, weight in verdict.certificate
         ]
+    if verdict.witness is not None:
+        doc["witness"] = list(verdict.witness)
     _write(args.out, json.dumps(doc, indent=2) + "\n")
     return EXIT_OK
 
@@ -254,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="photonsteer", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    grid_help = (f"LHS Bloch grid parameter, {steering.MIN_GRID} to {steering.MAX_GRID}: "
-                 "grid_n² states for the two-setting cases the exact path leaves open")
+    grid_help = (f"checked to lie in {steering.MIN_GRID} to {steering.MAX_GRID}; "
+                 "no verdict depends on it")
 
     p_run = sub.add_parser("run", help="simulate a circuit file")
     p_run.add_argument("input", help="circuit text file")
@@ -267,9 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="eq1 | twc | hardy[:q,r] | qplate_tripartite | noisy:v")
     p_steer.add_argument("--input", default=None, help="state JSON emitted by 'run'")
     p_steer.add_argument("--settings", default="Z,X", help="comma list from Z,X,Y")
-    p_steer.add_argument("--grid", type=int, default=20,
-                         help=f"{grid_help}; three settings search the whole sphere and "
-                              "only echo it")
+    p_steer.add_argument("--grid", type=int, default=20, help=f"{grid_help}; echoed as grid_n")
     p_steer.add_argument("--bob-site", default=None, help="override Bob's site")
     p_steer.add_argument("--out", default=None)
 

@@ -20,22 +20,18 @@ is unsteerable exactly when Bob's steering-equivalent effects are jointly
 measurable, and for two qubit effects that is the sign of a closed-form margin
 (``joint_measurability_margin``). A positive margin proves steering; a parent
 POVM of the two effects gives an LHS model of at most four hidden states.
-Three and four settings go to column generation over the whole Bloch sphere:
-from the six axis states, each round adds the best pure state of every
-strategy under the program's duals, until the program is feasible (a
-certificate) or its duals give a steering witness, a margin that no LHS model
-of any resolution can meet (``replay_witness``). What the two-setting path
-leaves open goes to the grid search, an inner approximation: models are
-restricted to mixtures of pure states on a deterministic Fibonacci grid of
-the Bloch sphere. A feasible grid program certifies the assemblage
-unsteerable (the certificate reconstructs it to the reported residual); an
-infeasible one is evidence at that resolution only and should be paired with
-a CJWR violation for a steering certificate.
+Everything else, the two-setting cases that path leaves open included, goes to
+column generation over the whole Bloch sphere: from the six axis states, each
+round adds the best pure state of every strategy under the program's duals,
+until the program is feasible (a certificate) or its duals give a steering
+witness, a margin that no LHS model of any resolution can meet
+(``replay_witness``).
 
-The grid and CHSH searches are sized by one number each, and ``check_grid``
-and ``check_chsh_step`` are the only copies of their bounds: each raises
-``OutOfRange`` before its search allocates anything. Column generation stops
-after ``_MAX_ROUNDS`` rounds, each adding at most 2^m states.
+The CHSH search is sized by one number, and ``check_chsh_step`` is the only
+copy of its bounds: it raises ``OutOfRange`` before the search allocates
+anything. Column generation stops after ``_MAX_ROUNDS`` rounds, each adding at
+most 2^m states. ``check_grid`` bounds the ``grid_n`` that every verdict
+echoes, though no verdict depends on it.
 """
 
 from __future__ import annotations
@@ -82,10 +78,9 @@ QUBIT_PAIR_LABELS = ("A0|B0", "A0|B1", "A1|B0", "A1|B1")
 # Bob's site when a state declares it and none is named (``frame_sites``).
 BOB_SITE = "PUE"
 
-# The grid program has one column per strategy and grid state, 2^m · grid_n² in all.
-# Only two-setting requests that the exact path leaves open reach it: at MAX_GRID a
-# 12 × 40 000 program, handed to the solver as its 3 × 4 and 10 000 × 4 Kronecker
-# factors, 3.7-7.2 ms for 28-92 pivots on noisy(v), Z,X, ~1.2 MiB peak (2-vCPU Xeon).
+# No verdict depends on ``grid_n``. ``lhs_feasibility`` checks it against these bounds and
+# echoes it, and ``steer``/``sweep`` take --grid within them (exit 4 outside), so that
+# requests that pass --grid, as every benchmark request does, stay valid.
 MIN_GRID = 6
 MAX_GRID = 100
 # Degrees. The CHSH search holds the k² floats of E, k = 360 / step, and O(k) arrays for
@@ -171,8 +166,9 @@ class Assemblage:
 
 @dataclass(frozen=True)
 class SteeringVerdict:
-    """Outcome of ``lhs_feasibility``: from the exact two-setting path, column generation
-    (three or four settings) or the grid program (what the exact path leaves open).
+    """Outcome of ``lhs_feasibility``: from the exact two-setting path or from column
+    generation (everything that path leaves open). ``grid_n`` echoes the request on both;
+    no verdict depends on it.
 
     ``certificate`` (certified case) lists (strategy, bloch_vector, weight)
     triples; a strategy assigns an outcome to each setting in order. It is
@@ -181,32 +177,24 @@ class SteeringVerdict:
     program (the 4 real components of every sigma(a|x)), rebuilt from the
     certificate: exactly what ``replay_certificate`` returns. So an assemblage
     that signals is never certified: at most 1e-9 on the exact path, below 1e-7
-    from a program.
+    from column generation.
 
-    Exact path (two settings): ``grid_n`` echoes the request, as no grid is
-    built, and ``pivots`` is 0. Its certificate has at most four hidden states,
-    which may be mixed (|bloch| < 1). Its ``NoLHSFoundAtResolution`` is a proof,
-    and ``residual`` is then the joint-measurability margin, above 1e-9.
+    Exact path (two settings): ``pivots`` is 0. Its certificate has at most four
+    hidden states, which may be mixed (|bloch| < 1). Its ``NoLHSFoundAtResolution``
+    is a proof, and ``residual`` is then the joint-measurability margin, above 1e-9.
 
-    Both programs solve 4m + 4 rows of full rank for m settings, 4 real
+    Column generation solves 4m + 4 rows of full rank for m settings, 4 real
     components each of Bob's marginal (from the first setting) and of
     sigma(+1|x) per setting; the full program's other 4(m - 1) rows,
-    sigma(-1|x) for every x, follow from these under no-signalling. Their
-    certificates hold pure states. ``pivots`` counts the simplex pivots, over
-    every round of column generation.
-
-    Column generation (three or four settings): ``grid_n`` echoes the request,
-    as no grid is built. Its ``NoLHSFoundAtResolution`` is a proof unless it
-    is left open past the round cap. A proof carries the duals y of the solved
+    sigma(-1|x) for every x, follow from these under no-signalling. Its
+    certificates hold pure states, and ``pivots`` counts the simplex pivots
+    over every round. Its ``NoLHSFoundAtResolution`` is a proof unless it is
+    left open past the round cap. A proof carries the duals y of the solved
     rows as ``witness``, and ``residual`` is the witness margin, above 1e-9,
     exactly what ``replay_witness`` returns; or, without a witness, the 8m-row
     residual of a certificate that met the solved rows but not the full ones
     (an assemblage that signals). Left open, it has neither, and ``residual``
     is the last phase-1 optimum.
-
-    Grid program: without a certificate, ``residual`` is the phase-1 optimum of
-    the 4m + 4-row program, or the 8m-row residual of the certificate if the
-    solved rows were met.
     """
 
     status: str  # UnsteerableCertified | NoLHSFoundAtResolution
@@ -588,16 +576,6 @@ def compute_assemblage(rho: DensityOperator, alice_settings) -> Assemblage:
     return Assemblage(settings, members)
 
 
-def fibonacci_bloch_grid(count: int) -> np.ndarray:
-    """``count`` near-uniform unit vectors on the Bloch sphere (deterministic)."""
-    indices = np.arange(count, dtype=float) + 0.5
-    z = 1.0 - 2.0 * indices / count
-    radius = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-    golden = np.pi * (3.0 - np.sqrt(5.0))
-    phi = golden * indices
-    return np.column_stack([radius * np.cos(phi), radius * np.sin(phi), z])
-
-
 def _state_rows(bloch: np.ndarray) -> np.ndarray:
     """The full program's 4 rows of each Bloch state, (n, 3) -> (n, 4), in closed form:
     ½(1 + nz, 1 - nz, nx, -ny), the entries ``_full_target`` reads of a member."""
@@ -648,25 +626,10 @@ def _strategies(m: int):
     return strategies, solved
 
 
-# Bounded, so that grids MIN_GRID..MAX_GRID × 1-4 settings cannot pile up: a run of
-# requests uses a few dozen (grid_n, m) pairs, and an entry at MAX_GRID holds ~0.6 MB.
-@functools.lru_cache(maxsize=32)
-def _lhs_structure(grid_n: int, m: int):
-    """The parts of the grid program that depend only on the grid and the setting count,
-    read-only: (grid, strategies, solved, comps). Column (s, g) of the program is the
-    Kronecker product of ``solved[:, s]`` and ``comps[g]``, grid index fastest, which the
-    certificate's divmod relies on."""
-    grid = fibonacci_bloch_grid(grid_n * grid_n)
-    comps = _state_rows(grid)
-    for array in (grid, comps):
-        array.setflags(write=False)
-    return (grid, *_strategies(m), comps)
-
-
 # The exact two-setting path of ``lhs_feasibility``. There a Hermitian 2x2 matrix is a
 # Bloch form (h0, h) of Python floats, h0·I + h·σ with h = (hx, hy, hz).
 #
-# A margin within _MARGIN_TOL of 0 is left to the grid program. Measured rounding of the
+# A margin within _MARGIN_TOL of 0 is left to column generation. Measured rounding of the
 # float margin: within 3.6e-15 of the exact 2v² - 1 of noisy(v), Z,X, at 2001
 # visibilities from 0 to 1, each under 51 unitaries at Bob; with Z,X, X,Y and Y,Z,
 # within 4.7e-13 of a 50-digit recomputation on 400 random frames of rank 1-4, and
@@ -814,7 +777,7 @@ def _parent_search(e, f):
 
 def _exact_two_setting(assemblage: Assemblage, grid_n: int) -> SteeringVerdict | None:
     """The verdict of a two-setting assemblage from joint measurability, or None to leave
-    it to the grid program. A full-rank Bob marginal gives the effects e and f:
+    it to column generation. A full-rank Bob marginal gives the effects e and f:
     a margin above _MARGIN_TOL is steering, and a parent G(+,+) (the symmetrised product
     of a commuting pair, else ``_parent_search`` below -_MARGIN_TOL) gives the hidden
     states ρ_B^(1/2) G(a,b) ρ_B^(1/2). A rank-one marginal gives one hidden state, itself,
@@ -873,12 +836,12 @@ def lhs_feasibility(assemblage: Assemblage, grid_n: int) -> SteeringVerdict:
     most four hidden states, built from a parent POVM of Bob's steering-equivalent
     effects, certifies the assemblage unsteerable; a joint-measurability margin
     (``joint_measurability_margin``) above ``_MARGIN_TOL`` proves that no model exists at
-    any resolution. Neither uses the grid, and ``pivots`` is 0. What that path leaves
-    open (a margin within ``_MARGIN_TOL`` of 0, a parent it does not find, a certificate
-    that does not rebuild the assemblage) goes to the grid program (``_grid_feasibility``).
-    Three and four settings go to column generation over the whole Bloch sphere
-    (``_column_generation``), which builds no grid either: ``grid_n`` is checked and
-    echoed.
+    any resolution, and ``pivots`` is 0. Everything else goes to column generation over
+    the whole Bloch sphere (``_column_generation``): one, three or four settings, and
+    the two-setting cases the exact path leaves open (a margin within ``_MARGIN_TOL`` of
+    0, a parent it does not find, a certificate that does not rebuild the assemblage,
+    such as the one-state certificate of a Bob marginal just below ``_FULL_RANK``).
+    ``grid_n`` is checked and echoed.
     """
     grid_n = check_grid(grid_n)
     m = len(assemblage.settings)
@@ -888,9 +851,7 @@ def lhs_feasibility(assemblage: Assemblage, grid_n: int) -> SteeringVerdict:
         verdict = _exact_two_setting(assemblage, grid_n)
         if verdict is not None:
             return verdict
-    if m > 2:
-        return _column_generation(assemblage, grid_n)
-    return _grid_feasibility(assemblage, grid_n)
+    return _column_generation(assemblage, grid_n)
 
 
 # A program certificate must rebuild the full program's 8m rows below this.
@@ -914,22 +875,6 @@ def _program_verdict(x: np.ndarray, strategies, states: np.ndarray, target: np.n
     return SteeringVerdict("NoLHSFoundAtResolution", grid_n, residual, None, pivots)
 
 
-def _grid_feasibility(assemblage: Assemblage, grid_n: int) -> SteeringVerdict:
-    """Search for a local-hidden-state model on a Bloch grid of grid_n² states.
-
-    Feasible: the assemblage is certified unsteerable and the certificate
-    reconstructs it within the reported residual. Infeasible: no model exists
-    *at this resolution*; pair with a CJWR violation before claiming steering.
-    """
-    grid, strategies, solved, comps = _lhs_structure(grid_n, len(assemblage.settings))
-    target = _full_target(assemblage)
-    result = solve_feasibility(solved, comps, _solved_target(target))
-    if not result.feasible:  # the residual is the phase-1 optimum
-        return SteeringVerdict("NoLHSFoundAtResolution", grid_n, result.objective, None,
-                               result.iterations)
-    return _program_verdict(result.x, strategies, grid, target, grid_n, result.iterations)
-
-
 # Column generation (Gilmore & Gomory, Oper. Res. 9, 849 (1961)) starts from these six
 # states for every strategy.
 _AXIS_STATES = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
@@ -945,8 +890,14 @@ _PRICE_TOL = 1e-10
 _WITNESS_TOL = 1e-9
 # Rounds (solves) of column generation before the verdict is left open. Measured: at most
 # 11 rounds on the Z,X,Y frames above and 9 with the fourth setting, 7 on hardy:q,r over
-# θ = 0.2 … 1.3, 2 on noisy(v); every one of them was decided.
-_MAX_ROUNDS = 40
+# θ = 0.2 … 1.3, 2 on noisy(v); every one of them was decided. Two settings reach it only
+# when the exact path leaves them open. The band: noisy(1/√2 + δ), δ = 0, ±1e-10, under
+# 60 random local unitaries each, with Z,X, X,Y and Z,Y, were all certified in at most 34
+# rounds (median 29, at most 215 pivots, 10 ms median). Bob marginals of eigenvalue ratio
+# 1e-14 … 1e-6 (cos t|00⟩ + sin t|11⟩, and hardy:q,r with r = 1e-5 … 0.05), 234 leftovers
+# in all: the decided ones took at most 58 rounds (33 of them over 40), and the rest
+# stopped undecided by round 54 or broke down in the solver; none reached 60.
+_MAX_ROUNDS = 60
 
 
 def _witness_bounds(y: np.ndarray, b: np.ndarray, solved: np.ndarray):
@@ -967,7 +918,7 @@ def _witness_bounds(y: np.ndarray, b: np.ndarray, solved: np.ndarray):
 
 
 def _column_generation(assemblage: Assemblage, grid_n: int) -> SteeringVerdict:
-    """Decide a program of three or four settings over the whole Bloch sphere.
+    """Decide an LHS program of any setting count over the whole Bloch sphere.
 
     The program starts with the six axis states (``_AXIS_STATES``) for every strategy.
     A feasible round gives a certificate under ``_program_verdict``'s rule. Otherwise its

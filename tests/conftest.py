@@ -3,7 +3,9 @@
 The state oracles address amplitudes one ``BasisKet`` at a time, so they check
 the package's (site, pol, oam) tensor code without relying on its layout. The
 CHSH oracles are the brute-force grid scan and the closed-form optimum.
-``lhs_program`` captures the factored grid program the solver is handed;
+``fibonacci_bloch_grid``, ``lhs_program`` and ``grid_verdict`` are the grid
+oracle: the factored LHS program over a fixed Fibonacci grid of the Bloch
+sphere, which certifies at one resolution and proves nothing steerable.
 ``bloch_state`` and ``real_components`` build the full LHS program's columns
 without the package's encoders, and ``witness_oracle`` checks a steering
 witness with them on random Bloch directions.
@@ -263,20 +265,37 @@ def real_components(mat) -> np.ndarray:
     return np.array([mat[0, 0].real, mat[1, 1].real, mat[0, 1].real, mat[0, 1].imag])
 
 
+def fibonacci_bloch_grid(count: int) -> np.ndarray:
+    """``count`` near-uniform unit vectors on the Bloch sphere (deterministic)."""
+    indices = np.arange(count, dtype=float) + 0.5
+    z = 1.0 - 2.0 * indices / count
+    radius = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
+    golden = np.pi * (3.0 - np.sqrt(5.0))
+    phi = golden * indices
+    return np.column_stack([radius * np.cos(phi), radius * np.sin(phi), z])
+
+
 def lhs_program(asm, grid_n: int):
-    """The factored program (solved, comps, b) that the grid path of ``lhs_feasibility``
-    hands the solver (two-setting assemblages reach it only when the exact path leaves
-    them open, so it is called directly)."""
-    seen = {}
+    """The factored grid program (solved, comps, b): the 4m + 4 rows that column generation
+    solves, over the grid_n² states of ``fibonacci_bloch_grid`` for every strategy. Column
+    (s, g) is the Kronecker product of ``solved[:, s]`` and ``comps[g]``, grid index fastest."""
+    solved = steering._strategies(len(asm.settings))[1]
+    comps = steering._state_rows(fibonacci_bloch_grid(grid_n * grid_n))
+    return solved, comps, steering._solved_target(steering._full_target(asm))
 
-    def capture(solved, comps, b):
-        seen["program"] = (solved, comps, b)
-        return solve_feasibility(solved, comps, b)
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(steering, "solve_feasibility", capture)
-        steering._grid_feasibility(asm, grid_n)
-    return seen["program"]
+def grid_verdict(asm, grid_n: int) -> steering.SteeringVerdict:
+    """The grid program's verdict: certified if it is feasible and its certificate rebuilds
+    all 8m rows below 1e-7; else not found at this resolution, with the phase-1 optimum."""
+    solved, comps, b = lhs_program(asm, grid_n)
+    result = solve_feasibility(solved, comps, b)
+    if not result.feasible:
+        return steering.SteeringVerdict("NoLHSFoundAtResolution", grid_n, result.objective, None,
+                                        result.iterations)
+    return steering._program_verdict(
+        result.x, steering._strategies(len(asm.settings))[0],
+        fibonacci_bloch_grid(grid_n * grid_n), steering._full_target(asm), grid_n,
+        result.iterations)
 
 
 def dense_matrix(solved, comps) -> np.ndarray:

@@ -172,6 +172,21 @@ class TestSteer:
         golden = GOLDEN / f"steer_{spec.replace(':', '_')}_ZX.json"
         assert out.read_bytes() == golden.read_bytes()
 
+    @pytest.mark.parametrize("spec", ["twc", "noisy:0.9"])
+    def test_witness_replays_from_the_written_file(self, tmp_path, spec):
+        out = tmp_path / "steer.json"
+        assert main(["steer", "--preset", spec, "--settings", "Z,X,Y", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["lhs_verdict"] == "NoLHSFoundAtResolution" and "certificate" not in doc
+        assert list(doc)[-2:] == ["lhs_residual", "witness"] and len(doc["witness"]) == 16
+        members = {(x, a): np.array([[complex(*z) for z in row]
+                                     for row in doc["assemblage"][scenarios.member_key(x, a)]])
+                   for x in doc["settings"] for a in (+1, -1)}
+        asm = steering.Assemblage(tuple(doc["settings"]), members)
+        verdict = steering.SteeringVerdict(doc["lhs_verdict"], doc["grid_n"], doc["lhs_residual"],
+                                           None, 0, tuple(doc["witness"]))
+        assert steering.replay_witness(verdict, asm) == doc["lhs_residual"]
+
     def test_solver_breakdown_exits_3(self, monkeypatch, capsys):
         monkeypatch.setattr(simplex, "MAX_PIVOTS", 1)
         # Three settings: a two-setting verdict needs no simplex.
@@ -284,11 +299,13 @@ class TestSteer:
         assert "'PUE'" in err and err.count("\n") == 1
 
     def test_grid_above_cap_exits_4_before_solving(self, monkeypatch, capsys):
-        def no_grid(count):
-            raise AssertionError("the LHS grid was built")
+        def no_solve(*args):
+            raise AssertionError("the LHS program was solved")
 
-        monkeypatch.setattr(steering, "fibonacci_bloch_grid", no_grid)
-        assert main(["steer", "--preset", "noisy:0.5", "--grid", str(steering.MAX_GRID + 1)]) == 4
+        monkeypatch.setattr(steering, "solve_feasibility", no_solve)
+        # Three settings, so that a verdict would need the solver.
+        assert main(["steer", "--preset", "noisy:0.5", "--settings", "Z,X,Y",
+                     "--grid", str(steering.MAX_GRID + 1)]) == 4
         assert str(steering.MAX_GRID) in capsys.readouterr().err
 
 
@@ -585,11 +602,12 @@ class TestCostBounds:
         return err
 
     def test_steer_grid_below_minimum_exits_4_before_solving(self, monkeypatch, capsys):
-        def no_grid(count):
-            raise AssertionError("the LHS grid was built")
+        def no_solve(*args):
+            raise AssertionError("the LHS program was solved")
 
-        monkeypatch.setattr(steering, "fibonacci_bloch_grid", no_grid)
-        err = self.exit_4_line(["steer", "--preset", "noisy:0.5", "--grid", "5"], capsys)
+        monkeypatch.setattr(steering, "solve_feasibility", no_solve)
+        err = self.exit_4_line(["steer", "--preset", "noisy:0.5", "--settings", "Z,X,Y",
+                                "--grid", "5"], capsys)
         assert f"from {steering.MIN_GRID} to {steering.MAX_GRID}" in err
 
     def test_sweep_grid_below_minimum_exits_4_before_sweeping(self, monkeypatch, capsys):

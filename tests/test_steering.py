@@ -11,6 +11,8 @@ from conftest import (
     bloch_state,
     brute_chsh_grid,
     dense_matrix,
+    fibonacci_bloch_grid,
+    grid_verdict,
     horodecki_chsh_bound,
     lhs_program,
     real_components,
@@ -45,7 +47,6 @@ from photonsteer.steering import (
     chsh_value,
     cjwr_value,
     compute_assemblage,
-    fibonacci_bloch_grid,
     lhs_feasibility,
     occupation_qubits,
     path_amplitudes,
@@ -785,12 +786,13 @@ class TestCostBounds:
 
     @pytest.mark.parametrize("grid_n", [steering.MIN_GRID - 1, steering.MAX_GRID + 1, 6.5, "7"])
     def test_lhs_grid_out_of_range_raises_before_the_grid(self, monkeypatch, grid_n):
-        asm = compute_assemblage(noisy_state(0.7), ("Z", "X"))
+        # Three settings, so that a verdict would need the solver.
+        asm = compute_assemblage(noisy_state(0.7), ("Z", "X", "Y"))
 
-        def no_grid(count):
-            raise AssertionError("the LHS grid was built")
+        def no_solve(*args):
+            raise AssertionError("the LHS program was solved")
 
-        monkeypatch.setattr(steering, "fibonacci_bloch_grid", no_grid)
+        monkeypatch.setattr(steering, "solve_feasibility", no_solve)
         self.assert_one_line_out_of_range(lambda: lhs_feasibility(asm, grid_n),
                                           f"from {steering.MIN_GRID} to {steering.MAX_GRID}")
 
@@ -894,22 +896,17 @@ class TestLhsFeasibility:
                         certified += 1
                         assert replay_certificate(verdict, asm) == verdict.residual, (
                             spec, settings, grid)
-        # 88 on the grid program; Z,X,Y column generation adds qplate_tripartite at every
-        # grid_n (6, 10, 20, 40), whose pole states no grid holds.
+        # 23 cases a grid_n, qplate_tripartite Z,X,Y among them, whose pole states no grid
+        # holds.
         assert certified == 92
 
-    def test_certification_is_monotone_under_refinement(self):
-        for v in (0.0, 0.4, 0.65):
-            asm = compute_assemblage(noisy_state(v), ("Z", "X"))
-            certified = [
-                lhs_feasibility(asm, g).status == "UnsteerableCertified"
-                for g in (10, 20, 40)
-            ]
-            for coarse, fine in zip(certified, certified[1:]):
-                assert (not coarse) or fine
-        assert lhs_feasibility(
-            compute_assemblage(noisy_state(0.4), ("Z", "X")), 10
-        ).status == "UnsteerableCertified"
+    @pytest.mark.parametrize("settings", [("Z", "X"), ("Z", "X", "Y")])
+    def test_verdict_does_not_depend_on_grid_n(self, settings):
+        for v in (0.0, 0.4, 0.65, 1 / math.sqrt(2), 0.9):
+            asm = compute_assemblage(noisy_state(v), settings)
+            first = lhs_feasibility(asm, 6)
+            for grid in (10, 40, 100):
+                assert lhs_feasibility(asm, grid) == dataclasses.replace(first, grid_n=grid), v
 
     def test_cjwr_violation_implies_no_lhs(self):
         for v in (0.8, 0.9, 1.0):
@@ -948,15 +945,15 @@ class TestLhsFeasibility:
     @pytest.mark.parametrize("settings", [("Z", "X"), ("Z", "X", "Y")])
     @pytest.mark.parametrize("grid", [10, 20])
     def test_verdicts_equal_the_full_program(self, settings, grid):
-        # The oracle: the 8m-row program of the column loop, solved as it stands. Two
-        # settings go first through the exact path, so the grid path is called directly.
+        # The factored 4m + 4-row grid program against the 8m-row program of the column
+        # loop, solved as it stands.
         visibilities = np.round(np.r_[np.arange(0.30, 1.001, 0.05), 0.56, 0.58, 0.68, 0.72], 2)
         for v in visibilities:
             asm = compute_assemblage(noisy_state(v), settings)
             full_A, full_b = column_loop_program(asm, grid)
             full = solve_feasibility(full_A, [[1.0]], full_b)
             oracle = full.feasible and full.residual < 1e-7
-            verdict = steering._grid_feasibility(asm, grid)
+            verdict = grid_verdict(asm, grid)
             assert (verdict.status == "UnsteerableCertified") == oracle, v
             if oracle:
                 assert verdict.residual < 1e-7
@@ -983,21 +980,20 @@ class TestLhsFeasibility:
         assert first.pivots <= bound
         assert lhs_feasibility(asm, grid).pivots == first.pivots
 
-    def test_cached_structure_is_read_only_and_bounded(self):
-        grid, strategies, *arrays = steering._lhs_structure(10, 2)
-        assert steering._lhs_structure.cache_info().maxsize is not None
+    def test_cached_strategies_are_read_only_and_bounded(self):
+        strategies, solved = steering._strategies(2)
+        assert steering._strategies.cache_info().maxsize is not None
         assert isinstance(strategies, tuple)
-        for array in (grid, *arrays):
-            with pytest.raises(ValueError, match="read-only"):
-                array.flat[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            solved.flat[0] = 0.0
 
     @pytest.mark.parametrize("settings", [("Z", "X"), ("Z", "X", "Y")])
     def test_verdict_does_not_depend_on_the_cache(self, settings):
         asm = compute_assemblage(noisy_state(0.5), settings)
-        steering._lhs_structure.cache_clear()
+        steering._strategies.cache_clear()
         fresh = lhs_feasibility(asm, 10)
-        lhs_feasibility(asm, 40)
-        lhs_feasibility(asm, 20)
+        lhs_feasibility(compute_assemblage(noisy_state(0.5), ("Z", "X", "Y")), 10)
+        lhs_feasibility(compute_assemblage(noisy_state(0.5), ("Z", "X")), 10)
         assert lhs_feasibility(asm, 10) == fresh
 
     @pytest.mark.parametrize(
@@ -1096,7 +1092,7 @@ def assert_backed(verdict, asm: Assemblage) -> None:
 
 class TestExactTwoSettingPath:
     """Two-setting verdicts from joint measurability, against a brute-force parent search,
-    the grid program and the closed forms of the presets."""
+    the grid oracle and the closed forms of the presets."""
 
     @pytest.fixture(scope="class")
     def cases(self):
@@ -1129,7 +1125,7 @@ class TestExactTwoSettingPath:
                      if steering.joint_measurability_margin(asm) > steering._MARGIN_TOL]
         assert len(steerable) > 300
         for asm in steerable:
-            assert steering._grid_feasibility(asm, 20).status == "NoLHSFoundAtResolution"
+            assert grid_verdict(asm, 20).status == "NoLHSFoundAtResolution"
 
     @pytest.mark.parametrize("spec", ["eq1", "twc", "hardy", "hardy:0.6,0.8"])
     def test_sharp_non_commuting_presets_are_steerable(self, spec):
@@ -1149,7 +1145,7 @@ class TestExactTwoSettingPath:
         assert sorted(bloch for _, bloch, _ in verdict.certificate) == [
             (0.0, 0.0, -1.0), (0.0, 0.0, -1.0), (0.0, 0.0, 1.0), (0.0, 0.0, 1.0)]
         # the grid has no pole, so it never finds the two pole states
-        assert steering._grid_feasibility(asm, grid).status == "NoLHSFoundAtResolution"
+        assert grid_verdict(asm, grid).status == "NoLHSFoundAtResolution"
 
     @pytest.mark.parametrize("offset", [-1e-6, 1e-6])
     def test_noisy_is_decided_on_both_sides_of_the_threshold(self, offset):
@@ -1167,12 +1163,28 @@ class TestExactTwoSettingPath:
             asm = compute_assemblage(noisy_state(v), ("Z", "X"))
             assert abs(steering.joint_measurability_margin(asm) - (2 * v * v - 1)) < 1e-14
 
-    def test_a_margin_within_the_band_goes_to_the_grid(self):
-        asm = compute_assemblage(noisy_state(1 / math.sqrt(2)), ("Z", "X"))
+    @pytest.mark.parametrize("offset", [-1e-10, 0.0, 1e-10])
+    def test_a_margin_within_the_band_goes_to_column_generation(self, offset):
+        asm = compute_assemblage(noisy_state(1 / math.sqrt(2) + offset), ("Z", "X"))
         assert abs(steering.joint_measurability_margin(asm)) <= steering._MARGIN_TOL
+        assert steering._exact_two_setting(asm, 20) is None
         verdict = lhs_feasibility(asm, 20)
-        assert verdict == steering._grid_feasibility(asm, 20)
-        assert verdict.pivots > 0
+        assert verdict.status == "UnsteerableCertified" and verdict.pivots > 0
+        assert verdict.residual < 1e-7
+        assert replay_certificate(verdict, asm) == verdict.residual
+
+    @pytest.mark.parametrize("ratio", [1e-7, 1e-8])
+    def test_a_nearly_pure_bob_marginal_goes_to_column_generation(self, ratio):
+        # cos t|00> + sin t|11>: Bob's marginal has eigenvalue ratio tan² t, below
+        # _FULL_RANK, and its one-state certificate misses the exact gate.
+        t = math.atan(math.sqrt(ratio))
+        psi = np.array([math.cos(t), 0.0, 0.0, math.sin(t)])
+        asm = compute_assemblage(DensityOperator(QUBIT_PAIR_LABELS, np.outer(psi, psi)),
+                                 ("Z", "X"))
+        assert steering._exact_two_setting(asm, 20) is None
+        verdict = lhs_feasibility(asm, 20)
+        assert verdict.status == "NoLHSFoundAtResolution" and verdict.pivots > 0
+        assert_decided(verdict, asm)
 
     @pytest.mark.parametrize("v", [0.0, 0.4, 0.69, 0.9])
     @pytest.mark.parametrize("signalling", ["Z", "X"])
@@ -1201,7 +1213,7 @@ class TestExactTwoSettingPath:
             [p[0][i] * p[1][j] for i in (0, 1) for j in (0, 1)], abs=1e-15)
         for _, got, _ in verdict.certificate:
             np.testing.assert_allclose(got, bloch, atol=1e-12)
-        assert steering._grid_feasibility(asm, 20).status == "NoLHSFoundAtResolution"
+        assert grid_verdict(asm, 20).status == "NoLHSFoundAtResolution"
 
     def test_margin_needs_two_settings(self):
         asm = compute_assemblage(noisy_state(0.5), ("Z", "X", "Y"))
@@ -1254,7 +1266,7 @@ def assert_decided(verdict, asm: Assemblage) -> None:
 
 class TestColumnGeneration:
     """Three- and four-setting verdicts over the whole Bloch sphere, against the exact
-    noisy thresholds, the grid program and an independent witness oracle."""
+    noisy thresholds, the grid oracle and an independent witness oracle."""
 
     @pytest.fixture(scope="class")
     def random_cases(self):
@@ -1273,8 +1285,8 @@ class TestColumnGeneration:
         verdict = lhs_feasibility(asm, 20)
         assert verdict.status == want and verdict.grid_n == 20
         assert_decided(verdict, asm)
-        # the grid program proves neither side
-        assert steering._grid_feasibility(asm, 20).status == "NoLHSFoundAtResolution"
+        # the grid oracle proves neither side
+        assert grid_verdict(asm, 20).status == "NoLHSFoundAtResolution"
 
     def test_noisy_flips_once_at_one_over_root_three(self):
         for v in np.round(np.arange(0.0, 1.001, 0.01), 2):
@@ -1311,10 +1323,18 @@ class TestColumnGeneration:
     def test_no_witness_where_the_grid_certifies(self, random_cases):
         certified = 0
         for asm, verdict in random_cases:
-            if steering._grid_feasibility(asm, 20).status == "UnsteerableCertified":
+            if grid_verdict(asm, 20).status == "UnsteerableCertified":
                 certified += 1
                 assert verdict.status == "UnsteerableCertified"
         assert certified > 150
+
+    @pytest.mark.parametrize("spec, setting", [("noisy:0.3", "Z"), ("noisy:1", "Z"), ("eq1", "X")])
+    def test_one_setting_is_certified(self, spec, setting):
+        # The members of one setting are themselves an LHS model.
+        asm = compute_assemblage(two_qubit_frame(preset(spec))[0], (setting,))
+        verdict = lhs_feasibility(asm, 20)
+        assert verdict.status == "UnsteerableCertified"
+        assert_decided(verdict, asm)
 
     def test_four_settings_are_decided(self):
         statuses = set()
@@ -1327,14 +1347,16 @@ class TestColumnGeneration:
         assert statuses == {"UnsteerableCertified", "NoLHSFoundAtResolution"}
 
     def test_no_grid_is_built(self, monkeypatch):
-        def no_grid(*args):
-            raise AssertionError("a grid was built")
-
-        monkeypatch.setattr(steering, "fibonacci_bloch_grid", no_grid)
-        steering._lhs_structure.cache_clear()
+        # Whatever grid_n, the first round solves the six axis states of every strategy.
+        programs = []
+        monkeypatch.setattr(steering, "solve_feasibility", lambda *args: programs.append(
+            args[1].shape) or solve_feasibility(*args))
         for v in (0.4, 0.9):
             asm = compute_assemblage(noisy_state(v), ("Z", "X", "Y"))
-            assert lhs_feasibility(asm, 100).grid_n == 100
+            for grid in (6, 100):
+                programs.clear()
+                assert lhs_feasibility(asm, grid).grid_n == grid
+                assert programs[0] == (6, 4)
 
     def test_a_strategy_with_no_bloch_part_adds_no_state(self, monkeypatch):
         # Duals on the marginal's diagonal alone: every strategy prices at 1 everywhere,
