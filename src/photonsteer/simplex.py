@@ -20,8 +20,10 @@ lowest improving index needs thousands. Dantzig's rule alone can cycle on
 degenerate programs, and these are heavily degenerate, so once
 ``STALL_LIMIT`` pivots in a row bring no decrease of the phase-1 objective
 the solver switches to Bland's rule (lowest improving column in) for the
-rest of the solve, which guarantees termination. The leaving row is the
-lowest basis index among ratio ties under both rules.
+rest of the solve, which guarantees termination. A pivot must exceed
+``PIVOT_TOL`` and ``_RELATIVE_PIVOT_TOL`` times the entering column's largest
+step; the leaving row is the lowest basis index among ratio ties under both
+rules.
 
 A solve returns its final basis and duals, and can start from a given feasible basis:
 column generation adds columns and warm-starts each round from the last basis.
@@ -47,6 +49,12 @@ MAX_PIVOTS = 20000
 # two pivots, and most LHS solves take under 50 pivots, so they factorize once, at
 # the end; the cap bounds the eta chain of the long ones (Bland fallback, large grids).
 REFACTOR_EVERY = 50
+# A ratio-test pivot must also exceed this share of the entering column's largest
+# step. On programs whose states crowd round one point (a Bob marginal near rank one)
+# smaller pivots are rounding noise: taken, they leave singular bases and garbage
+# solutions. The rule changes no pivot on the programs of the presets, the 400 random
+# frames with Z,X,Y or the two-setting band.
+_RELATIVE_PIVOT_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -161,8 +169,10 @@ def solve_feasibility(solved: np.ndarray, comps: np.ndarray, b: np.ndarray,
         direction = binv @ column(entering)
         # The ratio test on Python floats: at a few dozen rows that is cheaper than
         # numpy's per-call cost.
-        ratios = [max(x, 0.0) / d if d > PIVOT_TOL else np.inf
-                  for x, d in zip(x_basic.tolist(), direction.tolist())]
+        steps = direction.tolist()
+        tol = max(PIVOT_TOL, _RELATIVE_PIVOT_TOL * max(steps))
+        ratios = [max(x, 0.0) / d if d > tol else np.inf
+                  for x, d in zip(x_basic.tolist(), steps)]
         theta = min(ratios)
         if theta == np.inf:
             # Phase-1 objective is bounded below by zero, so an unbounded ray

@@ -39,7 +39,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -51,6 +51,7 @@ from .errors import (
     NonDichotomicObservable,
     NonQubitBobMarginal,
     OutOfRange,
+    SolverBreakdown,
     TooManySettings,
 )
 from .simplex import solve_feasibility
@@ -775,7 +776,7 @@ def _parent_search(e, f):
     return None
 
 
-def _exact_two_setting(assemblage: Assemblage, grid_n: int) -> SteeringVerdict | None:
+def _exact_two_setting(assemblage: Assemblage) -> SteeringVerdict | None:
     """The verdict of a two-setting assemblage from joint measurability, or None to leave
     it to column generation. A full-rank Bob marginal gives the effects e and f:
     a margin above _MARGIN_TOL is steering, and a parent G(+,+) (the symmetrised product
@@ -795,7 +796,7 @@ def _exact_two_setting(assemblage: Assemblage, grid_n: int) -> SteeringVerdict |
         else:
             margin = _yu_margin(e, f)
             if margin > _MARGIN_TOL:
-                return SteeringVerdict("NoLHSFoundAtResolution", grid_n, margin, None, 0)
+                return SteeringVerdict("NoLHSFoundAtResolution", 0, margin, None, 0)
             parent = _parent_search(e, f) if margin < -_MARGIN_TOL else None
             if parent is None:
                 return None
@@ -826,7 +827,7 @@ def _exact_two_setting(assemblage: Assemblage, grid_n: int) -> SteeringVerdict |
     residual = _certificate_residual(certificate, _full_target(assemblage))
     if residual > _EXACT_RESIDUAL:
         return None
-    return SteeringVerdict("UnsteerableCertified", grid_n, residual, tuple(certificate), 0)
+    return SteeringVerdict("UnsteerableCertified", 0, residual, tuple(certificate), 0)
 
 
 def lhs_feasibility(assemblage: Assemblage, grid_n: int) -> SteeringVerdict:
@@ -847,11 +848,10 @@ def lhs_feasibility(assemblage: Assemblage, grid_n: int) -> SteeringVerdict:
     m = len(assemblage.settings)
     if m > 4:
         raise TooManySettings(f"at most 4 settings supported, got {m}")
-    if m == 2:
-        verdict = _exact_two_setting(assemblage, grid_n)
-        if verdict is not None:
-            return verdict
-    return _column_generation(assemblage, grid_n)
+    verdict = _exact_two_setting(assemblage) if m == 2 else None
+    if verdict is None:
+        verdict = _column_generation(assemblage)
+    return replace(verdict, grid_n=grid_n)  # both paths leave grid_n at 0
 
 
 # A program certificate must rebuild the full program's 8m rows below this.
@@ -859,7 +859,7 @@ _PROGRAM_RESIDUAL = 1e-7
 
 
 def _program_verdict(x: np.ndarray, strategies, states: np.ndarray, target: np.ndarray,
-                     grid_n: int, pivots: int) -> SteeringVerdict:
+                     pivots: int) -> SteeringVerdict:
     """The verdict of a feasible program over the Bloch ``states``, from its solution x
     (columns strategy-major, state index fastest): certified if the certificate of its
     weights above ``_WEIGHT_FLOOR`` rebuilds all 8m rows of ``target`` below
@@ -870,9 +870,8 @@ def _program_verdict(x: np.ndarray, strategies, states: np.ndarray, target: np.n
         certificate.append((strategies[s_idx], tuple(states[g_idx].tolist()), float(x[idx])))
     residual = _certificate_residual(certificate, target)
     if residual < _PROGRAM_RESIDUAL:
-        return SteeringVerdict("UnsteerableCertified", grid_n, residual, tuple(certificate),
-                               pivots)
-    return SteeringVerdict("NoLHSFoundAtResolution", grid_n, residual, None, pivots)
+        return SteeringVerdict("UnsteerableCertified", 0, residual, tuple(certificate), pivots)
+    return SteeringVerdict("NoLHSFoundAtResolution", 0, residual, None, pivots)
 
 
 # Column generation (Gilmore & Gomory, Oper. Res. 9, 849 (1961)) starts from these six
@@ -893,11 +892,11 @@ _WITNESS_TOL = 1e-9
 # θ = 0.2 … 1.3, 2 on noisy(v); every one of them was decided. Two settings reach it only
 # when the exact path leaves them open. The band: noisy(1/√2 + δ), δ = 0, ±1e-10, under
 # 60 random local unitaries each, with Z,X, X,Y and Z,Y, were all certified in at most 34
-# rounds (median 29, at most 215 pivots, 10 ms median). Bob marginals of eigenvalue ratio
-# 1e-14 … 1e-6 (cos t|00⟩ + sin t|11⟩, and hardy:q,r with r = 1e-5 … 0.05), 234 leftovers
-# in all: the decided ones took at most 58 rounds (33 of them over 40), and the rest
-# stopped undecided by round 54 or broke down in the solver; none reached 60.
-_MAX_ROUNDS = 60
+# rounds (median 29, at most 215 pivots, 9.7 ms median). Bob marginals near rank one are
+# left open more often: of 235 two-setting leftovers of eigenvalue ratio at most 1e-6
+# (cos t|00⟩ + sin t|11⟩, and hardy:q,r with r = 1e-5 … 0.05), 48 reach the cap (at 60
+# rounds 12 of those would be certified), and the slowest takes 51 ms.
+_MAX_ROUNDS = 40
 
 
 def _witness_bounds(y: np.ndarray, b: np.ndarray, solved: np.ndarray):
@@ -917,7 +916,7 @@ def _witness_bounds(y: np.ndarray, b: np.ndarray, solved: np.ndarray):
     return float(y @ b - (b[0] + b[1]) * top.max()), beta, length, top
 
 
-def _column_generation(assemblage: Assemblage, grid_n: int) -> SteeringVerdict:
+def _column_generation(assemblage: Assemblage) -> SteeringVerdict:
     """Decide an LHS program of any setting count over the whole Bloch sphere.
 
     The program starts with the six axis states (``_AXIS_STATES``) for every strategy.
@@ -929,20 +928,29 @@ def _column_generation(assemblage: Assemblage, grid_n: int) -> SteeringVerdict:
     ``_PRICE_TOL`` adds that state, for every strategy, and the program is solved again.
     After ``_MAX_ROUNDS`` rounds, or a round that adds no state, the verdict is left open:
     ``NoLHSFoundAtResolution`` with the last phase-1 optimum and no witness. ``pivots``
-    sums the rounds.
+    sums the rounds. A round whose warm start breaks the solver down is solved again
+    from the artificial basis.
     """
     strategies, solved = _strategies(len(assemblage.settings))
     target = _full_target(assemblage)
     b = _solved_target(target)
     states, pivots, start = _AXIS_STATES, 0, None
     for _ in range(_MAX_ROUNDS):
-        result = solve_feasibility(solved, _state_rows(states), b, start)
+        try:
+            result = solve_feasibility(solved, _state_rows(states), b, start)
+        except SolverBreakdown:
+            # A warm start can stall on the degenerate programs of a Bob marginal near
+            # rank one, where the states crowd round one point; the round is solved again
+            # from the artificial basis, and a breakdown there is raised.
+            if start is None:
+                raise
+            result = solve_feasibility(solved, _state_rows(states), b)
         pivots += result.iterations
         if result.feasible:
-            return _program_verdict(result.x, strategies, states, target, grid_n, pivots)
+            return _program_verdict(result.x, strategies, states, target, pivots)
         margin, beta, length, top = _witness_bounds(result.duals, b, solved)
         if margin > _WITNESS_TOL:
-            return SteeringVerdict("NoLHSFoundAtResolution", grid_n, margin, None, pivots,
+            return SteeringVerdict("NoLHSFoundAtResolution", 0, margin, None, pivots,
                                    tuple(result.duals.tolist()))
         grow = (top > _PRICE_TOL) & (length > 0)
         if not grow.any():
@@ -955,7 +963,7 @@ def _column_generation(assemblage: Assemblage, grid_n: int) -> SteeringVerdict:
         start = np.where(strategy < len(strategies), strategy * len(grown) + state,
                          result.basis + len(strategies) * (len(grown) - len(states)))
         states = grown
-    return SteeringVerdict("NoLHSFoundAtResolution", grid_n, result.objective, None, pivots)
+    return SteeringVerdict("NoLHSFoundAtResolution", 0, result.objective, None, pivots)
 
 
 def replay_certificate(verdict: SteeringVerdict, assemblage: Assemblage) -> float:

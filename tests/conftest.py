@@ -11,6 +11,7 @@ without the package's encoders, and ``witness_oracle`` checks a steering
 witness with them on random Bloch directions.
 """
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -292,10 +293,10 @@ def grid_verdict(asm, grid_n: int) -> steering.SteeringVerdict:
     if not result.feasible:
         return steering.SteeringVerdict("NoLHSFoundAtResolution", grid_n, result.objective, None,
                                         result.iterations)
-    return steering._program_verdict(
+    verdict = steering._program_verdict(
         result.x, steering._strategies(len(asm.settings))[0],
-        fibonacci_bloch_grid(grid_n * grid_n), steering._full_target(asm), grid_n,
-        result.iterations)
+        fibonacci_bloch_grid(grid_n * grid_n), steering._full_target(asm), result.iterations)
+    return dataclasses.replace(verdict, grid_n=grid_n)
 
 
 def dense_matrix(solved, comps) -> np.ndarray:

@@ -195,6 +195,15 @@ class TestSteer:
         assert "did not converge" in err
         assert "Traceback" not in err
 
+    def test_a_nearly_product_hardy_state_is_decided(self, tmp_path):
+        # Bob's marginal is pure to rounding and the added states crowd round one point,
+        # where rounding noise passes an absolute pivot tolerance: a singular basis, exit 3.
+        out = tmp_path / "steer.json"
+        assert main(["steer", "--preset", "hardy:0.9999999949278624,0.00010071879231448487",
+                     "--settings", "X,Y", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["lhs_verdict"] == "UnsteerableCertified" and doc["lhs_residual"] < 1e-7
+
 
     def test_missing_input_file_exits_4(self, tmp_path, capsys):
         assert main(["steer", "--input", str(tmp_path / "nope.json")]) == 4

@@ -18,6 +18,7 @@ from photonsteer.simplex import (
     PIVOT_TOL,
     REFACTOR_EVERY,
     STALL_LIMIT,
+    _RELATIVE_PIVOT_TOL,
     FeasibilityResult,
     solve_feasibility,
 )
@@ -76,7 +77,7 @@ def _dense_feasibility(A, b) -> FeasibilityResult:
             entering = int(improving[0])  # Bland: lowest index
 
         direction = np.linalg.solve(B, ext[:, entering])
-        movable = direction > PIVOT_TOL
+        movable = direction > max(PIVOT_TOL, _RELATIVE_PIVOT_TOL * direction.max())
         if not movable.any():
             # Phase-1 objective is bounded below by zero, so an unbounded ray
             # means numerical breakdown, not a real certificate.

@@ -989,7 +989,10 @@ class TestLhsFeasibility:
 
     @pytest.mark.parametrize("settings", [("Z", "X"), ("Z", "X", "Y")])
     def test_verdict_does_not_depend_on_the_cache(self, settings):
-        asm = compute_assemblage(noisy_state(0.5), settings)
+        # Both reach column generation, the only reader of the cache: noisy(1/√2) with
+        # Z,X has a margin within the band.
+        asm = compute_assemblage(noisy_state(1 / math.sqrt(2)), settings)
+        assert lhs_feasibility(asm, 10).pivots > 0
         steering._strategies.cache_clear()
         fresh = lhs_feasibility(asm, 10)
         lhs_feasibility(compute_assemblage(noisy_state(0.5), ("Z", "X", "Y")), 10)
@@ -1167,7 +1170,7 @@ class TestExactTwoSettingPath:
     def test_a_margin_within_the_band_goes_to_column_generation(self, offset):
         asm = compute_assemblage(noisy_state(1 / math.sqrt(2) + offset), ("Z", "X"))
         assert abs(steering.joint_measurability_margin(asm)) <= steering._MARGIN_TOL
-        assert steering._exact_two_setting(asm, 20) is None
+        assert steering._exact_two_setting(asm) is None
         verdict = lhs_feasibility(asm, 20)
         assert verdict.status == "UnsteerableCertified" and verdict.pivots > 0
         assert verdict.residual < 1e-7
@@ -1181,7 +1184,7 @@ class TestExactTwoSettingPath:
         psi = np.array([math.cos(t), 0.0, 0.0, math.sin(t)])
         asm = compute_assemblage(DensityOperator(QUBIT_PAIR_LABELS, np.outer(psi, psi)),
                                  ("Z", "X"))
-        assert steering._exact_two_setting(asm, 20) is None
+        assert steering._exact_two_setting(asm) is None
         verdict = lhs_feasibility(asm, 20)
         assert verdict.status == "NoLHSFoundAtResolution" and verdict.pivots > 0
         assert_decided(verdict, asm)
@@ -1192,7 +1195,7 @@ class TestExactTwoSettingPath:
         members = dict(compute_assemblage(noisy_state(v), ("Z", "X")).members)
         members[(signalling, +1)] = members[(signalling, +1)] + 1e-3 * IDENTITY
         asm = Assemblage(("Z", "X"), members)
-        assert steering._exact_two_setting(asm, 20) is None or v > SQ2
+        assert steering._exact_two_setting(asm) is None or v > SQ2
         verdict = lhs_feasibility(asm, 20)
         assert verdict.status == "NoLHSFoundAtResolution" and verdict.certificate is None
 
@@ -1264,8 +1267,37 @@ def assert_decided(verdict, asm: Assemblage) -> None:
         assert witness_oracle(asm, verdict.witness) >= verdict.residual - 1e-12
 
 
+def assert_decided_or_open(verdict, asm: Assemblage) -> None:
+    """``assert_decided``, or a verdict left open: neither certificate nor witness, and a
+    finite phase-1 optimum as ``residual``."""
+    if verdict.certificate is None and verdict.witness is None:
+        assert verdict.status == "NoLHSFoundAtResolution"
+        assert 0 <= verdict.residual < 1
+    else:
+        assert_decided(verdict, asm)
+
+
+def near_pure_frames(count: int, seed: int):
+    """cos t|00> + sin t|11>, Bob's eigenvalue ratio tan² t log-uniform from 1e-16 to 1e-4,
+    under random local unitaries but for every fourth frame."""
+    rng = np.random.default_rng(seed)
+
+    def haar():
+        q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    frames = []
+    for i in range(count):
+        t = math.atan(math.sqrt(10 ** rng.uniform(-16, -4)))
+        psi = np.array([math.cos(t), 0, 0, math.sin(t)])
+        if i % 4:
+            psi = np.kron(haar(), haar()) @ psi
+        frames.append(DensityOperator(QUBIT_PAIR_LABELS, np.outer(psi, psi.conj())))
+    return frames
+
+
 class TestColumnGeneration:
-    """Three- and four-setting verdicts over the whole Bloch sphere, against the exact
+    """Column-generation verdicts over the whole Bloch sphere, against the exact
     noisy thresholds, the grid oracle and an independent witness oracle."""
 
     @pytest.fixture(scope="class")
@@ -1386,6 +1418,45 @@ class TestColumnGeneration:
         assert verdict.residual > 0
         with pytest.raises(ValueError, match="verdict carries no witness"):
             replay_witness(verdict, asm)
+
+    @pytest.mark.parametrize("settings", [("Z", "X"), ("X", "Y")])
+    def test_nearly_pure_bob_marginals_do_not_break_the_solver(self, settings):
+        # Bob's eigenvalue ratio from 1e-14 to 1e-6: the added states crowd round the pole.
+        # With an absolute pivot tolerance alone, ten of these break down (nine with X,Y),
+        # on a singular basis or past 20 000 pivots.
+        for ratio in np.geomspace(1e-14, 1e-6, 33).tolist():
+            t = math.atan(math.sqrt(ratio))
+            psi = np.array([math.cos(t), 0.0, 0.0, math.sin(t)])
+            asm = compute_assemblage(DensityOperator(QUBIT_PAIR_LABELS, np.outer(psi, psi)),
+                                     settings)
+            if steering._exact_two_setting(asm) is None:
+                assert_decided_or_open(lhs_feasibility(asm, 20), asm)
+
+    def test_hardy_near_a_product_state_does_not_break_the_solver(self):
+        # With an absolute pivot tolerance alone, r = 1.007e-4 breaks down with X,Y, and
+        # nine of these points with Z,X,Y.
+        for r in np.geomspace(1e-5, 0.05, 60).tolist():
+            rho = two_qubit_frame(preset(f"hardy:{math.sqrt(1 - r * r)!r},{r!r}"))[0]
+            for settings in (("X", "Y"), ("Z", "X", "Y")):
+                asm = compute_assemblage(rho, settings)
+                if len(settings) == 3 or steering._exact_two_setting(asm) is None:
+                    assert_decided_or_open(lhs_feasibility(asm, 20), asm)
+
+    @pytest.mark.parametrize("index", [56, 76, 84])
+    def test_a_stalled_warm_start_is_solved_again_cold(self, index, monkeypatch):
+        # With X,Y a warm-started round of these frames stalls past 20 000 pivots; the
+        # round is solved again from the artificial basis.
+        asm = compute_assemblage(near_pure_frames(index + 1, seed=6)[index], ("X", "Y"))
+        starts = []
+
+        def spy(solved, comps, b, start=None):
+            starts.append(start)
+            return solve_feasibility(solved, comps, b, start)
+
+        monkeypatch.setattr(steering, "solve_feasibility", spy)
+        verdict = lhs_feasibility(asm, 20)
+        assert_decided_or_open(verdict, asm)
+        assert any(a is not None and b is None for a, b in zip(starts, starts[1:]))
 
     def test_signalling_assemblage_is_never_certified(self):
         members = dict(compute_assemblage(noisy_state(0.4), ("Z", "X", "Y")).members)
