@@ -185,7 +185,7 @@ def cmd_steer(args) -> int:
         "cjwr": cjwr,
         "chsh": scenarios.chsh_json(chsh),
         "lhs_verdict": verdict.status,
-        "grid_n": verdict.grid_n,
+        "grid_n": args.grid,
         "lhs_residual": verdict.residual,
     }
     if verdict.certificate is not None:

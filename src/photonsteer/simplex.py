@@ -26,7 +26,9 @@ step; the leaving row is the lowest basis index among ratio ties under both
 rules.
 
 A solve returns its final basis and duals, and can start from a given feasible basis:
-column generation adds columns and warm-starts each round from the last basis.
+column generation adds columns and warm-starts each round from the last basis. A
+feasible solve returns x, clamped at 0, but no residual: the LHS verdict measures its
+certificate against the full program's rows itself.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ class FeasibilityResult:
     feasible: bool
     x: np.ndarray | None  # structural solution when feasible, s-major
     objective: float  # phase-1 optimum (sum of artificials)
-    residual: float  # max |A x - b| recomputed from scratch
     iterations: int
     bland_iterations: int = 0  # pivots taken after the fallback to Bland's rule
     # Phase-1 duals y at exit, on the rows as given (b's signs undone): y·b is the optimum
@@ -193,13 +194,10 @@ def solve_feasibility(solved: np.ndarray, comps: np.ndarray, b: np.ndarray,
     bland_iterations = 0 if bland_from is None else iterations - bland_from
     objective = float(cost_basic @ np.maximum(x_basic, 0.0))
     if objective > FEAS_TOL:
-        return FeasibilityResult(False, None, objective, objective, iterations, bland_iterations,
+        return FeasibilityResult(False, None, objective, iterations, bland_iterations,
                                  sign * duals, basis)
 
     x = np.zeros(n)
     structural = basis < n
     x[basis[structural]] = np.maximum(x_basic[structural], 0.0)
-    rebuilt = solved @ x.reshape(strategies, states) @ comps
-    residual = float(np.max(np.abs(rebuilt.ravel() - b))) if m else 0.0
-    return FeasibilityResult(True, x, objective, residual, iterations, bland_iterations,
-                             sign * duals, basis)
+    return FeasibilityResult(True, x, objective, iterations, bland_iterations, sign * duals, basis)

@@ -30,8 +30,8 @@ witness, a margin that no LHS model of any resolution can meet
 The CHSH search is sized by one number, and ``check_chsh_step`` is the only
 copy of its bounds: it raises ``OutOfRange`` before the search allocates
 anything. Column generation stops after ``_MAX_ROUNDS`` rounds, each adding at
-most 2^m states. ``check_grid`` bounds the ``grid_n`` that every verdict
-echoes, though no verdict depends on it.
+most 2^m states. ``check_grid`` bounds the ``grid_n`` that ``lhs_feasibility``
+takes, though no verdict depends on it.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -79,21 +79,23 @@ QUBIT_PAIR_LABELS = ("A0|B0", "A0|B1", "A1|B0", "A1|B1")
 # Bob's site when a state declares it and none is named (``frame_sites``).
 BOB_SITE = "PUE"
 
-# No verdict depends on ``grid_n``. ``lhs_feasibility`` checks it against these bounds and
-# echoes it, and ``steer``/``sweep`` take --grid within them (exit 4 outside), so that
-# requests that pass --grid, as every benchmark request does, stay valid.
+# No verdict depends on ``grid_n``. ``lhs_feasibility`` checks it against these bounds, and
+# ``steer``/``sweep`` take --grid within them (exit 4 outside), so that requests that pass
+# --grid, as every benchmark request does, stay valid.
 MIN_GRID = 6
 MAX_GRID = 100
 # Degrees. The CHSH search holds the k² floats of E, k = 360 / step, and O(k) arrays for
 # the pairs its bounds keep: its tracemalloc peak at 1° is 1.2 MiB on noisy(0.7) (0.3 ms).
-# When the Z-X correlation block T is about 0 every Bob pair is scanned over every Alice
-# angle, k³ work: 0.10-0.11 s and a peak of 6.7 MiB at 1° (2-vCPU Xeon).
+# When the Z-X correlation block T is about 0 every pair bound is formed, every Bob pair
+# survives and each is scanned over every Alice angle, k³ work: on noisy(0) about 1.5 ms
+# at 5°, and 0.13 s with a peak of 16.8 MiB at 1° (2-vCPU Xeon, numpy 2.4).
 MIN_CHSH_STEP = 1.0
 
 
 def check_grid(grid_n) -> int:
     """The LHS grid rule: ``grid_n`` as an int, if it is an integer from ``MIN_GRID``
-    to ``MAX_GRID``; else ``OutOfRange``."""
+    to ``MAX_GRID``; else ``OutOfRange``. ``steer`` writes the checked value as
+    ``grid_n``; no verdict reads it."""
     try:
         n = operator.index(grid_n)
     except TypeError:
@@ -168,8 +170,7 @@ class Assemblage:
 @dataclass(frozen=True)
 class SteeringVerdict:
     """Outcome of ``lhs_feasibility``: from the exact two-setting path or from column
-    generation (everything that path leaves open). ``grid_n`` echoes the request on both;
-    no verdict depends on it.
+    generation (everything that path leaves open).
 
     ``certificate`` (certified case) lists (strategy, bloch_vector, weight)
     triples; a strategy assigns an outcome to each setting in order. It is
@@ -199,7 +200,6 @@ class SteeringVerdict:
     """
 
     status: str  # UnsteerableCertified | NoLHSFoundAtResolution
-    grid_n: int
     residual: float
     certificate: tuple[tuple[tuple[int, ...], tuple[float, float, float], float], ...] | None
     pivots: int  # simplex pivots the program took
@@ -534,8 +534,8 @@ def chsh_optimize(rho: DensityOperator, grid_step_deg: float) -> ChshResult:
       that bracket their directions (``_pair_totals``); a pair with a term too
       short for that is scanned over all k angles.
     On ``noisy:v``, v > 0, 2-6 rows of pairs survive and none is scanned. When T
-    is about 0, so that no term can be long enough to bracket (|w| ≤ 2 max |T u_j|),
-    every pair is scanned with no bounds formed: k³ time, in O(k²) memory.
+    is about 0 every bound is about 0, so every pair survives, and no term is long
+    enough to bracket, so every pair is scanned: k³ time, in O(k²) memory.
     """
     check_chsh_step(grid_step_deg)
     T = _correlation_matrix(_frame_matrix(rho))
@@ -546,12 +546,8 @@ def chsh_optimize(rho: DensityOperator, grid_step_deg: float) -> ChshResult:
 
     z = _XY @ T @ u  # T u_j as x + iy
     gap = 2 * math.sin(math.radians(step) / 2) ** 2  # a term's bracket gap per unit |w|
-    if 2 * np.abs(z).max() * gap <= _BRACKET_GAP:  # every |w| ≤ 2 max|z| is short: T about 0
-        pairs = np.arange(k * k)
-        total, best0_idx, best1_idx = _scan_pairs(E, pairs)
-    else:
-        pairs = _survivors(E, T, means, sin2, cos2)
-        total, best0_idx, best1_idx = _pair_totals(E, z, pairs, gap)
+    pairs = _survivors(E, T, means, sin2, cos2)
+    total, best0_idx, best1_idx = _pair_totals(E, z, pairs, gap)
     best = int(np.argmax(total))
     i_b0, i_b1 = divmod(int(pairs[best]), k)
     a0, a1 = float(angles[best0_idx[best]]), float(angles[best1_idx[best]])
@@ -650,7 +646,6 @@ _SEARCH_ROUNDS = 48
 _STENCIL = np.stack(np.meshgrid(np.linspace(-1.0, 1.0, 9), np.linspace(-1.0, 1.0, 9)),
                     axis=-1).reshape(-1, 2)
 _STENCIL.setflags(write=False)
-_TWO_STRATEGIES = tuple(product((+1, -1), repeat=2))
 
 
 def _dot(u, v) -> float:
@@ -796,7 +791,7 @@ def _exact_two_setting(assemblage: Assemblage) -> SteeringVerdict | None:
         else:
             margin = _yu_margin(e, f)
             if margin > _MARGIN_TOL:
-                return SteeringVerdict("NoLHSFoundAtResolution", 0, margin, None, 0)
+                return SteeringVerdict("NoLHSFoundAtResolution", margin, None, 0)
             parent = _parent_search(e, f) if margin < -_MARGIN_TOL else None
             if parent is None:
                 return None
@@ -815,7 +810,7 @@ def _exact_two_setting(assemblage: Assemblage) -> SteeringVerdict | None:
     else:
         return None
     certificate = []
-    for strategy, (weight, bloch) in zip(_TWO_STRATEGIES, entries):
+    for strategy, (weight, bloch) in zip(_strategies(2)[0], entries):
         if weight < -_WEIGHT_FLOOR:
             return None
         if weight <= _WEIGHT_FLOOR:
@@ -827,7 +822,7 @@ def _exact_two_setting(assemblage: Assemblage) -> SteeringVerdict | None:
     residual = _certificate_residual(certificate, _full_target(assemblage))
     if residual > _EXACT_RESIDUAL:
         return None
-    return SteeringVerdict("UnsteerableCertified", 0, residual, tuple(certificate), 0)
+    return SteeringVerdict("UnsteerableCertified", residual, tuple(certificate), 0)
 
 
 def lhs_feasibility(assemblage: Assemblage, grid_n: int) -> SteeringVerdict:
@@ -842,16 +837,16 @@ def lhs_feasibility(assemblage: Assemblage, grid_n: int) -> SteeringVerdict:
     the two-setting cases the exact path leaves open (a margin within ``_MARGIN_TOL`` of
     0, a parent it does not find, a certificate that does not rebuild the assemblage,
     such as the one-state certificate of a Bob marginal just below ``_FULL_RANK``).
-    ``grid_n`` is checked and echoed.
+    ``grid_n`` is only checked (``check_grid``); no verdict depends on it.
     """
-    grid_n = check_grid(grid_n)
+    check_grid(grid_n)
     m = len(assemblage.settings)
     if m > 4:
         raise TooManySettings(f"at most 4 settings supported, got {m}")
     verdict = _exact_two_setting(assemblage) if m == 2 else None
     if verdict is None:
         verdict = _column_generation(assemblage)
-    return replace(verdict, grid_n=grid_n)  # both paths leave grid_n at 0
+    return verdict
 
 
 # A program certificate must rebuild the full program's 8m rows below this.
@@ -870,8 +865,8 @@ def _program_verdict(x: np.ndarray, strategies, states: np.ndarray, target: np.n
         certificate.append((strategies[s_idx], tuple(states[g_idx].tolist()), float(x[idx])))
     residual = _certificate_residual(certificate, target)
     if residual < _PROGRAM_RESIDUAL:
-        return SteeringVerdict("UnsteerableCertified", 0, residual, tuple(certificate), pivots)
-    return SteeringVerdict("NoLHSFoundAtResolution", 0, residual, None, pivots)
+        return SteeringVerdict("UnsteerableCertified", residual, tuple(certificate), pivots)
+    return SteeringVerdict("NoLHSFoundAtResolution", residual, None, pivots)
 
 
 # Column generation (Gilmore & Gomory, Oper. Res. 9, 849 (1961)) starts from these six
@@ -950,7 +945,7 @@ def _column_generation(assemblage: Assemblage) -> SteeringVerdict:
             return _program_verdict(result.x, strategies, states, target, pivots)
         margin, beta, length, top = _witness_bounds(result.duals, b, solved)
         if margin > _WITNESS_TOL:
-            return SteeringVerdict("NoLHSFoundAtResolution", 0, margin, None, pivots,
+            return SteeringVerdict("NoLHSFoundAtResolution", margin, None, pivots,
                                    tuple(result.duals.tolist()))
         grow = (top > _PRICE_TOL) & (length > 0)
         if not grow.any():
@@ -963,7 +958,7 @@ def _column_generation(assemblage: Assemblage) -> SteeringVerdict:
         start = np.where(strategy < len(strategies), strategy * len(grown) + state,
                          result.basis + len(strategies) * (len(grown) - len(states)))
         states = grown
-    return SteeringVerdict("NoLHSFoundAtResolution", 0, result.objective, None, pivots)
+    return SteeringVerdict("NoLHSFoundAtResolution", result.objective, None, pivots)
 
 
 def replay_certificate(verdict: SteeringVerdict, assemblage: Assemblage) -> float:

@@ -8,10 +8,10 @@ oracle: the factored LHS program over a fixed Fibonacci grid of the Bloch
 sphere, which certifies at one resolution and proves nothing steerable.
 ``bloch_state`` and ``real_components`` build the full LHS program's columns
 without the package's encoders, and ``witness_oracle`` checks a steering
-witness with them on random Bloch directions.
+witness with them on random Bloch directions. ``program_residual`` rebuilds
+A x - b of a solver solution from its factored program.
 """
 
-import dataclasses
 import functools
 
 import numpy as np
@@ -291,12 +291,19 @@ def grid_verdict(asm, grid_n: int) -> steering.SteeringVerdict:
     solved, comps, b = lhs_program(asm, grid_n)
     result = solve_feasibility(solved, comps, b)
     if not result.feasible:
-        return steering.SteeringVerdict("NoLHSFoundAtResolution", grid_n, result.objective, None,
+        return steering.SteeringVerdict("NoLHSFoundAtResolution", result.objective, None,
                                         result.iterations)
-    verdict = steering._program_verdict(
+    return steering._program_verdict(
         result.x, steering._strategies(len(asm.settings))[0],
         fibonacci_bloch_grid(grid_n * grid_n), steering._full_target(asm), result.iterations)
-    return dataclasses.replace(verdict, grid_n=grid_n)
+
+
+def program_residual(solved, comps, b, x) -> float:
+    """max |A x - b| of a solution x (s-major) of the factored program (solved, comps, b),
+    A[(r, c), (s, g)] = solved[r, s] · comps[g, c]; a dense A has comps [[1.0]]."""
+    solved = np.asarray(solved, dtype=float)
+    rebuilt = solved @ x.reshape(solved.shape[1], -1) @ np.asarray(comps, dtype=float)
+    return float(np.max(np.abs(rebuilt.ravel() - np.asarray(b, dtype=float).ravel())))
 
 
 def dense_matrix(solved, comps) -> np.ndarray:

@@ -172,6 +172,18 @@ class TestSteer:
         golden = GOLDEN / f"steer_{spec.replace(':', '_')}_ZX.json"
         assert out.read_bytes() == golden.read_bytes()
 
+    # Z,X is decided by the exact path, Z,X,Y by column generation; neither verdict
+    # carries the grid, which steer writes from --grid alone.
+    @pytest.mark.parametrize("settings", ["Z,X", "Z,X,Y"])
+    @pytest.mark.parametrize("grid", [steering.MIN_GRID, steering.MAX_GRID])
+    def test_grid_n_is_the_grid_requested(self, tmp_path, settings, grid):
+        out = tmp_path / "steer.json"
+        assert main(["steer", "--preset", "noisy:0.4", "--settings", settings,
+                     "--grid", str(grid), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["grid_n"] == grid
+        assert list(doc).index("grid_n") == list(doc).index("lhs_verdict") + 1
+
     @pytest.mark.parametrize("spec", ["twc", "noisy:0.9"])
     def test_witness_replays_from_the_written_file(self, tmp_path, spec):
         out = tmp_path / "steer.json"
@@ -183,8 +195,8 @@ class TestSteer:
                                      for row in doc["assemblage"][scenarios.member_key(x, a)]])
                    for x in doc["settings"] for a in (+1, -1)}
         asm = steering.Assemblage(tuple(doc["settings"]), members)
-        verdict = steering.SteeringVerdict(doc["lhs_verdict"], doc["grid_n"], doc["lhs_residual"],
-                                           None, 0, tuple(doc["witness"]))
+        verdict = steering.SteeringVerdict(doc["lhs_verdict"], doc["lhs_residual"], None, 0,
+                                           tuple(doc["witness"]))
         assert steering.replay_witness(verdict, asm) == doc["lhs_residual"]
 
     def test_solver_breakdown_exits_3(self, monkeypatch, capsys):
