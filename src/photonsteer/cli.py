@@ -27,7 +27,8 @@ to 100, a --chsh-step that is not finite, is below 1 degree or is not a divisor 
 circuit or --input file whose declared basis has more than 65 537 kets, a circuit whose
 elements × kets exceed 2^25, a --input file that is not a finite unit state with integer
 OAM values and one amplitude per declared basis entry, and an --out path that cannot be
-written). Output is deterministic: identical arguments produce byte-identical files.
+written). Output is deterministic: identical arguments produce byte-identical files. JSON
+output is exactly ``json.dumps(doc, indent=2)`` and a newline, written by ``_json_text``.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -76,6 +78,63 @@ def _write(path: str | None, payload: str) -> None:
             handle.write(payload)
     except OSError as exc:
         raise UsageError(f"cannot write {path!r}: {exc}") from exc
+
+
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's spelling
+
+
+def _render(value, out: list, indent: str) -> None:
+    """Append the text of ``json.dumps(value, indent=2)`` to ``out`` in chunks, ``indent``
+    being the newline and spaces that open a line at the value's depth. It dispatches on
+    the exact type; anything else, such as a numpy scalar or a dict with a key that is not
+    a str, goes to ``json.dumps`` itself, reindented, so it reads or fails as there."""
+    kind = type(value)
+    if kind is float:
+        text = float.__repr__(value)
+        out.append(_NONFINITE.get(text, text))
+    elif kind is str:
+        out.append(_quote(value))
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            separator = "," + inner
+            _render(item, out, inner)
+        out.append(indent + "]")
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        start, inner = len(out), indent + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            if type(key) is not str:
+                del out[start:]
+                out.append(json.dumps(value, indent=2).replace("\n", indent))
+                return
+            out.append(separator + _quote(key) + ": ")
+            separator = "," + inner
+            _render(item, out, inner)
+        out.append(indent + "}")
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif value is None or kind is bool:
+        out.append("null" if value is None else "true" if value else "false")
+    else:
+        out.append(json.dumps(value, indent=2).replace("\n", indent))
+
+
+def _json_text(doc) -> str:
+    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte, in about half the time: the
+    standard encoder falls back to pure Python whenever it indents."""
+    out: list = []
+    _render(doc, out, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 def state_to_json_dict(state: StateVector) -> dict:
@@ -144,7 +203,7 @@ def cmd_run(args) -> int:
             lines.append(f"{ket.label()},{float(amp.real)!r},{float(amp.imag)!r}")
         _write(args.out, "\n".join(lines) + "\n")
     else:
-        _write(args.out, json.dumps(state_to_json_dict(state), indent=2) + "\n")
+        _write(args.out, _json_text(state_to_json_dict(state)))
     return EXIT_OK
 
 
@@ -195,7 +254,7 @@ def cmd_steer(args) -> int:
         ]
     if verdict.witness is not None:
         doc["witness"] = list(verdict.witness)
-    _write(args.out, json.dumps(doc, indent=2) + "\n")
+    _write(args.out, _json_text(doc))
     return EXIT_OK
 
 
@@ -235,7 +294,7 @@ def cmd_sweep(args) -> int:
             {"v": v, "cjwr": cjwr, "chsh_opt": chsh_opt, "lhs_verdict": status}
             for v, cjwr, chsh_opt, status in rows
         ]
-        _write(args.out, json.dumps(doc, indent=2) + "\n")
+        _write(args.out, _json_text(doc))
     else:
         lines = ["v,cjwr,chsh_opt,lhs_verdict"]
         lines += [f"{v!r},{cjwr!r},{chsh_opt!r},{status}" for v, cjwr, chsh_opt, status in rows]
@@ -245,7 +304,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_report(args) -> int:
     report = scenarios.scenario_report(args.preset, site=args.site, basis=args.basis)
-    _write(args.out, json.dumps(report, indent=2) + "\n")
+    _write(args.out, _json_text(report))
     return EXIT_OK
 
 

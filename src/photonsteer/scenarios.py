@@ -130,7 +130,7 @@ def preset(spec: str) -> StateVector | DensityOperator:
 
 def complex_pairs(matrix: np.ndarray) -> list:
     """A complex matrix as nested [re, im] pairs for JSON output."""
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix)]
+    return [[[z.real, z.imag] for z in row] for row in np.asarray(matrix, dtype=complex).tolist()]
 
 
 def member_key(setting: str, outcome: int) -> str:

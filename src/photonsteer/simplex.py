@@ -7,7 +7,10 @@ every LHS program is built; a dense A is the case ``comps = [[1.0]]``.
 
 Revised form with an explicit basis inverse. Every column is priced through
 the two factors, ``−(solvedᵀ Y) compsᵀ`` with Y the duals reshaped to the
-rows' (r, c) grid, and a column is built only when it enters. Each pivot
+rows' (r, c) grid. The row-signed columns of [A | I] are built once per solve,
+as one (n + m, m) block that a factorization and an entering column read rows
+of. Column generation's largest is its 40th round at 4 settings: 16 strategies
+× (6 + 39 · 16) states + 20 rows, 10 100 × 20 floats (1.6 MB). Each pivot
 updates B⁻¹ by one rank-one (product-form, eta) step (Dantzig & Orchard-Hays,
 Math. Tables Aids Comput. 8, 64 (1954)). The basis is refactorized from
 scratch every ``REFACTOR_EVERY`` pivots, which bounds the error the eta steps
@@ -87,6 +90,21 @@ def _eta_step(binv: np.ndarray, direction: np.ndarray, leaving: int) -> None:
     binv[leaving] = pivot_row
 
 
+def _column_block(solved: np.ndarray, comps: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """The columns of the row-signed [A | I], one per row of a C-contiguous (n + m, m)
+    block: row s·states + g is ``sign · (solved[:, s] ⊗ comps[g])``, each entry the
+    product ``sign[(r, c)] · (solved[r, s] · comps[g, c])``, and row n + i is the unit
+    vector of row i."""
+    (rows, strategies), (states, width) = solved.shape, comps.shape
+    m, n = rows * width, strategies * states
+    block = np.empty((n + m, m))
+    np.multiply(solved.T[:, None, :, None], comps[None, :, None, :],
+                out=block[:n].reshape(strategies, states, rows, width))
+    block[:n] *= sign
+    block[n:] = np.eye(m)
+    return block
+
+
 def solve_feasibility(solved: np.ndarray, comps: np.ndarray, b: np.ndarray,
                       start: np.ndarray | None = None) -> FeasibilityResult:
     """Search for x >= 0 with A x = b, A[(r, c), (s, g)] = solved[r, s] · comps[g, c].
@@ -118,16 +136,10 @@ def solve_feasibility(solved: np.ndarray, comps: np.ndarray, b: np.ndarray,
     priced = reduced[:n].reshape(strategies, states)
     comps_t = np.ascontiguousarray(comps.T)
     minus_sign = -sign.reshape(rows, width)
-
-    def column(j):
-        """Column j of the row-signed [A | I]."""
-        if j >= n:
-            return np.eye(m)[j - n]
-        s, g = divmod(j, states)
-        return sign * (solved[:, s, None] * comps[g]).ravel()
+    block = _column_block(solved, comps, sign)
 
     def factorize():
-        return _inverse(np.column_stack([column(j) for j in basis]), iterations)
+        return _inverse(block[basis].T, iterations)
 
     iterations = 0
     if start is None:
@@ -167,7 +179,7 @@ def solve_feasibility(solved: np.ndarray, comps: np.ndarray, b: np.ndarray,
             binv, since_factor = factorize(), 0
             continue
 
-        direction = binv @ column(entering)
+        direction = binv @ block[entering]
         # The ratio test on Python floats: at a few dozen rows that is cheaper than
         # numpy's per-call cost.
         steps = direction.tolist()

@@ -40,7 +40,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, permutations, product
 
 import numpy as np
 
@@ -73,6 +73,22 @@ _PAULI = {
 # raw basis ordering; X and Y are the single-photon coherences.
 ALICE_OBSERVABLES = {"Z": _PAULI["Z"], "X": _PAULI["X"], "Y": _PAULI["Y"]}
 BOB_OBSERVABLES = {"Z": -_PAULI["Z"], "X": _PAULI["X"], "Y": _PAULI["Y"]}
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+# Alice's projector (I ± A)/2 of each setting and outcome, for ``compute_assemblage``.
+_PROJECTORS = {(x, outcome): _read_only((_PAULI["I"] + outcome * A) / 2)
+               for x, A in ALICE_OBSERVABLES.items() for outcome in (+1, -1)}
+# Alice's and Bob's observable stacks of ``_correlation_matrix`` for every ordered choice
+# of two or three distinct axes.
+_OBSERVABLE_STACKS = {
+    axes: (_read_only(np.array([ALICE_OBSERVABLES[x] for x in axes])),
+           _read_only(np.array([BOB_OBSERVABLES[x] for x in axes])))
+    for n in (2, 3) for axes in permutations(ALICE_OBSERVABLES, n)}
 
 QUBIT_PAIR_LABELS = ("A0|B0", "A0|B1", "A1|B0", "A1|B1")
 
@@ -342,8 +358,7 @@ def _frame_matrix(rho: DensityOperator) -> np.ndarray:
 def _correlation_matrix(rho2q: np.ndarray, axes=("Z", "X")) -> np.ndarray:
     """T[i, j] = <A_i ⊗ B_j> for i, j over ``axes``: the frame tensor
     r[a, b, c, d] = rho[(a, b), (c, d)] contracted with A_i[c, a] B_j[d, b]."""
-    alice = np.array([ALICE_OBSERVABLES[x] for x in axes])
-    bob = np.array([BOB_OBSERVABLES[x] for x in axes])
+    alice, bob = _OBSERVABLE_STACKS[axes]
     return np.einsum("abcd,ica,jdb->ij", rho2q.reshape(2, 2, 2, 2), alice, bob).real
 
 
@@ -567,9 +582,8 @@ def compute_assemblage(rho: DensityOperator, alice_settings) -> Assemblage:
         if x not in ALICE_OBSERVABLES:
             raise NonDichotomicObservable(f"unknown setting {x!r}, use Z, X or Y")
         for outcome in (+1, -1):
-            projector = (_PAULI["I"] + outcome * ALICE_OBSERVABLES[x]) / 2
             # sigma[b, d] = sum over a, c of Pi[a, c] rho[(c, b), (a, d)]
-            members[(x, outcome)] = np.einsum("ac,cbad->bd", projector, frame)
+            members[(x, outcome)] = np.einsum("ac,cbad->bd", _PROJECTORS[(x, outcome)], frame)
     return Assemblage(settings, members)
 
 
@@ -596,12 +610,19 @@ _WEIGHT_FLOOR = 1e-12
 def _certificate_residual(certificate, target: np.ndarray) -> float:
     """max |A_full x - b_full| of an LHS certificate over all 8m rows of the full program,
     ``target`` being b_full (``_full_target``): each (strategy, bloch, weight) entry adds its
-    weighted state rows to sigma(a|x) for the outcome a its strategy gives each setting x."""
-    m = target.shape[0]
-    entries = np.array([(*s, *bloch, w) for s, bloch, w in certificate], float).reshape(-1, m + 4)
-    answers = entries[:, :m, None] == (+1, -1)  # [entry, x, a]: strategy answers a to x
-    rebuilt = np.einsum("sxa,sc->xac", answers, entries[:, -1:] * _state_rows(entries[:, m:-1]))
-    return float(np.abs(rebuilt - target).max())
+    weighted state rows (``_state_rows``) to sigma(a|x) for the outcome a its strategy gives
+    each setting x. In Python floats, summed in certificate order: at a few dozen entries
+    that is cheaper than numpy's per-call cost."""
+    rebuilt = [(0.0, 0.0, 0.0, 0.0)] * (2 * len(target))  # [2x + a], a = 0 for +1
+    for strategy, (nx, ny, nz), weight in certificate:
+        r0, r1, r2, r3 = (weight * (0.5 * (1.0 + nz)), weight * (0.5 * (1.0 - nz)),
+                          weight * (0.5 * nx), weight * (0.5 * -ny))
+        for x, answer in enumerate(strategy):
+            k = 2 * x + (answer != +1)
+            s0, s1, s2, s3 = rebuilt[k]
+            rebuilt[k] = (s0 + r0, s1 + r1, s2 + r2, s3 + r3)
+    return float(max(abs(r - t) for r, t in zip(chain.from_iterable(rebuilt),
+                                                 target.ravel().tolist())))
 
 
 def _solved_target(target: np.ndarray) -> np.ndarray:

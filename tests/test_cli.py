@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, JSON/CSV schemas, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -26,6 +27,39 @@ def fig1_file(tmp_path):
     path = tmp_path / "fig1.table"
     path.write_text(FIG1_CIRCUIT)
     return path
+
+
+class TestJsonText:
+    """The JSON writer of run, steer, sweep and report against the standard encoder."""
+
+    DOCUMENTS = [
+        {}, [], (), {"a": {}, "b": [], "c": [[]], "d": [{}], "e": {"f": {"g": ()}}},
+        (1, (2.5, ()), [(), {}]),
+        [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, -1e-300, 0.1, 1e16],
+        {"t": True, "f": False, "n": None, "big": 10**40, "neg": -(10**25), "zero": 0},
+        {"caf\u00e9 \"q\" \\ \n\t\x00\x1f \u2603 \U0001f600": "\u00fc\"\n\x7f\x1b \U0001f600"},
+        ["", "\"", "\\", "\u2028"],
+        [np.float64(0.1), np.float64(-0.0), np.float64(math.nan), {"x": np.float64(math.inf)}],
+        {"nested": [{"k": (np.float64(1.5), [np.float64(2.0)])}]},
+        {1: "int key", 2.5: [1], True: None, None: {}},
+        [{"deep": {0: [1, 2], "s": "v"}}],
+        [1.0, "1.0", 1, True, None, [None], {"": ""}],
+    ]
+
+    @pytest.mark.parametrize("doc", DOCUMENTS)
+    def test_equals_json_dumps(self, doc):
+        assert cli._json_text(doc) == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("doc", [
+        np.int64(3), [1, {"a": np.int64(2)}], {"a": {(1, 2): 3}}, {"a": 1, (1,): 2},
+        {"set": {1, 2}}, [object()], [b"bytes"],
+    ])
+    def test_refuses_what_json_dumps_refuses(self, doc):
+        with pytest.raises(Exception) as expected:
+            json.dumps(doc, indent=2)
+        with pytest.raises(type(expected.value)) as raised:
+            cli._json_text(doc)
+        assert str(raised.value) == str(expected.value)
 
 
 class TestRun:
@@ -89,6 +123,12 @@ class TestRun:
         plain = capsys.readouterr()
         assert main(["run", str(marked)]) == 0
         assert capsys.readouterr() == plain
+
+    # Made before the JSON writer stopped calling json.dumps: these bytes must not move.
+    def test_golden_bytes(self, tmp_path):
+        out = tmp_path / "state.json"
+        assert main(["run", str(GOLDEN / "run_qplate.table"), "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "run_qplate.json").read_bytes()
 
     def test_csv_format(self, fig1_file, tmp_path):
         out = tmp_path / "state.csv"
@@ -170,6 +210,17 @@ class TestSteer:
         assert main(["steer", "--preset", spec, "--settings", "Z,X", "--grid", "20",
                      "--out", str(out)]) == 0
         golden = GOLDEN / f"steer_{spec.replace(':', '_')}_ZX.json"
+        assert out.read_bytes() == golden.read_bytes()
+
+    # Column generation's three answers, made before its solver built one column block per
+    # solve and the JSON writer stopped calling json.dumps: a certificate (noisy:0.5), a
+    # witness found in round 0 (twc) and one found after more rounds (hardy).
+    @pytest.mark.parametrize("spec", ["noisy:0.5", "twc", "hardy"])
+    def test_three_setting_golden_bytes(self, tmp_path, spec):
+        out = tmp_path / "steer.json"
+        assert main(["steer", "--preset", spec, "--settings", "Z,X,Y", "--grid", "20",
+                     "--out", str(out)]) == 0
+        golden = GOLDEN / f"steer_{spec.replace(':', '_')}_ZXY.json"
         assert out.read_bytes() == golden.read_bytes()
 
     # Z,X is decided by the exact path, Z,X,Y by column generation; neither verdict
@@ -573,6 +624,16 @@ class TestReport:
             "H-click", "V-click", "no-click",
         }
         assert doc["assemblage"]["cjwr_zx"] == pytest.approx(np.sqrt(2.0), abs=1e-9)
+
+    # Made before the JSON writer stopped calling json.dumps: these bytes must not move.
+    @pytest.mark.parametrize("flags, name", [
+        (["--preset", "eq1"], "report_eq1"),
+        (["--preset", "qplate_tripartite", "--basis", "OAMpm"], "report_qplate_tripartite_OAMpm"),
+    ], ids=["eq1", "qplate_tripartite-OAMpm"])
+    def test_golden_bytes(self, tmp_path, flags, name):
+        out = tmp_path / "report.json"
+        assert main(["report", *flags, "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
     def test_unknown_preset_exits_3(self):
         assert main(["report", "--preset", "wormhole"]) == 3

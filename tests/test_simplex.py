@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from conftest import dense_matrix, lhs_program, program_residual
 
-from photonsteer import simplex
+from photonsteer import simplex, steering
 from photonsteer.errors import PhysicsError, SolverBreakdown
-from photonsteer.scenarios import noisy_state
+from photonsteer.scenarios import hardy_state, noisy_state
 from photonsteer.simplex import (
     FEAS_TOL,
     MAX_PIVOTS,
@@ -22,7 +22,7 @@ from photonsteer.simplex import (
     FeasibilityResult,
     solve_feasibility,
 )
-from photonsteer.steering import compute_assemblage
+from photonsteer.steering import compute_assemblage, two_qubit_frame
 
 DENSE = np.ones((1, 1))  # comps of a dense A, which is then its own left factor
 # The visibilities of test_verdicts_equal_the_full_program.
@@ -306,6 +306,41 @@ class TestDenseOracle:
     def test_singular_refactorization_raises_typed_breakdown(self):
         with pytest.raises(SolverBreakdown, match="singular basis after 7 iterations"):
             simplex._inverse(np.zeros((2, 2)), 7)
+
+
+class TestColumnBlock:
+    """The one block of row-signed columns a solve reads: every structural column equals
+    its Kronecker product, and the artificial rows are the identity."""
+
+    @staticmethod
+    def check(solved, comps, b):
+        solved, comps = np.asarray(solved, dtype=float), np.asarray(comps, dtype=float)
+        sign = np.where(np.asarray(b) < 0, -1.0, 1.0)
+        block = simplex._column_block(solved, comps, sign)
+        expected = np.array([sign * (solved[:, s, None] * comps[g]).ravel()
+                             for s in range(solved.shape[1]) for g in range(comps.shape[0])])
+        n, m = expected.shape
+        assert block.shape == (n + m, m) and block.flags.c_contiguous
+        assert np.array_equal(block[:n], expected)
+        assert np.array_equal(block[n:], np.eye(m))
+
+    @pytest.mark.parametrize("case", ORACLE_CASES, ids=oracle_case_id)
+    def test_oracle_programs(self, case):
+        self.check(*oracle_program(case))
+
+    def test_grown_warm_start_program(self, monkeypatch):
+        calls = []
+
+        def recording_solve(solved, comps, b, start=None):
+            calls.append((solved, comps, b, start))
+            return solve_feasibility(solved, comps, b, start)
+
+        monkeypatch.setattr(steering, "solve_feasibility", recording_solve)
+        steering.lhs_feasibility(compute_assemblage(two_qubit_frame(hardy_state())[0],
+                                                    ("Z", "X", "Y")), 20)
+        solved, comps, b, start = calls[-1]
+        assert start is not None and len(comps) > len(steering._AXIS_STATES)
+        self.check(solved, comps, b)
 
 
 class TestDualsAndStart:
