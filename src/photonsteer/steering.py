@@ -11,9 +11,9 @@ present". ``two_qubit_frame`` is the one frame rule: it picks the sites
 (``frame_sites``) and one of the two frames for every prepared input, and
 ``compute_assemblage``, ``cjwr_value``, ``chsh_value`` and ``chsh_optimize``
 take the 4x4 frame it returns (a ``DensityOperator``) and nothing else.
-Every assemblage member and correlator comes from the one observable table:
-Alice's projectors are (I ± A)/2, and members and <A_i ⊗ B_j> are each one
-einsum on the frame's (2, 2, 2, 2) tensor.
+The frame is read through two fixed contractions over Z, X and Y, each one einsum
+on its (2, 2, 2, 2) tensor: every member of Alice's six projectors (I ± A)/2, and the
+3x3 table T[i, j] = <A_i ⊗ B_j>, whose diagonal CJWR sums and whose Z-X block CHSH reads.
 
 ``lhs_feasibility`` decides two settings exactly where it can: the assemblage
 is unsteerable exactly when Bob's steering-equivalent effects are jointly
@@ -40,7 +40,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from itertools import chain, permutations, product
+from itertools import chain, product
 
 import numpy as np
 
@@ -80,15 +80,14 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-# Alice's projector (I ± A)/2 of each setting and outcome, for ``compute_assemblage``.
-_PROJECTORS = {(x, outcome): _read_only((_PAULI["I"] + outcome * A) / 2)
-               for x, A in ALICE_OBSERVABLES.items() for outcome in (+1, -1)}
-# Alice's and Bob's observable stacks of ``_correlation_matrix`` for every ordered choice
-# of two or three distinct axes.
-_OBSERVABLE_STACKS = {
-    axes: (_read_only(np.array([ALICE_OBSERVABLES[x] for x in axes])),
-           _read_only(np.array([BOB_OBSERVABLES[x] for x in axes])))
-    for n in (2, 3) for axes in permutations(ALICE_OBSERVABLES, n)}
+# The fixed operands of the two contractions with the frame, over every axis in table
+# order (Z, X, Y): Alice's and Bob's observables, and Alice's projectors (I ± A)/2 by
+# (axis, outcome +1 then -1); ``_AXIS_INDEX`` holds each axis's position.
+_AXIS_INDEX = {axis: i for i, axis in enumerate(ALICE_OBSERVABLES)}
+_ALICE_STACK = _read_only(np.array(list(ALICE_OBSERVABLES.values())))
+_BOB_STACK = _read_only(np.array(list(BOB_OBSERVABLES.values())))
+_PROJECTORS = _read_only(np.array([[(_PAULI["I"] + outcome * A) / 2 for outcome in (+1, -1)]
+                                   for A in _ALICE_STACK]))
 
 QUBIT_PAIR_LABELS = ("A0|B0", "A0|B1", "A1|B0", "A1|B1")
 
@@ -355,11 +354,18 @@ def _frame_matrix(rho: DensityOperator) -> np.ndarray:
     return np.asarray(rho.matrix)
 
 
-def _correlation_matrix(rho2q: np.ndarray, axes=("Z", "X")) -> np.ndarray:
-    """T[i, j] = <A_i ⊗ B_j> for i, j over ``axes``: the frame tensor
+def _axis_positions(axes) -> list[int]:
+    """The table positions of ``axes``; ``NonDichotomicObservable`` names the first unknown."""
+    for axis in axes:
+        if axis not in _AXIS_INDEX:
+            raise NonDichotomicObservable(f"unknown setting {axis!r}, use Z, X or Y")
+    return [_AXIS_INDEX[axis] for axis in axes]
+
+
+def _correlations(rho2q: np.ndarray) -> np.ndarray:
+    """T[i, j] = <A_i ⊗ B_j> for i, j over Z, X, Y: the frame tensor
     r[a, b, c, d] = rho[(a, b), (c, d)] contracted with A_i[c, a] B_j[d, b]."""
-    alice, bob = _OBSERVABLE_STACKS[axes]
-    return np.einsum("abcd,ica,jdb->ij", rho2q.reshape(2, 2, 2, 2), alice, bob).real
+    return np.einsum("abcd,ica,jdb->ij", rho2q.reshape(2, 2, 2, 2), _ALICE_STACK, _BOB_STACK).real
 
 
 def cjwr_value(rho: DensityOperator, axes) -> float:
@@ -371,17 +377,13 @@ def cjwr_value(rho: DensityOperator, axes) -> float:
     axes = tuple(axes)
     if len(axes) not in (2, 3) or len(set(axes)) != len(axes):
         raise ValueError(f"CJWR is implemented for n in {{2, 3}} distinct axes, got {axes}")
-    matrix = _frame_matrix(rho)
-    for axis in axes:
-        if axis not in ALICE_OBSERVABLES:
-            raise NonDichotomicObservable(f"unknown axis {axis!r}, use Z, X or Y")
-    T = _correlation_matrix(matrix, axes)
-    return float(abs(np.trace(T)) / np.sqrt(len(axes)))
+    matrix, diagonal = _frame_matrix(rho), _axis_positions(axes)
+    return float(abs(_correlations(matrix).diagonal()[diagonal].sum()) / np.sqrt(len(axes)))
 
 
 def chsh_value(rho: DensityOperator, a0: float, a1: float, b0: float, b1: float) -> ChshResult:
     """CHSH functional of a two-qubit frame at four observable angles (degrees), Z-X plane."""
-    return _chsh_at(_correlation_matrix(_frame_matrix(rho)), a0, a1, b0, b1)
+    return _chsh_at(_correlations(_frame_matrix(rho))[:2, :2], a0, a1, b0, b1)
 
 
 def _chsh_at(T: np.ndarray, a0: float, a1: float, b0: float, b1: float) -> ChshResult:
@@ -488,10 +490,8 @@ def _chsh_tables(step: float):
     turned = np.deg2rad(np.concatenate([mean, mean + 90.0]))
     means = np.stack([np.cos(turned), np.sin(turned)])
     half = np.deg2rad(np.arange(k) * (step / 2))  # Δ/2 for |b0 - b1| = 0 … k - 1
-    tables = angles, u, means, 2 * np.abs(np.sin(half)), 2 * np.abs(np.cos(half))
-    for array in tables:
-        array.setflags(write=False)
-    return tables
+    return tuple(map(_read_only, (angles, u, means, 2 * np.abs(np.sin(half)),
+                                  2 * np.abs(np.cos(half)))))
 
 
 def _pair_bounds(a: np.ndarray, c: np.ndarray, sin2: np.ndarray, cos2: np.ndarray,
@@ -553,7 +553,7 @@ def chsh_optimize(rho: DensityOperator, grid_step_deg: float) -> ChshResult:
     enough to bracket, so every pair is scanned: k³ time, in O(k²) memory.
     """
     check_chsh_step(grid_step_deg)
-    T = _correlation_matrix(_frame_matrix(rho))
+    T = _correlations(_frame_matrix(rho))[:2, :2]
     step = float(grid_step_deg)
     angles, u, means, sin2, cos2 = _chsh_tables(step)
     k = angles.size
@@ -576,15 +576,11 @@ def compute_assemblage(rho: DensityOperator, alice_settings) -> Assemblage:
     Bob's unconditional marginal for every setting (no signaling).
     """
     settings = tuple(alice_settings)
-    frame = _frame_matrix(rho).reshape(2, 2, 2, 2)
-    members: dict[tuple[str, int], np.ndarray] = {}
-    for x in settings:
-        if x not in ALICE_OBSERVABLES:
-            raise NonDichotomicObservable(f"unknown setting {x!r}, use Z, X or Y")
-        for outcome in (+1, -1):
-            # sigma[b, d] = sum over a, c of Pi[a, c] rho[(c, b), (a, d)]
-            members[(x, outcome)] = np.einsum("ac,cbad->bd", _PROJECTORS[(x, outcome)], frame)
-    return Assemblage(settings, members)
+    # sigma[x, o, b, d] = sum over a, c of Pi[x, o, a, c] rho[(c, b), (a, d)]
+    sigma = np.einsum("xoac,cbad->xobd", _PROJECTORS, _frame_matrix(rho).reshape(2, 2, 2, 2))
+    return Assemblage(settings, {(x, outcome): sigma[i, o]
+                                 for x, i in zip(settings, _axis_positions(settings))
+                                 for o, outcome in enumerate((+1, -1))})
 
 
 def _state_rows(bloch: np.ndarray) -> np.ndarray:
@@ -639,9 +635,8 @@ def _strategies(m: int):
     only Bob's marginal and sigma(+1|x) per setting are solved, 4m + 4 rows of full rank:
     ``solved[r, s]`` is 1 where strategy s puts its state in row group r."""
     strategies = tuple(product((+1, -1), repeat=m))
-    solved = np.vstack([np.ones(len(strategies)), np.array(strategies).T == +1])
-    solved.setflags(write=False)
-    return strategies, solved
+    return strategies, _read_only(np.vstack([np.ones(len(strategies)),
+                                             np.array(strategies).T == +1]))
 
 
 # The exact two-setting path of ``lhs_feasibility``. There a Hermitian 2x2 matrix is a
@@ -664,9 +659,8 @@ _EXACT_RESIDUAL = 1e-9
 # The parent search: up to _SEARCH_ROUNDS stencils of 9 × 9 points over span{e, f},
 # each half the width of the last and centred on its best point.
 _SEARCH_ROUNDS = 48
-_STENCIL = np.stack(np.meshgrid(np.linspace(-1.0, 1.0, 9), np.linspace(-1.0, 1.0, 9)),
-                    axis=-1).reshape(-1, 2)
-_STENCIL.setflags(write=False)
+_STENCIL = _read_only(np.stack(np.meshgrid(np.linspace(-1.0, 1.0, 9),
+                                            np.linspace(-1.0, 1.0, 9)), axis=-1).reshape(-1, 2))
 
 
 def _dot(u, v) -> float:
@@ -892,9 +886,8 @@ def _program_verdict(x: np.ndarray, strategies, states: np.ndarray, target: np.n
 
 # Column generation (Gilmore & Gomory, Oper. Res. 9, 849 (1961)) starts from these six
 # states for every strategy.
-_AXIS_STATES = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
-                         [0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
-_AXIS_STATES.setflags(write=False)
+_AXIS_STATES = _read_only(np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                    [0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
 # A strategy whose best state would price above this adds that state.
 _PRICE_TOL = 1e-10
 # A witness margin must exceed this. Measured rounding of the float margin against a
@@ -971,7 +964,9 @@ def _column_generation(assemblage: Assemblage) -> SteeringVerdict:
         grow = (top > _PRICE_TOL) & (length > 0)
         if not grow.any():
             break
-        grown = np.vstack([states, beta[grow] / length[grow, None]])
+        # Strategies may share a best state (near-pure Bob marginals): it joins once.
+        added = dict.fromkeys(map(tuple, (beta[grow] / length[grow, None]).tolist()))
+        grown = np.vstack([states, list(added)])
         # The last basis, renumbered for the grown program, starts the next round: its
         # columns and b are unchanged, so it is still feasible. An artificial (past the
         # last strategy) shifts by the new columns.

@@ -25,7 +25,7 @@ from photonsteer.simplex import solve_feasibility
 from photonsteer.steering import (
     ALICE_OBSERVABLES,
     BOB_OBSERVABLES,
-    _correlation_matrix,
+    _correlations,
     chsh_value,
 )
 
@@ -226,7 +226,7 @@ def brute_chsh_grid(rho, grid_step_deg):
     ties), then the pair with the highest sum wins (first flat index among
     ties). One b0 row at a time, so memory stays k². ``rho`` is a two-qubit frame.
     """
-    T = _correlation_matrix(np.asarray(rho.matrix))
+    T = _correlations(np.asarray(rho.matrix))[:2, :2]
     angles = np.arange(round(360.0 / grid_step_deg)) * grid_step_deg
     radians = np.deg2rad(angles)
     u = np.stack([np.cos(radians), np.sin(radians)])

@@ -201,27 +201,33 @@ class TestSteer:
         assert doc["lhs_verdict"] == "UnsteerableCertified"
         assert "pivots" not in doc
 
-    # Made before three- and four-setting verdicts moved off the grid: every two-setting
-    # verdict (exact path, margin proof, certificate) must keep these bytes.
-    @pytest.mark.parametrize("spec", ["noisy:0.4", "noisy:0.69", "noisy:0.8", "eq1", "twc",
-                                      "hardy", "qplate_tripartite"])
-    def test_two_setting_golden_bytes(self, tmp_path, spec):
+    @staticmethod
+    def assert_golden_steer(tmp_path, spec, settings):
         out = tmp_path / "steer.json"
-        assert main(["steer", "--preset", spec, "--settings", "Z,X", "--grid", "20",
+        assert main(["steer", "--preset", spec, "--settings", settings, "--grid", "20",
                      "--out", str(out)]) == 0
-        golden = GOLDEN / f"steer_{spec.replace(':', '_')}_ZX.json"
+        golden = GOLDEN / f"steer_{spec.replace(':', '_')}_{settings.replace(',', '')}.json"
         assert out.read_bytes() == golden.read_bytes()
+
+    # Z,X made before three- and four-setting verdicts moved off the grid: every two-setting
+    # verdict (exact path, margin proof, certificate) must keep these bytes. X,Z made
+    # before members and correlators were read from tables over every axis.
+    @pytest.mark.parametrize("spec, settings", [
+        *[(spec, "Z,X") for spec in ["noisy:0.4", "noisy:0.69", "noisy:0.8", "eq1", "twc",
+                                     "hardy", "qplate_tripartite"]],
+        ("noisy:0.69", "X,Z"), ("eq1", "X,Z")])
+    def test_two_setting_golden_bytes(self, tmp_path, spec, settings):
+        self.assert_golden_steer(tmp_path, spec, settings)
 
     # Column generation's three answers, made before its solver built one column block per
     # solve and the JSON writer stopped calling json.dumps: a certificate (noisy:0.5), a
-    # witness found in round 0 (twc) and one found after more rounds (hardy).
-    @pytest.mark.parametrize("spec", ["noisy:0.5", "twc", "hardy"])
-    def test_three_setting_golden_bytes(self, tmp_path, spec):
-        out = tmp_path / "steer.json"
-        assert main(["steer", "--preset", spec, "--settings", "Z,X,Y", "--grid", "20",
-                     "--out", str(out)]) == 0
-        golden = GOLDEN / f"steer_{spec.replace(':', '_')}_ZXY.json"
-        assert out.read_bytes() == golden.read_bytes()
+    # witness found in round 0 (twc) and one found after more rounds (hardy). Y,X,Z made
+    # before members and correlators were read from tables over every axis.
+    @pytest.mark.parametrize("spec, settings", [
+        ("noisy:0.5", "Z,X,Y"), ("twc", "Z,X,Y"), ("hardy", "Z,X,Y"),
+        ("noisy:0.5", "Y,X,Z"), ("twc", "Y,X,Z")])
+    def test_three_setting_golden_bytes(self, tmp_path, spec, settings):
+        self.assert_golden_steer(tmp_path, spec, settings)
 
     # Z,X is decided by the exact path, Z,X,Y by column generation; neither verdict
     # carries the grid, which steer writes from --grid alone.

@@ -112,7 +112,7 @@ def factored_pair_bounds(rho: DensityOperator, step: float) -> np.ndarray:
         return pair_bounds(a, c, sin2, cos2, rows)
 
     pair_bounds = steering._pair_bounds
-    T = steering._correlation_matrix(steering._frame_matrix(rho))
+    T = steering._correlations(steering._frame_matrix(rho))[:2, :2]
     _, u, means, sin2, cos2 = steering._chsh_tables(float(step))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(steering, "_pair_bounds", capture)
@@ -442,6 +442,22 @@ class TestObservableTableOracle:
             got = chsh_value(rho, *steering.STANDARD_CHSH_ANGLES).correlators
             assert np.max(np.abs(np.array(got) - want)) <= 1e-14
 
+    @pytest.mark.parametrize("settings", [("Z", "X"), ("Y", "X", "Z")])
+    def test_members_and_cjwr_are_one_contraction_each(self, monkeypatch, settings):
+        calls = []
+        einsum = np.einsum
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counted)
+        rho = noisy_state(0.7)
+        compute_assemblage(rho, settings)
+        assert len(calls) == 1
+        cjwr_value(rho, settings)
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("settings", [("Z", "X"), ("Z", "X", "Y"), ("X", "Y"), ("Y", "Z"),
                                           ("X", "Z")])
     def test_no_signaling_is_exact_on_presets(self, settings):
@@ -726,7 +742,7 @@ class TestChshPairBounds:
 
     @staticmethod
     def correlations(rho):
-        return steering._correlation_matrix(steering._frame_matrix(rho))
+        return steering._correlations(steering._frame_matrix(rho))[:2, :2]
 
     @pytest.mark.parametrize("step", STEPS)
     def test_equal_the_hypot_form_within_1e_12(self, rng, step):
@@ -1182,6 +1198,18 @@ class TestExactTwoSettingPath:
         assert verdict.status == "NoLHSFoundAtResolution" and verdict.pivots > 0
         assert_decided(verdict, asm)
 
+    @pytest.mark.parametrize("settings", [("Z", "X"), ("Z", "X", "Y")])
+    def test_a_zero_bob_marginal_is_the_empty_certificate(self, settings):
+        # No frame reaches this hand-off: a frame's members of one setting sum to trace 1.
+        asm = Assemblage(settings, {(x, a): np.zeros((2, 2)) for x in settings
+                                    for a in (+1, -1)})
+        if len(settings) == 2:
+            assert steering._exact_two_setting(asm) is None
+        verdict = lhs_feasibility(asm, 20)
+        assert verdict.status == "UnsteerableCertified"
+        assert verdict.certificate == () and verdict.residual == 0.0
+        assert replay_certificate(verdict, asm) == 0.0
+
     @pytest.mark.parametrize("v", [0.0, 0.4, 0.69, 0.9])
     @pytest.mark.parametrize("signalling", ["Z", "X"])
     def test_a_signalling_assemblage_is_never_certified(self, v, signalling):
@@ -1382,6 +1410,18 @@ class TestColumnGeneration:
                 programs.clear()
                 lhs_feasibility(asm, grid)
                 assert programs[0] == (6, 4)
+
+    def test_a_round_adds_each_state_once(self, monkeypatch):
+        # Near-pure Bob marginals: strategies share their best state, up to four a round.
+        programs, state_rows = [], steering._state_rows
+        monkeypatch.setattr(steering, "_state_rows", lambda states: programs.append(
+            states) or state_rows(states))
+        for rho in near_pure_frames(8, 5):
+            programs.clear()
+            lhs_feasibility(compute_assemblage(rho, ("Z", "X", "Y")), 20)
+            for before, after in zip(programs, programs[1:]):
+                added = after[len(before):]
+                assert len(np.unique(added, axis=0)) == len(added)
 
     def test_a_strategy_with_no_bloch_part_adds_no_state(self, monkeypatch):
         # Duals on the marginal's diagonal alone: every strategy prices at 1 everywhere,
