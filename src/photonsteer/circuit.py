@@ -4,7 +4,7 @@ One statement per line, ``#`` starts a comment, blank lines are ignored,
 LF and CRLF both accepted::
 
     sites <id>...            declare spatial modes (order preserved)
-    oam <int>...             declare OAM values (must contain 0)
+    oam <int>...             declare OAM values (at most once; must contain 0)
     source <site> <H|V>      heralded single-photon source
     hwp <site> <deg>         half-wave plate at fast-axis angle
     qwp <site> <deg>         quarter-wave plate
@@ -182,6 +182,9 @@ def parse_circuit(text: str | bytes) -> Circuit:
             if 0 not in values:
                 raise OamRangeError("OAM set must contain 0 (sources emit oam=0)",
                                     number, line.column(1))
+            if oam is not None:
+                raise OamRangeError("second oam declaration (at most one per circuit)",
+                                    number, line.column(0))
             oam = tuple(sorted(values))
 
         elif head == "source":

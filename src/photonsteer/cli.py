@@ -155,18 +155,28 @@ def _oam_value(value) -> int:
     return value
 
 
+def _basis_ket(entry) -> BasisKet:
+    if entry == "vac":
+        return BasisKet.vacuum()
+    if not isinstance(entry, list) or len(entry) != 3:
+        raise ValueError(f'basis entry {entry!r} is not "vac" or [site, pol, oam]')
+    return BasisKet.photon(entry[0], entry[1], _oam_value(entry[2]))
+
+
 def state_from_json_dict(doc: dict) -> StateVector:
     """Inverse of ``state_to_json_dict``; ValueError unless the file holds a unit state
-    with integer OAM values and names each ket at most once, all within its declaration."""
+    with a list of sites, integer OAM values and basis entries that are "vac" or
+    [site, pol, oam], naming each ket at most once, all within its declaration."""
     if len(doc["basis"]) != len(doc["amplitudes"]):
         raise ValueError(f"{len(doc['basis'])} basis entries but "
                          f"{len(doc['amplitudes'])} amplitudes")
+    if not isinstance(doc["sites"], list):
+        raise ValueError(f"sites {doc['sites']!r} is not a list")
     decl = BasisDecl(tuple(doc["sites"]), tuple(_oam_value(m) for m in doc["oam"]))
     amps = np.zeros(decl.dim, dtype=complex)
     named = set()
     for entry, (re, im) in zip(doc["basis"], doc["amplitudes"]):
-        ket = (BasisKet.vacuum() if entry == "vac"
-               else BasisKet.photon(entry[0], entry[1], _oam_value(entry[2])))
+        ket = _basis_ket(entry)
         if (i := decl.index.get(ket)) is None:
             raise ValueError(f"basis entry {entry!r} is outside the declared sites and OAM values")
         if i in named:

@@ -1,20 +1,16 @@
-"""Phase-one simplex feasibility solver for programs with Kronecker-product columns.
+"""Phase-one simplex feasibility solver for dense programs A x = b, x >= 0.
 
 Decides whether ``A x = b, x >= 0`` has a solution by minimizing the sum of
-artificial variables. A comes in factored form: row (r, c) of column (s, g) is
-``solved[r, s] · comps[g, c]``, rows r-major and columns s-major, which is how
-every LHS program is built; a dense A is the case ``comps = [[1.0]]``.
+artificial variables.
 
-Revised form with an explicit basis inverse. Every column is priced through
-the two factors, ``−(solvedᵀ Y) compsᵀ`` with Y the duals reshaped to the
-rows' (r, c) grid. The row-signed columns of [A | I] are built once per solve,
-as one (n + m, m) block that a factorization and an entering column read rows
-of. Column generation's largest is its 40th round at 4 settings: 16 strategies
-× (6 + 39 · 16) states + 20 rows, 10 100 × 20 floats (1.6 MB). Each pivot
-updates B⁻¹ by one rank-one (product-form, eta) step (Dantzig & Orchard-Hays,
-Math. Tables Aids Comput. 8, 64 (1954)). The basis is refactorized from
-scratch every ``REFACTOR_EVERY`` pivots, which bounds the error the eta steps
-accumulate, and again before the optimum is declared, so the final x_B and
+Revised form with an explicit basis inverse. The row-signed columns of [A | I] are
+built once per solve, as one C-contiguous (n + m, m) block that a factorization, an
+entering column and pricing read rows of: one cost vector (0 on A, 1 on the
+artificials) gives the basic costs and, through one product with the block, every
+reduced cost. Each pivot updates B⁻¹ by one rank-one (product-form, eta) step
+(Dantzig & Orchard-Hays, Math. Tables Aids Comput. 8, 64 (1954)). The basis is
+refactorized from scratch every ``REFACTOR_EVERY`` pivots, which bounds the error the
+eta steps accumulate, and again before the optimum is declared, so the final x_B and
 reduced costs come from a fresh factorization.
 
 The entering column is the most negative reduced cost (Dantzig's rule),
@@ -28,10 +24,10 @@ rest of the solve, which guarantees termination. A pivot must exceed
 step; the leaving row is the lowest basis index among ratio ties under both
 rules.
 
-A solve returns its final basis and duals, and can start from a given feasible basis:
-column generation adds columns and warm-starts each round from the last basis. A
-feasible solve returns x, clamped at 0, but no residual: the LHS verdict measures its
-certificate against the full program's rows itself.
+A solve returns its final basis and duals, and can start from a given feasible
+basis, such as the last one renumbered after columns were added. A feasible solve
+returns x, clamped at 0, but no residual: the caller measures a solution against
+its own rows.
 """
 
 from __future__ import annotations
@@ -52,7 +48,7 @@ STALL_LIMIT = 50
 MAX_PIVOTS = 20000
 # Eta steps between two factorizations of the basis. A factorization costs about
 # two pivots, and most LHS solves take under 50 pivots, so they factorize once, at
-# the end; the cap bounds the eta chain of the long ones (Bland fallback, large grids).
+# the end; the cap bounds the eta chain of the long ones (the Bland fallback).
 REFACTOR_EVERY = 50
 # A ratio-test pivot must also exceed this share of the entering column's largest
 # step. On programs whose states crowd round one point (a Bob marginal near rank one)
@@ -65,7 +61,7 @@ _RELATIVE_PIVOT_TOL = 1e-5
 @dataclass(frozen=True)
 class FeasibilityResult:
     feasible: bool
-    x: np.ndarray | None  # structural solution when feasible, s-major
+    x: np.ndarray | None  # structural solution when feasible, in the column order of A
     objective: float  # phase-1 optimum (sum of artificials)
     iterations: int
     bland_iterations: int = 0  # pivots taken after the fallback to Bland's rule
@@ -90,53 +86,37 @@ def _eta_step(binv: np.ndarray, direction: np.ndarray, leaving: int) -> None:
     binv[leaving] = pivot_row
 
 
-def _column_block(solved: np.ndarray, comps: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """The columns of the row-signed [A | I], one per row of a C-contiguous (n + m, m)
-    block: row s·states + g is ``sign · (solved[:, s] ⊗ comps[g])``, each entry the
-    product ``sign[(r, c)] · (solved[r, s] · comps[g, c])``, and row n + i is the unit
-    vector of row i."""
-    (rows, strategies), (states, width) = solved.shape, comps.shape
-    m, n = rows * width, strategies * states
-    block = np.empty((n + m, m))
-    np.multiply(solved.T[:, None, :, None], comps[None, :, None, :],
-                out=block[:n].reshape(strategies, states, rows, width))
-    block[:n] *= sign
-    block[n:] = np.eye(m)
-    return block
-
-
-def solve_feasibility(solved: np.ndarray, comps: np.ndarray, b: np.ndarray,
+def solve_feasibility(A: np.ndarray, b: np.ndarray,
                       start: np.ndarray | None = None) -> FeasibilityResult:
-    """Search for x >= 0 with A x = b, A[(r, c), (s, g)] = solved[r, s] · comps[g, c].
-    An argument with a NaN or infinite entry is a ``ValueError`` that names it.
+    """Search for x >= 0 with A x = b. An argument with a NaN or infinite entry is a
+    ``ValueError`` that names it.
 
-    ``start`` is a basis to begin from, one column of [A | I] per row (structural columns
-    s-major, then the artificials), such as the ``basis`` of an earlier result renumbered
-    for new columns; it must be primal feasible (B⁻¹ b' ≥ 0, b' being b with its negative
-    rows negated), which keeping b and the basis columns guarantees. None starts from
-    the artificial basis."""
-    solved = np.asarray(solved, dtype=float)
-    comps = np.asarray(comps, dtype=float)
+    ``start`` is a basis to begin from, one column of [A | I] per row (the columns of A,
+    then the artificials), such as the ``basis`` of an earlier result renumbered for new
+    columns; it must be primal feasible (B⁻¹ b' ≥ 0, b' being b with its negative rows
+    negated), which keeping b and the basis columns guarantees. None starts from the
+    artificial basis."""
+    A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
-    for name, array in (("solved", solved), ("comps", comps), ("b", b)):
+    if A.ndim != 2:
+        raise ValueError(f"A has {A.ndim} dimensions, expected 2")
+    for name, array in (("A", A), ("b", b)):
         if not np.isfinite(array).all():
             raise ValueError(f"{name} has a non-finite entry")
-    (rows, strategies), (states, width) = solved.shape, comps.shape
-    m, n = rows * width, strategies * states
+    m, n = A.shape
     if b.shape != (m,):
         raise ValueError(f"b has shape {b.shape}, expected ({m},)")
 
     # Artificial basis needs b >= 0: the rows with b < 0 are negated.
     sign = np.where(b < 0, -1.0, 1.0)
     work_b = sign * b
-    # Reduced costs: structural (s-major), then artificial (1 - duals). The structural
-    # ones are -(solvedᵀ Y) compsᵀ, Y the row-signed duals on the (r, c) grid;
-    # minus_sign folds the minus into Y.
+    # Row j of the block is column j of the row-signed [A | I].
+    block = np.empty((n + m, m))
+    np.multiply(A.T, sign, out=block[:n])
+    block[n:] = 0.0
+    np.fill_diagonal(block[n:], 1.0)
+    cost = np.concatenate([np.zeros(n), np.ones(m)])
     reduced = np.empty(n + m)
-    priced = reduced[:n].reshape(strategies, states)
-    comps_t = np.ascontiguousarray(comps.T)
-    minus_sign = -sign.reshape(rows, width)
-    block = _column_block(solved, comps, sign)
 
     def factorize():
         return _inverse(block[basis].T, iterations)
@@ -157,7 +137,7 @@ def solve_feasibility(solved: np.ndarray, comps: np.ndarray, b: np.ndarray,
     last_decrease = 0
     while True:
         x_basic = binv @ work_b
-        cost_basic = (basis >= n).astype(float)  # 1 on artificials, 0 elsewhere
+        cost_basic = cost[basis]
         duals = cost_basic @ binv
 
         if bland_from is None:
@@ -167,8 +147,7 @@ def solve_feasibility(solved: np.ndarray, comps: np.ndarray, b: np.ndarray,
             elif iterations - last_decrease >= STALL_LIMIT:
                 bland_from = iterations
 
-        np.matmul(solved.T @ (minus_sign * duals.reshape(rows, width)), comps_t, out=priced)
-        np.subtract(1.0, duals, out=reduced[n:])
+        np.subtract(cost, np.matmul(block, duals, out=reduced), out=reduced)
         if bland_from is None:
             entering = int(reduced.argmin())  # Dantzig: most negative
         else:

@@ -945,15 +945,18 @@ def _column_generation(assemblage: Assemblage) -> SteeringVerdict:
     b = _solved_target(target)
     states, pivots, start = _AXIS_STATES, 0, None
     for _ in range(_MAX_ROUNDS):
+        # Column (s, g) holds state g's rows in strategy s's row groups:
+        # A[(r, c), (s, g)] = solved[r, s] · _state_rows(states)[g, c].
+        A = np.einsum("rs,gc->rcsg", solved, _state_rows(states)).reshape(len(b), -1)
         try:
-            result = solve_feasibility(solved, _state_rows(states), b, start)
+            result = solve_feasibility(A, b, start)
         except SolverBreakdown:
             # A warm start can stall on the degenerate programs of a Bob marginal near
             # rank one, where the states crowd round one point; the round is solved again
             # from the artificial basis, and a breakdown there is raised.
             if start is None:
                 raise
-            result = solve_feasibility(solved, _state_rows(states), b)
+            result = solve_feasibility(A, b)
         pivots += result.iterations
         if result.feasible:
             return _program_verdict(result.x, strategies, states, target, pivots)

@@ -4,12 +4,12 @@ The state oracles address amplitudes one ``BasisKet`` at a time, so they check
 the package's (site, pol, oam) tensor code without relying on its layout. The
 CHSH oracles are the brute-force grid scan and the closed-form optimum.
 ``fibonacci_bloch_grid``, ``lhs_program`` and ``grid_verdict`` are the grid
-oracle: the factored LHS program over a fixed Fibonacci grid of the Bloch
-sphere, which certifies at one resolution and proves nothing steerable.
+oracle: the LHS program over a fixed Fibonacci grid of the Bloch sphere, which
+certifies at one resolution and proves nothing steerable.
 ``bloch_state`` and ``real_components`` build the full LHS program's columns
 without the package's encoders, and ``witness_oracle`` checks a steering
-witness with them on random Bloch directions. ``program_residual`` rebuilds
-A x - b of a solver solution from its factored program.
+witness with them on random Bloch directions. ``program_residual`` is
+max |A x - b| of a solver solution.
 """
 
 import functools
@@ -277,19 +277,20 @@ def fibonacci_bloch_grid(count: int) -> np.ndarray:
 
 
 def lhs_program(asm, grid_n: int):
-    """The factored grid program (solved, comps, b): the 4m + 4 rows that column generation
-    solves, over the grid_n² states of ``fibonacci_bloch_grid`` for every strategy. Column
-    (s, g) is the Kronecker product of ``solved[:, s]`` and ``comps[g]``, grid index fastest."""
+    """The grid program (A, b): the 4m + 4 rows that column generation solves, over the
+    grid_n² states of ``fibonacci_bloch_grid`` for every strategy. Column (s, g), grid
+    index fastest, is the Kronecker product of ``solved[:, s]`` and ``comps[g]``:
+    A[(r, c), (s, g)] = solved[r, s] · comps[g, c], rows r-major."""
     solved = steering._strategies(len(asm.settings))[1]
     comps = steering._state_rows(fibonacci_bloch_grid(grid_n * grid_n))
-    return solved, comps, steering._solved_target(steering._full_target(asm))
+    A = np.einsum("rs,gc->rcsg", solved, comps).reshape(solved.shape[0] * comps.shape[1], -1)
+    return A, steering._solved_target(steering._full_target(asm))
 
 
 def grid_verdict(asm, grid_n: int) -> steering.SteeringVerdict:
     """The grid program's verdict: certified if it is feasible and its certificate rebuilds
     all 8m rows below 1e-7; else not found at this resolution, with the phase-1 optimum."""
-    solved, comps, b = lhs_program(asm, grid_n)
-    result = solve_feasibility(solved, comps, b)
+    result = solve_feasibility(*lhs_program(asm, grid_n))
     if not result.feasible:
         return steering.SteeringVerdict("NoLHSFoundAtResolution", result.objective, None,
                                         result.iterations)
@@ -298,18 +299,9 @@ def grid_verdict(asm, grid_n: int) -> steering.SteeringVerdict:
         fibonacci_bloch_grid(grid_n * grid_n), steering._full_target(asm), result.iterations)
 
 
-def program_residual(solved, comps, b, x) -> float:
-    """max |A x - b| of a solution x (s-major) of the factored program (solved, comps, b),
-    A[(r, c), (s, g)] = solved[r, s] · comps[g, c]; a dense A has comps [[1.0]]."""
-    solved = np.asarray(solved, dtype=float)
-    rebuilt = solved @ x.reshape(solved.shape[1], -1) @ np.asarray(comps, dtype=float)
-    return float(np.max(np.abs(rebuilt.ravel() - np.asarray(b, dtype=float).ravel())))
-
-
-def dense_matrix(solved, comps) -> np.ndarray:
-    """A[(r, c), (s, g)] = solved[r, s] · comps[g, c], rows r-major, columns s-major."""
-    return np.einsum("rs,gc->rcsg", solved, comps).reshape(
-        solved.shape[0] * comps.shape[1], -1)
+def program_residual(A, b, x) -> float:
+    """max |A x - b| of a solution x of the program (A, b)."""
+    return float(np.max(np.abs(np.asarray(A, dtype=float) @ x - np.asarray(b, dtype=float))))
 
 
 @functools.lru_cache(maxsize=1)

@@ -102,6 +102,13 @@ class TestParse:
         with pytest.raises(OamRangeError):
             parse_circuit("sites a\noam -2 2")
 
+    def test_second_oam_line_is_refused_at_its_line(self):
+        # Kept, the second set would replace the first, and the qplate between them would
+        # fail at run time against a set it was not written for.
+        with pytest.raises(OamRangeError, match="second oam declaration") as err:
+            parse_circuit("sites a b\noam 0 2\nqplate a q=1\noam 0 4\nsource a H\n")
+        assert (err.value.line, err.value.column) == (4, 1)
+
     def test_duplicate_site(self):
         with pytest.raises(CircuitSyntaxError, match="duplicate"):
             parse_circuit("sites a a")

@@ -222,7 +222,9 @@ class TestSteer:
     # Column generation's three answers, made before its solver built one column block per
     # solve and the JSON writer stopped calling json.dumps: a certificate (noisy:0.5), a
     # witness found in round 0 (twc) and one found after more rounds (hardy). Y,X,Z made
-    # before members and correlators were read from tables over every axis.
+    # before members and correlators were read from tables over every axis. noisy:0.5 Z,X,Y
+    # made again when the solver took a dense A and priced every column in one product:
+    # the summation order moved eleven certificate weights in their last 1-3 digits.
     @pytest.mark.parametrize("spec, settings", [
         ("noisy:0.5", "Z,X,Y"), ("twc", "Z,X,Y"), ("hardy", "Z,X,Y"),
         ("noisy:0.5", "Y,X,Z"), ("twc", "Y,X,Z")])
@@ -356,6 +358,24 @@ class TestSteer:
         err = capsys.readouterr().err
         assert "cannot read a 'run' state" in err
         assert f"basis entry {entry!r} is outside the declared sites and OAM values" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("sites, entry, needle", [
+        ("ab", ["b", "H", 0], "sites 'ab' is not a list"),
+        (["a", "b"], ["b", "H", 0, "junk"],
+         """basis entry ['b', 'H', 0, 'junk'] is not "vac" or [site, pol, oam]"""),
+    ], ids=["sites-string", "four-part-entry"])
+    def test_input_of_a_malformed_declaration_exits_4(self, tmp_path, capsys, sites, entry,
+                                                       needle):
+        # Each would otherwise read as the unit state (|a,H,0> + |b,H,0>)/√2.
+        s = 1.0 / np.sqrt(2.0)
+        doc = {"sites": sites, "oam": [0], "basis": ["vac", ["a", "H", 0], entry],
+               "amplitudes": [[0.0, 0.0], [s, 0.0], [s, 0.0]]}
+        state_path = tmp_path / "state.json"
+        state_path.write_text(json.dumps(doc))
+        assert main(["steer", "--input", str(state_path)]) == 4
+        err = capsys.readouterr().err
+        assert "cannot read a 'run' state" in err and needle in err
         assert err.count("\n") == 1
 
     def test_deeply_nested_input_exits_4(self, tmp_path, capsys):

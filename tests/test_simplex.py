@@ -1,13 +1,10 @@
-"""Feasibility-solver tests against hand-checkable linear programs and a dense oracle.
-
-A dense A is handed to the solver as the factored program (A, [[1.0]], b).
-"""
+"""Feasibility-solver tests against hand-checkable linear programs and a dense oracle."""
 
 import functools
 
 import numpy as np
 import pytest
-from conftest import dense_matrix, lhs_program, program_residual
+from conftest import lhs_program, program_residual
 
 from photonsteer import simplex, steering
 from photonsteer.errors import PhysicsError, SolverBreakdown
@@ -24,7 +21,6 @@ from photonsteer.simplex import (
 )
 from photonsteer.steering import compute_assemblage, two_qubit_frame
 
-DENSE = np.ones((1, 1))  # comps of a dense A, which is then its own left factor
 # The visibilities of test_verdicts_equal_the_full_program.
 VISIBILITIES = np.round(np.r_[np.arange(0.30, 1.001, 0.05), 0.56, 0.58, 0.68, 0.72], 2)
 
@@ -142,35 +138,35 @@ def constructive_instances():
 class TestFeasibleSystems:
     def test_identity_system(self):
         b = np.array([1.0, 2.0, 0.5])
-        result = solve_feasibility(np.eye(3), DENSE, b)
+        result = solve_feasibility(np.eye(3), b)
         assert result.feasible
         np.testing.assert_allclose(result.x, [1.0, 2.0, 0.5], atol=1e-10)
-        assert program_residual(np.eye(3), DENSE, b, result.x) < 1e-10
+        assert program_residual(np.eye(3), b, result.x) < 1e-10
 
     def test_underdetermined_system(self):
         A = np.array([[1.0, 1.0, 1.0]])
-        result = solve_feasibility(A, DENSE, np.array([2.0]))
+        result = solve_feasibility(A, np.array([2.0]))
         assert result.feasible
         assert result.x.min() >= 0
         assert abs(result.x.sum() - 2.0) < 1e-10
 
     def test_negative_rhs_handled_by_row_flip(self):
         A = np.array([[-1.0, 0.0], [0.0, 1.0]])
-        result = solve_feasibility(A, DENSE, np.array([-3.0, 1.0]))
+        result = solve_feasibility(A, np.array([-3.0, 1.0]))
         assert result.feasible
         np.testing.assert_allclose(A @ result.x, [-3.0, 1.0], atol=1e-10)
 
     def test_degenerate_rows(self):
         A = np.array([[1.0, 1.0], [2.0, 2.0]])
-        result = solve_feasibility(A, DENSE, np.array([1.0, 2.0]))
+        result = solve_feasibility(A, np.array([1.0, 2.0]))
         assert result.feasible
 
     def test_random_constructive_instances(self):
         for A, b, feasible in constructive_instances():
-            result = solve_feasibility(A, DENSE, b)
+            result = solve_feasibility(A, b)
             assert result.feasible == feasible
             if feasible:
-                assert program_residual(A, DENSE, b, result.x) < 1e-8
+                assert program_residual(A, b, result.x) < 1e-8
             else:
                 assert result.objective > 1e-3
 
@@ -183,49 +179,54 @@ class TestBlandFallback:
     @pytest.mark.parametrize("feasible", [True, False])
     def test_stall_switches_to_bland_and_keeps_the_verdict(self, feasible):
         A, b = degenerate_instance(np.random.default_rng(self.SEED), feasible)
-        result = solve_feasibility(A, DENSE, b)
+        result = solve_feasibility(A, b)
         assert result.bland_iterations > 0
         assert result.iterations > STALL_LIMIT
         assert result.feasible == feasible
         if feasible:
             assert result.x.min() >= 0
-            assert program_residual(A, DENSE, b, result.x) < 1e-8
+            assert program_residual(A, b, result.x) < 1e-8
         else:
             assert result.objective > 1e-3
 
     def test_no_fallback_on_a_nondegenerate_program(self):
-        result = solve_feasibility(np.eye(3), DENSE, np.array([1.0, 2.0, 0.5]))
+        result = solve_feasibility(np.eye(3), np.array([1.0, 2.0, 0.5]))
         assert result.bland_iterations == 0
 
 
 class TestInfeasibleSystems:
     def test_conflicting_rows(self):
         A = np.array([[1.0, 1.0], [1.0, 1.0]])
-        result = solve_feasibility(A, DENSE, np.array([1.0, 2.0]))
+        result = solve_feasibility(A, np.array([1.0, 2.0]))
         assert not result.feasible
         assert result.objective > 1e-3
 
     def test_sign_blocked(self):
         # x1 + x2 = -1 has no nonnegative solution.
-        result = solve_feasibility(np.array([[1.0, 1.0]]), DENSE, np.array([-1.0]))
+        result = solve_feasibility(np.array([[1.0, 1.0]]), np.array([-1.0]))
         assert not result.feasible
 
     def test_overconstrained(self):
         A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        result = solve_feasibility(A, DENSE, np.array([1.0, 1.0, 3.0]))
+        result = solve_feasibility(A, np.array([1.0, 1.0, 3.0]))
         assert not result.feasible
 
 
 class TestValidation:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            solve_feasibility(np.eye(2), DENSE, np.ones(3))
+            solve_feasibility(np.eye(2), np.ones(3))
+
+    @pytest.mark.parametrize("A", [np.ones(2), np.ones((2, 2, 1)), np.float64(1.0)])
+    def test_an_a_that_is_not_2d_is_refused(self, A):
+        with pytest.raises(ValueError, match=f"^A has {np.ndim(A)} dimensions, expected 2$"):
+            solve_feasibility(A, np.ones(2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("name", ["solved", "comps", "b"])
+    @pytest.mark.parametrize("name", ["A", "b"])
     def test_non_finite_argument_named_before_pricing(self, name, bad):
         # Under filterwarnings = error, pricing a NaN or inf would fail with a RuntimeWarning.
-        args = {"solved": np.eye(2), "comps": np.array(DENSE), "b": np.array([0.5, 0.5])}
+        args = {"A": np.eye(2), "b": np.array([0.5, 0.5])}
         args[name].flat[0] = bad
         with pytest.raises(ValueError, match=f"^{name} has a non-finite entry$"):
             solve_feasibility(**args)
@@ -233,7 +234,7 @@ class TestValidation:
     def test_pivot_cap_raises_typed_breakdown(self, monkeypatch):
         monkeypatch.setattr(simplex, "MAX_PIVOTS", 1)
         with pytest.raises(SolverBreakdown) as err:
-            solve_feasibility(np.eye(3), DENSE, np.array([1.0, 2.0, 0.5]))
+            solve_feasibility(np.eye(3), np.array([1.0, 2.0, 0.5]))
         assert isinstance(err.value, PhysicsError)
         assert isinstance(err.value, ArithmeticError)
 
@@ -252,34 +253,33 @@ def oracle_case_id(case) -> str:
 
 
 def oracle_program(case):
-    """The factored program (solved, comps, b) of one ``ORACLE_CASES`` entry."""
+    """The program (A, b) of one ``ORACLE_CASES`` entry."""
     kind, *key = case
     if kind == "constructive":
         A, b, _ = constructive_instances()[key[0]]
-        return A, DENSE, b
+        return A, b
     if kind == "bland":
-        A, b = degenerate_instance(np.random.default_rng(TestBlandFallback.SEED), key[0])
-        return A, DENSE, b
+        return degenerate_instance(np.random.default_rng(TestBlandFallback.SEED), key[0])
     v, settings, grid = key
     return lhs_program(compute_assemblage(noisy_state(v), settings), grid)
 
 
 class TestDenseOracle:
-    """The factored solver against ``_dense_feasibility`` on the same programs."""
+    """The solver against ``_dense_feasibility`` on the same programs."""
 
     @pytest.mark.parametrize("case", ORACLE_CASES, ids=oracle_case_id)
     def test_agrees_with_the_dense_oracle(self, case):
-        solved, comps, b = oracle_program(case)
-        result = solve_feasibility(solved, comps, b)
-        oracle = _dense_feasibility(dense_matrix(solved, comps), b)
+        A, b = oracle_program(case)
+        result = solve_feasibility(A, b)
+        oracle = _dense_feasibility(A, b)
         assert result.feasible == oracle.feasible
         assert abs(result.objective - oracle.objective) <= 1e-9
         if result.feasible:
-            assert program_residual(solved, comps, b, result.x) < 1e-8
+            assert program_residual(A, b, result.x) < 1e-8
 
     def test_eta_updated_x_basic_equals_a_fresh_solve(self, monkeypatch):
         # Over a hundred pivots, so the eta steps run across refactorizations.
-        solved, comps, b = lhs_program(compute_assemblage(noisy_state(0.58), ("Z", "X", "Y")), 20)
+        A, b = lhs_program(compute_assemblage(noisy_state(0.58), ("Z", "X", "Y")), 20)
         work_b = np.where(b < 0, -b, b)
         eta_step, inverse = simplex._eta_step, simplex._inverse
         seen, gaps = {}, []
@@ -296,7 +296,7 @@ class TestDenseOracle:
 
         monkeypatch.setattr(simplex, "_eta_step", recording_eta_step)
         monkeypatch.setattr(simplex, "_inverse", checking_inverse)
-        result = solve_feasibility(solved, comps, b)
+        result = solve_feasibility(A, b)
         assert result.iterations > REFACTOR_EVERY
         # Every REFACTOR_EVERY pivots, and once more on the final basis.
         assert len(gaps) == result.iterations // REFACTOR_EVERY + (
@@ -308,39 +308,34 @@ class TestDenseOracle:
             simplex._inverse(np.zeros((2, 2)), 7)
 
 
-class TestColumnBlock:
-    """The one block of row-signed columns a solve reads: every structural column equals
-    its Kronecker product, and the artificial rows are the identity."""
-
-    @staticmethod
-    def check(solved, comps, b):
-        solved, comps = np.asarray(solved, dtype=float), np.asarray(comps, dtype=float)
-        sign = np.where(np.asarray(b) < 0, -1.0, 1.0)
-        block = simplex._column_block(solved, comps, sign)
-        expected = np.array([sign * (solved[:, s, None] * comps[g]).ravel()
-                             for s in range(solved.shape[1]) for g in range(comps.shape[0])])
-        n, m = expected.shape
-        assert block.shape == (n + m, m) and block.flags.c_contiguous
-        assert np.array_equal(block[:n], expected)
-        assert np.array_equal(block[n:], np.eye(m))
-
-    @pytest.mark.parametrize("case", ORACLE_CASES, ids=oracle_case_id)
-    def test_oracle_programs(self, case):
-        self.check(*oracle_program(case))
-
+class TestColumnGenerationProgram:
     def test_grown_warm_start_program(self, monkeypatch):
-        calls = []
+        # The last round of a grown program: column s·G + g of A is strategy s's row
+        # pattern times state g's 4 rows, written out one entry at a time.
+        calls, states = [], []
+        state_rows = steering._state_rows
 
-        def recording_solve(solved, comps, b, start=None):
-            calls.append((solved, comps, b, start))
-            return solve_feasibility(solved, comps, b, start)
+        def recording_rows(bloch):
+            states.append(bloch)
+            return state_rows(bloch)
 
+        def recording_solve(A, b, start=None):
+            calls.append((A, b, start))
+            return solve_feasibility(A, b, start)
+
+        monkeypatch.setattr(steering, "_state_rows", recording_rows)
         monkeypatch.setattr(steering, "solve_feasibility", recording_solve)
-        steering.lhs_feasibility(compute_assemblage(two_qubit_frame(hardy_state())[0],
-                                                    ("Z", "X", "Y")), 20)
-        solved, comps, b, start = calls[-1]
-        assert start is not None and len(comps) > len(steering._AXIS_STATES)
-        self.check(solved, comps, b)
+        asm = compute_assemblage(two_qubit_frame(hardy_state())[0], ("Z", "X", "Y"))
+        steering.lhs_feasibility(asm, 20)
+        A, b, start = calls[-1]
+        solved, rows = steering._strategies(3)[1], state_rows(states[-1])
+        assert start is not None and len(rows) > len(steering._AXIS_STATES)
+        assert A.shape == (16, 8 * len(rows))
+        for s in range(8):
+            for g in range(len(rows)):
+                column = [solved[r, s] * rows[g, c] for r in range(len(solved)) for c in range(4)]
+                assert A[:, s * len(rows) + g].tolist() == column
+        assert b.tolist() == steering._solved_target(steering._full_target(asm)).tolist()
 
 
 class TestDualsAndStart:
@@ -348,9 +343,8 @@ class TestDualsAndStart:
 
     @pytest.mark.parametrize("case", ORACLE_CASES[::7], ids=oracle_case_id)
     def test_duals_price_every_column_and_give_the_optimum(self, case):
-        solved, comps, b = oracle_program(case)
-        result = solve_feasibility(solved, comps, b)
-        A = dense_matrix(solved, comps)
+        A, b = oracle_program(case)
+        result = solve_feasibility(A, b)
         assert result.duals.shape == b.shape
         assert (result.duals @ A).max() <= PIVOT_TOL + 1e-12
         assert (np.where(b < 0, -1.0, 1.0) * result.duals).max() <= 1.0 + 1e-12
@@ -358,28 +352,31 @@ class TestDualsAndStart:
 
     @pytest.mark.parametrize("case", ORACLE_CASES[::7], ids=oracle_case_id)
     def test_a_solve_from_its_own_basis_takes_no_pivot(self, case):
-        solved, comps, b = oracle_program(case)
-        result = solve_feasibility(solved, comps, b)
-        again = solve_feasibility(solved, comps, b, result.basis)
+        A, b = oracle_program(case)
+        result = solve_feasibility(A, b)
+        again = solve_feasibility(A, b, result.basis)
         assert again.iterations == 0
         assert (again.feasible, again.objective) == pytest.approx(
             (result.feasible, result.objective), abs=1e-12)
 
     @pytest.mark.parametrize("v", [0.4, 0.9])
     def test_a_warm_start_after_new_columns_keeps_the_verdict(self, v):
-        solved, comps, b = lhs_program(compute_assemblage(noisy_state(v), ("Z", "X", "Y")), 10)
-        first = solve_feasibility(solved, comps[:40], b)
+        A, b = lhs_program(compute_assemblage(noisy_state(v), ("Z", "X", "Y")), 10)
+        strategies = A.shape[1] // 100
+        # The first 40 of the 100 states of each strategy.
+        first = solve_feasibility(
+            A.reshape(len(b), strategies, 100)[:, :, :40].reshape(len(b), -1), b)
         # Renumber the basis for 100 states a strategy; artificials follow all columns.
         strategy, state = np.divmod(first.basis, 40)
-        start = np.where(strategy < solved.shape[1], strategy * 100 + state,
-                         first.basis + solved.shape[1] * 60)
-        warm = solve_feasibility(solved, comps, b, start)
-        cold = solve_feasibility(solved, comps, b)
+        start = np.where(strategy < strategies, strategy * 100 + state,
+                         first.basis + strategies * 60)
+        warm = solve_feasibility(A, b, start)
+        cold = solve_feasibility(A, b)
         assert warm.feasible == cold.feasible == (v < 0.5)
         assert warm.iterations <= first.iterations + cold.iterations
 
     @pytest.mark.parametrize("start", [[0, 1], [0, 0, 1], [0, 1, 5], [-1, 0, 1]])
     def test_a_start_that_is_not_a_basis_is_refused(self, start):
         with pytest.raises(ValueError, match="start is not 3 distinct columns below 5"):
-            solve_feasibility(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), DENSE,
+            solve_feasibility(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
                               np.array([0.5, 0.5, 1.0]), start)

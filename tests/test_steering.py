@@ -10,7 +10,6 @@ import pytest
 from conftest import (
     bloch_state,
     brute_chsh_grid,
-    dense_matrix,
     fibonacci_bloch_grid,
     grid_verdict,
     horodecki_chsh_bound,
@@ -827,12 +826,6 @@ class TestCostBounds:
         assert lhs_feasibility(asm, np.int64(10)) == lhs_feasibility(asm, 10)
 
 
-def solved_program(asm: Assemblage, grid_n: int):
-    """The program ``lhs_feasibility`` hands to the solver, as a dense (A, b)."""
-    solved, comps, b = lhs_program(asm, grid_n)
-    return dense_matrix(solved, comps), b
-
-
 def column_loop_program(asm: Assemblage, grid_n: int):
     """The full LHS program, one column per (strategy, grid state), grid index fastest:
     rows (setting, outcome, component), 8m of them."""
@@ -933,7 +926,7 @@ class TestLhsFeasibility:
     @pytest.mark.parametrize("settings", [("Z", "X"), ("Z", "X", "Y")])
     def test_constraint_matrix_matches_column_loop(self, settings):
         asm = compute_assemblage(noisy_state(0.5), settings)
-        A, b = solved_program(asm, 10)
+        A, b = lhs_program(asm, 10)
 
         # The solved rows: Bob's marginal from the first setting, then sigma(+1|x)
         # for each setting, taken from the full program's rows (x, a, component).
@@ -947,7 +940,7 @@ class TestLhsFeasibility:
 
     @pytest.mark.parametrize("settings", [("Z", "X"), ("Z", "X", "Y")])
     def test_solved_program_has_full_row_rank(self, settings):
-        A, _ = solved_program(compute_assemblage(noisy_state(0.5), settings), 10)
+        A, _ = lhs_program(compute_assemblage(noisy_state(0.5), settings), 10)
         assert A.shape[0] == 4 * len(settings) + 4
         assert np.linalg.matrix_rank(A) == A.shape[0]
 
@@ -960,8 +953,8 @@ class TestLhsFeasibility:
         for v in visibilities:
             asm = compute_assemblage(noisy_state(v), settings)
             full_A, full_b = column_loop_program(asm, grid)
-            full = solve_feasibility(full_A, [[1.0]], full_b)
-            oracle = full.feasible and program_residual(full_A, [[1.0]], full_b, full.x) < 1e-7
+            full = solve_feasibility(full_A, full_b)
+            oracle = full.feasible and program_residual(full_A, full_b, full.x) < 1e-7
             verdict = grid_verdict(asm, grid)
             assert (verdict.status == "UnsteerableCertified") == oracle, v
             if oracle:
@@ -1403,13 +1396,13 @@ class TestColumnGeneration:
         # Whatever grid_n, the first round solves the six axis states of every strategy.
         programs = []
         monkeypatch.setattr(steering, "solve_feasibility", lambda *args: programs.append(
-            args[1].shape) or solve_feasibility(*args))
+            args[0].shape) or solve_feasibility(*args))
         for v in (0.4, 0.9):
             asm = compute_assemblage(noisy_state(v), ("Z", "X", "Y"))
             for grid in (6, 100):
                 programs.clear()
                 lhs_feasibility(asm, grid)
-                assert programs[0] == (6, 4)
+                assert programs[0] == (16, 8 * 6)
 
     def test_a_round_adds_each_state_once(self, monkeypatch):
         # Near-pure Bob marginals: strategies share their best state, up to four a round.
@@ -1431,9 +1424,9 @@ class TestColumnGeneration:
         duals[:2] = 1.0
         solves = []
 
-        def infeasible(solved, comps, b, start=None):
+        def infeasible(A, b, start=None):
             solves.append(start)
-            return dataclasses.replace(solve_feasibility(solved, comps, b), feasible=False,
+            return dataclasses.replace(solve_feasibility(A, b), feasible=False,
                                        x=None, objective=0.5, duals=duals)
 
         monkeypatch.setattr(steering, "solve_feasibility", infeasible)
@@ -1482,9 +1475,9 @@ class TestColumnGeneration:
         asm = compute_assemblage(near_pure_frames(index + 1, seed=6)[index], ("X", "Y"))
         starts = []
 
-        def spy(solved, comps, b, start=None):
+        def spy(A, b, start=None):
             starts.append(start)
-            return solve_feasibility(solved, comps, b, start)
+            return solve_feasibility(A, b, start)
 
         monkeypatch.setattr(steering, "solve_feasibility", spy)
         verdict = lhs_feasibility(asm, 20)
