@@ -4,14 +4,13 @@ Decides whether ``A x = b, x >= 0`` has a solution by minimizing the sum of
 artificial variables.
 
 Revised form with an explicit basis inverse. The row-signed columns of [A | I] are
-built once per solve, as one C-contiguous (n + m, m) block that a factorization, an
-entering column and pricing read rows of: one cost vector (0 on A, 1 on the
-artificials) gives the basic costs and, through one product with the block, every
-reduced cost. Each pivot updates B⁻¹ by one rank-one (product-form, eta) step
-(Dantzig & Orchard-Hays, Math. Tables Aids Comput. 8, 64 (1954)). The basis is
-refactorized from scratch every ``REFACTOR_EVERY`` pivots, which bounds the error the
-eta steps accumulate, and again before the optimum is declared, so the final x_B and
-reduced costs come from a fresh factorization.
+built once per solve, as the rows of one block that factorizations, entering columns
+and pricing read: one cost vector (0 on A, 1 on the artificials) gives the basic
+costs and, through one product with the block, every reduced cost. Each pivot
+updates B⁻¹ by one rank-one (product-form, eta) step (Dantzig & Orchard-Hays, Math.
+Tables Aids Comput. 8, 64 (1954)). The basis is refactorized from scratch every
+``REFACTOR_EVERY`` pivots, which bounds the error of the eta steps, and again before
+the optimum is declared, so the final x_B and reduced costs come from a fresh one.
 
 The entering column is the most negative reduced cost (Dantzig's rule),
 which needs tens to hundreds of pivots on the steering programs where the
@@ -86,6 +85,15 @@ def _eta_step(binv: np.ndarray, direction: np.ndarray, leaving: int) -> None:
     binv[leaving] = pivot_row
 
 
+def _signed_columns(A: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """One C-contiguous (n + m, m) block: row j is column j of the row-signed [A | I]."""
+    m, n = A.shape
+    block = np.zeros((n + m, m))
+    np.multiply(A.T, sign, out=block[:n])
+    np.fill_diagonal(block[n:], 1.0)
+    return block
+
+
 def solve_feasibility(A: np.ndarray, b: np.ndarray,
                       start: np.ndarray | None = None) -> FeasibilityResult:
     """Search for x >= 0 with A x = b. An argument with a NaN or infinite entry is a
@@ -110,11 +118,7 @@ def solve_feasibility(A: np.ndarray, b: np.ndarray,
     # Artificial basis needs b >= 0: the rows with b < 0 are negated.
     sign = np.where(b < 0, -1.0, 1.0)
     work_b = sign * b
-    # Row j of the block is column j of the row-signed [A | I].
-    block = np.empty((n + m, m))
-    np.multiply(A.T, sign, out=block[:n])
-    block[n:] = 0.0
-    np.fill_diagonal(block[n:], 1.0)
+    block = _signed_columns(A, sign)
     cost = np.concatenate([np.zeros(n), np.ones(m)])
     reduced = np.empty(n + m)
 

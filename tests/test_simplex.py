@@ -308,7 +308,23 @@ class TestDenseOracle:
             simplex._inverse(np.zeros((2, 2)), 7)
 
 
-class TestColumnGenerationProgram:
+class TestColumnBlock:
+    """The one block of row-signed columns a solve reads, and the program column
+    generation hands the solver."""
+
+    @pytest.mark.parametrize("case", ORACLE_CASES, ids=oracle_case_id)
+    def test_oracle_programs(self, case):
+        # Row j of the block is column j of A, negated on the rows where b < 0, then
+        # the identity of the artificials.
+        A, b = oracle_program(case)
+        sign = np.where(b < 0, -1.0, 1.0)
+        block = simplex._signed_columns(np.asarray(A, dtype=float), sign)
+        m, n = A.shape
+        expected = [[sign[r] * A[r, j] for r in range(m)] for j in range(n)]
+        assert block.shape == (n + m, m) and block.flags.c_contiguous
+        assert block[:n].tolist() == expected
+        assert np.array_equal(block[n:], np.eye(m))
+
     def test_grown_warm_start_program(self, monkeypatch):
         # The last round of a grown program: column s·G + g of A is strategy s's row
         # pattern times state g's 4 rows, written out one entry at a time.
