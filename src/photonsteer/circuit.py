@@ -246,7 +246,7 @@ def parse_circuit(text: str | bytes) -> Circuit:
 def format_circuit(circuit: Circuit) -> str:
     """Canonical text form; ``parse_circuit(format_circuit(c))`` equals ``c``."""
     lines = ["sites" + ("" if not circuit.sites else " " + " ".join(circuit.sites))]
-    if circuit.oam != DEFAULT_OAM:
+    if circuit.oam != DEFAULT_OAM or any(el.kind == "qplate" for el in circuit.elements):
         lines.append("oam " + " ".join(str(m) for m in circuit.oam))
     for el in circuit.elements:
         if el.kind == "source":

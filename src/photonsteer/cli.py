@@ -17,18 +17,19 @@ ran past its round cap, ``lhs_residual`` is the steering-witness margin, and ``s
 writes the witness's duals as ``witness`` (``steering.replay_witness``); past the cap it
 has no ``witness`` and ``lhs_residual`` is the last phase-1 optimum. A certificate's
 ``lhs_residual`` is its worst error over the full program's 8m rows on every path,
-exactly what ``steering.replay_certificate`` returns. --grid is checked (6 to 100), and
-``steer`` echoes it as ``grid_n``; no verdict depends on it.
+exactly what ``steering.replay_certificate`` returns. --grid is not read: any integer
+is taken, and ``steer`` echoes it as ``grid_n``.
 
 Exit codes: 0 success, 2 circuit parse error (line/column diagnostic on stderr), 3 physics
 error (also an undeclared --site or unknown --basis, even "", and --bob-site, --site or
---basis on noisy:v), 4 usage error (also a sweep loop past 10 000 steps, --grid outside 6
-to 100, a --chsh-step that is not finite, is below 1 degree or is not a divisor of 360, a
-circuit or --input file whose declared basis has more than 65 537 kets, a circuit whose
-elements × kets exceed 2^25, a --input file that is not a finite unit state with integer
-OAM values and one amplitude per declared basis entry, and an --out path that cannot be
-written). Output is deterministic: identical arguments produce byte-identical files. JSON
-output is exactly ``json.dumps(doc, indent=2)`` and a newline, written by ``_json_text``.
+--basis on noisy:v), 4 usage error (also a sweep loop past 10 000 steps, a --chsh-step
+that is not finite, is below 1 degree or is not a divisor of 360, a circuit or --input
+file whose declared basis has more than 65 537 kets, a circuit whose elements × kets
+exceed 2^25, a --input file that is not a finite unit state with identifier sites,
+integer OAM values and one numeric amplitude per declared basis entry, and an --out path
+that cannot be written). Output is deterministic: identical arguments produce
+byte-identical files. JSON output is exactly ``json.dumps(doc, indent=2)`` and a newline,
+written by ``_json_text``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from json.encoder import encode_basestring_ascii as _quote
 import numpy as np
 
 from . import scenarios, steering
-from .circuit import parse_circuit, run_circuit
+from .circuit import _IDENT, parse_circuit, run_circuit
 from .core import NORM_ATOL, BasisDecl, BasisKet, StateVector
 from .errors import CircuitSyntaxError, OutOfRange, PhysicsError
 
@@ -165,17 +166,22 @@ def _basis_ket(entry) -> BasisKet:
 
 def state_from_json_dict(doc: dict) -> StateVector:
     """Inverse of ``state_to_json_dict``; ValueError unless the file holds a unit state
-    with a list of sites, integer OAM values and basis entries that are "vac" or
-    [site, pol, oam], naming each ket at most once, all within its declaration."""
+    with a list of identifier sites, integer OAM values, numeric amplitudes and basis
+    entries "vac" or [site, pol, oam], naming each ket at most once, all declared."""
     if len(doc["basis"]) != len(doc["amplitudes"]):
         raise ValueError(f"{len(doc['basis'])} basis entries but "
                          f"{len(doc['amplitudes'])} amplitudes")
     if not isinstance(doc["sites"], list):
         raise ValueError(f"sites {doc['sites']!r} is not a list")
+    for site in doc["sites"]:
+        if not isinstance(site, str) or not _IDENT.match(site):
+            raise ValueError(f"site {site!r} is not an identifier")
     decl = BasisDecl(tuple(doc["sites"]), tuple(_oam_value(m) for m in doc["oam"]))
     amps = np.zeros(decl.dim, dtype=complex)
     named = set()
     for entry, (re, im) in zip(doc["basis"], doc["amplitudes"]):
+        if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in (re, im)):
+            raise ValueError(f"amplitude [{re!r}, {im!r}] has a part that is not a number")
         ket = _basis_ket(entry)
         if (i := decl.index.get(ket)) is None:
             raise ValueError(f"basis entry {entry!r} is outside the declared sites and OAM values")
@@ -238,7 +244,6 @@ def cmd_steer(args) -> int:
         raise UsageError("need at least two settings, e.g. --settings Z,X")
     if len(set(settings)) != len(settings):
         raise UsageError(f"repeated setting in --settings {args.settings!r}")
-    steering.check_grid(args.grid)
     rho, frame = steering.two_qubit_frame(_load_steer_input(args), args.bob_site)
     assemblage = steering.compute_assemblage(rho, settings)
     verdict = steering.lhs_feasibility(assemblage, args.grid)
@@ -290,7 +295,6 @@ def cmd_sweep(args) -> int:
             values.append(point)
         v += args.step
     steering.check_chsh_step(args.chsh_step)
-    steering.check_grid(args.grid)
 
     rows = []
     for v in values:
@@ -325,8 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="photonsteer", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    grid_help = (f"checked to lie in {steering.MIN_GRID} to {steering.MAX_GRID}; "
-                 "no verdict depends on it")
+    grid_help = "any integer; not read"
 
     p_run = sub.add_parser("run", help="simulate a circuit file")
     p_run.add_argument("input", help="circuit text file")

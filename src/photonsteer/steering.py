@@ -30,15 +30,13 @@ witness, a margin that no LHS model of any resolution can meet
 The CHSH search is sized by one number, and ``check_chsh_step`` is the only
 copy of its bounds: it raises ``OutOfRange`` before the search allocates
 anything. Column generation stops after ``_MAX_ROUNDS`` rounds, each adding at
-most 2^m states. ``check_grid`` bounds the ``grid_n`` that ``lhs_feasibility``
-takes, though no verdict depends on it.
+most 2^m states.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from itertools import chain, product
 
@@ -94,30 +92,12 @@ QUBIT_PAIR_LABELS = ("A0|B0", "A0|B1", "A1|B0", "A1|B1")
 # Bob's site when a state declares it and none is named (``frame_sites``).
 BOB_SITE = "PUE"
 
-# No verdict depends on ``grid_n``. ``lhs_feasibility`` checks it against these bounds, and
-# ``steer``/``sweep`` take --grid within them (exit 4 outside), so that requests that pass
-# --grid, as every benchmark request does, stay valid.
-MIN_GRID = 6
-MAX_GRID = 100
 # Degrees. The CHSH search holds the k² floats of E, k = 360 / step, and O(k) arrays for
 # the pairs its bounds keep: its tracemalloc peak at 1° is 1.2 MiB on noisy(0.7) (0.3 ms).
 # When the Z-X correlation block T is about 0 every pair bound is formed, every Bob pair
 # survives and each is scanned over every Alice angle, k³ work: on noisy(0) about 1.5 ms
 # at 5°, and 0.13 s with a peak of 16.8 MiB at 1° (2-vCPU Xeon, numpy 2.4).
 MIN_CHSH_STEP = 1.0
-
-
-def check_grid(grid_n) -> int:
-    """The LHS grid rule: ``grid_n`` as an int, if it is an integer from ``MIN_GRID``
-    to ``MAX_GRID``; else ``OutOfRange``. ``steer`` writes the checked value as
-    ``grid_n``; no verdict reads it."""
-    try:
-        n = operator.index(grid_n)
-    except TypeError:
-        n = None
-    if n is None or not MIN_GRID <= n <= MAX_GRID:
-        raise OutOfRange(f"bad grid {grid_n!r}: need an integer from {MIN_GRID} to {MAX_GRID}")
-    return n
 
 
 def check_chsh_step(step: float) -> None:
@@ -387,15 +367,16 @@ def chsh_value(rho: DensityOperator, a0: float, a1: float, b0: float, b1: float)
 
 
 def _chsh_at(T: np.ndarray, a0: float, a1: float, b0: float, b1: float) -> ChshResult:
-    """``chsh_value`` from the frame's Z-X correlation block T."""
+    """``chsh_value`` from the frame's Z-X correlation block T. Each correlator is
+    (u_a T) u_b, with u_a T formed once per Alice angle and u_b once per Bob angle."""
 
-    def E(a: float, b: float) -> float:
-        ta, tb = np.deg2rad(a), np.deg2rad(b)
-        ua = np.array([np.cos(ta), np.sin(ta)])
-        ub = np.array([np.cos(tb), np.sin(tb)])
-        return float(ua @ T @ ub)
+    def unit(degrees: float) -> np.ndarray:
+        t = np.deg2rad(degrees)
+        return np.array([np.cos(t), np.sin(t)])
 
-    e00, e01, e10, e11 = E(a0, b0), E(a0, b1), E(a1, b0), E(a1, b1)
+    alice = (unit(a0) @ T, unit(a1) @ T)
+    bob = (unit(b0), unit(b1))
+    e00, e01, e10, e11 = (float(ta @ ub) for ta in alice for ub in bob)
     s = e00 - e01 + e10 + e11
     return ChshResult(s, (a0, a1, b0, b1), (e00, e01, e10, e11))
 
@@ -852,9 +833,10 @@ def lhs_feasibility(assemblage: Assemblage, grid_n: int) -> SteeringVerdict:
     the two-setting cases the exact path leaves open (a margin within ``_MARGIN_TOL`` of
     0, a parent it does not find, a certificate that does not rebuild the assemblage,
     such as the one-state certificate of a Bob marginal just below ``_FULL_RANK``).
-    ``grid_n`` is only checked (``check_grid``); no verdict depends on it.
+    ``grid_n`` is not read, since no resolution is left to choose. It stays because
+    ``steer`` and ``sweep`` pass --grid through it and ``perfbench/tracer.py`` keys each
+    traced call on it.
     """
-    check_grid(grid_n)
     m = len(assemblage.settings)
     if m > 4:
         raise TooManySettings(f"at most 4 settings supported, got {m}")

@@ -44,6 +44,8 @@ CORPUS = [
     "sites a b\nsource a V\nqwp a 12.5\nphase b -90\n",
     "sites in out1 out2\noam -2 0 2\nsource in H\nqplate in q=-1\npbs in -> out1 out2\n",
     "sites x y # trailing comment\nsource x H\nhwp x 0.1\nhwp x 67.5\nbs x y\nphase y 360\n",
+    # A q-plate needs its oam line even when the set is the default {0}.
+    "sites a b\noam 0\nsource a H\nqplate a q=0\n",
 ]
 
 

@@ -1,8 +1,8 @@
 """Property test of the command line: any argv ends with exit code 0, 2, 3 or 4.
 
-Tokens come from small fixed pools, so no example runs a long sweep or a large
-LHS grid; file tokens name files under a temporary directory. ``python -m
-photonsteer`` is checked in a subprocess.
+Tokens come from small fixed pools, so no example runs a long sweep; file tokens
+name files under a temporary directory. ``python -m photonsteer`` is checked in a
+subprocess.
 """
 
 import json
