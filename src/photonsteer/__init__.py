@@ -46,7 +46,6 @@ from .steering import (
     compute_assemblage,
     joint_measurability_margin,
     lhs_feasibility,
-    occupation_qubits,
     pol_path_qubits,
     replay_certificate,
 )

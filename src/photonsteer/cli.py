@@ -166,8 +166,8 @@ def _basis_ket(entry) -> BasisKet:
 
 def state_from_json_dict(doc: dict) -> StateVector:
     """Inverse of ``state_to_json_dict``; ValueError unless the file holds a unit state
-    with a list of identifier sites, integer OAM values, numeric amplitudes and basis
-    entries "vac" or [site, pol, oam], naming each ket at most once, all declared."""
+    with a list of identifier sites, integer OAM values 0 among them, numeric amplitudes
+    and basis entries "vac" or [site, pol, oam], naming each ket at most once, all declared."""
     if len(doc["basis"]) != len(doc["amplitudes"]):
         raise ValueError(f"{len(doc['basis'])} basis entries but "
                          f"{len(doc['amplitudes'])} amplitudes")
@@ -177,6 +177,8 @@ def state_from_json_dict(doc: dict) -> StateVector:
         if not isinstance(site, str) or not _IDENT.match(site):
             raise ValueError(f"site {site!r} is not an identifier")
     decl = BasisDecl(tuple(doc["sites"]), tuple(_oam_value(m) for m in doc["oam"]))
+    if 0 not in decl.oam:  # as in the circuit grammar: sources emit oam=0
+        raise ValueError(f"OAM set {list(decl.oam)} does not contain 0")
     amps = np.zeros(decl.dim, dtype=complex)
     named = set()
     for entry, (re, im) in zip(doc["basis"], doc["amplitudes"]):

@@ -2,12 +2,12 @@
 
 Two-qubit frame. The analysis treats the prepared photon as an effective
 two-qubit system. For path-only states (``path_amplitudes``) both qubits are
-site occupations; for any other, Alice's qubit is the polarization register
-(H -> 0, V -> 1) and Bob's qubit is the occupation of his site as a coherent
-dual-rail mode (0 = empty, 1 = photon present). In that frame the
-benchmark entangled state has +1 correlators along every axis with the
-dichotomic observable table below, whose occupation-Z assigns +1 to "photon
-present". ``two_qubit_frame`` is the one frame rule: it picks the sites
+site occupations, a frame only ``two_qubit_frame`` builds; for any other, Alice's
+qubit is the polarization register (H -> 0, V -> 1) and Bob's qubit is the
+occupation of his site as a coherent dual-rail mode (0 = empty, 1 = photon
+present). In that frame the benchmark entangled state has +1 correlators along
+every axis with the dichotomic observable table below, whose occupation-Z
+assigns +1 to "photon present". ``two_qubit_frame`` is the one frame rule: it picks the sites
 (``frame_sites``) and one of the two frames for every prepared input, and
 ``compute_assemblage``, ``cjwr_value``, ``chsh_value`` and ``chsh_optimize``
 take the 4x4 frame it returns (a ``DensityOperator``) and nothing else.
@@ -244,7 +244,8 @@ def frame_sites(state: StateVector, bob_site: str | None = None) -> tuple[str, s
 
 
 def pol_path_qubits(state: StateVector, bob_site: str | None) -> DensityOperator:
-    """Two-qubit density matrix (polarization ⊗ Bob-site occupation).
+    """Two-qubit density matrix (polarization ⊗ Bob-site occupation): the ``pol-path`` frame
+    of ``two_qubit_frame``, for callers that want it by name.
 
     Requires a pure one-photon state over Alice's and Bob's sites, both from ``frame_sites``
     (``bob_site`` None picks its default Bob); OAM is traced out. Basis order: (H,0), (H,1),
@@ -281,41 +282,13 @@ def path_amplitudes(state: StateVector) -> np.ndarray | None:
     return u[:, 0] * sing[0] * (phase / abs(phase))
 
 
-def occupation_qubits(state: StateVector, alice_site: str, bob_site: str) -> DensityOperator:
-    """Two-qubit density matrix (Alice-site occupation ⊗ Bob-site occupation).
-
-    The dual-rail reading of path-only states (``path_amplitudes``); it keeps
-    occupation coherences, vacuum-photon ones included.
-    """
-    return _occupation_frame(state, path_amplitudes(state), alice_site, bob_site)
-
-
-def _occupation_frame(state: StateVector, occ: np.ndarray | None, alice_site: str,
-                      bob_site: str) -> DensityOperator:
-    """``occupation_qubits`` with the state's ``path_amplitudes`` already taken."""
-    decl = state.decl
-    at_alice, at_bob = [decl.site_position(s) for s in (alice_site, bob_site)]
-    if alice_site == bob_site:
-        raise NonQubitBobMarginal("Alice and Bob need distinct sites")
-
-    if occ is None:
-        raise NonQubitBobMarginal("internal polarization/OAM factor is entangled with the path")
-    for s in decl.sites:
-        if s not in (alice_site, bob_site) and abs(occ[decl.site_axis[s]]) > 1e-10:
-            raise NonQubitBobMarginal(f"photon amplitude at third site {s!r}")
-
-    # |n_A n_B> in the order 00, 01, 10, 11.
-    amp2q = np.array([state.amps[0], occ[at_bob], occ[at_alice], 0.0], dtype=complex)
-    return DensityOperator(QUBIT_PAIR_LABELS, np.outer(amp2q, amp2q.conj()))
-
-
 def two_qubit_frame(
     prepared: StateVector | DensityOperator, bob_site: str | None = None
 ) -> tuple[DensityOperator, str]:
     """The frame rule: the two-qubit frame and its label. A ``DensityOperator`` (``noisy:v``)
     is the frame already, ``two-qubit``, and has no Bob site. A state vector reads as
-    ``occ-occ(alice,bob)`` if path-only (``path_amplitudes``), else as ``pol-path(bob=…)``,
-    which allows no vacuum weight, at the sites ``frame_sites`` picks."""
+    ``occ-occ(alice,bob)``, vacuum coherences kept, if path-only (``path_amplitudes``), else
+    as ``pol-path(bob=…)``, which allows no vacuum weight, at the sites ``frame_sites`` picks."""
     if isinstance(prepared, DensityOperator):
         if bob_site is not None:
             raise BadParameters(f"a two-qubit preset has no sites, so no Bob site {bob_site!r}")
@@ -324,7 +297,11 @@ def two_qubit_frame(
     alice_site, bob_site = frame_sites(prepared, bob_site)
     if occ is None:
         return _pol_path_frame(prepared, alice_site, bob_site), f"pol-path(bob={bob_site})"
-    return (_occupation_frame(prepared, occ, alice_site, bob_site),
+    # No third-site check: frame_sites has refused photon amplitude besides Alice's and Bob's.
+    at = prepared.decl.site_axis
+    # |n_A n_B> in the order 00, 01, 10, 11.
+    amp2q = np.array([prepared.amps[0], occ[at[bob_site]], occ[at[alice_site]], 0.0], dtype=complex)
+    return (DensityOperator(QUBIT_PAIR_LABELS, np.outer(amp2q, amp2q.conj())),
             f"occ-occ({alice_site},{bob_site})")
 
 

@@ -218,6 +218,24 @@ def pol_path_oracle(state: StateVector, alice_site: str, bob_site: str) -> np.nd
     return rho
 
 
+def occupation_frame_oracle(state: StateVector, alice_site: str, bob_site: str) -> np.ndarray:
+    """|n_A n_B> frame (00, 01, 10, 11) of a path-only state, one amplitude at a time.
+
+    The path amplitude of a site is its amplitude at the internal (pol, OAM) mode of
+    largest weight (first in H, V by sorted OAM among ties), scaled as though that mode's
+    entry of the unit internal factor were real and positive.
+    """
+    modes = [(pol, m) for pol in POLS for m in sorted(state.decl.oam)]
+    weight = [sum(abs(state.amplitude(BasisKet.photon(s, pol, m))) ** 2 for s in state.decl.sites)
+              for pol, m in modes]
+    top = int(np.argmax(weight))
+    scale = np.sqrt(sum(weight) / weight[top])
+    path = {s: state.amplitude(BasisKet.photon(s, *modes[top])) * scale
+            for s in (alice_site, bob_site)}
+    psi = np.array([state.amplitude(BasisKet.vacuum()), path[bob_site], path[alice_site], 0.0])
+    return np.outer(psi, psi.conj())
+
+
 def brute_chsh_grid(rho, grid_step_deg):
     """CHSH grid optimum by scanning every a0 and a1 for every Bob pair (k³ work).
 

@@ -33,7 +33,6 @@ from photonsteer.steering import (
     cjwr_value,
     compute_assemblage,
     lhs_feasibility,
-    occupation_qubits,
     pol_path_qubits,
     two_qubit_frame,
 )
@@ -98,8 +97,8 @@ def test_criterion_04_no_signaling_everywhere():
     frames = [
         pol_path_qubits(eq1_state(), "PUE"),
         pol_path_qubits(qplate_tripartite_state(), "PUE"),
-        occupation_qubits(twc_state(), "b1", "b2"),
-        occupation_qubits(hardy_state(), "u1", "u2"),
+        two_qubit_frame(twc_state(), "b2")[0],
+        two_qubit_frame(hardy_state(), "u2")[0],
         noisy_state(0.3),
         noisy_state(0.9),
     ]

@@ -389,6 +389,19 @@ class TestSteer:
         assert "cannot read a 'run' state" in err and needle in err
         assert err.count("\n") == 1
 
+    def test_input_of_an_oam_set_without_0_exits_4(self, tmp_path, capsys):
+        # It would otherwise read as (|a,H,1> + |b,H,1>)/√2 in the occ-occ(a,b) frame; the
+        # circuit grammar refuses such a set, so no run state has one.
+        s = 1.0 / np.sqrt(2.0)
+        doc = {"sites": ["a", "b"], "oam": [1], "basis": ["vac", ["a", "H", 1], ["b", "H", 1]],
+               "amplitudes": [[0.0, 0.0], [s, 0.0], [s, 0.0]]}
+        state_path = tmp_path / "state.json"
+        state_path.write_text(json.dumps(doc))
+        assert main(["steer", "--input", str(state_path)]) == 4
+        err = capsys.readouterr().err
+        assert "cannot read a 'run' state" in err and "OAM set [1] does not contain 0" in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("amplitudes, needle", [
         ([[0.0, 0.0], [1.0 / np.sqrt(2.0), False], [1.0 / np.sqrt(2.0), 0.0]],
          "[0.7071067811865475, False]"),

@@ -33,7 +33,7 @@ from photonsteer.measurement import (
     polarization_setting,
     reduced_state,
 )
-from photonsteer.steering import occupation_qubits, pol_path_qubits
+from photonsteer.steering import pol_path_qubits, two_qubit_frame
 
 from conftest import (
     beamsplitter_oracle,
@@ -251,7 +251,7 @@ class TestFrames:
                 pol_path_qubits(state, bob).matrix, pol_path_oracle(state, alice, bob), atol=TOL
             )
 
-    def test_occupation_qubits_on_product_state(self, rng):
+    def test_occupation_frame_on_product_state(self, rng):
         internal = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
         internal /= np.linalg.norm(internal)
         path = {"z": 0.6, "m": 0.8j}
@@ -259,5 +259,5 @@ class TestFrames:
         for i, k in enumerate(DECL.kets[1:], start=1):
             amps[i] = path.get(k.site, 0.0) * internal[POLS.index(k.pol), DECL.oam.index(k.oam)]
         psi = np.array([0.0, path["m"], path["z"], 0.0])  # |n_A n_B>: 00, 01, 10, 11
-        got = occupation_qubits(StateVector(DECL, amps), "z", "m").matrix
+        got = two_qubit_frame(StateVector(DECL, amps), "m")[0].matrix
         np.testing.assert_allclose(got, np.outer(psi, psi.conj()), atol=TOL)
