@@ -243,6 +243,17 @@ class TestTwoQubitFrames:
         with pytest.raises(error, match=message):
             two_qubit_frame(split, bob)
 
+    @pytest.mark.parametrize("bob, alice", [("b1", "b2"), ("b2", "b1"), ("b3", "b1")])
+    def test_dual_rail_frame_of_a_photon_at_bob_alone(self, bob, alice):
+        # Alice is the first other declared site, never Bob's, and holds no photon.
+        decl = BasisDecl(("b1", "b2", "b3"))
+        state = StateVector.from_amplitudes(
+            decl, {BasisKet.vacuum(): 0.6, BasisKet.photon(bob, "V"): 0.8j})
+        rho, label = two_qubit_frame(state, bob)
+        assert label == f"occ-occ({alice},{bob})"
+        psi = np.array([0.6, 0.8j, 0.0, 0.0])  # |n_A n_B>: 00, 01, 10, 11
+        np.testing.assert_allclose(rho.matrix, np.outer(psi, psi.conj()), atol=1e-12)
+
     @pytest.mark.parametrize("n_sites, n_oam", [(2, 2048), (2048, 1)])
     def test_path_amplitudes_stays_within_4_mib(self, rng, n_sites, n_oam):
         # A full SVD would hold a (2 n_oam)² vh or an n_sites² u: 256 or 64 MiB here.
