@@ -14,8 +14,9 @@ Two settings are exact wherever Bob's marginal allows (``lhs_residual`` of an un
 model is then the joint-measurability margin). Everything else goes to column generation
 over the whole Bloch sphere: ``NoLHSFoundAtResolution`` is then a proof unless the search
 ran past its round cap, ``lhs_residual`` is the steering-witness margin, and ``steer``
-writes the witness's duals as ``witness`` (``steering.replay_witness``); past the cap it
-has no ``witness`` and ``lhs_residual`` is the last phase-1 optimum. A certificate's
+writes the witness, a vector y over the solved rows (the assemblage's own linear steering
+witness or a round's phase-1 duals), as ``witness`` (``steering.replay_witness``); past
+the cap it has no ``witness`` and ``lhs_residual`` is the last phase-1 optimum. A certificate's
 ``lhs_residual`` is its worst error over the full program's 8m rows on every path,
 exactly what ``steering.replay_certificate`` returns. --grid is not read: any integer
 is taken, and ``steer`` echoes it as ``grid_n``.
@@ -45,7 +46,7 @@ import numpy as np
 
 from . import scenarios, steering
 from .circuit import _IDENT, parse_circuit, run_circuit
-from .core import NORM_ATOL, BasisDecl, BasisKet, StateVector
+from .core import NORM_ATOL, POLS, BasisDecl, BasisKet, StateVector
 from .errors import CircuitSyntaxError, OutOfRange, PhysicsError
 
 EXIT_OK = 0
@@ -164,6 +165,25 @@ def _basis_ket(entry) -> BasisKet:
     return BasisKet.photon(entry[0], entry[1], _oam_value(entry[2]))
 
 
+def _basis_position(decl: BasisDecl, entry) -> int:
+    """Where a basis entry sits in the amplitudes of ``decl``, read from the C-ordered
+    (site, pol, oam) layout: 0 for "vac", else 1 + (site_axis[site]·2 + pol)·n_oam +
+    oam_axis[oam]. A malformed entry raises as ``_basis_ket`` does, an undeclared one
+    ValueError."""
+    if entry == "vac":
+        return 0
+    if type(entry) is list and len(entry) == 3 and entry[1] in POLS and type(entry[2]) is int:
+        site, oam = decl.site_axis.get(entry[0]), decl.oam_axis.get(entry[2])
+        if site is not None and oam is not None:
+            return 1 + (2 * site + POLS.index(entry[1])) * len(decl.oam) + oam
+    _basis_ket(entry)
+    raise ValueError(f"basis entry {entry!r} is outside the declared sites and OAM values")
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def state_from_json_dict(doc: dict) -> StateVector:
     """Inverse of ``state_to_json_dict``; ValueError unless the file holds a unit state
     with a list of identifier sites, integer OAM values 0 among them, numeric amplitudes
@@ -182,13 +202,11 @@ def state_from_json_dict(doc: dict) -> StateVector:
     amps = np.zeros(decl.dim, dtype=complex)
     named = set()
     for entry, (re, im) in zip(doc["basis"], doc["amplitudes"]):
-        if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in (re, im)):
+        if not (_is_number(re) and _is_number(im)):
             raise ValueError(f"amplitude [{re!r}, {im!r}] has a part that is not a number")
-        ket = _basis_ket(entry)
-        if (i := decl.index.get(ket)) is None:
-            raise ValueError(f"basis entry {entry!r} is outside the declared sites and OAM values")
+        i = _basis_position(decl, entry)
         if i in named:
-            raise ValueError(f"basis entry {entry!r} names the ket {ket!r} again")
+            raise ValueError(f"basis entry {entry!r} names the ket {_basis_ket(entry)!r} again")
         named.add(i)
         amps[i] = complex(re, im)
     state = StateVector(decl, amps)

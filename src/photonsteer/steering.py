@@ -21,11 +21,13 @@ measurable, and for two qubit effects that is the sign of a closed-form margin
 (``joint_measurability_margin``). A positive margin proves steering; a parent
 POVM of the two effects gives an LHS model of at most four hidden states.
 Everything else, the two-setting cases that path leaves open included, goes to
-column generation over the whole Bloch sphere: from the six axis states, each
-round adds the best pure state of every strategy under the program's duals,
-until the program is feasible (a certificate) or its duals give a steering
-witness, a margin that no LHS model of any resolution can meet
-(``replay_witness``).
+column generation over the whole Bloch sphere. A witness there is a vector y over
+the program's rows whose margin no LHS model of any resolution can meet
+(``replay_witness``): first the assemblage's own linear steering witness, a proof
+before any solve, then the duals of each round. Else the program starts from the six
+axis states and that witness's best states, and each round adds the best pure state of
+every strategy under the round's duals, until the program is feasible (a certificate)
+or its duals are a witness.
 
 The CHSH search is sized by one number, and ``check_chsh_step`` is the only
 copy of its bounds: it raises ``OutOfRange`` before the search allocates
@@ -186,19 +188,20 @@ class SteeringVerdict:
     sigma(-1|x) for every x, follow from these under no-signalling. Its
     certificates hold pure states, and ``pivots`` counts the simplex pivots
     over every round. Its ``NoLHSFoundAtResolution`` is a proof unless it is
-    left open past the round cap. A proof carries the duals y of the solved
-    rows as ``witness``, and ``residual`` is the witness margin, above 1e-9,
-    exactly what ``replay_witness`` returns; or, without a witness, the 8m-row
-    residual of a certificate that met the solved rows but not the full ones
-    (an assemblage that signals). Left open, it has neither, and ``residual``
-    is the last phase-1 optimum.
+    left open past the round cap. A proof carries a vector y over the solved
+    rows as ``witness``: the assemblage's linear steering witness, with
+    ``pivots`` 0 as on the exact path, or a round's phase-1 duals. ``residual``
+    is the witness margin, above 1e-9, exactly what ``replay_witness`` returns;
+    or, without a witness, the 8m-row residual of a certificate that met the
+    solved rows but not the full ones (an assemblage that signals). Left open,
+    it has neither, and ``residual`` is the last phase-1 optimum.
     """
 
     status: str  # UnsteerableCertified | NoLHSFoundAtResolution
     residual: float
     certificate: tuple[tuple[tuple[int, ...], tuple[float, float, float], float], ...] | None
     pivots: int  # simplex pivots the program took
-    witness: tuple[float, ...] | None = None  # duals y of a steering witness
+    witness: tuple[float, ...] | None = None  # y over the solved rows of a steering witness
 
 
 @dataclass(frozen=True)
@@ -806,7 +809,8 @@ def lhs_feasibility(assemblage: Assemblage, grid_n: int) -> SteeringVerdict:
     effects, certifies the assemblage unsteerable; a joint-measurability margin
     (``joint_measurability_margin``) above ``_MARGIN_TOL`` proves that no model exists at
     any resolution, and ``pivots`` is 0. Everything else goes to column generation over
-    the whole Bloch sphere (``_column_generation``): one, three or four settings, and
+    the whole Bloch sphere (``_column_generation``), which reads the assemblage's linear
+    steering witness before any solve: one, three or four settings, and
     the two-setting cases the exact path leaves open (a margin within ``_MARGIN_TOL`` of
     0, a parent it does not find, a certificate that does not rebuild the assemblage,
     such as the one-state certificate of a Bob marginal just below ``_FULL_RANK``).
@@ -856,14 +860,16 @@ _PRICE_TOL = 1e-10
 # 10⁶ times that, and below noisy(1/√3 + 1e-6), which reads 7.5e-7.
 _WITNESS_TOL = 1e-9
 # Rounds (solves) of column generation before the verdict is left open. Measured: at most
-# 11 rounds on the Z,X,Y frames above and 9 with the fourth setting, 7 on hardy:q,r over
-# θ = 0.2 … 1.3, 2 on noisy(v); every one of them was decided. Two settings reach it only
-# when the exact path leaves them open. The band: noisy(1/√2 + δ), δ = 0, ±1e-10, under
-# 60 random local unitaries each, with Z,X, X,Y and Z,Y, were all certified in at most 34
-# rounds (median 29, at most 215 pivots, 9.7 ms median). Bob marginals near rank one are
-# left open more often: of 235 two-setting leftovers of eigenvalue ratio at most 1e-6
-# (cos t|00⟩ + sin t|11⟩, and hardy:q,r with r = 1e-5 … 0.05), 48 reach the cap (at 60
-# rounds 12 of those would be certified), and the slowest takes 51 ms.
+# 11 rounds on the Z,X,Y frames above, 3 on 40 of them (rng 26) with the fourth setting,
+# 5 on hardy:q,r over θ = 0.2 … 1.3 in every order of Z,X,Y, 1 on noisy(v), v = 0.3 … 1;
+# every one of them was decided. Two settings reach it only when the exact path leaves
+# them open. The band: noisy(1/√2 + δ), δ = 0, ±1e-10, under 60 random local unitaries at
+# Bob each, with Z,X, X,Y and Z,Y, were all certified in one round (median 25 pivots, at
+# most 53, 0.74 ms median). Bob marginals near rank one are left open more often: of 778
+# two-setting leftovers of eigenvalue ratio at most 1e-6 (cos t|00⟩ + sin t|11⟩ under
+# local unitaries, 400 frames, and hardy:q,r with r = 1e-5 … 0.05, 60 points, each with
+# X,Y and Z,X), 69 reach the cap (at 60 rounds 22 of those would be certified), and the
+# slowest takes 0.45 s.
 _MAX_ROUNDS = 40
 
 
@@ -884,16 +890,55 @@ def _witness_bounds(y: np.ndarray, b: np.ndarray, solved: np.ndarray):
     return float(y @ b - (b[0] + b[1]) * top.max()), beta, length, top
 
 
+def _linear_witness(target: np.ndarray) -> np.ndarray:
+    """The linear steering witness of an assemblage as y over the program's rows (Cavalcanti,
+    Jones, Wiseman & Reid, PRA 80, 032112 (2009)): Bob measures setting x along b_x, the
+    unit Bloch direction of σ(+1|x) − σ(−1|x) (0 where that vanishes). A row group prices
+    a member as Tr(F·member) with F = b·σ through v(b) = (b_z, −b_z, 2b_x, −2b_y), the
+    components ``_full_target`` reads; Y₀ = −Σ_x v(b_x) on Bob's marginal and
+    Y_x = 2·v(b_x) on σ(+1|x), so y·b = Σ_x |r_x| on a no-signalling assemblage, r_x the
+    Bloch vector of σ(+1|x) − σ(−1|x), and strategy s peaks at |Σ_x s_x b_x|."""
+    d0, d1, re, im = (target[:, 0] - target[:, 1]).T
+    bloch = np.column_stack([re, -im, 0.5 * (d0 - d1)])
+    length = np.sqrt((bloch * bloch).sum(axis=1))
+    bx, by, bz = (bloch / np.where(length > 0, length, 1.0)[:, None]).T
+    v = np.column_stack([bz, -bz, 2 * bx, -2 * by])
+    return np.concatenate([-v.sum(axis=0), 2 * v.ravel()]) + 0.0  # no -0.0 in a written y
+
+
+def _distinct(states: np.ndarray):
+    """(states, their ``_state_rows``) with each program column once: of the states whose
+    rows are identical, such as Bloch vectors that differ only in their last bits, the
+    first is kept."""
+    rows = _state_rows(states)
+    first: dict = {}
+    for i, row in enumerate(map(tuple, rows.tolist())):
+        first.setdefault(row, i)
+    keep = list(first.values())
+    return states[keep], rows[keep]
+
+
+def _best_states(beta: np.ndarray, length: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """The best Bloch state β_s/|β_s| of every strategy s that prices above ``_PRICE_TOL``
+    under ``_witness_bounds``, in strategy order."""
+    grow = (top > _PRICE_TOL) & (length > 0)
+    return beta[grow] / length[grow, None]
+
+
 def _column_generation(assemblage: Assemblage) -> SteeringVerdict:
     """Decide an LHS program of any setting count over the whole Bloch sphere.
 
-    The program starts with the six axis states (``_AXIS_STATES``) for every strategy.
-    A feasible round gives a certificate under ``_program_verdict``'s rule. Otherwise its
-    phase-1 duals y price every Bloch state in closed form (``_witness_bounds``): a margin
-    above ``_WITNESS_TOL`` is a steering witness over the whole sphere, reported as
-    ``NoLHSFoundAtResolution`` with the margin as ``residual`` and y as ``witness``
-    (``replay_witness``). Else every strategy whose best state prices above
-    ``_PRICE_TOL`` adds that state, for every strategy, and the program is solved again.
+    A witness is a vector y over the program's 4m + 4 rows, read over the whole sphere in
+    closed form (``_witness_bounds``): a margin above ``_WITNESS_TOL`` proves steering,
+    reported as ``NoLHSFoundAtResolution`` with the margin as ``residual`` and y as
+    ``witness`` (``replay_witness``). The first y is the assemblage's own linear witness
+    (``_linear_witness``); its proof needs no solve, and ``pivots`` is 0. Else the program
+    starts with the six axis states (``_AXIS_STATES``) for every strategy, joined by that
+    witness's best states (``_best_states``) when Bob's marginal is of full rank under
+    the exact path's rule (``_full_rank``). A feasible round gives a certificate under
+    ``_program_verdict``'s rule. Otherwise its phase-1 duals are the next y: a witness, or
+    the best state of every strategy that prices above ``_PRICE_TOL`` joins the program,
+    which is solved again. Each pool joins once per program column (``_distinct``).
     After ``_MAX_ROUNDS`` rounds, or a round that adds no state, the verdict is left open:
     ``NoLHSFoundAtResolution`` with the last phase-1 optimum and no witness. ``pivots``
     sums the rounds. A round whose warm start breaks the solver down is solved again
@@ -902,11 +947,20 @@ def _column_generation(assemblage: Assemblage) -> SteeringVerdict:
     strategies, solved = _strategies(len(assemblage.settings))
     target = _full_target(assemblage)
     b = _solved_target(target)
-    states, pivots, start = _AXIS_STATES, 0, None
+    y = _linear_witness(target)
+    margin, beta, length, top = _witness_bounds(y, b, solved)
+    if margin > _WITNESS_TOL:
+        return SteeringVerdict("NoLHSFoundAtResolution", margin, None, 0, tuple(y.tolist()))
+    states = _AXIS_STATES
+    if _full_rank(*_spectrum(_bloch_form(assemblage.bob_marginal(assemblage.settings[0])))[:2]):
+        # A setting along an axis has its best state among the axis states: it joins once.
+        states = np.vstack([states, _best_states(beta, length, top)])
+    states, rows = _distinct(states)
+    pivots, start = 0, None
     for _ in range(_MAX_ROUNDS):
         # Column (s, g) holds state g's rows in strategy s's row groups:
-        # A[(r, c), (s, g)] = solved[r, s] · _state_rows(states)[g, c].
-        A = np.einsum("rs,gc->rcsg", solved, _state_rows(states)).reshape(len(b), -1)
+        # A[(r, c), (s, g)] = solved[r, s] · rows[g, c].
+        A = np.einsum("rs,gc->rcsg", solved, rows).reshape(len(b), -1)
         try:
             result = solve_feasibility(A, b, start)
         except SolverBreakdown:
@@ -923,19 +977,18 @@ def _column_generation(assemblage: Assemblage) -> SteeringVerdict:
         if margin > _WITNESS_TOL:
             return SteeringVerdict("NoLHSFoundAtResolution", margin, None, pivots,
                                    tuple(result.duals.tolist()))
-        grow = (top > _PRICE_TOL) & (length > 0)
-        if not grow.any():
+        # Strategies may share a best state (near-pure Bob marginals), and one may be in
+        # the program already: each joins once, and the states in it keep their places.
+        grown, grown_rows = _distinct(np.vstack([states, _best_states(beta, length, top)]))
+        if len(grown) == len(states):
             break
-        # Strategies may share a best state (near-pure Bob marginals): it joins once.
-        added = dict.fromkeys(map(tuple, (beta[grow] / length[grow, None]).tolist()))
-        grown = np.vstack([states, list(added)])
         # The last basis, renumbered for the grown program, starts the next round: its
         # columns and b are unchanged, so it is still feasible. An artificial (past the
         # last strategy) shifts by the new columns.
         strategy, state = np.divmod(result.basis, len(states))
         start = np.where(strategy < len(strategies), strategy * len(grown) + state,
                          result.basis + len(strategies) * (len(grown) - len(states)))
-        states = grown
+        states, rows = grown, grown_rows
     return SteeringVerdict("NoLHSFoundAtResolution", result.objective, None, pivots)
 
 

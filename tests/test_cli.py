@@ -14,7 +14,7 @@ import photonsteer
 from photonsteer import cli, scenarios, simplex, steering
 from photonsteer.cli import main
 from photonsteer.circuit import MAX_ELEMENT_KETS
-from photonsteer.core import MAX_DIM
+from photonsteer.core import MAX_DIM, BasisDecl
 from photonsteer.errors import BadParameters
 from photonsteer.scenarios import FIG1_CIRCUIT
 
@@ -219,12 +219,11 @@ class TestSteer:
     def test_two_setting_golden_bytes(self, tmp_path, spec, settings):
         self.assert_golden_steer(tmp_path, spec, settings)
 
-    # Column generation's three answers, made before its solver built one column block per
-    # solve and the JSON writer stopped calling json.dumps: a certificate (noisy:0.5), a
-    # witness found in round 0 (twc) and one found after more rounds (hardy). Y,X,Z made
-    # before members and correlators were read from tables over every axis. noisy:0.5 Z,X,Y
-    # made again when the solver took a dense A and priced every column in one product:
-    # the summation order moved eleven certificate weights in their last 1-3 digits.
+    # Column generation's answers: a certificate (noisy:0.5) and the linear witness, a
+    # proof before any solve (twc, margin 3 - √3, and hardy). All five made again when
+    # column generation began from that witness: its best states join the first program,
+    # which moves noisy:0.5's certificates, and its y replaced the phase-1 duals of twc
+    # (round 1) and hardy (round 3).
     @pytest.mark.parametrize("spec, settings", [
         ("noisy:0.5", "Z,X,Y"), ("twc", "Z,X,Y"), ("hardy", "Z,X,Y"),
         ("noisy:0.5", "Y,X,Z"), ("twc", "Y,X,Z")])
@@ -268,8 +267,9 @@ class TestSteer:
 
     def test_solver_breakdown_exits_3(self, monkeypatch, capsys):
         monkeypatch.setattr(simplex, "MAX_PIVOTS", 1)
-        # Three settings: a two-setting verdict needs no simplex.
-        assert main(["steer", "--preset", "noisy:0.65", "--settings", "Z,X,Y"]) == 3
+        # Three settings below 1/√3: a two-setting verdict needs no simplex, nor does a
+        # proof by the linear witness.
+        assert main(["steer", "--preset", "noisy:0.5", "--settings", "Z,X,Y"]) == 3
         err = capsys.readouterr().err
         assert "did not converge" in err
         assert "Traceback" not in err
@@ -437,6 +437,43 @@ class TestSteer:
         assert main(["steer", "--preset", "noisy:0.5", "--bob-site", "PUE"]) == 3
         err = capsys.readouterr().err
         assert "'PUE'" in err and err.count("\n") == 1
+
+
+def index_oracle_position(decl: BasisDecl, entry) -> int:
+    """The position of a state-file basis entry by ket lookup in ``decl.index``, as
+    ``state_from_json_dict`` placed entries before it read the layout."""
+    ket = cli._basis_ket(entry)
+    if (i := decl.index.get(ket)) is None:
+        raise ValueError(f"basis entry {entry!r} is outside the declared sites and OAM values")
+    return i
+
+
+class TestBasisPosition:
+    """``state_from_json_dict`` places each entry from the C-ordered (site, pol, oam)
+    layout, against ket lookup in ``BasisDecl.index``."""
+
+    @pytest.mark.parametrize("sites, oam", [
+        (("a", "b"), (0,)), (("PUE", "NY", "c2"), (0, 2, -2, 1)), (("z", "a", "m"), (5, 0)),
+        (tuple(f"s{i}" for i in range(40)), (-1, 0, 1)),
+    ])
+    def test_every_ket_sits_where_the_index_puts_it(self, sites, oam):
+        decl = BasisDecl(sites, oam)
+        entries = ["vac"] + [[k.site, k.pol, k.oam] for k in decl.kets[1:]]
+        positions = [cli._basis_position(decl, entry) for entry in entries[::-1]]
+        assert positions == [decl.index[k] for k in decl.kets[::-1]]
+
+    @pytest.mark.parametrize("entry", [
+        ["zz", "H", 0], ["a", "H", 3], ["a", "D", 0], ["a", "H", 0.0], ["a", "H", True],
+        [["a"], "H", 0], [{"a": 1}, "H", 0], [["a"], "X", 0], ["a", "H"], ["a", "H", 0, 1],
+        {"a": "H"}, None, 7, "vacuum", [1, "H", 0], [None, "V", 0],
+    ])
+    def test_a_bad_entry_raises_as_the_index_lookup_does(self, entry):
+        decl = BasisDecl(("a", "b"), (0, 1))
+        with pytest.raises(Exception) as want:
+            index_oracle_position(decl, entry)
+        with pytest.raises(want.type) as got:
+            cli._basis_position(decl, entry)
+        assert str(got.value) == str(want.value)
 
 
 class TestFrameRule:

@@ -328,23 +328,26 @@ class TestColumnBlock:
     def test_grown_warm_start_program(self, monkeypatch):
         # The last round of a grown program: column s·G + g of A is strategy s's row
         # pattern times state g's 4 rows, written out one entry at a time.
-        calls, states = [], []
-        state_rows = steering._state_rows
+        calls, programs = [], []
+        distinct = steering._distinct
 
-        def recording_rows(bloch):
-            states.append(bloch)
-            return state_rows(bloch)
+        def recording_distinct(states):
+            programs.append(distinct(states))
+            return programs[-1]
 
         def recording_solve(A, b, start=None):
             calls.append((A, b, start))
             return solve_feasibility(A, b, start)
 
-        monkeypatch.setattr(steering, "_state_rows", recording_rows)
+        monkeypatch.setattr(steering, "_distinct", recording_distinct)
         monkeypatch.setattr(steering, "solve_feasibility", recording_solve)
-        asm = compute_assemblage(two_qubit_frame(hardy_state())[0], ("Z", "X", "Y"))
+        # hardy:0.96,0.28 with Z,X,Y takes six rounds; hardy itself is witnessed unsolved.
+        asm = compute_assemblage(two_qubit_frame(hardy_state(0.96, 0.28))[0], ("Z", "X", "Y"))
         steering.lhs_feasibility(asm, 20)
         A, b, start = calls[-1]
-        solved, rows = steering._strategies(3)[1], state_rows(states[-1])
+        solved = steering._strategies(3)[1]
+        states, rows = programs[len(calls) - 1]
+        assert rows.tolist() == steering._state_rows(states).tolist()
         assert start is not None and len(rows) > len(steering._AXIS_STATES)
         assert A.shape == (16, 8 * len(rows))
         for s in range(8):

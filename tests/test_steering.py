@@ -999,9 +999,11 @@ class TestLhsFeasibility:
 
     @pytest.mark.parametrize("settings", [("Z", "X"), ("Z", "X", "Y")])
     def test_verdict_does_not_depend_on_the_cache(self, settings):
-        # Both reach column generation, the only reader of the cached program factor:
-        # noisy(1/√2) with Z,X has a margin within the band.
-        asm = compute_assemblage(noisy_state(1 / math.sqrt(2)), settings)
+        # Both reach the simplex of column generation, the only reader of the cached
+        # program factor: noisy(1/√2) with Z,X has a margin within the band, and noisy(0.55)
+        # with Z,X,Y lies below 1/√3, where the linear witness proves nothing.
+        v = 1 / math.sqrt(2) if len(settings) == 2 else 0.55
+        asm = compute_assemblage(noisy_state(v), settings)
         assert lhs_feasibility(asm, 10).pivots > 0
         steering._strategies.cache_clear()
         fresh = lhs_feasibility(asm, 10)
@@ -1401,33 +1403,48 @@ class TestColumnGeneration:
         assert statuses == {"UnsteerableCertified", "NoLHSFoundAtResolution"}
 
     def test_no_grid_is_built(self, monkeypatch):
-        # Whatever grid_n, the first round solves the six axis states of every strategy.
+        # Whatever grid_n, the first round solves the six axis states and the linear
+        # witness's eight best states (±Z ± X ± Y)/√3 of every strategy. v = 0.9 is proved
+        # by that witness before any solve.
         programs = []
         monkeypatch.setattr(steering, "solve_feasibility", lambda *args: programs.append(
             args[0].shape) or solve_feasibility(*args))
-        for v in (0.4, 0.9):
+        for v in (0.4, 0.55):
             asm = compute_assemblage(noisy_state(v), ("Z", "X", "Y"))
             for grid in (6, 100):
                 programs.clear()
                 lhs_feasibility(asm, grid)
-                assert programs[0] == (16, 8 * 6)
+                assert programs[0] == (16, 8 * (6 + 8))
 
-    def test_a_round_adds_each_state_once(self, monkeypatch):
-        # Near-pure Bob marginals: strategies share their best state, up to four a round.
-        programs, state_rows = [], steering._state_rows
-        monkeypatch.setattr(steering, "_state_rows", lambda states: programs.append(
-            states) or state_rows(states))
-        for rho in near_pure_frames(8, 5):
-            programs.clear()
-            lhs_feasibility(compute_assemblage(rho, ("Z", "X", "Y")), 20)
-            for before, after in zip(programs, programs[1:]):
-                added = after[len(before):]
-                assert len(np.unique(added, axis=0)) == len(added)
+    @pytest.mark.parametrize("case", ["near_pure", "noisy", "one_setting"])
+    def test_no_program_holds_two_identical_columns(self, case, monkeypatch):
+        # Near-pure Bob marginals: strategies share their best state, up to four a round,
+        # a best state may be in the program already, and states that differ only in their
+        # last bits have identical rows. The linear witness's best states join the axis
+        # states: for noisy(0.5) with Z,X,Y they are (±1, ±1, ±1)/√3, and for one setting
+        # along Z they are the poles, axis states already.
+        programs = []
+        monkeypatch.setattr(steering, "solve_feasibility", lambda *args: programs.append(
+            args[0]) or solve_feasibility(*args))
+        assemblages = {
+            "near_pure": [compute_assemblage(rho, ("Z", "X", "Y"))
+                          for rho in near_pure_frames(8, 5)],
+            "noisy": [compute_assemblage(noisy_state(0.5), ("Z", "X", "Y"))],
+            "one_setting": [compute_assemblage(noisy_state(0.3), ("Z",))],
+        }[case]
+        for asm in assemblages:
+            lhs_feasibility(asm, 20)
+        assert len(programs) >= len(assemblages)
+        for A in programs:
+            assert np.unique(A, axis=1).shape == A.shape
+        if case == "one_setting":
+            assert programs[0].shape == (8, 2 * 6)
 
     def test_a_strategy_with_no_bloch_part_adds_no_state(self, monkeypatch):
         # Duals on the marginal's diagonal alone: every strategy prices at 1 everywhere,
-        # β = 0 for all of them, the margin is 0, and there is no state to add.
-        asm = compute_assemblage(noisy_state(0.9), ("Z", "X", "Y"))
+        # β = 0 for all of them, the margin is 0, and there is no state to add. noisy(0.5)
+        # reaches the solver: its linear witness proves nothing.
+        asm = compute_assemblage(noisy_state(0.5), ("Z", "X", "Y"))
         duals = np.zeros(16)
         duals[:2] = 1.0
         solves = []
@@ -1444,7 +1461,8 @@ class TestColumnGeneration:
                                                    verdict.pivots)
 
     def test_past_the_round_cap_the_verdict_is_open(self, monkeypatch):
-        asm = compute_assemblage(two_qubit_frame(preset("hardy"))[0], ("Z", "X", "Y"))
+        # hardy:0.96,0.28 is witnessed in round 6; hardy itself by the linear witness.
+        asm = compute_assemblage(two_qubit_frame(preset("hardy:0.96,0.28"))[0], ("Z", "X", "Y"))
         monkeypatch.setattr(steering, "_MAX_ROUNDS", 1)
         verdict = lhs_feasibility(asm, 20)
         assert verdict.status == "NoLHSFoundAtResolution"
@@ -1517,6 +1535,135 @@ class TestColumnGeneration:
         for spec in ("noisy:0.57", "noisy:0.6", "hardy"):
             asm = compute_assemblage(two_qubit_frame(preset(spec))[0], ("Z", "X", "Y"))
             assert lhs_feasibility(asm, 10) == lhs_feasibility(asm, 10)
+
+
+def linear_witness_oracle(asm: Assemblage) -> np.ndarray:
+    """The linear steering witness as y over the program's rows, from matrices: Bob's
+    observable for setting x is b_x·σ, b_x the unit Bloch vector of σ(+1|x) − σ(−1|x),
+    and a row group prices a member M as Tr(b·σ M) = real_components(M)·v(b) with
+    v(b) = (b_z, −b_z, 2b_x, −2b_y). y is −Σ v(b_x) on Bob's marginal, 2·v(b_x) on σ(+1|x)."""
+    prices = []
+    for x in asm.settings:
+        r = np.einsum("ij,kji->k", asm.members[(x, +1)] - asm.members[(x, -1)],
+                      PAULI_VECTOR).real
+        bx, by, bz = r / np.linalg.norm(r)
+        prices.append(np.array([bz, -bz, 2 * bx, -2 * by]))
+    return np.concatenate([-sum(prices)] + [2 * v for v in prices])
+
+
+def linear_witness_margin(asm: Assemblage) -> float:
+    """The whole-sphere margin of the assemblage's linear witness, as the package reads it."""
+    m = len(asm.settings)
+    target = steering._full_target(asm)
+    return steering._witness_bounds(steering._linear_witness(target),
+                                    steering._solved_target(target), steering._strategies(m)[1])[0]
+
+
+def band_assemblages(count: int = 60, seed: int = 34) -> list:
+    """The two-setting band: noisy(1/√2 + δ), δ = 0 and ±1e-10, under ``count`` seeded
+    random unitaries at Bob, with Z,X, X,Y and Z,Y."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for delta in (0.0, 1e-10, -1e-10):
+        rho = noisy_state(1 / math.sqrt(2) + delta).matrix
+        for _ in range(count):
+            q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            u = np.kron(IDENTITY, q * (np.diag(r) / np.abs(np.diag(r))))
+            frame = DensityOperator(QUBIT_PAIR_LABELS, u @ rho @ u.conj().T)
+            out += [compute_assemblage(frame, pair) for pair in (("Z", "X"), ("X", "Y"),
+                                                                 ("Z", "Y"))]
+    return out
+
+
+def linear_best_state_count(asm: Assemblage) -> int:
+    """k, the distinct best states (Σ_x s_x b_x)/|Σ_x s_x b_x| of the linear witness over
+    the strategies s that are not axis states, from ``linear_witness_oracle``'s b_x,
+    compared to 9 digits."""
+    directions = []
+    for x in asm.settings:
+        r = np.einsum("ij,kji->k", asm.members[(x, +1)] - asm.members[(x, -1)],
+                      PAULI_VECTOR).real
+        directions.append(r / np.linalg.norm(r))
+    seen = {tuple(np.round(n, 9) + 0.0) for n in steering._AXIS_STATES}
+    best = set()
+    for strategy in product((+1, -1), repeat=len(asm.settings)):
+        beta = sum(a * b for a, b in zip(strategy, directions))
+        if np.linalg.norm(beta) > 1e-9:
+            best.add(tuple(np.round(beta / np.linalg.norm(beta), 9) + 0.0))
+    return len(best - seen)
+
+
+class TestLinearWitness:
+    """Column generation starts from the assemblage's own linear steering witness
+    (Cavalcanti, Jones, Wiseman & Reid, PRA 80, 032112 (2009)): a proof before any solve,
+    else its best states join the first program."""
+
+    @pytest.mark.parametrize("settings", [("Z", "X", "Y"), ("Y", "X", "Z")])
+    def test_noisy_above_one_over_root_three_is_proved_unsolved(self, settings, monkeypatch):
+        monkeypatch.setattr(steering, "solve_feasibility", None)  # any solve fails
+        for v in np.linspace(1 / math.sqrt(3) + 1e-6, 1.0, 25).tolist():
+            asm = compute_assemblage(noisy_state(v), settings)
+            verdict = lhs_feasibility(asm, 20)
+            assert verdict.status == "NoLHSFoundAtResolution" and verdict.pivots == 0
+            assert abs(verdict.residual - (3 * v - math.sqrt(3))) <= 1e-14, v
+            np.testing.assert_allclose(verdict.witness, linear_witness_oracle(asm), atol=1e-15)
+            assert_decided(verdict, asm)
+
+    def test_it_never_clears_the_gate_where_the_program_certifies(self):
+        # Two proofs never disagree: a certified assemblage has no linear witness.
+        margins = []
+        for rho in ranked_frames():
+            for settings in (("Z", "X", "Y"),) + SETTING_PAIRS:
+                asm = compute_assemblage(rho, settings)
+                if lhs_feasibility(asm, 20).status == "UnsteerableCertified":
+                    margins.append(linear_witness_margin(asm))
+        assert len(margins) == 1030 and max(margins) < -0.1
+        for v in np.linspace(0.0, 1 / math.sqrt(3) - 1e-6, 25).tolist():
+            asm = compute_assemblage(noisy_state(v), ("Z", "X", "Y"))
+            assert lhs_feasibility(asm, 20).status == "UnsteerableCertified"
+            assert linear_witness_margin(asm) <= steering._WITNESS_TOL
+
+    def test_it_proves_nothing_on_the_band(self):
+        # The band's margin is 2v - √2, within 2e-10 of 0: column generation certifies it.
+        for asm in band_assemblages():
+            assert abs(linear_witness_margin(asm)) <= steering._WITNESS_TOL
+            verdict = lhs_feasibility(asm, 20)
+            assert verdict.status == "UnsteerableCertified" and verdict.pivots > 0
+            assert replay_certificate(verdict, asm) == verdict.residual < 1e-7
+
+    def test_a_full_rank_marginal_starts_with_the_best_states(self, monkeypatch):
+        programs = []
+        monkeypatch.setattr(steering, "solve_feasibility", lambda *args: programs.append(
+            args[0].shape) or solve_feasibility(*args))
+        cases = [compute_assemblage(rho, ("Z", "X", "Y")) for rho in ranked_frames(40)]
+        cases += band_assemblages(2)
+        cases.append(compute_assemblage(noisy_state(0.3), ("Z",)))
+        solved = 0
+        for asm in cases:
+            programs.clear()
+            lhs_feasibility(asm, 20)
+            if programs:
+                solved += 1
+                k, strategies = linear_best_state_count(asm), 2 ** len(asm.settings)
+                assert programs[0] == (4 * len(asm.settings) + 4, strategies * (6 + k))
+        assert solved > 20
+
+    def test_a_marginal_below_full_rank_starts_with_the_axis_states(self, monkeypatch):
+        programs = []
+        monkeypatch.setattr(steering, "solve_feasibility", lambda *args: programs.append(
+            args[0].shape) or solve_feasibility(*args))
+        solved = 0
+        for rho in near_pure_frames(40, 5):
+            asm = compute_assemblage(rho, ("Z", "X", "Y"))
+            low, high = np.linalg.eigvalsh(asm.bob_marginal("Z"))
+            if low >= 1e-7 * high:
+                continue
+            programs.clear()
+            lhs_feasibility(asm, 20)
+            if programs:
+                solved += 1
+                assert programs[0] == (16, 48)
+        assert solved > 20
 
 
 class TestFibonacciGrid:
