@@ -874,10 +874,11 @@ _MAX_ROUNDS = 40
 
 
 def _witness_bounds(y: np.ndarray, b: np.ndarray, solved: np.ndarray):
-    """The whole-sphere reading of duals y of the program's rows: (margin, beta, length, top).
+    """The whole-sphere reading of a vector y over the program's rows, a round's duals or the
+    linear witness: (margin, beta, length, top).
 
     Column (s, n) of the program prices at y·col = α_s + β_s·n, with W = solvedᵀY (Y the
-    duals on the (row group, component) grid), α_s = ½(W₀ + W₁) and
+    entries of y on the (row group, component) grid), α_s = ½(W₀ + W₁) and
     β_s = ½(W₂, −W₃, W₀ − W₁); over the Bloch sphere strategy s peaks at
     top_s = α_s + |β_s|, on n = β_s/|β_s|. An LHS model spreads weight tr ρ_B = b₀ + b₁
     over pure states, so it gives y·b ≤ tr ρ_B · max_s top_s: a positive
