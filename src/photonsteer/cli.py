@@ -12,7 +12,9 @@ Subcommands::
 The LHS verdict of ``steer`` and ``sweep`` comes from ``steering.lhs_feasibility``.
 Two settings are exact wherever Bob's marginal allows (``lhs_residual`` of an unfound
 model is then the joint-measurability margin). Everything else goes to column generation
-over the whole Bloch sphere: ``NoLHSFoundAtResolution`` is then a proof unless the search
+over the whole Bloch sphere, whose certificate may come in closed form before any solve
+(at most 2^m hidden states, possibly mixed, from the canonical parent POVM of Bob's
+steering-equivalent effects): ``NoLHSFoundAtResolution`` is then a proof unless the search
 ran past its round cap, ``lhs_residual`` is the steering-witness margin, and ``steer``
 writes the witness, a vector y over the solved rows (the assemblage's own linear steering
 witness or a round's phase-1 duals), as ``witness`` (``steering.replay_witness``); past

@@ -24,10 +24,12 @@ Everything else, the two-setting cases that path leaves open included, goes to
 column generation over the whole Bloch sphere. A witness there is a vector y over
 the program's rows whose margin no LHS model of any resolution can meet
 (``replay_witness``): first the assemblage's own linear steering witness, a proof
-before any solve, then the duals of each round. Else the program starts from the six
-axis states and that witness's best states, and each round adds the best pure state of
-every strategy under the round's duals, until the program is feasible (a certificate)
-or its duals are a witness.
+before any solve, then the duals of each round. Else, where Bob's marginal has full
+rank, the canonical parent POVM of his steering-equivalent effects may give a model of at
+most 2^m hidden states in closed form, also before any solve. Else the program starts
+from the six axis states and that witness's best states, and each round adds the best
+pure state of every strategy under the round's duals, until the program is feasible (a
+certificate) or its duals are a witness.
 
 The CHSH search is sized by one number, and ``check_chsh_step`` is the only
 copy of its bounds: it raises ``OutOfRange`` before the search allocates
@@ -175,8 +177,8 @@ class SteeringVerdict:
     certified verdict is max |A_full x - b_full| over all 8m rows of the full
     program (the 4 real components of every sigma(a|x)), rebuilt from the
     certificate: exactly what ``replay_certificate`` returns. So an assemblage
-    that signals is never certified: at most 1e-9 on the exact path, below 1e-7
-    from column generation.
+    that signals is never certified: at most 1e-9 on the exact path and from the
+    closed form, below 1e-7 from the program.
 
     Exact path (two settings): ``pivots`` is 0. Its certificate has at most four
     hidden states, which may be mixed (|bloch| < 1). Its ``NoLHSFoundAtResolution``
@@ -185,7 +187,10 @@ class SteeringVerdict:
     Column generation solves 4m + 4 rows of full rank for m settings, 4 real
     components each of Bob's marginal (from the first setting) and of
     sigma(+1|x) per setting; the full program's other 4(m - 1) rows,
-    sigma(-1|x) for every x, follow from these under no-signalling. Its
+    sigma(-1|x) for every x, follow from these under no-signalling. Before any
+    solve, where Bob's marginal has full rank, the canonical parent POVM of his
+    steering-equivalent effects may certify the assemblage as the exact path does:
+    at most 2^m hidden states, which may be mixed, and ``pivots`` 0. The program's
     certificates hold pure states, and ``pivots`` counts the simplex pivots
     over every round. Its ``NoLHSFoundAtResolution`` is a proof unless it is
     left open past the round cap. A proof carries a vector y over the solved
@@ -772,21 +777,37 @@ def _exact_two_setting(assemblage: Assemblage) -> SteeringVerdict | None:
             if parent is None:
                 return None
             g0, g = parent
-        root = _power(rho, 0.5)
-        hidden = [_sandwich(root, effect) for effect in (
+        entries = _hidden_states(rho, (
             (g0, g),
             (e0 - g0, tuple(x - y for x, y in zip(ev, g))),
             (f0 - g0, tuple(x - y for x, y in zip(fv, g))),
-            (1 - e0 - f0 + g0, tuple(z - x - y for x, y, z in zip(ev, fv, g))))]
-        entries = [(2 * t0, tuple(x / t0 for x in t) if t0 > 0 else t) for t0, t in hidden]
+            (1 - e0 - f0 + g0, tuple(z - x - y for x, y, z in zip(ev, fv, g)))))
     elif high > 0:
         p = [[np.trace(assemblage.members[(x, a)]).real for a in (+1, -1)]
              for x in assemblage.settings]
         entries = [(p[0][i] * p[1][j] / (2 * rho[0]), axis) for i in (0, 1) for j in (0, 1)]
     else:
         return None
+    return _exact_certificate(_strategies(2)[0], entries, _full_target(assemblage))
+
+
+def _hidden_states(rho, parent):
+    """(weight, Bloch vector) of the hidden state ρ_B^(1/2) G ρ_B^(1/2) of every effect G of
+    a parent POVM, in order: weight 2t₀ and Bloch vector t/t₀ of the Bloch form (t₀, t),
+    t itself where t₀ ≤ 0."""
+    root = _power(rho, 0.5)
+    hidden = [_sandwich(root, effect) for effect in parent]
+    return [(2 * t0, tuple(x / t0 for x in t) if t0 > 0 else t) for t0, t in hidden]
+
+
+def _exact_certificate(strategies, entries, target: np.ndarray) -> SteeringVerdict | None:
+    """The certified verdict, 0 pivots, of a model that gives each strategy in turn the
+    hidden state (weight, bloch) of ``entries``; None unless every weight is at least
+    -_WEIGHT_FLOOR and every Bloch vector of a weight above it has length at most 1 + 1e-9
+    (it is scaled to length 1 past 1), and the certificate of those entries rebuilds all 8m
+    rows of ``target`` within _EXACT_RESIDUAL."""
     certificate = []
-    for strategy, (weight, bloch) in zip(_strategies(2)[0], entries):
+    for strategy, (weight, bloch) in zip(strategies, entries):
         if weight < -_WEIGHT_FLOOR:
             return None
         if weight <= _WEIGHT_FLOOR:
@@ -795,10 +816,31 @@ def _exact_two_setting(assemblage: Assemblage) -> SteeringVerdict | None:
         if length > 1 + 1e-9:
             return None
         certificate.append((strategy, tuple(x / max(length, 1.0) for x in bloch), weight))
-    residual = _certificate_residual(certificate, _full_target(assemblage))
+    residual = _certificate_residual(certificate, target)
     if residual > _EXACT_RESIDUAL:
         return None
     return SteeringVerdict("UnsteerableCertified", residual, tuple(certificate), 0)
+
+
+def _canonical_parent(assemblage: Assemblage, rho, strategies,
+                      target: np.ndarray) -> SteeringVerdict | None:
+    """The verdict of the canonical parent POVM of Bob's steering-equivalent effects, or None
+    to leave the assemblage to the program. With E_x = ½[(1 + αₓ)I + aₓ·σ] for setting x,
+    G(s) = 2⁻ᵐ[(1 + Σₓ sₓαₓ)I + (Σₓ sₓaₓ)·σ] for every strategy s, whose marginals
+    Σ_{s: sₓ = a} G(s) are Bob's effects for each x (Busch, PRD 33, 2253 (1986); Uola,
+    Budroni, Gühne & Pellonpää, PRL 115, 230402 (2015)). Where every G(s) is an effect, its
+    hidden states ρ_B^(1/2) G(s) ρ_B^(1/2) are an LHS model of at most 2^m states, mixed
+    ones among them (``_exact_certificate``). ``rho`` is Bob's marginal, of full rank."""
+    effects = _steering_effects(assemblage, rho)
+    scale = 0.5 ** len(effects)
+    parent = []
+    for strategy in strategies:
+        g0, g = 1.0, (0.0, 0.0, 0.0)
+        for s, (e0, ev) in zip(strategy, effects):  # sₓ(2Eₓ − I) = sₓ(αₓI + aₓ·σ)
+            g0 += s * (2 * e0 - 1)
+            g = tuple(gi + 2 * s * x for gi, x in zip(g, ev))
+        parent.append((scale * g0, tuple(scale * gi for gi in g)))
+    return _exact_certificate(strategies, _hidden_states(rho, parent), target)
 
 
 def lhs_feasibility(assemblage: Assemblage, grid_n: int) -> SteeringVerdict:
@@ -810,7 +852,8 @@ def lhs_feasibility(assemblage: Assemblage, grid_n: int) -> SteeringVerdict:
     (``joint_measurability_margin``) above ``_MARGIN_TOL`` proves that no model exists at
     any resolution, and ``pivots`` is 0. Everything else goes to column generation over
     the whole Bloch sphere (``_column_generation``), which reads the assemblage's linear
-    steering witness before any solve: one, three or four settings, and
+    steering witness and then the canonical parent POVM (``_canonical_parent``) before
+    any solve: one, three or four settings, and
     the two-setting cases the exact path leaves open (a margin within ``_MARGIN_TOL`` of
     0, a parent it does not find, a certificate that does not rebuild the assemblage,
     such as the one-state certificate of a Bob marginal just below ``_FULL_RANK``).
@@ -933,10 +976,12 @@ def _column_generation(assemblage: Assemblage) -> SteeringVerdict:
     closed form (``_witness_bounds``): a margin above ``_WITNESS_TOL`` proves steering,
     reported as ``NoLHSFoundAtResolution`` with the margin as ``residual`` and y as
     ``witness`` (``replay_witness``). The first y is the assemblage's own linear witness
-    (``_linear_witness``); its proof needs no solve, and ``pivots`` is 0. Else the program
-    starts with the six axis states (``_AXIS_STATES``) for every strategy, joined by that
-    witness's best states (``_best_states``) when Bob's marginal is of full rank under
-    the exact path's rule (``_full_rank``). A feasible round gives a certificate under
+    (``_linear_witness``); its proof needs no solve, and ``pivots`` is 0. Else, when Bob's
+    marginal is of full rank under the exact path's rule (``_full_rank``), the canonical
+    parent POVM (``_canonical_parent``) may certify the assemblage, with no solve either.
+    Else the program starts with the six axis states (``_AXIS_STATES``) for every
+    strategy, joined by that witness's best states (``_best_states``) when the marginal
+    is of full rank. A feasible round gives a certificate under
     ``_program_verdict``'s rule. Otherwise its phase-1 duals are the next y: a witness, or
     the best state of every strategy that prices above ``_PRICE_TOL`` joins the program,
     which is solved again. Each pool joins once per program column (``_distinct``).
@@ -953,7 +998,11 @@ def _column_generation(assemblage: Assemblage) -> SteeringVerdict:
     if margin > _WITNESS_TOL:
         return SteeringVerdict("NoLHSFoundAtResolution", margin, None, 0, tuple(y.tolist()))
     states = _AXIS_STATES
-    if _full_rank(*_spectrum(_bloch_form(assemblage.bob_marginal(assemblage.settings[0])))[:2]):
+    rho = _bloch_form(assemblage.bob_marginal(assemblage.settings[0]))
+    if _full_rank(*_spectrum(rho)[:2]):
+        verdict = _canonical_parent(assemblage, rho, strategies, target)
+        if verdict is not None:
+            return verdict
         # A setting along an axis has its best state among the axis states: it joins once.
         states = np.vstack([states, _best_states(beta, length, top)])
     states, rows = _distinct(states)

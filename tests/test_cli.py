@@ -222,8 +222,9 @@ class TestSteer:
     # Column generation's answers: a certificate (noisy:0.5) and the linear witness, a
     # proof before any solve (twc, margin 3 - √3, and hardy). All five made again when
     # column generation began from that witness: its best states join the first program,
-    # which moves noisy:0.5's certificates, and its y replaced the phase-1 duals of twc
-    # (round 1) and hardy (round 3).
+    # which moved noisy:0.5's certificates, and its y replaced the phase-1 duals of twc
+    # (round 1) and hardy (round 3). noisy:0.5 made again when the canonical parent
+    # certified it before any solve: eight states (±½, ±½, ±½) of weight 1/8.
     @pytest.mark.parametrize("spec, settings", [
         ("noisy:0.5", "Z,X,Y"), ("twc", "Z,X,Y"), ("hardy", "Z,X,Y"),
         ("noisy:0.5", "Y,X,Z"), ("twc", "Y,X,Z")])
@@ -267,9 +268,9 @@ class TestSteer:
 
     def test_solver_breakdown_exits_3(self, monkeypatch, capsys):
         monkeypatch.setattr(simplex, "MAX_PIVOTS", 1)
-        # Three settings below 1/√3: a two-setting verdict needs no simplex, nor does a
-        # proof by the linear witness.
-        assert main(["steer", "--preset", "noisy:0.5", "--settings", "Z,X,Y"]) == 3
+        # hardy:0.96,0.28 with Z,X,Y is witnessed in round 6: a two-setting verdict needs
+        # no simplex, nor does a proof by the linear witness or a closed-form certificate.
+        assert main(["steer", "--preset", "hardy:0.96,0.28", "--settings", "Z,X,Y"]) == 3
         err = capsys.readouterr().err
         assert "did not converge" in err
         assert "Traceback" not in err

@@ -3,7 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -998,10 +998,12 @@ class TestLhsFeasibility:
             solved.flat[0] = 0.0
 
     @pytest.mark.parametrize("settings", [("Z", "X"), ("Z", "X", "Y")])
-    def test_verdict_does_not_depend_on_the_cache(self, settings):
+    def test_verdict_does_not_depend_on_the_cache(self, settings, monkeypatch):
         # Both reach the simplex of column generation, the only reader of the cached
-        # program factor: noisy(1/√2) with Z,X has a margin within the band, and noisy(0.55)
-        # with Z,X,Y lies below 1/√3, where the linear witness proves nothing.
+        # program factor, once the closed form is bypassed: noisy(1/√2) with Z,X has a
+        # margin within the band, and noisy(0.55) with Z,X,Y lies below 1/√3, where the
+        # linear witness proves nothing.
+        monkeypatch.setattr(steering, "_canonical_parent", lambda *args: None)
         v = 1 / math.sqrt(2) if len(settings) == 2 else 0.55
         asm = compute_assemblage(noisy_state(v), settings)
         assert lhs_feasibility(asm, 10).pivots > 0
@@ -1180,10 +1182,16 @@ class TestExactTwoSettingPath:
 
     @pytest.mark.parametrize("offset", [-1e-10, 0.0, 1e-10])
     def test_a_margin_within_the_band_goes_to_column_generation(self, offset):
+        # There the canonical parent certifies it before any solve, and the program, with
+        # that closed form bypassed, in one round.
         asm = compute_assemblage(noisy_state(1 / math.sqrt(2) + offset), ("Z", "X"))
         assert abs(steering.joint_measurability_margin(asm)) <= steering._MARGIN_TOL
         assert steering._exact_two_setting(asm) is None
         verdict = lhs_feasibility(asm, 20)
+        assert verdict.status == "UnsteerableCertified" and verdict.pivots == 0
+        assert verdict.residual <= 1e-9
+        assert replay_certificate(verdict, asm) == verdict.residual
+        verdict = program_verdict(asm)
         assert verdict.status == "UnsteerableCertified" and verdict.pivots > 0
         assert verdict.residual < 1e-7
         assert replay_certificate(verdict, asm) == verdict.residual
@@ -1278,17 +1286,31 @@ def with_diagonal_setting(rho: DensityOperator) -> Assemblage:
 
 
 def assert_decided(verdict, asm: Assemblage) -> None:
-    """A column-generation verdict: a certificate of pure states that replays below 1e-7,
-    or a witness whose margin replays bit for bit and holds on 20 000 random directions."""
+    """A column-generation verdict: a certificate that replays below 1e-7, of pure states
+    from the program or, with 0 pivots, of states that replay within 1e-9 from the closed
+    form; or a witness whose margin replays bit for bit and holds on 20 000 random
+    directions."""
     if verdict.status == "UnsteerableCertified":
         assert verdict.witness is None
         assert verdict.residual < 1e-7 and replay_certificate(verdict, asm) == verdict.residual
-        assert all(abs(math.hypot(*bloch) - 1) < 1e-12 for _, bloch, _ in verdict.certificate)
+        if verdict.pivots:
+            assert all(abs(math.hypot(*bloch) - 1) < 1e-12
+                       for _, bloch, _ in verdict.certificate)
+        else:
+            assert verdict.residual <= 1e-9
     else:
         assert verdict.certificate is None and verdict.witness is not None
         assert verdict.residual > steering._WITNESS_TOL
         assert replay_witness(verdict, asm) == verdict.residual
         assert witness_oracle(asm, verdict.witness) >= verdict.residual - 1e-12
+
+
+def program_verdict(asm: Assemblage):
+    """``lhs_feasibility`` with the closed form bypassed: column generation's program decides
+    what the exact two-setting path and the linear witness leave open."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(steering, "_canonical_parent", lambda *args: None)
+        return lhs_feasibility(asm, 20)
 
 
 def assert_decided_or_open(verdict, asm: Assemblage) -> None:
@@ -1337,8 +1359,10 @@ class TestColumnGeneration:
                                               (0.0, "UnsteerableCertified"),
                                               (1e-6, "NoLHSFoundAtResolution")])
     def test_noisy_is_decided_on_both_sides_of_one_over_root_three(self, offset, want):
+        # The program's verdict: the closed form certifies the lower side before any solve
+        # (``TestCanonicalParent``).
         asm = compute_assemblage(noisy_state(1 / math.sqrt(3) + offset), ("Z", "X", "Y"))
-        verdict = lhs_feasibility(asm, 20)
+        verdict = program_verdict(asm)
         assert verdict.status == want
         assert_decided(verdict, asm)
         # the grid oracle proves neither side
@@ -1359,8 +1383,11 @@ class TestColumnGeneration:
         assert_decided(verdict, asm)
 
     def test_qplate_tripartite_is_certified_by_the_axis_states(self, monkeypatch):
+        # The program's certificate; the closed form gives the eight pole states of its
+        # canonical parent before any solve.
         asm = compute_assemblage(two_qubit_frame(preset("qplate_tripartite"))[0],
                                  ("Z", "X", "Y"))
+        monkeypatch.setattr(steering, "_canonical_parent", lambda *args: None)
         solves = []
         monkeypatch.setattr(steering, "solve_feasibility",
                             lambda *args: solves.append(args) or solve_feasibility(*args))
@@ -1373,6 +1400,9 @@ class TestColumnGeneration:
     def test_every_random_frame_is_decided(self, random_cases):
         statuses = [verdict.status for _, verdict in random_cases]
         assert statuses.count("UnsteerableCertified") == 216
+        # The program certifies all but the few its closed form certifies before any solve.
+        assert sum(verdict.certificate is not None and verdict.pivots > 0
+                   for _, verdict in random_cases) == 209
         for asm, verdict in random_cases:
             assert_decided(verdict, asm)
 
@@ -1386,9 +1416,10 @@ class TestColumnGeneration:
 
     @pytest.mark.parametrize("spec, setting", [("noisy:0.3", "Z"), ("noisy:1", "Z"), ("eq1", "X")])
     def test_one_setting_is_certified(self, spec, setting):
-        # The members of one setting are themselves an LHS model.
+        # The members of one setting are themselves an LHS model: the closed form's, and
+        # the program finds one too.
         asm = compute_assemblage(two_qubit_frame(preset(spec))[0], (setting,))
-        verdict = lhs_feasibility(asm, 20)
+        verdict = program_verdict(asm)
         assert verdict.status == "UnsteerableCertified"
         assert_decided(verdict, asm)
 
@@ -1404,8 +1435,9 @@ class TestColumnGeneration:
 
     def test_no_grid_is_built(self, monkeypatch):
         # Whatever grid_n, the first round solves the six axis states and the linear
-        # witness's eight best states (±Z ± X ± Y)/√3 of every strategy. v = 0.9 is proved
-        # by that witness before any solve.
+        # witness's eight best states (±Z ± X ± Y)/√3 of every strategy, once the closed form
+        # is bypassed. v = 0.9 is proved by that witness before any solve.
+        monkeypatch.setattr(steering, "_canonical_parent", lambda *args: None)
         programs = []
         monkeypatch.setattr(steering, "solve_feasibility", lambda *args: programs.append(
             args[0].shape) or solve_feasibility(*args))
@@ -1422,7 +1454,9 @@ class TestColumnGeneration:
         # a best state may be in the program already, and states that differ only in their
         # last bits have identical rows. The linear witness's best states join the axis
         # states: for noisy(0.5) with Z,X,Y they are (±1, ±1, ±1)/√3, and for one setting
-        # along Z they are the poles, axis states already.
+        # along Z they are the poles, axis states already. The closed form, which would
+        # certify both before any solve, is bypassed.
+        monkeypatch.setattr(steering, "_canonical_parent", lambda *args: None)
         programs = []
         monkeypatch.setattr(steering, "solve_feasibility", lambda *args: programs.append(
             args[0]) or solve_feasibility(*args))
@@ -1441,7 +1475,9 @@ class TestColumnGeneration:
     def test_a_strategy_with_no_bloch_part_adds_no_state(self, monkeypatch):
         # Duals on the marginal's diagonal alone: every strategy prices at 1 everywhere,
         # β = 0 for all of them, the margin is 0, and there is no state to add. noisy(0.5)
-        # reaches the solver: its linear witness proves nothing.
+        # reaches the solver once the closed form is bypassed: its linear witness proves
+        # nothing.
+        monkeypatch.setattr(steering, "_canonical_parent", lambda *args: None)
         asm = compute_assemblage(noisy_state(0.5), ("Z", "X", "Y"))
         duals = np.zeros(16)
         duals[:2] = 1.0
@@ -1624,10 +1660,14 @@ class TestLinearWitness:
             assert linear_witness_margin(asm) <= steering._WITNESS_TOL
 
     def test_it_proves_nothing_on_the_band(self):
-        # The band's margin is 2v - √2, within 2e-10 of 0: column generation certifies it.
+        # The band's margin is 2v - √2, within 2e-10 of 0: column generation certifies it,
+        # by the closed form before any solve, and by the program with that bypassed.
         for asm in band_assemblages():
             assert abs(linear_witness_margin(asm)) <= steering._WITNESS_TOL
             verdict = lhs_feasibility(asm, 20)
+            assert verdict.status == "UnsteerableCertified" and verdict.pivots == 0
+            assert replay_certificate(verdict, asm) == verdict.residual <= 1e-9
+            verdict = program_verdict(asm)
             assert verdict.status == "UnsteerableCertified" and verdict.pivots > 0
             assert replay_certificate(verdict, asm) == verdict.residual < 1e-7
 
@@ -1670,6 +1710,179 @@ class TestLinearWitness:
                 solved += 1
                 assert shape == (16, 48)
         assert solved > 20
+
+
+def canonical_parent_oracle(asm: Assemblage) -> list:
+    """(strategy, Bloch vector, weight) of the hidden state ρ^(1/2) G(s) ρ^(1/2) of every
+    strategy s, from 2x2 matrices: ρ^(±1/2) from eigh of Bob's marginal ρ, Bob's effects
+    E_x = ρ^(-1/2) σ(+1|x) ρ^(-1/2) = ½[(1 + α_x)I + a_x·σ] and
+    G(s) = 2⁻ᵐ[I + Σ_x s_x(2E_x − I)]. Entries of weight at most 1e-12 are dropped, and a
+    Bloch vector longer than 1 is scaled to length 1."""
+    w, q = np.linalg.eigh(asm.bob_marginal(asm.settings[0]))
+    root, inverse = (q @ np.diag(w ** p) @ q.conj().T for p in (0.5, -0.5))
+    shifted = [2 * inverse @ asm.members[(x, +1)] @ inverse - IDENTITY for x in asm.settings]
+    out = []
+    for strategy in product((+1, -1), repeat=len(asm.settings)):
+        parent = (IDENTITY + sum(s * e for s, e in zip(strategy, shifted))) / 2 ** len(strategy)
+        hidden = root @ parent @ root
+        weight = np.trace(hidden).real
+        if weight > 1e-12:
+            bloch = np.einsum("ij,kji->k", hidden, PAULI_VECTOR).real / weight
+            out.append((strategy, bloch / max(1.0, np.linalg.norm(bloch)), weight))
+    return out
+
+
+def closed_form_verdict(asm: Assemblage):
+    """The verdict ``lhs_feasibility`` takes from the canonical parent, or None where the
+    exact path or the linear witness decides first, or where the closed form is not reached
+    or leaves the assemblage to the program, whose solves are not run."""
+    answers = []
+    canonical_parent = steering._canonical_parent
+
+    class Solve(Exception):
+        pass
+
+    def stop(A, b, start=None):
+        raise Solve
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(steering, "_canonical_parent",
+                      lambda *args: answers.append(canonical_parent(*args)) or answers[-1])
+        patch.setattr(steering, "solve_feasibility", stop)
+        try:
+            verdict = lhs_feasibility(asm, 20)
+        except Solve:
+            return None
+    if answers and answers[-1] is not None:
+        assert verdict is answers[-1]
+        return verdict
+    return None
+
+
+def noisy_below_one_over_root_three() -> list:
+    """v ≤ 1/√3 from 0 by 0.005, then 1/√3 − 1e-6 and 1/√3 − 1e-10."""
+    threshold = 1 / math.sqrt(3)
+    return np.arange(0.0, threshold, 0.005).tolist() + [threshold - 1e-6, threshold - 1e-10]
+
+
+def closed_form_corpus() -> dict:
+    """The assemblages the closed form is checked on, by group: the photon presets in every
+    order of Z,X,Y and as single settings, hardy:cos θ,sin θ (θ = 0.2 … 1.3) with Z,X,Y,
+    ``ranked_frames()`` with Z,X,Y, ``with_diagonal_setting(ranked_frames(40, 26))``,
+    ``near_pure_frames(100, seed)`` (seeds 5–8) with Z,X,Y, X,Y and Z,X, and the band."""
+    presets = []
+    for spec in PHOTON_PRESETS:
+        rho = two_qubit_frame(preset(spec))[0]
+        presets += [compute_assemblage(rho, order) for order in permutations(("Z", "X", "Y"))]
+        presets += [compute_assemblage(rho, (x,)) for x in ("Z", "X", "Y")]
+    hardy = [two_qubit_frame(preset(f"hardy:{math.cos(t)!r},{math.sin(t)!r}"))[0]
+             for t in np.round(np.arange(0.2, 1.31, 0.1), 1).tolist()]
+    return {
+        "presets": presets,
+        "hardy": [compute_assemblage(rho, ("Z", "X", "Y")) for rho in hardy],
+        "ranked": [compute_assemblage(rho, ("Z", "X", "Y")) for rho in ranked_frames()],
+        "four_settings": [with_diagonal_setting(rho) for rho in ranked_frames(40, seed=26)],
+        "near_pure": [compute_assemblage(rho, settings) for seed in (5, 6, 7, 8)
+                      for rho in near_pure_frames(100, seed)
+                      for settings in (("Z", "X", "Y"), ("X", "Y"), ("Z", "X"))],
+        "band": band_assemblages(),
+    }
+
+
+class TestCanonicalParent:
+    """Certificates in closed form from the canonical parent POVM of Bob's
+    steering-equivalent effects (Busch, PRD 33, 2253 (1986)), before any solve, against an
+    oracle from 2x2 matrices and the program's verdicts."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        """(group, assemblage, closed-form verdict or None) over ``closed_form_corpus``."""
+        return [(group, asm, closed_form_verdict(asm))
+                for group, assemblages in closed_form_corpus().items() for asm in assemblages]
+
+    @staticmethod
+    def assert_oracle_certificate(verdict, asm: Assemblage) -> None:
+        """A closed-form certificate: 0 pivots, every entry the oracle's to 1e-12, and all
+        8m rows rebuilt within 1e-9, bit for bit as ``replay_certificate`` rebuilds them."""
+        assert verdict.status == "UnsteerableCertified" and verdict.pivots == 0
+        assert verdict.witness is None
+        oracle = canonical_parent_oracle(asm)
+        assert [s for s, _, _ in verdict.certificate] == [s for s, _, _ in oracle]
+        for (_, bloch, weight), (_, want, want_weight) in zip(verdict.certificate, oracle):
+            assert abs(weight - want_weight) <= 1e-12
+            np.testing.assert_allclose(bloch, want, rtol=0, atol=1e-12)
+        assert replay_certificate(verdict, asm) == verdict.residual <= 1e-9
+
+    def test_every_certificate_is_the_oracles(self, corpus):
+        answered = {}
+        for group, asm, verdict in corpus:
+            if verdict is not None:
+                answered[group] = answered.get(group, 0) + 1
+                self.assert_oracle_certificate(verdict, asm)
+        # Each photon preset as a single setting, qplate_tripartite in every order; seven
+        # biased ranked frames; no near-pure or four-setting case; the whole band.
+        assert answered == {"presets": 21, "ranked": 7, "band": 540}
+
+    def test_verdict_kinds_equal_the_programs(self, corpus):
+        # Where the closed form does not answer, the verdict is the program's already.
+        for group, asm, verdict in corpus:
+            if verdict is not None:
+                assert program_verdict(asm).status == verdict.status, group
+
+    def test_no_certified_assemblage_has_a_linear_witness(self, corpus):
+        # A certificate and a witness never both replay (ROADMAP B, direction 5).
+        for _, asm, verdict in corpus:
+            if verdict is not None:
+                assert linear_witness_margin(asm) <= steering._WITNESS_TOL
+
+    @pytest.mark.parametrize("settings", [("Z", "X", "Y"), ("Y", "X", "Z"), ("X", "Z", "Y")])
+    def test_noisy_below_one_over_root_three_is_certified_unsolved(self, settings,
+                                                                   monkeypatch):
+        monkeypatch.setattr(steering, "solve_feasibility", None)  # any solve fails
+        for v in noisy_below_one_over_root_three():
+            asm = compute_assemblage(noisy_state(v), settings)
+            verdict = lhs_feasibility(asm, 20)
+            self.assert_oracle_certificate(verdict, asm)
+            # eight states v·(±1, ±1, ±1) of weight 1/8
+            assert len(verdict.certificate) == 8
+            for _, bloch, weight in verdict.certificate:
+                assert weight == pytest.approx(1 / 8, abs=1e-15)
+                np.testing.assert_allclose(np.abs(bloch), v, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("settings", [("Z", "X", "Y"), ("Y", "X", "Z"), ("X", "Z", "Y")])
+    def test_noisy_above_one_over_root_three_stays_with_the_witness(self, settings):
+        asm = compute_assemblage(noisy_state(1 / math.sqrt(3) + 1e-6), settings)
+        verdict = lhs_feasibility(asm, 20)
+        assert verdict.status == "NoLHSFoundAtResolution" and verdict.pivots == 0
+        np.testing.assert_allclose(verdict.witness, linear_witness_oracle(asm), atol=1e-15)
+        assert_decided(verdict, asm)
+
+    def test_a_marginal_below_full_rank_is_left_to_the_program(self, corpus):
+        # The closed form reads Bob's marginal through ρ_B^(-1/2): only a full-rank one.
+        below = 0
+        for group, asm, verdict in corpus:
+            low, high = np.linalg.eigvalsh(asm.bob_marginal(asm.settings[0]))
+            if low < 1e-7 * high:
+                below += 1
+                assert verdict is None, group
+        assert below > 500
+
+    def test_a_state_just_past_the_sphere_is_refused(self):
+        # A sharp Z with unsharp X and Y of length ε, so every G(s) has Bloch length
+        # √(1 + 2ε²) = 1 + 2e-9: past the 1 + 1e-9 a hidden state may reach, though the
+        # states scaled onto the sphere would rebuild the rows within 1e-9. A sharp
+        # effect that does not commute with the others is steerable, so no closed form
+        # may certify it.
+        eps = math.sqrt(2e-9)
+        members = {}
+        for x, r in (("Z", (0.0, 0.0, 1.0)), ("X", (eps, 0.0, 0.0)), ("Y", (0.0, eps, 0.0))):
+            for a in (+1, -1):
+                members[(x, a)] = bloch_state(a * np.array(r)) / 2
+        asm = Assemblage(("Z", "X", "Y"), members)
+        lengths = [np.linalg.norm(bloch) for _, bloch, _ in canonical_parent_oracle(asm)]
+        assert lengths == pytest.approx([1.0] * 8, abs=1e-15)  # scaled from 1 + 2e-9
+        assert linear_witness_margin(asm) < 0
+        assert closed_form_verdict(asm) is None
 
 
 class TestFibonacciGrid:
