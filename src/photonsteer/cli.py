@@ -9,19 +9,16 @@ Subcommands::
 
 ``steer`` and ``report`` take their two-qubit frame from ``steering.two_qubit_frame``
 (occ-occ for a path-only state, else pol-path, which allows no vacuum weight).
-The LHS verdict of ``steer`` and ``sweep`` comes from ``steering.lhs_feasibility``.
-Two settings are exact wherever Bob's marginal allows (``lhs_residual`` of an unfound
-model is then the joint-measurability margin). Everything else goes to column generation
-over the whole Bloch sphere, whose certificate may come in closed form before any solve
-(at most 2^m hidden states, possibly mixed, from the canonical parent POVM of Bob's
-steering-equivalent effects): ``NoLHSFoundAtResolution`` is then a proof unless the search
-ran past its round cap, ``lhs_residual`` is the steering-witness margin, and ``steer``
-writes the witness, a vector y over the solved rows (the assemblage's own linear steering
-witness or a round's phase-1 duals), as ``witness`` (``steering.replay_witness``); past
-the cap it has no ``witness`` and ``lhs_residual`` is the last phase-1 optimum. A certificate's
-``lhs_residual`` is its worst error over the full program's 8m rows on every path,
-exactly what ``steering.replay_certificate`` returns. --grid is not read: any integer
-is taken, and ``steer`` echoes it as ``grid_n``.
+The LHS verdict of ``steer`` and ``sweep`` comes from ``steering.lhs_feasibility``, whose
+docstring describes its ladder of tries: the exact two-setting path, the linear witness, the
+canonical parent, then the program. ``NoLHSFoundAtResolution`` is a proof unless the program
+left it open: ``lhs_residual`` is then the exact path's joint-measurability margin or a
+steering-witness margin, and ``steer`` writes that witness, a vector y over the solved rows,
+as ``witness`` (``steering.replay_witness``). Past its round cap the program writes no
+``witness``, and ``lhs_residual`` is the last phase-1 optimum. A certificate's
+``lhs_residual`` is its worst error over the full program's 8m rows from every try, exactly
+what ``steering.replay_certificate`` returns. --grid is not read: any integer is taken, and
+``steer`` echoes it as ``grid_n``.
 
 Exit codes: 0 success, 2 circuit parse error (line/column diagnostic on stderr), 3 physics
 error (also an undeclared --site or unknown --basis, even "", and --bob-site, --site or

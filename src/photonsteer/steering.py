@@ -15,26 +15,15 @@ The frame is read through two fixed contractions over Z, X and Y, each one einsu
 on its (2, 2, 2, 2) tensor: every member of Alice's six projectors (I ± A)/2, and the
 3x3 table T[i, j] = <A_i ⊗ B_j>, whose diagonal CJWR sums and whose Z-X block CHSH reads.
 
-``lhs_feasibility`` decides two settings exactly where it can: the assemblage
-is unsteerable exactly when Bob's steering-equivalent effects are jointly
-measurable, and for two qubit effects that is the sign of a closed-form margin
-(``joint_measurability_margin``). A positive margin proves steering; a parent
-POVM of the two effects gives an LHS model of at most four hidden states.
-Everything else, the two-setting cases that path leaves open included, goes to
-column generation over the whole Bloch sphere. A witness there is a vector y over
-the program's rows whose margin no LHS model of any resolution can meet
-(``replay_witness``): first the assemblage's own linear steering witness, a proof
-before any solve, then the duals of each round. Else, where Bob's marginal has full
-rank, the canonical parent POVM of his steering-equivalent effects may give a model of at
-most 2^m hidden states in closed form, also before any solve. Else the program starts
-from the six axis states and that witness's best states, and each round adds the best
-pure state of every strategy under the round's duals, until the program is feasible (a
-certificate) or its duals are a witness.
+``lhs_feasibility`` decides whether an assemblage has a local-hidden-state model by one
+ladder of tries, each reading one view of the assemblage (``_View``): the exact two-setting
+path, the linear witness, the canonical parent, then the program (column generation over
+the whole Bloch sphere), which stops after ``_MAX_ROUNDS`` rounds. Its docstring describes
+them. A certificate replays through ``replay_certificate``, a witness through
+``replay_witness`` and a two-setting margin through ``joint_measurability_margin``.
 
-The CHSH search is sized by one number, and ``check_chsh_step`` is the only
-copy of its bounds: it raises ``OutOfRange`` before the search allocates
-anything. Column generation stops after ``_MAX_ROUNDS`` rounds, each adding at
-most 2^m states.
+The CHSH search is sized by one number, and ``check_chsh_step`` is the only copy of its
+bounds: it raises ``OutOfRange`` before the search allocates anything.
 """
 
 from __future__ import annotations
@@ -168,38 +157,27 @@ class Assemblage:
 
 @dataclass(frozen=True)
 class SteeringVerdict:
-    """Outcome of ``lhs_feasibility``: from the exact two-setting path or from column
-    generation (everything that path leaves open).
+    """Outcome of one try of ``lhs_feasibility``'s ladder (described there): the exact
+    two-setting path, the linear witness, the canonical parent or the program.
 
-    ``certificate`` (certified case) lists (strategy, bloch_vector, weight)
-    triples; a strategy assigns an outcome to each setting in order. It is
-    one LHS model among the many an assemblage may admit. ``residual`` of a
-    certified verdict is max |A_full x - b_full| over all 8m rows of the full
-    program (the 4 real components of every sigma(a|x)), rebuilt from the
-    certificate: exactly what ``replay_certificate`` returns. So an assemblage
-    that signals is never certified: at most 1e-9 on the exact path and from the
-    closed form, below 1e-7 from the program.
+    ``certificate`` (certified case) lists (strategy, bloch_vector, weight) triples; a
+    strategy assigns an outcome to each setting in order. It is one LHS model among the many
+    an assemblage may admit. ``residual`` of a certified verdict is max |A_full x - b_full|
+    over all 8m rows of the full program (the 4 real components of every sigma(a|x)),
+    rebuilt from the certificate: exactly what ``replay_certificate`` returns. So an
+    assemblage that signals is never certified: at most 1e-9 from the tries before the
+    program, whose hidden states may be mixed (|bloch| < 1), below 1e-7 from the program,
+    whose states are pure. ``pivots`` counts the program's simplex pivots over every round,
+    and is 0 from every other try.
 
-    Exact path (two settings): ``pivots`` is 0. Its certificate has at most four
-    hidden states, which may be mixed (|bloch| < 1). Its ``NoLHSFoundAtResolution``
-    is a proof, and ``residual`` is then the joint-measurability margin, above 1e-9.
-
-    Column generation solves 4m + 4 rows of full rank for m settings, 4 real
-    components each of Bob's marginal (from the first setting) and of
-    sigma(+1|x) per setting; the full program's other 4(m - 1) rows,
-    sigma(-1|x) for every x, follow from these under no-signalling. Before any
-    solve, where Bob's marginal has full rank, the canonical parent POVM of his
-    steering-equivalent effects may certify the assemblage as the exact path does:
-    at most 2^m hidden states, which may be mixed, and ``pivots`` 0. The program's
-    certificates hold pure states, and ``pivots`` counts the simplex pivots
-    over every round. Its ``NoLHSFoundAtResolution`` is a proof unless it is
-    left open past the round cap. A proof carries a vector y over the solved
-    rows as ``witness``: the assemblage's linear steering witness, with
-    ``pivots`` 0 as on the exact path, or a round's phase-1 duals. ``residual``
-    is the witness margin, above 1e-9, exactly what ``replay_witness`` returns;
-    or, without a witness, the 8m-row residual of a certificate that met the
-    solved rows but not the full ones (an assemblage that signals). Left open,
-    it has neither, and ``residual`` is the last phase-1 optimum.
+    A ``NoLHSFoundAtResolution`` is a proof unless the program left it open (``_MAX_ROUNDS``).
+    From the exact path it has no witness, and ``residual`` is the joint-measurability
+    margin, above 1e-9. Else a proof carries a vector y over the program's solved rows as
+    ``witness``: the linear witness or a round's phase-1 duals. ``residual`` is then the
+    witness margin, above 1e-9, exactly what ``replay_witness`` returns. Without a witness
+    from the program, ``residual`` is the 8m-row residual of a certificate that met the
+    solved rows but not the full ones (an assemblage that signals), or, left open, the last
+    phase-1 optimum.
     """
 
     status: str  # UnsteerableCertified | NoLHSFoundAtResolution
@@ -559,7 +537,7 @@ def _state_rows(bloch: np.ndarray) -> np.ndarray:
 def _full_target(assemblage: Assemblage) -> np.ndarray:
     """The full program's b, (setting, outcome, 4): the real diagonal of every member,
     then the real and imaginary parts of its upper off-diagonal entry."""
-    sigma = np.array([[assemblage.members[(x, a)] for a in (+1, -1)] for x in assemblage.settings])
+    sigma = np.array([assemblage.members[(x, a)] for x in assemblage.settings for a in (+1, -1)])
     # As floats a member reads re, im of its entries 00, 01, 10 and 11 in turn.
     return sigma.reshape(len(assemblage.settings), 2, 4).view(float)[..., [0, 6, 2, 3]]
 
@@ -644,38 +622,64 @@ def _sandwich(s, m):
     2 s0 m0 s + (s0² - |s|²) m + 2 (s·m) s."""
     (s0, sv), (m0, mv) = s, m
     dot, square, length = _dot(sv, mv), s0 * s0, _dot(sv, sv)
+    along, across, twice = 2 * s0 * m0, square - length, 2 * dot
     return ((square + length) * m0 + 2 * s0 * dot,
-            tuple(2 * s0 * m0 * si + (square - length) * mi + 2 * dot * si
-                  for si, mi in zip(sv, mv)))
+            tuple([along * si + across * mi + twice * si for si, mi in zip(sv, mv)]))
 
 
 def _spectrum(rho):
     """(lower eigenvalue, upper eigenvalue, unit axis) of a Bloch form; the axis is 0
     when the two are equal."""
-    r0, rv = rho
-    radius = math.sqrt(_dot(rv, rv))
-    axis = tuple(x / radius for x in rv) if radius > 0 else (0.0, 0.0, 0.0)
+    r0, (x, y, z) = rho
+    radius = math.sqrt(x * x + y * y + z * z)
+    axis = (x / radius, y / radius, z / radius) if radius > 0 else (0.0, 0.0, 0.0)
     return r0 - radius, r0 + radius, axis
 
 
-def _power(rho, p: float):
-    """ρ^p of a positive definite Bloch form:
+def _power(spectrum, p: float):
+    """ρ^p of a positive definite Bloch form from its ``_spectrum`` (l₋, l₊, axis):
     (l₊^p + l₋^p)/2 · I + (l₊^p - l₋^p)/2 · axis·σ."""
-    low, high, axis = _spectrum(rho)
+    low, high, (x, y, z) = spectrum
     half = (high**p - low**p) / 2
-    return (high**p + low**p) / 2, tuple(half * x for x in axis)
+    return (high**p + low**p) / 2, (half * x, half * y, half * z)
 
 
 def _full_rank(low: float, high: float) -> bool:
     return high > 0 and low >= _FULL_RANK * high
 
 
-def _steering_effects(assemblage: Assemblage, rho):
-    """Bob's steering-equivalent effects B(+1|x) = ρ_B^(-1/2) σ(+1|x) ρ_B^(-1/2), one
-    Bloch form per setting (Uola, Budroni, Gühne & Pellonpää, PRL 115, 230402 (2015))."""
-    root = _power(rho, -0.5)
-    return [_sandwich(root, _bloch_form(assemblage.members[(x, +1)]))
-            for x in assemblage.settings]
+class _Lazy(functools.cached_property):
+    """A part of ``_View``, built on first use: ``functools.cached_property`` without the
+    lock it takes on each first use before Python 3.12, about 1 µs a part on 3.11."""
+
+    def __get__(self, view, owner=None):
+        setattr(view, self.attrname, value := self.func(view))
+        return value
+
+
+class _View:
+    """An assemblage as every try of ``lhs_feasibility`` reads it, each part built on first
+    use: Bob's marginal ρ_B (first setting) as a Bloch form, its spectrum and full-rank flag,
+    ρ_B^(±1/2), his steering-equivalent effects ρ_B^(-1/2) σ(+1|x) ρ_B^(-1/2) = ½[(1 + αₓ)I
+    + aₓ·σ] (Uola, Budroni, Gühne & Pellonpää, PRL 115, 230402 (2015)), b_full, the program's
+    b, ``_strategies(m)``, and the linear witness y with its ``_witness_bounds``."""
+
+    def __init__(self, assemblage: Assemblage):
+        self.assemblage, self.m = assemblage, len(assemblage.settings)
+
+    rho = _Lazy(lambda view: _bloch_form(view.assemblage.bob_marginal(view.assemblage.settings[0])))
+    spectrum = _Lazy(lambda view: _spectrum(view.rho))
+    full_rank = _Lazy(lambda view: _full_rank(*view.spectrum[:2]))
+    root = _Lazy(lambda view: _power(view.spectrum, 0.5))
+    inverse_root = _Lazy(lambda view: _power(view.spectrum, -0.5))
+    effects = _Lazy(lambda view: [
+        _sandwich(view.inverse_root, _bloch_form(view.assemblage.members[(x, +1)]))
+        for x in view.assemblage.settings])
+    target = _Lazy(lambda view: _full_target(view.assemblage))
+    b = _Lazy(lambda view: _solved_target(view.target))
+    strategies = _Lazy(lambda view: _strategies(view.m))
+    linear = _Lazy(lambda view: (y := _linear_witness(view.target),
+                                 *_witness_bounds(y, view.b, view.strategies[1])))
 
 
 def _unsharpness(alpha: float, length: float) -> float:
@@ -705,12 +709,12 @@ def joint_measurability_margin(assemblage: Assemblage) -> float:
     It reads the members alone, and replays a steerable verdict of ``lhs_feasibility``,
     whose ``residual`` it is. ``ValueError`` for other than two settings or a Bob
     marginal that is not of full rank."""
-    if len(assemblage.settings) != 2:
+    view = _View(assemblage)
+    if view.m != 2:
         raise ValueError(f"the margin needs two settings, got {assemblage.settings}")
-    rho = _bloch_form(assemblage.bob_marginal(assemblage.settings[0]))
-    if not _full_rank(*_spectrum(rho)[:2]):
+    if not view.full_rank:
         raise ValueError("Bob's marginal is not of full rank")
-    return _yu_margin(*_steering_effects(assemblage, rho))
+    return _yu_margin(*view.effects)
 
 
 def _parent_slack(e0: float, f0: float, g, e_g, f_g, ef_g):
@@ -752,18 +756,18 @@ def _parent_search(e, f):
     return None
 
 
-def _exact_two_setting(assemblage: Assemblage) -> SteeringVerdict | None:
-    """The verdict of a two-setting assemblage from joint measurability, or None to leave
-    it to column generation. A full-rank Bob marginal gives the effects e and f:
-    a margin above _MARGIN_TOL is steering, and a parent G(+,+) (the symmetrised product
-    of a commuting pair, else ``_parent_search`` below -_MARGIN_TOL) gives the hidden
-    states ρ_B^(1/2) G(a,b) ρ_B^(1/2). A rank-one marginal gives one hidden state, itself,
-    weighted p(a|x0) p(b|x1). A certificate counts only if it rebuilds all 8 rows within
-    _EXACT_RESIDUAL."""
-    rho = _bloch_form(assemblage.bob_marginal(assemblage.settings[0]))
-    low, high, axis = _spectrum(rho)
-    if _full_rank(low, high):
-        e, f = _steering_effects(assemblage, rho)
+def _exact_two_setting(view: _View) -> SteeringVerdict | None:
+    """The first try: the verdict of a two-setting assemblage from joint measurability, or
+    None. A full-rank Bob marginal gives the effects e and f: a margin above _MARGIN_TOL is
+    steering, and a parent G(+,+) (the symmetrised product of a commuting pair, else
+    ``_parent_search`` below -_MARGIN_TOL) gives the hidden states ρ_B^(1/2) G(a,b) ρ_B^(1/2).
+    A rank-one marginal gives one hidden state, itself, weighted p(a|x0) p(b|x1). A
+    certificate counts only if it rebuilds all 8 rows within _EXACT_RESIDUAL."""
+    if view.m != 2:
+        return None
+    low, high, axis = view.spectrum
+    if view.full_rank:
+        e, f = view.effects
         (e0, ev), (f0, fv) = e, f
         cross = (ev[1] * fv[2] - ev[2] * fv[1], ev[2] * fv[0] - ev[0] * fv[2],
                  ev[0] * fv[1] - ev[1] * fv[0])
@@ -777,37 +781,36 @@ def _exact_two_setting(assemblage: Assemblage) -> SteeringVerdict | None:
             if parent is None:
                 return None
             g0, g = parent
-        entries = _hidden_states(rho, (
+        entries = _hidden_states(view, (
             (g0, g),
             (e0 - g0, tuple(x - y for x, y in zip(ev, g))),
             (f0 - g0, tuple(x - y for x, y in zip(fv, g))),
             (1 - e0 - f0 + g0, tuple(z - x - y for x, y, z in zip(ev, fv, g)))))
     elif high > 0:
-        p = [[np.trace(assemblage.members[(x, a)]).real for a in (+1, -1)]
-             for x in assemblage.settings]
-        entries = [(p[0][i] * p[1][j] / (2 * rho[0]), axis) for i in (0, 1) for j in (0, 1)]
+        p = [[np.trace(view.assemblage.members[(x, a)]).real for a in (+1, -1)]
+             for x in view.assemblage.settings]
+        entries = [(p[0][i] * p[1][j] / (2 * view.rho[0]), axis) for i in (0, 1) for j in (0, 1)]
     else:
         return None
-    return _exact_certificate(_strategies(2)[0], entries, _full_target(assemblage))
+    return _exact_certificate(view, entries)
 
 
-def _hidden_states(rho, parent):
+def _hidden_states(view: _View, parent):
     """(weight, Bloch vector) of the hidden state ρ_B^(1/2) G ρ_B^(1/2) of every effect G of
     a parent POVM, in order: weight 2t₀ and Bloch vector t/t₀ of the Bloch form (t₀, t),
     t itself where t₀ ≤ 0."""
-    root = _power(rho, 0.5)
-    hidden = [_sandwich(root, effect) for effect in parent]
+    hidden = [_sandwich(view.root, effect) for effect in parent]
     return [(2 * t0, tuple(x / t0 for x in t) if t0 > 0 else t) for t0, t in hidden]
 
 
-def _exact_certificate(strategies, entries, target: np.ndarray) -> SteeringVerdict | None:
+def _exact_certificate(view: _View, entries) -> SteeringVerdict | None:
     """The certified verdict, 0 pivots, of a model that gives each strategy in turn the
     hidden state (weight, bloch) of ``entries``; None unless every weight is at least
     -_WEIGHT_FLOOR and every Bloch vector of a weight above it has length at most 1 + 1e-9
     (it is scaled to length 1 past 1), and the certificate of those entries rebuilds all 8m
-    rows of ``target`` within _EXACT_RESIDUAL."""
+    rows of b_full within _EXACT_RESIDUAL."""
     certificate = []
-    for strategy, (weight, bloch) in zip(strategies, entries):
+    for strategy, (weight, bloch) in zip(view.strategies[0], entries):
         if weight < -_WEIGHT_FLOOR:
             return None
         if weight <= _WEIGHT_FLOOR:
@@ -816,58 +819,72 @@ def _exact_certificate(strategies, entries, target: np.ndarray) -> SteeringVerdi
         if length > 1 + 1e-9:
             return None
         certificate.append((strategy, tuple(x / max(length, 1.0) for x in bloch), weight))
-    residual = _certificate_residual(certificate, target)
+    residual = _certificate_residual(certificate, view.target)
     if residual > _EXACT_RESIDUAL:
         return None
     return SteeringVerdict("UnsteerableCertified", residual, tuple(certificate), 0)
 
 
-def _canonical_parent(assemblage: Assemblage, rho, strategies,
-                      target: np.ndarray) -> SteeringVerdict | None:
-    """The verdict of the canonical parent POVM of Bob's steering-equivalent effects, or None
-    to leave the assemblage to the program. With E_x = ½[(1 + αₓ)I + aₓ·σ] for setting x,
-    G(s) = 2⁻ᵐ[(1 + Σₓ sₓαₓ)I + (Σₓ sₓaₓ)·σ] for every strategy s, whose marginals
-    Σ_{s: sₓ = a} G(s) are Bob's effects for each x (Busch, PRD 33, 2253 (1986); Uola,
-    Budroni, Gühne & Pellonpää, PRL 115, 230402 (2015)). Where every G(s) is an effect, its
-    hidden states ρ_B^(1/2) G(s) ρ_B^(1/2) are an LHS model of at most 2^m states, mixed
-    ones among them (``_exact_certificate``). ``rho`` is Bob's marginal, of full rank."""
-    effects = _steering_effects(assemblage, rho)
-    scale = 0.5 ** len(effects)
+def _linear_witness_proof(view: _View) -> SteeringVerdict | None:
+    """The second try: the assemblage's linear witness (``_linear_witness``) as a proof, y as
+    ``witness`` and its margin as ``residual``, if that exceeds _WITNESS_TOL; else None."""
+    y, margin = view.linear[:2]
+    if margin > _WITNESS_TOL:
+        return SteeringVerdict("NoLHSFoundAtResolution", margin, None, 0, tuple(y.tolist()))
+    return None
+
+
+def _canonical_parent(view: _View) -> SteeringVerdict | None:
+    """The third try: the verdict of the canonical parent POVM of Bob's steering-equivalent
+    effects where his marginal has full rank, or None. With E_x = ½[(1 + αₓ)I + aₓ·σ] for
+    setting x, G(s) = 2⁻ᵐ[(1 + Σₓ sₓαₓ)I + (Σₓ sₓaₓ)·σ] for every strategy s, whose marginals
+    Σ_{s: sₓ = a} G(s) are Bob's effects for each x (Busch, PRD 33, 2253 (1986)). Where every
+    G(s) is an effect, its hidden states ρ_B^(1/2) G(s) ρ_B^(1/2) are an LHS model of at most
+    2^m states, mixed ones among them (``_exact_certificate``)."""
+    if not view.full_rank:
+        return None
+    scale = 0.5 ** view.m
     parent = []
-    for strategy in strategies:
+    for strategy in view.strategies[0]:
         g0, g = 1.0, (0.0, 0.0, 0.0)
-        for s, (e0, ev) in zip(strategy, effects):  # sₓ(2Eₓ − I) = sₓ(αₓI + aₓ·σ)
+        for s, (e0, ev) in zip(strategy, view.effects):  # sₓ(2Eₓ − I) = sₓ(αₓI + aₓ·σ)
             g0 += s * (2 * e0 - 1)
             g = tuple(gi + 2 * s * x for gi, x in zip(g, ev))
         parent.append((scale * g0, tuple(scale * gi for gi in g)))
-    return _exact_certificate(strategies, _hidden_states(rho, parent), target)
+    return _exact_certificate(view, _hidden_states(view, parent))
 
 
 def lhs_feasibility(assemblage: Assemblage, grid_n: int) -> SteeringVerdict:
-    """Decide whether the assemblage has a local-hidden-state model.
+    """Decide whether the assemblage has a local-hidden-state model, by one ladder of tries
+    that each read the assemblage's view (``_View``) and give a verdict or pass it on:
 
-    Two settings go first through an exact path (``_exact_two_setting``): a model of at
-    most four hidden states, built from a parent POVM of Bob's steering-equivalent
-    effects, certifies the assemblage unsteerable; a joint-measurability margin
-    (``joint_measurability_margin``) above ``_MARGIN_TOL`` proves that no model exists at
-    any resolution, and ``pivots`` is 0. Everything else goes to column generation over
-    the whole Bloch sphere (``_column_generation``), which reads the assemblage's linear
-    steering witness and then the canonical parent POVM (``_canonical_parent``) before
-    any solve: one, three or four settings, and
-    the two-setting cases the exact path leaves open (a margin within ``_MARGIN_TOL`` of
-    0, a parent it does not find, a certificate that does not rebuild the assemblage,
-    such as the one-state certificate of a Bob marginal just below ``_FULL_RANK``).
-    ``grid_n`` is not read, since no resolution is left to choose. It stays because
-    ``steer`` and ``sweep`` pass --grid through it and ``perfbench/tracer.py`` keys each
-    traced call on it.
+    1. the exact two-setting path (``_exact_two_setting``): two settings are unsteerable
+       exactly when Bob's steering-equivalent effects are jointly measurable, so a margin
+       (``joint_measurability_margin``) above ``_MARGIN_TOL`` proves steering, and a
+       parent POVM of the two gives a model of at most four hidden states;
+    2. the linear witness (``_linear_witness_proof``), a proof when its margin over the
+       whole Bloch sphere exceeds ``_WITNESS_TOL``;
+    3. the canonical parent (``_canonical_parent``): where Bob's marginal has full rank,
+       a model of at most 2^m hidden states;
+    4. the program (``_column_generation``), column generation over the whole Bloch
+       sphere, which always gives a verdict.
+
+    The first three take no solve (``pivots`` 0). The exact path passes on a margin within
+    ``_MARGIN_TOL`` of 0, a parent it does not find and a certificate that does not rebuild
+    the assemblage, such as the one-state certificate of a Bob marginal just below
+    ``_FULL_RANK``. ``grid_n`` is not read, since no resolution is left to choose. It stays
+    because ``steer`` and ``sweep`` pass --grid through it and ``perfbench/tracer.py`` keys
+    each traced call on it.
     """
     m = len(assemblage.settings)
     if m > 4:
         raise TooManySettings(f"at most 4 settings supported, got {m}")
-    verdict = _exact_two_setting(assemblage) if m == 2 else None
-    if verdict is None:
-        verdict = _column_generation(assemblage)
-    return verdict
+    view = _View(assemblage)
+    for attempt in (_exact_two_setting, _linear_witness_proof, _canonical_parent):
+        verdict = attempt(view)
+        if verdict is not None:
+            return verdict
+    return _column_generation(view)
 
 
 # A program certificate must rebuild the full program's 8m rows below this.
@@ -902,17 +919,17 @@ _PRICE_TOL = 1e-10
 # on noisy(v), Z,X,Y, v = 0.3 … 1 by 0.005. 1e-9, as for the two-setting margin, is over
 # 10⁶ times that, and below noisy(1/√3 + 1e-6), which reads 7.5e-7.
 _WITNESS_TOL = 1e-9
-# Rounds (solves) of column generation before the verdict is left open. Measured: at most
-# 11 rounds on the Z,X,Y frames above, 3 on 40 of them (rng 26) with the fourth setting,
-# 5 on hardy:q,r over θ = 0.2 … 1.3 in every order of Z,X,Y, 1 on noisy(v), v = 0.3 … 1;
-# every one of them was decided. Two settings reach it only when the exact path leaves
-# them open. The band: noisy(1/√2 + δ), δ = 0, ±1e-10, under 60 random local unitaries at
-# Bob each, with Z,X, X,Y and Z,Y, were all certified in one round (median 25 pivots, at
-# most 53, 0.74 ms median). Bob marginals near rank one are left open more often: of 778
-# two-setting leftovers of eigenvalue ratio at most 1e-6 (cos t|00⟩ + sin t|11⟩ under
-# local unitaries, 400 frames, and hardy:q,r with r = 1e-5 … 0.05, 60 points, each with
-# X,Y and Z,X), 69 reach the cap (at 60 rounds 22 of those would be certified), and the
-# slowest takes 0.45 s.
+# Rounds (solves) of the program before the verdict is left open. Measured: at most 11
+# rounds on the Z,X,Y frames above, 3 on 40 of them (rng 26) with the fourth setting, 5 on
+# hardy:q,r over θ = 0.2 … 1.3 in every order of Z,X,Y, 1 on noisy(v), v = 0.3 … 1; every
+# one of them was decided. Two settings reach it only when the exact path leaves them open.
+# The band, noisy(1/√2 + δ), δ = 0, ±1e-10, under 60 random local unitaries at Bob each,
+# with Z,X, X,Y and Z,Y: the canonical parent certifies all 540 before any solve; with it
+# bypassed, the program certified each in one round (median 25 pivots, at most 53, 0.74
+# ms median). Bob marginals near rank one are left open more often: of 778 two-setting
+# leftovers of eigenvalue ratio at most 1e-6 (cos t|00⟩ + sin t|11⟩ under local unitaries,
+# 400 frames, and hardy:q,r with r = 1e-5 … 0.05, 60 points, each with X,Y and Z,X), 69
+# reach the cap (at 60 rounds 22 of those would be certified); the slowest takes 0.45 s.
 _MAX_ROUNDS = 40
 
 
@@ -969,42 +986,27 @@ def _best_states(beta: np.ndarray, length: np.ndarray, top: np.ndarray) -> np.nd
     return beta[grow] / length[grow, None]
 
 
-def _column_generation(assemblage: Assemblage) -> SteeringVerdict:
-    """Decide an LHS program of any setting count over the whole Bloch sphere.
+def _column_generation(view: _View) -> SteeringVerdict:
+    """The program, the last try of ``lhs_feasibility``: column generation over the whole
+    Bloch sphere for any setting count, which always gives a verdict.
 
-    A witness is a vector y over the program's 4m + 4 rows, read over the whole sphere in
-    closed form (``_witness_bounds``): a margin above ``_WITNESS_TOL`` proves steering,
-    reported as ``NoLHSFoundAtResolution`` with the margin as ``residual`` and y as
-    ``witness`` (``replay_witness``). The first y is the assemblage's own linear witness
-    (``_linear_witness``); its proof needs no solve, and ``pivots`` is 0. Else, when Bob's
-    marginal is of full rank under the exact path's rule (``_full_rank``), the canonical
-    parent POVM (``_canonical_parent``) may certify the assemblage, with no solve either.
-    Else the program starts with the six axis states (``_AXIS_STATES``) for every
-    strategy, joined by that witness's best states (``_best_states``) when the marginal
-    is of full rank. A feasible round gives a certificate under
-    ``_program_verdict``'s rule. Otherwise its phase-1 duals are the next y: a witness, or
-    the best state of every strategy that prices above ``_PRICE_TOL`` joins the program,
-    which is solved again. Each pool joins once per program column (``_distinct``).
-    After ``_MAX_ROUNDS`` rounds, or a round that adds no state, the verdict is left open:
-    ``NoLHSFoundAtResolution`` with the last phase-1 optimum and no witness. ``pivots``
-    sums the rounds. A round whose warm start breaks the solver down is solved again
-    from the artificial basis.
+    It solves 4m + 4 rows of full rank (``_strategies``), starting from the six axis states
+    (``_AXIS_STATES``) for every strategy, joined by the linear witness's best states
+    (``_best_states``) when Bob's marginal is of full rank. A feasible round gives a
+    certificate under ``_program_verdict``'s rule. Else its phase-1 duals y are read over
+    the whole sphere (``_witness_bounds``): a margin above ``_WITNESS_TOL`` is a witness
+    (``replay_witness``), or the best state of every strategy that prices above
+    ``_PRICE_TOL`` joins the program, once per program column (``_distinct``), and it is
+    solved again. After ``_MAX_ROUNDS`` rounds, or a round that adds no state, the verdict
+    is left open, with the last phase-1 optimum and no witness. ``pivots`` sums the
+    rounds. A round whose warm start breaks the solver down is solved again from the
+    artificial basis.
     """
-    strategies, solved = _strategies(len(assemblage.settings))
-    target = _full_target(assemblage)
-    b = _solved_target(target)
-    y = _linear_witness(target)
-    margin, beta, length, top = _witness_bounds(y, b, solved)
-    if margin > _WITNESS_TOL:
-        return SteeringVerdict("NoLHSFoundAtResolution", margin, None, 0, tuple(y.tolist()))
+    (strategies, solved), target, b = view.strategies, view.target, view.b
     states = _AXIS_STATES
-    rho = _bloch_form(assemblage.bob_marginal(assemblage.settings[0]))
-    if _full_rank(*_spectrum(rho)[:2]):
-        verdict = _canonical_parent(assemblage, rho, strategies, target)
-        if verdict is not None:
-            return verdict
+    if view.full_rank:
         # A setting along an axis has its best state among the axis states: it joins once.
-        states = np.vstack([states, _best_states(beta, length, top)])
+        states = np.vstack([states, _best_states(*view.linear[2:])])
     states, rows = _distinct(states)
     pivots, start = 0, None
     for _ in range(_MAX_ROUNDS):
@@ -1056,7 +1058,7 @@ def replay_certificate(verdict: SteeringVerdict, assemblage: Assemblage) -> floa
         if not weight >= 0 or len(bloch) != 3 or not math.hypot(*bloch) <= 1 + 1e-12:
             raise ValueError(f"certificate entry {strategy} is not a state: weight {weight!r}, "
                              f"Bloch vector {bloch!r}")
-    return _certificate_residual(verdict.certificate, _full_target(assemblage))
+    return _certificate_residual(verdict.certificate, _View(assemblage).target)
 
 
 def replay_witness(verdict: SteeringVerdict, assemblage: Assemblage) -> float:
@@ -1070,7 +1072,8 @@ def replay_witness(verdict: SteeringVerdict, assemblage: Assemblage) -> float:
     y = np.array(verdict.witness, dtype=float)
     if y.shape != (4 * m + 4,) or not np.isfinite(y).all():
         raise ValueError(f"witness {verdict.witness!r} is not {4 * m + 4} finite duals")
-    margin = _witness_bounds(y, _solved_target(_full_target(assemblage)), _strategies(m)[1])[0]
+    view = _View(assemblage)
+    margin = _witness_bounds(y, view.b, view.strategies[1])[0]
     if not margin > _WITNESS_TOL:
         raise ValueError(f"witness margin {margin!r} is not above {_WITNESS_TOL}")
     return margin

@@ -1186,7 +1186,7 @@ class TestExactTwoSettingPath:
         # that closed form bypassed, in one round.
         asm = compute_assemblage(noisy_state(1 / math.sqrt(2) + offset), ("Z", "X"))
         assert abs(steering.joint_measurability_margin(asm)) <= steering._MARGIN_TOL
-        assert steering._exact_two_setting(asm) is None
+        assert steering._exact_two_setting(steering._View(asm)) is None
         verdict = lhs_feasibility(asm, 20)
         assert verdict.status == "UnsteerableCertified" and verdict.pivots == 0
         assert verdict.residual <= 1e-9
@@ -1196,6 +1196,21 @@ class TestExactTwoSettingPath:
         assert verdict.residual < 1e-7
         assert replay_certificate(verdict, asm) == verdict.residual
 
+    def test_a_hand_off_reads_bobs_marginal_and_effects_once(self, monkeypatch):
+        # noisy(1/√2) with Z,X: the exact path builds Bob's marginal and his effects, through
+        # ρ_B^(-1/2), and leaves the assemblage open; the canonical parent certifies it from
+        # the same view, adding only ρ_B^(1/2).
+        asm = compute_assemblage(noisy_state(1 / math.sqrt(2)), ("Z", "X"))
+        calls = []
+        marginal, power = Assemblage.bob_marginal, steering._power
+        monkeypatch.setattr(Assemblage, "bob_marginal",
+                            lambda self, x: calls.append("marginal") or marginal(self, x))
+        monkeypatch.setattr(steering, "_power",
+                            lambda spectrum, p: calls.append(p) or power(spectrum, p))
+        verdict = lhs_feasibility(asm, 20)
+        assert verdict.status == "UnsteerableCertified" and verdict.pivots == 0
+        assert calls == ["marginal", -0.5, 0.5]
+
     @pytest.mark.parametrize("ratio", [1e-7, 1e-8])
     def test_a_nearly_pure_bob_marginal_goes_to_column_generation(self, ratio):
         # cos t|00> + sin t|11>: Bob's marginal has eigenvalue ratio tan² t, below
@@ -1204,7 +1219,7 @@ class TestExactTwoSettingPath:
         psi = np.array([math.cos(t), 0.0, 0.0, math.sin(t)])
         asm = compute_assemblage(DensityOperator(QUBIT_PAIR_LABELS, np.outer(psi, psi)),
                                  ("Z", "X"))
-        assert steering._exact_two_setting(asm) is None
+        assert steering._exact_two_setting(steering._View(asm)) is None
         verdict = lhs_feasibility(asm, 20)
         assert verdict.status == "NoLHSFoundAtResolution" and verdict.pivots > 0
         assert_decided(verdict, asm)
@@ -1215,7 +1230,7 @@ class TestExactTwoSettingPath:
         asm = Assemblage(settings, {(x, a): np.zeros((2, 2)) for x in settings
                                     for a in (+1, -1)})
         if len(settings) == 2:
-            assert steering._exact_two_setting(asm) is None
+            assert steering._exact_two_setting(steering._View(asm)) is None
         verdict = lhs_feasibility(asm, 20)
         assert verdict.status == "UnsteerableCertified"
         assert verdict.certificate == () and verdict.residual == 0.0
@@ -1227,7 +1242,7 @@ class TestExactTwoSettingPath:
         members = dict(compute_assemblage(noisy_state(v), ("Z", "X")).members)
         members[(signalling, +1)] = members[(signalling, +1)] + 1e-3 * IDENTITY
         asm = Assemblage(("Z", "X"), members)
-        assert steering._exact_two_setting(asm) is None or v > SQ2
+        assert steering._exact_two_setting(steering._View(asm)) is None or v > SQ2
         verdict = lhs_feasibility(asm, 20)
         assert verdict.status == "NoLHSFoundAtResolution" and verdict.certificate is None
 
@@ -1515,7 +1530,7 @@ class TestColumnGeneration:
             psi = np.array([math.cos(t), 0.0, 0.0, math.sin(t)])
             asm = compute_assemblage(DensityOperator(QUBIT_PAIR_LABELS, np.outer(psi, psi)),
                                      settings)
-            if steering._exact_two_setting(asm) is None:
+            if steering._exact_two_setting(steering._View(asm)) is None:
                 assert_decided_or_open(lhs_feasibility(asm, 20), asm)
 
     def test_hardy_near_a_product_state_does_not_break_the_solver(self):
@@ -1525,7 +1540,7 @@ class TestColumnGeneration:
             rho = two_qubit_frame(preset(f"hardy:{math.sqrt(1 - r * r)!r},{r!r}"))[0]
             for settings in (("X", "Y"), ("Z", "X", "Y")):
                 asm = compute_assemblage(rho, settings)
-                if len(settings) == 3 or steering._exact_two_setting(asm) is None:
+                if len(settings) == 3 or steering._exact_two_setting(steering._View(asm)) is None:
                     assert_decided_or_open(lhs_feasibility(asm, 20), asm)
 
     @pytest.mark.parametrize("index", [56, 76, 84])
@@ -1789,6 +1804,20 @@ def closed_form_corpus() -> dict:
     }
 
 
+def agreement_corpus() -> list:
+    """The photon presets and hardy:cos θ,sin θ (θ = 0.2 … 1.3) in every order of one to
+    three settings, noisy(1/√2 ± 1e-6) with Z,X, noisy(1/√3 ± 1e-6) with Z,X,Y, and the
+    band."""
+    specs = list(PHOTON_PRESETS) + [f"hardy:{math.cos(t)!r},{math.sin(t)!r}"
+                                    for t in np.round(np.arange(0.2, 1.31, 0.1), 1).tolist()]
+    orders = [order for n in (1, 2, 3) for order in permutations(("Z", "X", "Y"), n)]
+    out = [compute_assemblage(two_qubit_frame(preset(spec))[0], order)
+           for spec in specs for order in orders]
+    for v, settings in ((1 / math.sqrt(2), ("Z", "X")), (1 / math.sqrt(3), ("Z", "X", "Y"))):
+        out += [compute_assemblage(noisy_state(v + offset), settings) for offset in (-1e-6, 1e-6)]
+    return out + band_assemblages()
+
+
 class TestCanonicalParent:
     """Certificates in closed form from the canonical parent POVM of Bob's
     steering-equivalent effects (Busch, PRD 33, 2253 (1986)), before any solve, against an
@@ -1829,11 +1858,24 @@ class TestCanonicalParent:
             if verdict is not None:
                 assert program_verdict(asm).status == verdict.status, group
 
-    def test_no_certified_assemblage_has_a_linear_witness(self, corpus):
-        # A certificate and a witness never both replay (ROADMAP B, direction 5).
-        for _, asm, verdict in corpus:
-            if verdict is not None:
-                assert linear_witness_margin(asm) <= steering._WITNESS_TOL
+    def test_no_assemblage_has_both_a_certificate_and_a_proof(self):
+        # Each try of the ladder alone on each assemblage of ``agreement_corpus``: no
+        # certificate that replays meets a proof that replays, a two-setting margin above
+        # _MARGIN_TOL or a witness (ROADMAP B, direction 5).
+        tries = (steering._exact_two_setting, steering._linear_witness_proof,
+                 steering._canonical_parent, steering._column_generation)
+        certified = proved = 0
+        for asm in agreement_corpus():
+            verdicts = [attempt(steering._View(asm)) for attempt in tries]
+            certificate = any(v is not None and v.certificate is not None
+                              and replay_certificate(v, asm) < 1e-7 for v in verdicts)
+            proof = any(v is not None and v.witness is not None
+                        and replay_witness(v, asm) == v.residual for v in verdicts)
+            if len(asm.settings) == 2 and steering._View(asm).full_rank:
+                proof |= steering.joint_measurability_margin(asm) > steering._MARGIN_TOL
+            assert not (certificate and proof)
+            certified, proved = certified + certificate, proved + proof
+        assert (certified, proved) == (605, 194)  # every one of the 799 decided, one way
 
     @pytest.mark.parametrize("settings", [("Z", "X", "Y"), ("Y", "X", "Z"), ("X", "Z", "Y")])
     def test_noisy_below_one_over_root_three_is_certified_unsolved(self, settings,
